@@ -8,7 +8,7 @@ Run with:  python3 demos/03_best_subpage.py
 from topicpages import (
     EmbeddingModel,
     TopicClassifier,
-    extract_best_subpages,
+    filter_subpages,
     load_dictionary,
     normalize,
 )
@@ -54,10 +54,10 @@ def main() -> None:
         w = classifier.selection_weight(url, sports)
         print(f"  {raw:44} weight={w:.4f}")
 
-    # One call covers the whole site: classify, group by topic, pick winners.
-    home = normalize("https://daily.example/")
-    links = [normalize(u) for u in CANDIDATES]
-    best = extract_best_subpages([(home, links)], dictionary, model, DEFAULT_THRESHOLDS)
+    # Filter and classify the site's links, then one call groups them by
+    # topic and picks each topic's winner.
+    links = filter_subpages([normalize(u) for u in CANDIDATES], DEFAULT_THRESHOLDS)
+    best = classifier.select_best_subpages([classifier.classify(u) for u in links])
     print("\nbest subpage per topic:")
     for row in best:
         for topic, url in sorted(row.selections.items(), key=lambda p: p[0].name):

@@ -10,8 +10,6 @@ from .classify import (
     TopicClassifier,
     classify_url,
     dictionary_assist,
-    extract_best_subpages,
-    select_best_subpage,
 )
 from .cluster import (
     ClusterReport,
@@ -108,7 +106,6 @@ __all__ = [
     "detect_english",
     "dictionary_assist",
     "emit_plot_data",
-    "extract_best_subpages",
     "extract_links",
     "extract_text",
     "fetch_all",
@@ -137,7 +134,6 @@ __all__ = [
     "registrable_domain",
     "run_pipeline",
     "save_snapshots",
-    "select_best_subpage",
     "silhouette",
     "stem",
     "summary",

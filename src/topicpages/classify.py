@@ -28,7 +28,6 @@ from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
 from .errors import EmptyCandidates, MalformedRecord, NoSubpaths
 from .stopwords import DEFAULT_STOPWORDS
-from .thresholds import Thresholds, filter_subpages
 from .urls import PageUrl, normalize
 
 METHOD_EXACT = "exact"
@@ -83,9 +82,6 @@ class TopicClassifier:
         for kw in self.dictionary.keywords_for(topic):
             tokens.extend(tokenize_subpath(kw, self.stopwords))
         return tokens
-
-    def topic_embedding(self, topic: Topic):
-        return self._topic_embeddings[topic]
 
     def classify(self, url: PageUrl) -> TopicAssignment:
         if not url.subpaths:
@@ -143,6 +139,21 @@ class TopicClassifier:
                 return c.url
         return ranked[0].url
 
+    def select_best_subpages(self, assignments: Iterable[TopicAssignment]) -> list[BestSubpages]:
+        """One section page per (site, topic), sites in name order.
+
+        Other assignments are never selected from, so a site whose URLs
+        all land in Other yields no row.
+        """
+        grouped: dict[tuple[str, str], list[TopicAssignment]] = {}
+        for a in assignments:
+            if not a.topic.is_other:
+                grouped.setdefault((a.url.domain, a.topic.name), []).append(a)
+        by_site: dict[str, dict[Topic, PageUrl]] = {}
+        for (site, _), group in sorted(grouped.items()):
+            by_site.setdefault(site, {})[group[0].topic] = self.select_best_subpage(group)
+        return [BestSubpages(site, selections) for site, selections in sorted(by_site.items())]
+
 
 def classify_url(
     url: PageUrl,
@@ -153,52 +164,6 @@ def classify_url(
 ) -> TopicAssignment:
     """One-shot classification; build a TopicClassifier for bulk use."""
     return TopicClassifier(dictionary, model, cutoff, stopwords).classify(url)
-
-
-def select_best_subpage(
-    candidates: Sequence[TopicAssignment],
-    dictionary: TopicalDictionary,
-    model: EmbeddingModel,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> PageUrl:
-    if not candidates:
-        raise EmptyCandidates("no candidate URLs for this topic")
-    classifier = TopicClassifier(dictionary, model, stopwords=stopwords)
-    return classifier.select_best_subpage(candidates)
-
-
-def extract_best_subpages(
-    sites: Iterable[tuple[PageUrl, Sequence[PageUrl]]],
-    dictionary: TopicalDictionary,
-    model: EmbeddingModel,
-    thresholds: Thresholds,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> list[BestSubpages]:
-    """Filter, classify, and select one section page per (site, topic).
-
-    sites yields (homepage, internal URLs) pairs as produced by link
-    extraction.  Homepage-shaped URLs (no path segments) are never section
-    candidates; Other assignments are dropped rather than selected from.
-    """
-    classifier = TopicClassifier(
-        dictionary, model, cutoff=thresholds.cosine_cutoff, stopwords=stopwords
-    )
-    results: list[BestSubpages] = []
-    for homepage, internal in sites:
-        by_topic: dict[Topic, list[TopicAssignment]] = {}
-        for url in filter_subpages(internal, thresholds):
-            if not url.subpaths:
-                continue
-            assignment = classifier.classify(url)
-            if assignment.topic.is_other:
-                continue
-            by_topic.setdefault(assignment.topic, []).append(assignment)
-        selections = {
-            topic: classifier.select_best_subpage(group)
-            for topic, group in sorted(by_topic.items(), key=lambda kv: kv[0].name)
-        }
-        results.append(BestSubpages(site=homepage.domain, selections=selections))
-    return results
 
 
 def dictionary_assist(

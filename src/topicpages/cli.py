@@ -10,44 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .classify import dictionary_assist, read_assignments
 from .config import PipelineConfig, load_config
-from .dictionary import bundled_dictionary, load_dictionary_file
 from .errors import ConfigError, PipelineError
-from .pipeline import Runner, cluster_file, emit_plot_data, run_pipeline, sweep_file
-
-# CLI dest -> PipelineConfig field; flags not listed here are stage inputs
-_CONFIG_KEYS = {
-    "urls": "urls",
-    "snapshots": "snapshots",
-    "dictionary": "dictionary",
-    "embeddings": "embeddings",
-    "stopwords": "stopwords",
-    "disconnect": "disconnect",
-    "crawl_logs": "crawl_logs",
-    "suffixes": "suffixes",
-    "out_dir": "out_dir",
-    "seed": "seed",
-    "parallel": "parallel",
-    "timeout": "timeout",
-    "retries": "retries",
-    "user_agent": "user_agent",
-    "respect_robots": "respect_robots",
-    "live": "live",
-    "fallback_defaults": "fallback_defaults",
-    "cosine_cutoff": "cosine_cutoff",
-    "top_sites": "top_sites",
-    "top_tp": "top_tp",
-    "min_df": "min_df",
-    "pca_n": "pca_n",
-    "k": "k",
-    "n_range": "n_range",
-    "k_range": "k_range",
-    "restarts": "restarts",
-    "b_refs": "b_refs",
-}
+from .pipeline import STAGE_NAMED, Runner, cluster_file, run_pipeline, sweep_file
 
 
 def _global_parser() -> argparse.ArgumentParser:
@@ -62,10 +31,10 @@ def _global_parser() -> argparse.ArgumentParser:
 
 def _config_from(args: argparse.Namespace, require: tuple[str, ...] = ()) -> PipelineConfig:
     overrides = {}
-    for dest, key in _CONFIG_KEYS.items():
-        value = getattr(args, dest, None)
+    for field in fields(PipelineConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
+            overrides[field.name] = value
     cfg = load_config(getattr(args, "config", None), overrides=overrides)
     cfg.validate(require)
     return cfg
@@ -184,41 +153,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_path(args: argparse.Namespace) -> str | None:
-    return getattr(args, "input", None)
-
-
-def _dictionary_for(cfg: PipelineConfig):
-    return load_dictionary_file(cfg.dictionary) if cfg.dictionary else bundled_dictionary()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stage = STAGE_NAMED.get(args.command)
     try:
-        if args.command == "fetch":
-            cfg = _config_from(args, require=("urls",))
-            _emit(Runner(cfg).stage_fetch())
-        elif args.command == "extract":
-            cfg = _config_from(args, require=("urls",))
-            _emit(Runner(cfg).stage_extract())
-        elif args.command == "fit-thresholds":
-            cfg = _config_from(args)
-            _emit(Runner(cfg).stage_fit_thresholds(_input_path(args)))
-        elif args.command == "filter":
-            cfg = _config_from(args)
-            _emit(Runner(cfg).stage_filter(_input_path(args)))
-        elif args.command == "classify":
-            cfg = _config_from(args, require=("embeddings",))
-            _emit(Runner(cfg).stage_classify(_input_path(args)))
-        elif args.command == "best-subpages":
-            cfg = _config_from(args, require=("embeddings",))
-            _emit(Runner(cfg).stage_best_subpages(_input_path(args)))
-        elif args.command == "track":
-            cfg = _config_from(args, require=("crawl_logs", "disconnect"))
-            _emit(Runner(cfg).stage_track())
-        elif args.command == "content":
-            cfg = _config_from(args)
-            _emit(Runner(cfg).stage_content())
+        if stage is not None:
+            cfg = _config_from(args, require=stage.requires)
+            inputs = [getattr(args, name) for name in ("input", "strict") if hasattr(args, name)]
+            _emit(Runner(cfg).run_stage(stage, *inputs))
         elif args.command == "cluster":
             cfg = _config_from(args)
             payload = cluster_file(
@@ -251,21 +193,16 @@ def main(argv=None) -> int:
                 b_refs=cfg.b_refs,
             )
             _emit({"out": args.out, "cells": len(sweep.rows), "best": sweep.best})
-        elif args.command == "report":
-            cfg = _config_from(args)
-            emitted, missing = emit_plot_data(cfg.out_dir, strict=args.strict)
-            _emit({"emitted": [p.name for p in emitted], "missing": missing})
         elif args.command == "assist-dictionary":
             cfg = _config_from(args)
-            dictionary = _dictionary_for(cfg)
-            source = _input_path(args) or str(Path(cfg.out_dir) / "assignments.jsonl")
+            dictionary = Runner(cfg).dictionary()
+            source = args.input or str(Path(cfg.out_dir) / "assignments.jsonl")
             assignments = read_assignments(source, dictionary)
             skip = set(dictionary.generic_subpaths)
             for subpath, count in dictionary_assist(assignments, skip)[: args.top]:
                 print(f"{subpath}\t{count}")
         elif args.command == "run":
-            cfg = _config_from(args, require=("urls",))
-            code, summary = run_pipeline(cfg)
+            code, summary = run_pipeline(_config_from(args))
             _emit(summary)
             return code
     except ConfigError as exc:

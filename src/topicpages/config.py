@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ConfigError
 
@@ -66,16 +66,17 @@ class PipelineConfig:
     def top_sites_set(self) -> frozenset[str]:
         return frozenset(s.strip() for s in self.top_sites.split(",") if s.strip())
 
+    def unset(self, keys: Iterable[str]) -> list[str]:
+        """The keys among *keys* that are not configured."""
+        return [key for key in keys if getattr(self, key) in (None, "")]
+
     def validate(self, require: tuple[str, ...] = ()) -> None:
         """Check basic ranges plus existence of every configured path.
 
         *require* names path keys that must be configured for the intended
         stages (e.g. ("dictionary", "embeddings") for classification).
         """
-        problems = []
-        for key in require:
-            if getattr(self, key) in (None, ""):
-                problems.append(f"{key} is required but not configured")
+        problems = [f"{key} is required but not configured" for key in self.unset(require)]
         for key in _PATH_KEYS:
             value = getattr(self, key)
             if value and not Path(value).exists():

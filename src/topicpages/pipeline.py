@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import classify as classify_mod
 from . import cluster as cluster_mod
@@ -20,7 +21,7 @@ from . import content as content_mod
 from . import tracking as tracking_mod
 from .config import PipelineConfig, parse_range
 from .dictionary import TopicalDictionary, bundled_dictionary, load_dictionary_file
-from .embeddings import load_embeddings_file
+from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import fetch_missing, load_snapshot_index, read_snapshot
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
@@ -76,6 +77,7 @@ class Runner:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, Path] = {}
         self._dictionary: TopicalDictionary | None = None
+        self._embeddings: EmbeddingModel | None = None
 
     # --- shared resources --------------------------------------------------
 
@@ -91,10 +93,17 @@ class Runner:
                 self._dictionary = bundled_dictionary()
         return self._dictionary
 
-    def embeddings(self):
-        if not self.config.embeddings:
-            raise MissingStage("no embeddings file configured")
-        return load_embeddings_file(self.config.embeddings)
+    def embeddings(self) -> EmbeddingModel:
+        if self._embeddings is None:
+            if not self.config.embeddings:
+                raise MissingStage("no embeddings file configured")
+            self._embeddings = load_embeddings_file(self.config.embeddings)
+        return self._embeddings
+
+    def classifier(self, cutoff: float = 0.4) -> classify_mod.TopicClassifier:
+        return classify_mod.TopicClassifier(
+            self.dictionary(), self.embeddings(), cutoff=cutoff, stopwords=self.stopword_set()
+        )
 
     def stopword_set(self) -> frozenset[str]:
         return load_stopwords(self.config.stopwords) if self.config.stopwords else DEFAULT_STOPWORDS
@@ -123,6 +132,10 @@ class Runner:
 
     # --- stages -------------------------------------------------------------
 
+    def run_stage(self, stage: Stage, *inputs) -> dict:
+        """Call a table entry's method, looked up by name at call time."""
+        return getattr(self, stage.method)(*stage.args, *inputs)
+
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
         cfg = self.config
@@ -139,6 +152,11 @@ class Runner:
         )
         self._register("snapshot-index", self.snapshot_dir / "index.jsonl")
         return {"fetched": fetched, "reused": reused}
+
+    def stage_fetch_sections(self) -> dict:
+        """Add the selected section pages to the snapshot store."""
+        best = classify_mod.read_best_subpages(self._require("best-subpages", "best.jsonl"))
+        return self.stage_fetch([normalize(row["url"]) for row in best])
 
     def stage_extract(self) -> dict:
         """Partition every homepage's links into internal / external files."""
@@ -205,12 +223,7 @@ class Runner:
     def stage_classify(self, urls_path: str | Path | None = None) -> dict:
         source = Path(urls_path) if urls_path else self._require("filter", "filtered.jsonl")
         rows = read_url_file(source)
-        classifier = classify_mod.TopicClassifier(
-            self.dictionary(),
-            self.embeddings(),
-            cutoff=self.thresholds().cosine_cutoff,
-            stopwords=self.stopword_set(),
-        )
+        classifier = self.classifier(self.thresholds().cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
@@ -228,27 +241,8 @@ class Runner:
             if assignments_path
             else self._require("classify", "assignments.jsonl")
         )
-        dictionary = self.dictionary()
-        classifier = classify_mod.TopicClassifier(
-            dictionary,
-            self.embeddings(),
-            cutoff=self.thresholds().cosine_cutoff if (self.out_dir / "thresholds.json").exists() else 0.4,
-            stopwords=self.stopword_set(),
-        )
-        assignments = classify_mod.read_assignments(source, dictionary)
-        grouped: dict[tuple[str, str], list] = {}
-        for a in assignments:
-            if a.topic.is_other:
-                continue
-            grouped.setdefault((a.url.domain, a.topic.name), []).append(a)
-        by_site: dict[str, dict] = {}
-        for (site, topic_name), group in sorted(grouped.items()):
-            url = classifier.select_best_subpage(group)
-            by_site.setdefault(site, {})[dictionary.topic_named(topic_name)] = url
-        results = [
-            classify_mod.BestSubpages(site=site, selections=selections)
-            for site, selections in sorted(by_site.items())
-        ]
+        assignments = classify_mod.read_assignments(source, self.dictionary())
+        results = self.classifier().select_best_subpages(assignments)
         classify_mod.write_best_subpages(
             self._register("best", self.out_dir / "best.jsonl"), results
         )
@@ -641,49 +635,61 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
     return emitted, missing
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One step of a full run, also reachable as the subcommand of that name."""
+
+    name: str                        # summary key and subcommand
+    method: str                      # Runner method, looked up at call time
+    after: str | None = None         # stage that must have succeeded first
+    requires: tuple[str, ...] = ()   # config keys the stage cannot run without
+    args: tuple = ()                 # fixed leading arguments of the method
+
+
+# run order; a stage whose upstream failed or was skipped, or whose required
+# keys are unset, is skipped
+STAGES = (
+    Stage("fetch", "stage_fetch", requires=("urls",)),
+    Stage("extract", "stage_extract", "fetch", ("urls",)),
+    Stage("fit-thresholds", "stage_fit_thresholds", "extract"),
+    Stage("filter", "stage_filter", "fit-thresholds"),
+    Stage("classify", "stage_classify", "filter", ("embeddings",)),
+    Stage("best-subpages", "stage_best_subpages", "classify", ("embeddings",)),
+    Stage("fetch-sections", "stage_fetch_sections", "best-subpages"),
+    Stage("track", "stage_track", "best-subpages", ("crawl_logs", "disconnect")),
+    Stage("cluster-tracking", "stage_cluster", "track", args=("tracking-matrix",)),
+    Stage("sweep-tracking", "stage_cluster_sweep", "track", args=("tracking-matrix",)),
+    Stage("content", "stage_content", "best-subpages"),
+    Stage("cluster-content", "stage_cluster", "content", args=("content-matrix",)),
+    Stage("sweep-content", "stage_cluster_sweep", "content", args=("content-matrix",)),
+    Stage("report", "stage_report"),
+)
+STAGE_NAMED = {stage.name: stage for stage in STAGES}
+
+
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     """Run every stage the configuration enables; returns (exit code, summary).
 
+    The config is validated first, with the first stage's keys required.
     Stage failures are collected rather than raised; downstream stages that
     depend on a failed stage are skipped, and the exit code is 0 only when
     nothing failed.
     """
+    config.validate(STAGES[0].requires)
     runner = Runner(config)
     summary: dict[str, object] = {}
-    errors: list[tuple[str, str]] = []
-
-    def attempt(name: str, fn: Callable[[], dict]) -> bool:
+    errors: list[str] = []
+    succeeded: set[str] = set()
+    for stage in STAGES:
+        if (stage.after and stage.after not in succeeded) or config.unset(stage.requires):
+            continue
         try:
-            summary[name] = fn()
-            return True
+            summary[stage.name] = runner.run_stage(stage)
+            succeeded.add(stage.name)
         except PipelineError as exc:
-            errors.append((name, str(exc)))
-            summary[name] = {"error": str(exc)}
-            return False
-
-    ok = attempt("fetch", runner.stage_fetch)
-    ok = ok and attempt("extract", runner.stage_extract)
-    ok = ok and attempt("fit-thresholds", lambda: runner.stage_fit_thresholds())
-    ok = ok and attempt("filter", lambda: runner.stage_filter())
-    classified = ok and config.embeddings is not None
-    if classified:
-        classified = attempt("classify", lambda: runner.stage_classify())
-        classified = classified and attempt("best-subpages", lambda: runner.stage_best_subpages())
-    if classified:
-        best_urls = [
-            normalize(row["url"])
-            for row in classify_mod.read_best_subpages(runner.out_dir / "best.jsonl")
-        ]
-        attempt("fetch-sections", lambda: runner.stage_fetch(best_urls))
-        if config.crawl_logs and config.disconnect:
-            if attempt("track", runner.stage_track):
-                attempt("cluster-tracking", lambda: runner.stage_cluster("tracking-matrix"))
-                attempt("sweep-tracking", lambda: runner.stage_cluster_sweep("tracking-matrix"))
-        if attempt("content", runner.stage_content):
-            attempt("cluster-content", lambda: runner.stage_cluster("content-matrix"))
-            attempt("sweep-content", lambda: runner.stage_cluster_sweep("content-matrix"))
-    attempt("report", lambda: runner.stage_report(strict=False))
+            errors.append(f"{stage.name}: {exc}")
+            summary[stage.name] = {"error": str(exc)}
     runner.write_manifest()
     summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
-    summary["errors"] = [f"{stage}: {message}" for stage, message in errors]
+    summary["errors"] = errors
     return (0 if not errors else 1), summary

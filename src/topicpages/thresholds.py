@@ -8,7 +8,7 @@ be bimodal; the filter boundary is the valley between the two modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -286,10 +286,6 @@ def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
         ):
             out.append(u)
     return out
-
-
-def with_cosine_cutoff(t: Thresholds, cutoff: float) -> Thresholds:
-    return replace(t, cosine_cutoff=cutoff)
 
 
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:

@@ -35,7 +35,6 @@ from topicpages import (
     pca_fit,
     preferential_attachment,
     read_crawl_log,
-    select_best_subpage,
     silhouette,
 )
 from topicpages.classify import TopicClassifier
@@ -277,7 +276,7 @@ class TestBestSubpageSelection:
         return [classifier.classify(normalize(r)) for r in raws]
 
     def test_top_ranked_keyword_candidate_wins(self, setup):
-        classifier, _, dictionary, model = setup
+        classifier, _, _, _ = setup
         candidates = self._assignments(
             classifier,
             [
@@ -286,12 +285,12 @@ class TestBestSubpageSelection:
                 "https://news-site.example/cricket-news/",
             ],
         )
-        best = select_best_subpage(candidates, dictionary, model)
+        best = classifier.select_best_subpage(candidates)
         assert best.normalized == "https://news-site.example/sports/"
         assert best in [c.url for c in candidates]
 
     def test_keyword_candidate_overrides_higher_weight(self, setup):
-        classifier, vectors, dictionary, model = setup
+        classifier, vectors, _, _ = setup
         candidates = self._assignments(
             classifier,
             [
@@ -309,11 +308,11 @@ class TestBestSubpageSelection:
         )
         assert weights[0] == pytest.approx(0.4472135954999579, abs=1e-12)
         # ... yet the first candidate whose top subpath is a keyword is chosen
-        best = select_best_subpage(candidates, dictionary, model)
+        best = classifier.select_best_subpage(candidates)
         assert best.normalized == "https://news-site.example/sports/cricket/extra/"
 
     def test_fallback_to_top_ranked_without_keyword(self, setup):
-        classifier, _, dictionary, model = setup
+        classifier, _, _, _ = setup
         candidates = self._assignments(
             classifier,
             [
@@ -321,7 +320,7 @@ class TestBestSubpageSelection:
                 "https://news-site.example/sports-news/",
             ],
         )
-        best = select_best_subpage(candidates, dictionary, model)
+        best = classifier.select_best_subpage(candidates)
         assert best.normalized == "https://news-site.example/sports-news/"
 
 

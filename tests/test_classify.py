@@ -5,9 +5,8 @@ from topicpages import (
     TopicClassifier,
     classify_url,
     dictionary_assist,
-    extract_best_subpages,
+    filter_subpages,
     normalize,
-    select_best_subpage,
 )
 from topicpages.classify import (
     METHOD_EMBEDDING,
@@ -169,15 +168,20 @@ class TestSelectBestSubpage:
         best = clf.select_best_subpage(cands)
         assert best.normalized == u("/a-sports/").normalized
 
-    def test_module_level_wrapper(self, selection_dictionary, selection_model):
+    def test_site_level_selection_picks_the_same_winner(
+        self, selection_dictionary, selection_model
+    ):
         clf = TopicClassifier(selection_dictionary, selection_model)
         cands = self.assignments(clf, ["/cricket-news/", "/sports-news/"])
-        best = select_best_subpage(cands, selection_dictionary, selection_model)
-        assert best.normalized == u("/sports-news/").normalized
+        [best] = clf.select_best_subpages(cands)
+        assert [url.normalized for url in best.selections.values()] == [
+            u("/sports-news/").normalized
+        ]
 
     def test_empty_candidates(self, selection_dictionary, selection_model):
+        clf = TopicClassifier(selection_dictionary, selection_model)
         with pytest.raises(EmptyCandidates):
-            select_best_subpage([], selection_dictionary, selection_model)
+            clf.select_best_subpage([])
 
     def test_mixed_topics_rejected(self, toy_dictionary, toy_model):
         clf = TopicClassifier(toy_dictionary, toy_model)
@@ -200,7 +204,13 @@ class TestSelectBestSubpage:
             clf.select_best_subpage([clf.classify(u("/quiz/"))])
 
 
-class TestExtractBestSubpages:
+def classify_and_select(clf, internal):
+    """Filter, classify and select as the pipeline stages do."""
+    kept = filter_subpages(internal, DEFAULT_THRESHOLDS)
+    return clf.select_best_subpages([clf.classify(url) for url in kept if url.subpaths])
+
+
+class TestSelectBestSubpages:
     def test_end_to_end_single_site(self, toy_dictionary, toy_model):
         homepage = normalize("https://news-site.example/")
         internal = [
@@ -211,9 +221,8 @@ class TestExtractBestSubpages:
             u("/" + "x" * 90 + "/"),  # fails the length threshold
             homepage,  # no path segments, never a candidate
         ]
-        results = extract_best_subpages(
-            [(homepage, internal)], toy_dictionary, toy_model, DEFAULT_THRESHOLDS
-        )
+        clf = TopicClassifier(toy_dictionary, toy_model, cutoff=DEFAULT_THRESHOLDS.cosine_cutoff)
+        results = classify_and_select(clf, internal)
         assert len(results) == 1
         best = results[0]
         assert best.site == "news-site.example"
@@ -223,12 +232,9 @@ class TestExtractBestSubpages:
             "politics": u("/topics/election/").normalized,
         }
 
-    def test_site_with_no_matches(self, toy_dictionary, toy_model):
-        homepage = normalize("https://news-site.example/")
-        results = extract_best_subpages(
-            [(homepage, [u("/quiz/")])], toy_dictionary, toy_model, DEFAULT_THRESHOLDS
-        )
-        assert results[0].selections == {}
+    def test_all_other_site_yields_no_rows(self, toy_dictionary, toy_model):
+        clf = TopicClassifier(toy_dictionary, toy_model)
+        assert classify_and_select(clf, [u("/quiz/")]) == []
 
 
 class TestDictionaryAssist:
@@ -266,13 +272,8 @@ class TestAssignmentFiles:
             read_assignments(path, toy_dictionary)
 
     def test_best_subpages_round_trip(self, tmp_path, toy_dictionary, toy_model):
-        homepage = normalize("https://news-site.example/")
-        results = extract_best_subpages(
-            [(homepage, [u("/sports/"), u("/politics/")])],
-            toy_dictionary,
-            toy_model,
-            DEFAULT_THRESHOLDS,
-        )
+        clf = TopicClassifier(toy_dictionary, toy_model)
+        results = classify_and_select(clf, [u("/sports/"), u("/politics/")])
         path = tmp_path / "best.jsonl"
         write_best_subpages(path, results)
         rows = read_best_subpages(path)

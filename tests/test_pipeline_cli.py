@@ -128,15 +128,45 @@ class TestStageIsolation:
         assert "assignments.jsonl is missing" in err
 
     def test_stage_sequence_matches_full_run(self, e2e_config, capsys, tmp_path):
-        # the same artifacts built one subcommand at a time
-        run_cli(capsys, "run", "--config", e2e_config)
-        reference = (e2e_config.parent / "out" / "best.jsonl").read_bytes()
+        # the same artifacts and summaries built one subcommand at a time
+        _, out, _ = run_cli(capsys, "run", "--config", e2e_config)
+        summary = json.loads(out)
 
         staged = build_e2e_workspace(tmp_path / "staged")
-        for command in ("fetch", "extract", "fit-thresholds", "filter", "classify", "best-subpages"):
-            code, _, err = run_cli(capsys, command, "--config", staged)
+        staged_out = staged.parent / "out"
+        for command in (
+            "fetch", "extract", "fit-thresholds", "filter", "classify", "best-subpages",
+            "track", "content",
+        ):
+            code, out, err = run_cli(capsys, command, "--config", staged)
             assert code == 0, (command, err)
-        assert (staged.parent / "out" / "best.jsonl").read_bytes() == reference
+            assert json.loads(out) == summary[command], command
+        # the run's cluster/sweep stages, through the matrix-file commands
+        for tag in ("tracking", "content"):
+            matrix = staged_out / f"{tag}-matrix.json"
+            code, _, err = run_cli(
+                capsys, "cluster", "--config", staged, "--matrix", matrix,
+                "--out", staged_out / f"clusters-{tag}.json",
+            )
+            assert code == 0, (tag, err)
+            code, _, err = run_cli(
+                capsys, "cluster-sweep", "--config", staged, "--matrix", matrix,
+                "--out", staged_out / f"sweep-{tag}.csv",
+            )
+            assert code == 0, (tag, err)
+        code, out, err = run_cli(capsys, "report", "--config", staged)
+        assert code == 0, err
+        assert json.loads(out) == summary["report"]
+
+        run_out = e2e_config.parent / "out"
+        run_files = sorted(
+            p.relative_to(run_out) for p in run_out.rglob("*")
+            if p.is_file() and p.name != "manifest.json"
+        )
+        staged_files = sorted(p.relative_to(staged_out) for p in staged_out.rglob("*") if p.is_file())
+        assert staged_files == run_files
+        for rel in run_files:
+            assert (staged_out / rel).read_bytes() == (run_out / rel).read_bytes(), rel
 
 
 class TestRunnerDirect:
@@ -153,6 +183,39 @@ class TestRunnerDirect:
         summary = json.loads(out)
         assert "classify" not in summary
         assert summary["filter"]["kept"] > 0
+
+    def test_run_without_tracking_inputs_skips_the_tracking_branch(
+        self, e2e_config, capsys, tmp_path
+    ):
+        text = e2e_config.read_text("utf-8")
+        trimmed = "".join(
+            line + "\n"
+            for line in text.splitlines()
+            if not line.startswith(("crawl_logs", "disconnect"))
+        )
+        config_path = tmp_path / "trimmed.toml"
+        config_path.write_text(trimmed, "utf-8")
+        code, out, _ = run_cli(capsys, "run", "--config", config_path)
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["errors"] == []
+        for name in ("track", "cluster-tracking", "sweep-tracking"):
+            assert name not in summary
+        for name in ("content", "cluster-content", "sweep-content"):
+            assert "error" not in summary[name], name
+
+    def test_failed_track_skips_only_its_downstream(self, e2e_config, capsys):
+        (e2e_config.parent / "crawl_log.jsonl").write_text("{not json\n", "utf-8")
+        code, out, _ = run_cli(capsys, "run", "--config", e2e_config)
+        assert code == 1
+        summary = json.loads(out)
+        assert "error" in summary["track"]
+        assert "cluster-tracking" not in summary
+        assert "sweep-tracking" not in summary
+        for name in ("content", "cluster-content", "sweep-content"):
+            assert "error" not in summary[name], name
+        assert len(summary["errors"]) == 1
+        assert summary["errors"][0].startswith("track:")
 
     def test_track_requires_best_subpages(self, e2e_config):
         cfg = load_config(e2e_config, env={})

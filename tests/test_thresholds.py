@@ -14,7 +14,7 @@ from topicpages import (
     url_metrics,
 )
 from topicpages.errors import EmptyInput, NotBimodal
-from topicpages.thresholds import with_cosine_cutoff, write_histogram_csv
+from topicpages.thresholds import write_histogram_csv
 
 
 def hist_from_counts(counts, bucket_size=1.0):
@@ -246,11 +246,6 @@ class TestThresholdsObject:
     def test_round_trip(self):
         t = Thresholds(70, 25, 3, cosine_cutoff=0.35)
         assert Thresholds.from_dict(t.to_dict()) == t
-
-    def test_with_cosine_cutoff(self):
-        t = with_cosine_cutoff(DEFAULT_THRESHOLDS, 0.55)
-        assert t.cosine_cutoff == 0.55
-        assert t.max_url_length == DEFAULT_THRESHOLDS.max_url_length
 
 
 def test_histogram_csv(tmp_path):

@@ -16,7 +16,7 @@ from pathlib import Path
 from .classify import dictionary_assist, read_assignments
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, PipelineError
-from .pipeline import STAGE_NAMED, Runner, cluster_file, run_pipeline, sweep_file
+from .pipeline import STAGE_NAMED, Runner, run_pipeline
 
 
 def _global_parser() -> argparse.ArgumentParser:
@@ -162,37 +162,9 @@ def main(argv=None) -> int:
             inputs = [getattr(args, name) for name in ("input", "strict") if hasattr(args, name)]
             _emit(Runner(cfg).run_stage(stage, *inputs))
         elif args.command == "cluster":
-            cfg = _config_from(args)
-            payload = cluster_file(
-                args.matrix,
-                args.out,
-                pca_n=cfg.pca_n,
-                k=cfg.k,
-                seed=cfg.seed,
-                restarts=cfg.restarts,
-                b_refs=cfg.b_refs,
-            )
-            _emit(
-                {
-                    "out": args.out,
-                    "k": payload["k"],
-                    "sse": payload["sse"],
-                    "silhouette": payload["silhouette"],
-                    "gap": payload["gap"],
-                }
-            )
+            _emit(Runner(_config_from(args)).stage_cluster(args.matrix, args.out))
         elif args.command == "cluster-sweep":
-            cfg = _config_from(args)
-            sweep = sweep_file(
-                args.matrix,
-                args.out,
-                n_range=cfg.n_range,
-                k_range=cfg.k_range,
-                seed=cfg.seed,
-                restarts=cfg.restarts,
-                b_refs=cfg.b_refs,
-            )
-            _emit({"out": args.out, "cells": len(sweep.rows), "best": sweep.best})
+            _emit(Runner(_config_from(args)).stage_cluster_sweep(args.matrix, args.out))
         elif args.command == "assist-dictionary":
             cfg = _config_from(args)
             dictionary = Runner(cfg).dictionary()

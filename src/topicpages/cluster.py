@@ -142,9 +142,11 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> Km
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
             if not np.any(new_assign == c):
-                # reseed an empty cluster to the point farthest from its center
+                # reseed an empty cluster to the point farthest from its center,
+                # taken from a cluster of two or more so that none is emptied
                 own = ((X - centers[new_assign]) ** 2).sum(axis=1)
-                far = int(np.argmax(own))
+                shared = np.bincount(new_assign, minlength=k)[new_assign] >= 2
+                far = int(np.argmax(np.where(shared, own, -1.0)))
                 new_assign[far] = c
                 centers[c] = X[far]
         if assignments is not None and np.array_equal(new_assign, assignments):
@@ -228,10 +230,17 @@ def gap_statistic(
     References are uniform draws over the data's bounding box, clustered
     with the same k and seed policy as the data.
     """
+    X = np.asarray(X, dtype=float)
+    observed = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
+    return _gap(X, k, observed.sse, seed, b_refs, restarts, max_iter)
+
+
+def _gap(
+    X: np.ndarray, k: int, observed: float, seed: int, b_refs: int, restarts: int, max_iter: int
+) -> float:
+    """The gap of a fit with SSE *observed*, against *b_refs* reference draws."""
     if b_refs < 1:
         raise ValueError("b_refs must be positive")
-    X = np.asarray(X, dtype=float)
-    observed = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter).sse
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     tiny = float(np.finfo(float).tiny)
@@ -244,6 +253,15 @@ def gap_statistic(
     return float(np.mean(ref_logs) - math.log(max(observed, tiny)))
 
 
+def _score(
+    X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int
+) -> tuple[KmeansResult, float | None, float]:
+    """One k-means fit, its silhouette (k >= 2) and its gap: one scored cell."""
+    result = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
+    sil = silhouette(X, result.assignments) if k >= 2 else None
+    return result, sil, _gap(X, k, result.sse, seed, b_refs, restarts, max_iter)
+
+
 # --- reports and sweeps ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -252,7 +270,7 @@ class ClusterReport:
     assignments: dict
     sse: float
     silhouette: float | None
-    gap: float | None
+    gap: float
     seed: int
     degenerate: bool = False
 
@@ -265,19 +283,12 @@ def cluster_report(
     restarts: int = 10,
     max_iter: int = 300,
     b_refs: int = 10,
-    with_gap: bool = True,
 ) -> ClusterReport:
     """Cluster labeled rows and attach quality metrics."""
     X = np.asarray(X, dtype=float)
     if len(row_labels) != len(X):
         raise ValueError("one label per row required")
-    result = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
-    sil = None
-    if k >= 2:
-        sil = silhouette(X, result.assignments)
-    gap = None
-    if with_gap:
-        gap = gap_statistic(X, k, seed=seed, b_refs=b_refs, restarts=restarts, max_iter=max_iter)
+    result, sil, gap = _score(X, k, seed, b_refs, restarts, max_iter)
     return ClusterReport(
         k=k,
         assignments={label: int(c) for label, c in zip(row_labels, result.assignments)},
@@ -340,11 +351,7 @@ def model_select(
             continue
         for k in ks:
             try:
-                result = kmeans(reduced, k, seed=seed, restarts=restarts, max_iter=max_iter)
-                sil = silhouette(reduced, result.assignments) if k >= 2 else None
-                gap = gap_statistic(
-                    reduced, k, seed=seed, b_refs=b_refs, restarts=restarts, max_iter=max_iter
-                )
+                result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter)
                 rows.append(SweepRow(n, k, result.sse, sil, gap))
             except (KTooLarge, SingleCluster) as exc:
                 rows.append(SweepRow(n, k, None, None, None, str(exc)))

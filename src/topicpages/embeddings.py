@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, MalformedHeader
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
 
 
 def tokenize_subpath(subpath: str, stopwords: AbstractSet[str] = frozenset()) -> list[str]:
@@ -114,6 +115,12 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     nx = float(np.linalg.norm(x))
     ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
+    if nx < _SMALL_NORM or ny < _SMALL_NORM:
+        # squares this small underflow; cosine ignores scale, so rescale first
+        mx = float(np.abs(x).max(initial=0.0))
+        my = float(np.abs(y).max(initial=0.0))
+        if mx == 0.0 or my == 0.0:
+            return 0.0
+        x, y = x / mx, y / my
+        nx, ny = float(np.linalg.norm(x)), float(np.linalg.norm(y))
     return float(np.dot(x, y) / (nx * ny))

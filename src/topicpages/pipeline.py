@@ -133,8 +133,9 @@ class Runner:
     # --- stages -------------------------------------------------------------
 
     def run_stage(self, stage: Stage, *inputs) -> dict:
-        """Call a table entry's method, looked up by name at call time."""
-        return getattr(self, stage.method)(*stage.args, *inputs)
+        """Call a table entry's method, looked up at call time, on its files in out_dir."""
+        args = (self.out_dir / name for name in stage.args)
+        return getattr(self, stage.method)(*args, *inputs)
 
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
@@ -356,40 +357,57 @@ class Runner:
             "missing_snapshots": missing,
         }
 
-    # --- clustering over either matrix ---------------------------------------
+    # --- clustering over either matrix file -----------------------------------
 
-    def _matrix_path(self, name: str) -> Path:
-        return self._require(name.replace("-matrix", ""), f"{name}.json")
-
-    def stage_cluster(self, matrix_name: str) -> dict:
+    def stage_cluster(self, matrix: str | Path, out: str | Path) -> dict:
+        """Reduce a matrix file, cluster it, and write the labeled result."""
         cfg = self.config
-        tag = matrix_name.replace("-matrix", "")
-        path = self._register(f"clusters-{tag}", self.out_dir / f"clusters-{tag}.json")
-        payload = cluster_file(
-            self._matrix_path(matrix_name),
-            path,
-            pca_n=cfg.pca_n,
-            k=cfg.k,
+        labels, X = load_matrix_file(matrix)
+        try:
+            model, reduced = cluster_mod.pca_fit(X, cfg.pca_n)
+        except ValueError as exc:
+            # infeasible n for this matrix is a data condition, not a crash
+            raise PipelineError(f"{Path(matrix).name}: {exc}") from exc
+        report = cluster_mod.cluster_report(
+            reduced, labels, cfg.k, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
+        )
+        payload = {
+            "matrix": Path(matrix).name,
+            "n": cfg.pca_n,
+            "k": report.k,
+            "seed": report.seed,
+            "sse": report.sse,
+            "silhouette": report.silhouette,
+            "gap": report.gap,
+            "degenerate": report.degenerate,
+            "rank_deficient": model.rank_deficient,
+            "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
+            "assignments": report.assignments,
+            "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
+        }
+        _json_dump(payload, self._register(Path(out).stem, Path(out)))
+        shown = ("matrix", "k", "sse", "silhouette", "gap")
+        return {"out": str(out), **{key: payload[key] for key in shown}}
+
+    def stage_cluster_sweep(self, matrix: str | Path, out: str | Path) -> dict:
+        """Score every (dimension, cluster count) cell of a matrix file as CSV."""
+        cfg = self.config
+        _, X = load_matrix_file(matrix)
+        sweep = cluster_mod.model_select(
+            X,
+            parse_range(cfg.n_range),
+            parse_range(cfg.k_range),
             seed=cfg.seed,
             restarts=cfg.restarts,
             b_refs=cfg.b_refs,
         )
-        return {"matrix": matrix_name, "k": payload["k"], "silhouette": payload["silhouette"]}
-
-    def stage_cluster_sweep(self, matrix_name: str) -> dict:
-        cfg = self.config
-        tag = matrix_name.replace("-matrix", "")
-        path = self._register(f"sweep-{tag}", self.out_dir / f"sweep-{tag}.csv")
-        sweep = sweep_file(
-            self._matrix_path(matrix_name),
-            path,
-            n_range=cfg.n_range,
-            k_range=cfg.k_range,
-            seed=cfg.seed,
-            restarts=cfg.restarts,
-            b_refs=cfg.b_refs,
-        )
-        return {"matrix": matrix_name, "best": sweep.best}
+        self._register(Path(out).stem, Path(out)).write_text(sweep.to_csv(), "utf-8")
+        return {
+            "matrix": Path(matrix).name,
+            "out": str(out),
+            "cells": len(sweep.rows),
+            "best": sweep.best,
+        }
 
     # --- plot data ------------------------------------------------------------
 
@@ -422,72 +440,15 @@ def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
     The two formats are told apart by their payload key: presence matrices
     carry integer "cells", term-weight matrices carry "weights".
     """
-    obj = json.loads(Path(path).read_text("utf-8"))
+    path = Path(path)
+    if not path.exists():
+        raise MissingStage(f"{path.name} is missing")
+    obj = json.loads(path.read_text("utf-8"))
     if "cells" in obj:
         m = tracking_mod.TrackingMatrix.from_dict(obj)
         return m.topics, m.cells.astype(float)
     m = content_mod.ContentMatrix.from_dict(obj)
     return m.topics, m.weights
-
-
-def cluster_file(
-    matrix_path: str | Path,
-    out_path: str | Path,
-    pca_n: int,
-    k: int,
-    seed: int = 42,
-    restarts: int = 10,
-    b_refs: int = 10,
-) -> dict:
-    """Reduce a matrix file, cluster it, and write the labeled result."""
-    labels, X = load_matrix_file(matrix_path)
-    try:
-        model, reduced = cluster_mod.pca_fit(X, pca_n)
-    except ValueError as exc:
-        # infeasible n for this matrix is a data condition, not a crash
-        raise PipelineError(f"{Path(matrix_path).name}: {exc}") from exc
-    report = cluster_mod.cluster_report(
-        reduced, labels, k, seed=seed, restarts=restarts, b_refs=b_refs
-    )
-    payload = {
-        "matrix": Path(matrix_path).name,
-        "n": pca_n,
-        "k": report.k,
-        "seed": report.seed,
-        "sse": report.sse,
-        "silhouette": report.silhouette,
-        "gap": report.gap,
-        "degenerate": report.degenerate,
-        "rank_deficient": model.rank_deficient,
-        "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
-        "assignments": report.assignments,
-        "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
-    }
-    _json_dump(payload, Path(out_path))
-    return payload
-
-
-def sweep_file(
-    matrix_path: str | Path,
-    out_path: str | Path,
-    n_range: str,
-    k_range: str,
-    seed: int = 42,
-    restarts: int = 10,
-    b_refs: int = 10,
-):
-    """Run the (dimension, cluster count) sweep over a matrix file as CSV."""
-    _, X = load_matrix_file(matrix_path)
-    sweep = cluster_mod.model_select(
-        X,
-        parse_range(n_range),
-        parse_range(k_range),
-        seed=seed,
-        restarts=restarts,
-        b_refs=b_refs,
-    )
-    Path(out_path).write_text(sweep.to_csv(), "utf-8")
-    return sweep
 
 
 def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path], list[str]]:
@@ -505,7 +466,7 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
 
     def need(filename: str) -> Path | None:
         path = out_dir / filename
-        if path.exists():
+        if path.is_dir() if filename.endswith("/") else path.exists():
             return path
         if strict:
             raise MissingStage(f"{filename} is missing")
@@ -521,17 +482,13 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
         return f"{x:.12g}"
 
     # threshold histograms
-    hist_dir = out_dir / "histograms"
-    if hist_dir.is_dir():
+    hist_dir = need("histograms/")
+    if hist_dir:
         rows = []
         for csv_path in sorted(hist_dir.glob("*.csv")):
             for line in csv_path.read_text("utf-8").splitlines()[1:]:
                 rows.append(f"{csv_path.stem},{line}")
         write_csv("threshold-histograms.csv", "parameter,bucket,count", rows)
-    else:
-        if strict:
-            raise MissingStage("histograms/ is missing")
-        missing.append("histograms/")
 
     # topic coverage across sites
     best_path = need("best.jsonl")
@@ -601,8 +558,8 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
 
     # cluster scatters and metric curves
     for tag in ("tracking", "content"):
-        cluster_path = out_dir / f"clusters-{tag}.json"
-        if cluster_path.exists():
+        cluster_path = need(f"clusters-{tag}.json")
+        if cluster_path:
             payload = json.loads(cluster_path.read_text("utf-8"))
             write_csv(
                 f"cluster-scatter-{tag}.csv",
@@ -613,19 +570,11 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
                     for label, coords in sorted(payload["points"].items())
                 ],
             )
-        else:
-            if strict:
-                raise MissingStage(f"clusters-{tag}.json is missing")
-            missing.append(f"clusters-{tag}.json")
-        sweep_path = out_dir / f"sweep-{tag}.csv"
-        if sweep_path.exists():
+        sweep_path = need(f"sweep-{tag}.csv")
+        if sweep_path:
             target = plots / f"metric-curves-{tag}.csv"
             shutil.copyfile(sweep_path, target)
             emitted.append(target)
-        else:
-            if strict:
-                raise MissingStage(f"sweep-{tag}.csv is missing")
-            missing.append(f"sweep-{tag}.csv")
 
     notes = plots / "notes.txt"
     notes.write_text(
@@ -643,7 +592,7 @@ class Stage:
     method: str                      # Runner method, looked up at call time
     after: str | None = None         # stage that must have succeeded first
     requires: tuple[str, ...] = ()   # config keys the stage cannot run without
-    args: tuple = ()                 # fixed leading arguments of the method
+    args: tuple[str, ...] = ()       # leading file arguments, named in out_dir
 
 
 # run order; a stage whose upstream failed or was skipped, or whose required
@@ -657,11 +606,15 @@ STAGES = (
     Stage("best-subpages", "stage_best_subpages", "classify", ("embeddings",)),
     Stage("fetch-sections", "stage_fetch_sections", "best-subpages"),
     Stage("track", "stage_track", "best-subpages", ("crawl_logs", "disconnect")),
-    Stage("cluster-tracking", "stage_cluster", "track", args=("tracking-matrix",)),
-    Stage("sweep-tracking", "stage_cluster_sweep", "track", args=("tracking-matrix",)),
+    Stage("cluster-tracking", "stage_cluster", "track",
+          args=("tracking-matrix.json", "clusters-tracking.json")),
+    Stage("sweep-tracking", "stage_cluster_sweep", "track",
+          args=("tracking-matrix.json", "sweep-tracking.csv")),
     Stage("content", "stage_content", "best-subpages"),
-    Stage("cluster-content", "stage_cluster", "content", args=("content-matrix",)),
-    Stage("sweep-content", "stage_cluster_sweep", "content", args=("content-matrix",)),
+    Stage("cluster-content", "stage_cluster", "content",
+          args=("content-matrix.json", "clusters-content.json")),
+    Stage("sweep-content", "stage_cluster_sweep", "content",
+          args=("content-matrix.json", "sweep-content.csv")),
     Stage("report", "stage_report"),
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}

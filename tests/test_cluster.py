@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import topicpages.cluster as cluster_mod
 from topicpages import (
     cluster_report,
     gap_statistic,
@@ -18,6 +21,16 @@ def three_blobs(points_per_blob=8, noise=0.5, seed=7):
     rng = np.random.default_rng(seed)
     centers = np.array([[0.0, 0.0], [10.0, 10.0], [-10.0, 10.0]])
     return np.vstack([rng.normal(c, noise, (points_per_blob, 2)) for c in centers])
+
+
+@st.composite
+def repeated_rows(draw):
+    """(X, k): rows drawn from at most three distinct ones, 1 <= k <= rows."""
+    dim = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3).map(float), min_size=dim, max_size=dim)
+    distinct = draw(st.lists(row, min_size=1, max_size=3))
+    X = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=12))
+    return X, draw(st.integers(1, len(X)))
 
 
 class TestPca:
@@ -143,6 +156,20 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans([[1.0], [2.0]], k, restarts=restarts)
 
+    @settings(deadline=None)
+    @example(case=(np.ones((9, 2)).tolist(), 4))
+    @given(case=repeated_rows())
+    def test_repeated_rows_fill_every_cluster(self, case):
+        # an empty cluster is reseeded from a cluster that keeps a member,
+        # so no mean is taken over an empty slice
+        X, k = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = kmeans(X, k, seed=3, restarts=3)
+        assert sorted(set(result.assignments.tolist())) == list(range(k))
+        assert np.isfinite(result.centers).all()
+        assert math.isfinite(result.sse)
+
 
 class TestSilhouette:
     def test_hand_computed_pairs(self):
@@ -194,13 +221,51 @@ class TestClusterReport:
         assert rep.silhouette is not None and rep.gap is not None
 
     def test_k1_has_no_silhouette(self):
-        rep = cluster_report([[0.0], [1.0]], ["a", "b"], 1, with_gap=False)
+        rep = cluster_report([[0.0], [1.0]], ["a", "b"], 1)
         assert rep.silhouette is None
-        assert rep.gap is None
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
             cluster_report([[0.0], [1.0]], ["a"], 1)
+
+
+class TestSharedScorer:
+    """A scored cell fits k-means once and takes its gap from that fit."""
+
+    @pytest.fixture
+    def kmeans_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(cluster_mod, "kmeans", counting)
+        return calls
+
+    def test_one_fit_per_sweep_cell_plus_references(self, kmeans_calls):
+        model_select(three_blobs(points_per_blob=4), [1, 2], [2, 3], seed=42, restarts=2, b_refs=3)
+        assert kmeans_calls == [2] * 4 + [3] * 4 + [2] * 4 + [3] * 4
+
+    def test_one_fit_per_report_plus_references(self, kmeans_calls):
+        X = three_blobs(points_per_blob=4)
+        cluster_report(X, [str(i) for i in range(len(X))], 3, seed=1, restarts=2, b_refs=3)
+        assert kmeans_calls == [3] * 4
+
+    def test_report_gap_equals_gap_statistic(self):
+        X = three_blobs(points_per_blob=4)
+        labels = [str(i) for i in range(len(X))]
+        for k in (1, 3):
+            rep = cluster_report(X, labels, k, seed=5, restarts=3, b_refs=4)
+            assert rep.gap == gap_statistic(X, k, seed=5, b_refs=4, restarts=3)
+
+    def test_sweep_gaps_equal_gap_statistic(self):
+        X = three_blobs(points_per_blob=4)
+        result = model_select(X, [1, 2], [1, 2, 3], seed=5, restarts=3, b_refs=4)
+        assert len(result.rows) == 6
+        for row in result.rows:
+            _, reduced = pca_fit(X, row.n)
+            assert row.gap == gap_statistic(reduced, row.k, seed=5, b_refs=4, restarts=3)
 
 
 class TestModelSelect:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from topicpages import (
     EmbeddingModel,
@@ -141,6 +141,15 @@ class TestCosine:
         assert c == cosine(b, a)
 
     @given(vec, st.floats(0.1, 50))
+    @example(a=[0.0, 1.6e-162], scale=0.5)  # squared norm underflows
     def test_scale_invariant(self, a, scale):
         b = [x * scale for x in a]
         assert cosine(a, b) == pytest.approx(cosine(a, a), abs=1e-9)
+
+    @given(st.tuples(vec, vec).filter(lambda p: len(p[0]) == len(p[1])))
+    def test_plain_formula_above_small_norms(self, pair):
+        # only operands with tiny norms take the rescaled path
+        x, y = (np.asarray(v, dtype=float) for v in pair)
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        if nx >= 1e-150 and ny >= 1e-150:
+            assert cosine(x, y) == float(np.dot(x, y) / (nx * ny))

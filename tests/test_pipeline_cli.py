@@ -6,7 +6,7 @@ import pytest
 from topicpages.cli import main
 from topicpages.config import load_config
 from topicpages.errors import MissingStage
-from topicpages.pipeline import Runner, read_homepage_list
+from topicpages.pipeline import STAGE_NAMED, Runner, read_homepage_list
 
 from conftest import build_e2e_workspace
 
@@ -144,16 +144,20 @@ class TestStageIsolation:
         # the run's cluster/sweep stages, through the matrix-file commands
         for tag in ("tracking", "content"):
             matrix = staged_out / f"{tag}-matrix.json"
-            code, _, err = run_cli(
-                capsys, "cluster", "--config", staged, "--matrix", matrix,
-                "--out", staged_out / f"clusters-{tag}.json",
-            )
-            assert code == 0, (tag, err)
-            code, _, err = run_cli(
-                capsys, "cluster-sweep", "--config", staged, "--matrix", matrix,
-                "--out", staged_out / f"sweep-{tag}.csv",
-            )
-            assert code == 0, (tag, err)
+            for command, stage, name in (
+                ("cluster", f"cluster-{tag}", f"clusters-{tag}.json"),
+                ("cluster-sweep", f"sweep-{tag}", f"sweep-{tag}.csv"),
+            ):
+                code, out, err = run_cli(
+                    capsys, command, "--config", staged, "--matrix", matrix,
+                    "--out", staged_out / name,
+                )
+                assert code == 0, (command, tag, err)
+                printed = json.loads(out)
+                expected = summary[stage]
+                assert printed["out"] == str(staged_out / name)
+                assert expected["out"] == str(e2e_config.parent / "out" / name)
+                assert {**printed, "out": None} == {**expected, "out": None}, (command, tag)
         code, out, err = run_cli(capsys, "report", "--config", staged)
         assert code == 0, err
         assert json.loads(out) == summary["report"]
@@ -217,6 +221,12 @@ class TestRunnerDirect:
         assert len(summary["errors"]) == 1
         assert summary["errors"][0].startswith("track:")
 
+    def test_cluster_stage_names_a_missing_matrix(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        for name in ("cluster-tracking", "sweep-content"):
+            with pytest.raises(MissingStage, match=r"-matrix\.json is missing"):
+                runner.run_stage(STAGE_NAMED[name])
+
     def test_track_requires_best_subpages(self, e2e_config):
         cfg = load_config(e2e_config, env={})
         with pytest.raises(MissingStage, match="best.jsonl"):
@@ -242,7 +252,8 @@ class TestOtherCommands:
         assert ["quiz", "1"] in rows
         assert all(count == "1" for _, count in rows)
 
-    def test_cluster_command(self, e2e_config, capsys, tmp_path):
+    def test_cluster_command(self, e2e_config, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         run_cli(capsys, "run", "--config", e2e_config)
         matrix = e2e_config.parent / "out" / "tracking-matrix.json"
         target = tmp_path / "clusters.json"
@@ -258,11 +269,16 @@ class TestOtherCommands:
         )
         assert code == 0
         payload = json.loads(target.read_text("utf-8"))
+        printed = json.loads(out)
+        assert printed["out"] == str(target)
+        for key in ("k", "sse", "silhouette", "gap"):
+            assert printed[key] == payload[key], key
         assert payload["k"] == 2
         assert sorted(payload["assignments"]) == ["business", "homepage", "politics", "sports"]
         assert len(payload["points"]["sports"]) == 2
 
-    def test_cluster_sweep_command(self, e2e_config, capsys, tmp_path):
+    def test_cluster_sweep_command(self, e2e_config, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         run_cli(capsys, "run", "--config", e2e_config)
         matrix = e2e_config.parent / "out" / "content-matrix.json"
         target = tmp_path / "sweep.csv"
@@ -280,8 +296,41 @@ class TestOtherCommands:
         lines = target.read_text("utf-8").splitlines()
         assert lines[0] == "n,k,sse,silhouette,gap"
         assert len(lines) == 5
+        printed = json.loads(out)
+        assert printed["out"] == str(target)
+        assert printed["cells"] == 4
+        assert len(printed["best"]) == 2
 
-    def test_cluster_infeasible_n_fails_cleanly(self, e2e_config, capsys, tmp_path):
+    def test_cluster_commands_resolve_paths_against_working_dir(
+        self, e2e_config, capsys, tmp_path, monkeypatch
+    ):
+        run_cli(capsys, "run", "--config", e2e_config)
+        work = tmp_path / "work"
+        work.mkdir()
+        matrix = e2e_config.parent / "out" / "tracking-matrix.json"
+        (work / "m.json").write_bytes(matrix.read_bytes())
+        monkeypatch.chdir(work)
+        run_dir = tmp_path / "elsewhere"
+        for command, out_name in (("cluster", "c.json"), ("cluster-sweep", "s.csv")):
+            code, out, err = run_cli(
+                capsys, command, "--out-dir", run_dir, "--matrix", "m.json", "--out", out_name,
+                "--restarts", "2", "--b-refs", "2",
+            )
+            assert code == 0, err
+            assert json.loads(out)["out"] == out_name
+            assert (work / out_name).is_file()
+            assert not (run_dir / out_name).exists()
+
+    def test_cluster_missing_matrix_fails_cleanly(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for command in ("cluster", "cluster-sweep"):
+            code, _, err = run_cli(capsys, command, "--matrix", "absent-matrix.json")
+            assert code == 1
+            assert err.startswith("error:")
+            assert "absent-matrix.json" in err
+
+    def test_cluster_infeasible_n_fails_cleanly(self, e2e_config, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         run_cli(capsys, "run", "--config", e2e_config)
         matrix = e2e_config.parent / "out" / "tracking-matrix.json"
         code, _, err = run_cli(

@@ -336,9 +336,9 @@ def model_select(
 ) -> SweepResult:
     """Sweep (PCA dimension, cluster count) and score every combination.
 
-    Infeasible cells (k above the row count, n above the rank limit) are
-    recorded with their error and the sweep continues; the best cell is
-    the highest silhouette, ties to the smaller (n, k).
+    Infeasible cells (k above the number of distinct rows, n above the rank
+    limit) are recorded with their error and the sweep continues; the best
+    cell is the highest silhouette, ties to the smaller (n, k).
     """
     X = np.asarray(X, dtype=float)
     rows: list[SweepRow] = []
@@ -349,8 +349,12 @@ def model_select(
         except ValueError as exc:
             rows.extend(SweepRow(n, k, None, None, None, str(exc)) for k in ks)
             continue
+        distinct = len(np.unique(reduced, axis=0))
         for k in ks:
             try:
+                if k > distinct:
+                    # k-means would split duplicate rows into zero-SSE clusters
+                    raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
                 result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter)
                 rows.append(SweepRow(n, k, result.sse, sil, gap))
             except (KTooLarge, SingleCluster) as exc:

@@ -168,13 +168,12 @@ def load_config(
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
     config = PipelineConfig()
-    known = {f.name: f.type for f in fields(PipelineConfig)}
     type_of = {
         f.name: type(getattr(config, f.name)) if getattr(config, f.name) is not None else str
         for f in fields(PipelineConfig)
     }
     for key, value in merged.items():
-        if key not in known:
+        if key not in type_of:
             raise ConfigError(f"unknown configuration key {key!r}")
         setattr(config, key, _coerce(key, value, type_of[key]))
     return config

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from typing import AbstractSet, Sequence
@@ -136,19 +137,12 @@ def tfidf(
         if not tokens:
             continue
         total = len(tokens)
-        for term, count in _count(tokens).items():
+        for term, count in Counter(tokens).items():
             j = index.get(term)
             if j is None:
                 continue
             weights[i, j] = (count / total) * math.log(n_docs / df[term])
     return ContentMatrix(tuple(d.topic for d in docs), terms, weights)
-
-
-def _count(tokens: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)

@@ -28,20 +28,12 @@ from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
     Thresholds,
-    build_histogram,
     filter_subpages,
     fit_thresholds,
+    url_histograms,
     write_histogram_csv,
 )
-from .urls import (
-    PageUrl,
-    extract_links,
-    load_suffixes,
-    normalize,
-    read_url_file,
-    url_metrics,
-    write_url_file,
-)
+from .urls import PageUrl, extract_links, load_suffixes, normalize, read_url_file, write_url_file
 
 MANIFEST_NAME = "manifest.json"
 
@@ -74,7 +66,6 @@ class Runner:
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts: dict[str, Path] = {}
         self._dictionary: TopicalDictionary | None = None
         self._embeddings: EmbeddingModel | None = None
@@ -119,6 +110,11 @@ class Runner:
     def _register(self, name: str, path: Path) -> Path:
         self.artifacts[name] = path
         return path
+
+    def _output(self, name: str, filename: str) -> Path:
+        """Register an artifact in out_dir, which is created on first use."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self._register(name, self.out_dir / filename)
 
     def _require(self, name: str, filename: str) -> Path:
         path = self.out_dir / filename
@@ -176,8 +172,8 @@ class Runner:
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
-        write_url_file(self._register("internal", self.out_dir / "internal.jsonl"), internal)
-        write_url_file(self._register("external", self.out_dir / "external.jsonl"), external)
+        write_url_file(self._output("internal", "internal.jsonl"), internal)
+        write_url_file(self._output("external", "external.jsonl"), external)
         return {
             "internal": len(internal),
             "external": len(external),
@@ -195,19 +191,10 @@ class Runner:
             cosine_cutoff=cfg.cosine_cutoff,
             fallback_defaults=cfg.fallback_defaults,
         )
-        _json_dump(fitted.to_dict(), self._register("thresholds", self.out_dir / "thresholds.json"))
-        hist_dir = self.out_dir / "histograms"
-        hist_dir.mkdir(exist_ok=True)
-        metrics = [url_metrics(u) for u in train]
-        series = {
-            "url_length": ([m.url_length for m in metrics], DEFAULT_BUCKET_SIZES[0]),
-            "subpath_length": ([m.max_subpath_length for m in metrics], DEFAULT_BUCKET_SIZES[1]),
-            "hyphens": ([m.max_hyphens for m in metrics], DEFAULT_BUCKET_SIZES[2]),
-        }
-        for name, (values, bucket) in series.items():
-            path = hist_dir / f"{name}.csv"
-            write_histogram_csv(build_histogram(values, bucket), path)
-            self._register(f"histogram-{name}", path)
+        _json_dump(fitted.to_dict(), self._output("thresholds", "thresholds.json"))
+        (self.out_dir / "histograms").mkdir(exist_ok=True)
+        for name, hist in url_histograms(train, DEFAULT_BUCKET_SIZES).items():
+            write_histogram_csv(hist, self._output(f"histogram-{name}", f"histograms/{name}.csv"))
         return fitted.to_dict()
 
     def stage_filter(self, urls_path: str | Path | None = None) -> dict:
@@ -218,7 +205,7 @@ class Runner:
             u.normalized for u in filter_subpages([u for u, _ in rows], thresholds)
         )
         kept = [(u, site) for u, site in rows if u.normalized in kept_urls]
-        write_url_file(self._register("filtered", self.out_dir / "filtered.jsonl"), kept)
+        write_url_file(self._output("filtered", "filtered.jsonl"), kept)
         return {"kept": len(kept), "dropped": len(rows) - len(kept)}
 
     def stage_classify(self, urls_path: str | Path | None = None) -> dict:
@@ -229,7 +216,7 @@ class Runner:
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
         classify_mod.write_assignments(
-            self._register("assignments", self.out_dir / "assignments.jsonl"), assignments
+            self._output("assignments", "assignments.jsonl"), assignments
         )
         methods = {"exact": 0, "embedding": 0, "other": 0}
         for a in assignments:
@@ -244,9 +231,7 @@ class Runner:
         )
         assignments = classify_mod.read_assignments(source, self.dictionary())
         results = self.classifier().select_best_subpages(assignments)
-        classify_mod.write_best_subpages(
-            self._register("best", self.out_dir / "best.jsonl"), results
-        )
+        classify_mod.write_best_subpages(self._output("best", "best.jsonl"), results)
         return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
 
     def stage_track(self) -> dict:
@@ -264,10 +249,7 @@ class Runner:
         matrix_topics = {row["topic"] for row in best_rows}
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
-        _json_dump(
-            matrix.to_dict(),
-            self._register("tracking-matrix", self.out_dir / "tracking-matrix.json"),
-        )
+        _json_dump(matrix.to_dict(), self._output("tracking-matrix", "tracking-matrix.json"))
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -298,9 +280,7 @@ class Runner:
             ],
             "records": len(records),
         }
-        _json_dump(
-            report, self._register("tracking-report", self.out_dir / "tracking-report.json")
-        )
+        _json_dump(report, self._output("tracking-report", "tracking-report.json"))
         return {"records": len(records), "third_parties": len(matrix.third_parties)}
 
     def stage_content(self) -> dict:
@@ -343,11 +323,8 @@ class Runner:
             for t, chunks in sorted(texts.items())
         ]
         matrix = content_mod.tfidf(docs, stopword_set, min_df=self.config.min_df)
-        _json_dump(
-            matrix.to_dict(),
-            self._register("content-matrix", self.out_dir / "content-matrix.json"),
-        )
-        lang_path = self._register("languages", self.out_dir / "languages.jsonl")
+        _json_dump(matrix.to_dict(), self._output("content-matrix", "content-matrix.json"))
+        lang_path = self._output("languages", "languages.jsonl")
         with open(lang_path, "w", encoding="utf-8") as fh:
             for entry in languages:
                 fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
@@ -429,6 +406,7 @@ class Runner:
             except ValueError:
                 rel = str(path)
             listing[name] = {"path": rel, "sha256": _sha256(path)}
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out_dir / MANIFEST_NAME
         _json_dump({"artifacts": listing}, manifest_path)
         return manifest_path

@@ -8,14 +8,20 @@ be bimodal; the filter boundary is the valley between the two modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotBimodal
 from .urls import PageUrl, url_metrics
 
-# bucket sizes: url length, subpath length, hyphen count
+# the three URL-shape series: histogram name and UrlMetrics field, in the
+# order of the bucket sizes and of the Thresholds fields
+URL_SERIES = (
+    ("url_length", "url_length"),
+    ("subpath_length", "max_subpath_length"),
+    ("hyphens", "max_hyphens"),
+)
 DEFAULT_BUCKET_SIZES = (1.0, 5.0, 1.0)
 COSINE_BUCKET_SIZE = 0.05
 
@@ -100,6 +106,17 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
         start = _bucket_start(_bucket_index(v, bucket_size), bucket_size)
         counts[start] = counts.get(start, 0) + 1
     return Histogram(bucket_size=float(bucket_size), counts=counts)
+
+
+def url_histograms(
+    urls: Sequence[PageUrl], buckets: Sequence[float] = DEFAULT_BUCKET_SIZES
+) -> dict[str, Histogram]:
+    """The histogram of each URL-shape series, keyed by series name."""
+    metrics = [url_metrics(u) for u in urls]
+    return {
+        name: build_histogram([getattr(m, field) for m in metrics], bucket)
+        for (name, field), bucket in zip(URL_SERIES, buckets)
+    }
 
 
 def _persistent_peaks(dense: list[int]) -> list[tuple[int, int, int]]:
@@ -236,32 +253,17 @@ def fit_thresholds(
             raise NotBimodal(
                 f"only {len(train_urls)} training URLs; fitting needs {MIN_FIT_URLS}"
             )
-        return Thresholds(
-            DEFAULT_THRESHOLDS.max_url_length,
-            DEFAULT_THRESHOLDS.max_subpath_length,
-            DEFAULT_THRESHOLDS.max_hyphens,
-            cosine_cutoff=cosine_cutoff,
-        )
-    metrics = [url_metrics(u) for u in train_urls]
-    series = {
-        "url_length": [m.url_length for m in metrics],
-        "subpath_length": [m.max_subpath_length for m in metrics],
-        "hyphens": [m.max_hyphens for m in metrics],
-    }
-    defaults = (
-        DEFAULT_THRESHOLDS.max_url_length,
-        DEFAULT_THRESHOLDS.max_subpath_length,
-        DEFAULT_THRESHOLDS.max_hyphens,
-    )
+        return replace(DEFAULT_THRESHOLDS, cosine_cutoff=cosine_cutoff)
+    hists = url_histograms(train_urls, buckets)
     fitted = []
-    for (name, values), bucket, default in zip(series.items(), buckets, defaults):
+    for (name, hist), default in zip(hists.items(), astuple(DEFAULT_THRESHOLDS)):
         try:
-            fitted.append(int(find_bimodal_threshold(build_histogram(values, bucket))))
+            fitted.append(int(find_bimodal_threshold(hist)))
         except NotBimodal as exc:
             if not fallback_defaults:
                 raise NotBimodal(f"{name}: {exc}") from exc
             fitted.append(default)
-    return Thresholds(fitted[0], fitted[1], fitted[2], cosine_cutoff=cosine_cutoff)
+    return Thresholds(*fitted, cosine_cutoff=cosine_cutoff)
 
 
 def fit_cosine_cutoff(max_scores: Sequence[float], *, fallback_defaults: bool = False) -> float:

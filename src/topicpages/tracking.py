@@ -1,9 +1,9 @@
 """Crawl-log ingestion and third-party tracking analytics.
 
 Crawl logs are JSON Lines, one page visit per line, carrying the cookies
-observed and the third-party request domains.  Third-party status is
-recomputed here from registrable domains rather than trusted from the
-logger, so one identity rule governs the whole analysis.
+observed and the third-party request domains.  Each visit's third parties
+are resolved once at ingest from registrable domains rather than trusted
+from the logger, so one identity rule governs the whole analysis.
 """
 
 from __future__ import annotations
@@ -43,26 +43,13 @@ _UPSTREAM_CATEGORY_MAP = {
 
 
 @dataclass(frozen=True)
-class Cookie:
-    name: str
-    cookie_domain: str
-    is_third_party: bool
-
-
-@dataclass(frozen=True)
-class TpRequest:
-    request_domain: str
-    is_third_party: bool
-
-
-@dataclass(frozen=True)
 class CrawlRecord:
     page_url: PageUrl
     site: str
     topic: str  # a configured topic name, or "homepage"
     crawl_id: str
-    cookies: tuple[Cookie, ...]
-    requests: tuple[TpRequest, ...]
+    tp_cookies: tuple[str, ...]  # registrable domain of each third-party cookie
+    third_parties: frozenset[str]  # every third-party registrable domain seen
     redirects: int
 
 
@@ -78,7 +65,7 @@ def ingest_logs(
 
     When *topics* is given, any record whose topic is neither in the set
     nor "homepage" raises UnknownTopic.  is_third_party flags in the input
-    are recomputed against the record's site.
+    are ignored: third parties are resolved against the record's site.
     """
     records: list[CrawlRecord] = []
     for lineno, line in enumerate(lines, start=1):
@@ -109,25 +96,11 @@ def _parse_record(obj: dict) -> CrawlRecord:
     site = registrable_domain(_clean_domain(str(obj["site"])))
     if not site:
         raise ValueError("empty site")
-    cookies = []
-    for c in obj.get("cookies", []):
-        domain = _clean_domain(str(c["cookie_domain"]))
-        cookies.append(
-            Cookie(
-                name=str(c.get("name", "")),
-                cookie_domain=domain,
-                is_third_party=registrable_domain(domain) != site,
-            )
-        )
-    requests = []
-    for r in obj.get("requests", []):
-        domain = _clean_domain(str(r["request_domain"]))
-        requests.append(
-            TpRequest(
-                request_domain=domain,
-                is_third_party=registrable_domain(domain) != site,
-            )
-        )
+    tp_cookies, third_parties = record_third_parties(
+        site,
+        [str(c["cookie_domain"]) for c in obj.get("cookies", [])],
+        [str(r["request_domain"]) for r in obj.get("requests", [])],
+    )
     redirects = int(obj.get("redirects", 0))
     if redirects < 0:
         raise ValueError("redirects must be non-negative")
@@ -136,8 +109,8 @@ def _parse_record(obj: dict) -> CrawlRecord:
         site=site,
         topic=str(obj["topic"]),
         crawl_id=str(obj.get("crawl_id", "")),
-        cookies=tuple(cookies),
-        requests=tuple(requests),
+        tp_cookies=tp_cookies,
+        third_parties=third_parties,
         redirects=redirects,
     )
 
@@ -147,23 +120,28 @@ def read_crawl_log(path: str | Path, topics: Collection[str] | None = None) -> l
         return ingest_logs(fh, topics)
 
 
-def record_third_parties(record: CrawlRecord) -> frozenset[str]:
-    """Registrable domains of every third party seen on the visit."""
-    domains = {
-        registrable_domain(c.cookie_domain) for c in record.cookies if c.is_third_party
-    }
-    domains.update(
-        registrable_domain(r.request_domain) for r in record.requests if r.is_third_party
-    )
-    return frozenset(domains)
+def record_third_parties(
+    site: str, cookie_domains: Iterable[str], request_domains: Iterable[str]
+) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Resolve one visit's domains against its registrable *site*.
+
+    Returns the registrable domain of each third-party cookie, one entry per
+    cookie, and the set of every third-party registrable domain on the visit.
+    """
+
+    def third(domains: Iterable[str]) -> list[str]:
+        regs = (registrable_domain(_clean_domain(d)) for d in domains)
+        return [reg for reg in regs if reg != site]
+
+    tp_cookies = tuple(third(cookie_domains))
+    return tp_cookies, frozenset(tp_cookies).union(third(request_domains))
 
 
 def cookie_stats_by_topic(records: Sequence[CrawlRecord]) -> dict[str, Summary]:
     """Distribution of per-visit third-party cookie counts, per topic."""
     per_topic: dict[str, list[int]] = {}
     for r in records:
-        count = sum(c.is_third_party for c in r.cookies)
-        per_topic.setdefault(r.topic, []).append(count)
+        per_topic.setdefault(r.topic, []).append(len(r.tp_cookies))
     return {topic: summary(counts) for topic, counts in sorted(per_topic.items())}
 
 
@@ -258,7 +236,7 @@ def category_breakdown(
     for r in records:
         if sites is not None and r.site not in sites:
             continue
-        tps_by_topic.setdefault(r.topic, set()).update(record_third_parties(r))
+        tps_by_topic.setdefault(r.topic, set()).update(r.third_parties)
     out: dict[str, dict[str, int]] = {}
     for topic, tps in sorted(tps_by_topic.items()):
         counts = dict.fromkeys(CATEGORIES + (UNKNOWN,), 0)
@@ -347,9 +325,8 @@ def build_tracking_matrix(
     tps: set[str] = set()
     presence: dict[str, set[str]] = {t: set() for t in row_labels}
     for r in records:
-        observed = record_third_parties(r)
-        tps.update(observed)
-        presence[r.topic].update(observed)
+        tps.update(r.third_parties)
+        presence[r.topic].update(r.third_parties)
     topic_order = tuple(sorted(row_labels))
     tp_order = tuple(sorted(tps))
     cells = np.zeros((len(topic_order), len(tp_order)), dtype=int)
@@ -371,22 +348,15 @@ def top_tp_coverage(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    cookie_counts: Counter = Counter()
-    for r in records:
-        for c in r.cookies:
-            if c.is_third_party:
-                cookie_counts[registrable_domain(c.cookie_domain)] += 1
-    pool = {tp for r in records for tp in record_third_parties(r)}
-    ranked = sorted(pool, key=lambda tp: (-cookie_counts.get(tp, 0), tp))[:k]
-    visits_by_topic: dict[str, int] = Counter(r.topic for r in records)
-    out = []
-    for tp in ranked:
-        coverage = {}
-        for topic, visits in sorted(visits_by_topic.items()):
-            present = sum(1 for r in records if r.topic == topic and tp in record_third_parties(r))
-            coverage[topic] = 100.0 * present / visits
-        out.append((tp, coverage))
-    return out
+    cookie_counts = Counter(tp for r in records for tp in r.tp_cookies)
+    visits = sorted(Counter(r.topic for r in records).items())
+    present = Counter((tp, r.topic) for r in records for tp in r.third_parties)
+    pool = {tp for tp, _ in present}
+    ranked = sorted(pool, key=lambda tp: (-cookie_counts[tp], tp))[:k]
+    return [
+        (tp, {topic: 100.0 * present[tp, topic] / n for topic, n in visits})
+        for tp in ranked
+    ]
 
 
 def preferential_attachment(m: TrackingMatrix) -> list[tuple[str, str]]:

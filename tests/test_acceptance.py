@@ -429,6 +429,7 @@ class TestTrackingAnalytics:
             out_dir=str(tmp_path / "out"),
         )
         runner = Runner(cfg)
+        runner.out_dir.mkdir()  # the upstream stage's run directory
         with open(runner.out_dir / "best.jsonl", "w", encoding="utf-8") as fh:
             for topic in ("business", "entertainment", "politics", "sports"):
                 row = {

@@ -287,6 +287,16 @@ class TestModelSelect:
         assert errors[(5, 2)] is not None  # n above the rank limit
         assert result.best == (1, 2)
 
+    def test_k_above_distinct_rows_recorded_not_scored(self):
+        X = np.asarray([[0.0, 0.0]] * 8 + [[10.0, 10.0]] * 8)
+        result = model_select(X, [1], range(2, 5), seed=3, restarts=2, b_refs=2)
+        errors = {r.k: r.error for r in result.rows}
+        assert errors[2] is None
+        assert errors[3] == "k=3 exceeds 2 distinct rows"
+        assert errors[4] == "k=4 exceeds 2 distinct rows"
+        assert result.best == (1, 2)
+        assert result.to_csv().splitlines()[2:] == ["1,3,,,", "1,4,,,"]
+
     def test_csv_format(self):
         X = three_blobs(points_per_blob=4)
         result = model_select(X, [1], [2, 20], seed=42, restarts=2, b_refs=2)

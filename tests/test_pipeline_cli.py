@@ -321,6 +321,37 @@ class TestOtherCommands:
             assert (work / out_name).is_file()
             assert not (run_dir / out_name).exists()
 
+    def test_commands_without_run_artifacts_leave_no_run_directory(
+        self, e2e_config, capsys, tmp_path, monkeypatch
+    ):
+        run_cli(capsys, "run", "--config", e2e_config)
+        run_out = e2e_config.parent / "out"
+        work = tmp_path / "empty"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        fast = ("--restarts", "2", "--b-refs", "2")
+        commands = (
+            ("cluster", "--matrix", run_out / "tracking-matrix.json",
+             "--out", tmp_path / "c.json", *fast),
+            ("cluster-sweep", "--matrix", run_out / "content-matrix.json",
+             "--out", tmp_path / "s.csv", "--n", "1..2", "--k", "2..3", *fast),
+            ("assist-dictionary", "--input", run_out / "assignments.jsonl",
+             "--dictionary", load_config(e2e_config).dictionary),
+        )
+        for argv in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, err
+            assert out
+            assert list(work.iterdir()) == [], argv[0]
+        # a full run still creates its (nested) run directory and the whole bundle
+        code, out, _ = run_cli(capsys, "run", "--config", e2e_config, "--out-dir", "a/b")
+        assert code == 0
+        manifest = json.loads((work / "a" / "b" / "manifest.json").read_text("utf-8"))
+        assert len(manifest["artifacts"]) == len(
+            json.loads((run_out / "manifest.json").read_text("utf-8"))["artifacts"]
+        )
+        assert json.loads(out)["errors"] == []
+
     def test_cluster_missing_matrix_fails_cleanly(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for command in ("cluster", "cluster-sweep"):

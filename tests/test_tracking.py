@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topicpages import (
     TrackingMatrix,
@@ -18,13 +20,14 @@ from topicpages import (
     top_tp_coverage,
 )
 from topicpages.errors import MalformedRecord, UnknownTopic
+from topicpages.stats import summary
 from topicpages.tracking import (
     UNKNOWN,
     convert_disconnect_services,
     disconnect_to_tsv,
     load_disconnect_file,
-    record_third_parties,
 )
+from topicpages.urls import registrable_domain
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,6 +42,14 @@ TPS = (
     "politics-poll-tracker.example",
     "social-widgets.example",
 )
+
+
+def raw_line(crawl_id):
+    for line in (DATA / "crawl_log.jsonl").read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        if obj["crawl_id"] == crawl_id:
+            return obj
+    raise KeyError(crawl_id)
 
 
 @pytest.fixture(scope="module")
@@ -59,24 +70,28 @@ class TestIngest:
 
     def test_first_party_cookie_flag_overridden(self, records):
         # c01 ships a session cookie on www.alpha-news.example marked
-        # third-party; recomputation against the site must clear it
+        # third-party; resolution against the site must drop it
         c01 = records[0]
-        sess = next(c for c in c01.cookies if c.name == "sess")
-        assert not sess.is_third_party
+        assert c01.site == "alpha-news.example"
+        assert c01.site not in c01.tp_cookies
+        assert c01.site not in c01.third_parties
+        assert c01.tp_cookies == ("ad-serve.example", "pixel-track.example")
 
     def test_third_party_cookie_flag_overridden(self, records):
         # c07's tracker cookie arrives marked first-party
         c07 = next(r for r in records if r.crawl_id == "c07")
-        assert all(c.is_third_party for c in c07.cookies)
+        assert len(c07.tp_cookies) == len(raw_line("c07")["cookies"])
+        assert c07.tp_cookies == ("niche-sports-ads.example",)
 
     def test_leading_dot_cookie_domain_cleaned(self, records):
         c02 = next(r for r in records if r.crawl_id == "c02")
-        assert all(not c.cookie_domain.startswith(".") for c in c02.cookies)
+        assert len(c02.tp_cookies) == 4
+        assert all(not d.startswith(".") for d in c02.tp_cookies)
 
     def test_subdomain_collapses_to_registrable(self, records):
         c05 = next(r for r in records if r.crawl_id == "c05")
-        assert "pixel-track.example" in record_third_parties(c05)
-        assert "trk.pixel-track.example" not in record_third_parties(c05)
+        assert "pixel-track.example" in c05.third_parties
+        assert "trk.pixel-track.example" not in c05.third_parties
 
     def test_unknown_topic_rejected(self):
         line = json.dumps(
@@ -103,6 +118,22 @@ class TestIngest:
                     "site": "a.example",
                     "topic": "t",
                     "redirects": -1,
+                }
+            ),
+            json.dumps(
+                {
+                    "page_url": "https://a.example/",
+                    "site": "a.example",
+                    "topic": "t",
+                    "cookies": [{"name": "sid", "is_third_party": True}],
+                }
+            ),
+            json.dumps(
+                {
+                    "page_url": "https://a.example/",
+                    "site": "a.example",
+                    "topic": "t",
+                    "requests": [{"is_third_party": True}],
                 }
             ),
         ],
@@ -337,3 +368,111 @@ class TestTopTpCoverage:
     def test_invalid_k(self, records):
         with pytest.raises(ValueError):
             top_tp_coverage(records, 0)
+
+
+# --- oracle: every analysis against a brute-force reference -------------------
+
+ORACLE_SITES = ("alpha-news.example", "beta.co.uk", "gamma.example")
+ORACLE_TRACKERS = ("ad-serve.example", "pixel.co.uk", "beacon.example", "cdn.net")
+ORACLE_TOPICS = ("homepage", "politics", "sports")
+ORACLE_DISCONNECT = load_disconnect_tsv(
+    "ad-serve.example\tAdvertising\nbeacon.example\tAnalytics\nsub.cdn.net\tContent & Social\n"
+)
+
+# a logged domain: a site or tracker, maybe under a subdomain, maybe with a
+# leading dot, in any case; is_third_party labels are drawn independently
+logged_domain = st.builds(
+    lambda base, sub, dot, case: case(dot + sub + base),
+    st.sampled_from(ORACLE_SITES + ORACLE_TRACKERS),
+    st.sampled_from(("", "www.", "trk.", "a.b.", "sub.")),
+    st.sampled_from(("", ".")),
+    st.sampled_from((str.lower, str.upper, str.title)),
+)
+crawl_line = st.builds(
+    lambda site, topic, cookies, requests: json.dumps(
+        {
+            "page_url": f"https://{site}/" + ("" if topic == "homepage" else f"{topic}/"),
+            "site": site,
+            "topic": topic,
+            "cookies": [
+                {"name": f"c{i}", "cookie_domain": d, "is_third_party": flag}
+                for i, (d, flag) in enumerate(cookies)
+            ],
+            "requests": [{"request_domain": d, "is_third_party": flag} for d, flag in requests],
+        }
+    ),
+    st.sampled_from(ORACLE_SITES),
+    st.sampled_from(ORACLE_TOPICS),
+    st.lists(st.tuples(logged_domain, st.booleans()), max_size=5),
+    st.lists(st.tuples(logged_domain, st.booleans()), max_size=5),
+)
+
+
+def reference_visits(lines):
+    """(site, topic, third-party cookie domains, third parties) per raw line,
+    resolving every occurrence separately."""
+
+    def reg(domain):
+        return registrable_domain(domain.strip().lower().lstrip("."))
+
+    visits = []
+    for line in lines:
+        obj = json.loads(line)
+        site = reg(obj["site"])
+        cookies = [reg(c["cookie_domain"]) for c in obj["cookies"]]
+        requests = [reg(r["request_domain"]) for r in obj["requests"]]
+        tp_cookies = [d for d in cookies if d != site]
+        tps = {d for d in cookies + requests if d != site}
+        visits.append((site, obj["topic"], tp_cookies, tps))
+    return visits
+
+
+class TestOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(crawl_line, min_size=1, max_size=12), st.integers(1, 10))
+    def test_analyses_match_brute_force(self, lines, k):
+        records = ingest_logs(lines)
+        visits = reference_visits(lines)
+
+        per_topic = {}
+        for _, topic, tp_cookies, _ in visits:
+            per_topic.setdefault(topic, []).append(len(tp_cookies))
+        assert {t: s.to_dict() for t, s in cookie_stats_by_topic(records).items()} == {
+            t: summary(counts).to_dict() for t, counts in sorted(per_topic.items())
+        }
+
+        for sites in (None, {ORACLE_SITES[0]}):
+            expect = {}
+            for site, topic, _, tps in visits:
+                if sites is None or site in sites:
+                    expect.setdefault(topic, set()).update(tps)
+            for topic, tps in expect.items():
+                counts = dict.fromkeys(
+                    ("Advertising", "Content & Social", "Analytics", "Fingerprinting", UNKNOWN), 0
+                )
+                for tp in tps:
+                    counts[categorize(tp, ORACLE_DISCONNECT)] += 1
+                expect[topic] = counts
+            assert category_breakdown(records, ORACLE_DISCONNECT, sites=sites) == expect
+
+        m = build_tracking_matrix(records, topics=("unvisited",))
+        topics = sorted({topic for _, topic, _, _ in visits} | {"unvisited"})
+        pool = sorted(set().union(*(tps for *_, tps in visits)))
+        assert m.topics == tuple(topics)
+        assert m.third_parties == tuple(pool)
+        assert m.cells.tolist() == [
+            [int(any(t == topic and tp in tps for _, t, _, tps in visits)) for tp in pool]
+            for topic in topics
+        ]
+
+        cookie_counts = Counter(d for *_, tp_cookies, _ in visits for d in tp_cookies)
+        ranked = sorted(pool, key=lambda tp: (-cookie_counts[tp], tp))[:k]
+        visited = sorted({topic for _, topic, _, _ in visits})
+        expect_coverage = []
+        for tp in ranked:
+            coverage = {}
+            for topic in visited:
+                on_topic = [tps for _, t, _, tps in visits if t == topic]
+                coverage[topic] = 100.0 * sum(tp in tps for tps in on_topic) / len(on_topic)
+            expect_coverage.append((tp, coverage))
+        assert top_tp_coverage(records, k) == expect_coverage

@@ -112,9 +112,10 @@ class Runner:
         return path
 
     def _output(self, name: str, filename: str) -> Path:
-        """Register an artifact in out_dir, which is created on first use."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self._register(name, self.out_dir / filename)
+        """Register an artifact in out_dir; its directory is created on first use."""
+        path = self.out_dir / filename
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return self._register(name, path)
 
     def _require(self, name: str, filename: str) -> Path:
         path = self.out_dir / filename
@@ -192,7 +193,6 @@ class Runner:
             fallback_defaults=cfg.fallback_defaults,
         )
         _json_dump(fitted.to_dict(), self._output("thresholds", "thresholds.json"))
-        (self.out_dir / "histograms").mkdir(exist_ok=True)
         for name, hist in url_histograms(train, DEFAULT_BUCKET_SIZES).items():
             write_histogram_csv(hist, self._output(f"histogram-{name}", f"histograms/{name}.csv"))
         return fitted.to_dict()

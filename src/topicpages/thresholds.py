@@ -108,9 +108,7 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
     return Histogram(bucket_size=float(bucket_size), counts=counts)
 
 
-def url_histograms(
-    urls: Sequence[PageUrl], buckets: Sequence[float] = DEFAULT_BUCKET_SIZES
-) -> dict[str, Histogram]:
+def url_histograms(urls: Sequence[PageUrl], buckets: Sequence[float]) -> dict[str, Histogram]:
     """The histogram of each URL-shape series, keyed by series name."""
     metrics = [url_metrics(u) for u in urls]
     return {

@@ -1,9 +1,8 @@
 import math
-import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from topicpages import (
     EmbeddingModel,
@@ -145,9 +144,6 @@ class TestCosine:
     @example(a=[0.0, 1.6e-162], scale=0.5)  # squared norm underflows
     def test_scale_invariant(self, a, scale):
         b = [x * scale for x in a]
-        # a product in the subnormal range keeps too few bits (5e-324 * 0.5
-        # is 0), so b would no longer point along a
-        assume(all(x == 0.0 or abs(y) >= sys.float_info.min for x, y in zip(a, b)))
         assert cosine(a, b) == pytest.approx(cosine(a, a), abs=1e-9)
 
     @given(st.tuples(vec, vec).filter(lambda p: len(p[0]) == len(p[1])))

@@ -56,7 +56,8 @@ class TopicClassifier:
     """Reusable classifier holding precomputed topic keyword embeddings.
 
     Building the per-topic combined embeddings once up front means
-    exact-match classifications never touch the embedding model at all.
+    exact-match classifications never touch the embedding model at all,
+    and each distinct subpath is scored against the topics only once.
     """
 
     def __init__(
@@ -76,12 +77,26 @@ class TopicClassifier:
         self._topic_embeddings = {
             t: combined_embedding(self._keyword_tokens(t), model) for t in self._ranked_topics
         }
+        # lowered subpath -> _best_topic() of it: tokenizing lowers, so every
+        # casing of a subpath scores the same
+        self._best_topics: dict[str, tuple[Topic | None, float]] = {}
 
     def _keyword_tokens(self, topic: Topic) -> list[str]:
         tokens: list[str] = []
         for kw in self.dictionary.keywords_for(topic):
             tokens.extend(tokenize_subpath(kw, self.stopwords))
         return tokens
+
+    def _best_topic(self, subpath: str) -> tuple[Topic | None, float]:
+        """The first topic of highest cosine to the subpath's embedding, and that cosine."""
+        emb = combined_embedding(tokenize_subpath(subpath, self.stopwords), self.model)
+        best_topic = None
+        best_score = float("-inf")
+        for candidate in self._ranked_topics:
+            score = cosine(emb, self._topic_embeddings[candidate])
+            if score > best_score:
+                best_topic, best_score = candidate, score
+        return best_topic, best_score
 
     def classify(self, url: PageUrl) -> TopicAssignment:
         if not url.subpaths:
@@ -93,13 +108,10 @@ class TopicClassifier:
             topic = self.dictionary.topic_of_keyword(lowered)
             if topic is not None:
                 return TopicAssignment(url, topic, METHOD_EXACT, 1.0, subpath)
-            emb = combined_embedding(tokenize_subpath(subpath, self.stopwords), self.model)
-            best_topic = None
-            best_score = float("-inf")
-            for candidate in self._ranked_topics:
-                score = cosine(emb, self._topic_embeddings[candidate])
-                if score > best_score:
-                    best_topic, best_score = candidate, score
+            best = self._best_topics.get(lowered)
+            if best is None:
+                best = self._best_topics[lowered] = self._best_topic(subpath)
+            best_topic, best_score = best
             if best_topic is not None and best_score >= self.cutoff:
                 return TopicAssignment(url, best_topic, METHOD_EMBEDDING, best_score, subpath)
         return TopicAssignment(url, self.dictionary.other_topic(), METHOD_OTHER, 0.0, "")

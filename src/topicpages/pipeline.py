@@ -29,7 +29,7 @@ from .thresholds import (
     DEFAULT_BUCKET_SIZES,
     Thresholds,
     filter_subpages,
-    fit_thresholds,
+    fit_url_histograms,
     url_histograms,
     write_histogram_csv,
 )
@@ -185,15 +185,12 @@ class Runner:
     def stage_fit_thresholds(self, urls_path: str | Path | None = None) -> dict:
         cfg = self.config
         source = Path(urls_path) if urls_path else self._require("extract", "internal.jsonl")
-        train = [u for u, _ in read_url_file(source)]
-        fitted = fit_thresholds(
-            train,
-            DEFAULT_BUCKET_SIZES,
-            cosine_cutoff=cfg.cosine_cutoff,
-            fallback_defaults=cfg.fallback_defaults,
+        hists = url_histograms([u for u, _ in read_url_file(source)], DEFAULT_BUCKET_SIZES)
+        fitted = fit_url_histograms(
+            hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
         _json_dump(fitted.to_dict(), self._output("thresholds", "thresholds.json"))
-        for name, hist in url_histograms(train, DEFAULT_BUCKET_SIZES).items():
+        for name, hist in hists.items():
             write_histogram_csv(hist, self._output(f"histogram-{name}", f"histograms/{name}.csv"))
         return fitted.to_dict()
 

@@ -109,7 +109,11 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
 
 
 def url_histograms(urls: Sequence[PageUrl], buckets: Sequence[float]) -> dict[str, Histogram]:
-    """The histogram of each URL-shape series, keyed by series name."""
+    """The histogram of each URL-shape series of a training set, keyed by series name."""
+    if len(urls) == 0:
+        raise EmptyInput("no training URLs")
+    if len(buckets) != 3:
+        raise ValueError("buckets must give three sizes")
     metrics = [url_metrics(u) for u in urls]
     return {
         name: build_histogram([getattr(m, field) for m in metrics], bucket)
@@ -236,23 +240,34 @@ def fit_thresholds(
 ) -> Thresholds:
     """Fit the three URL-shape thresholds from a training URL set.
 
-    Each parameter is fitted independently via its histogram valley.  When a
-    parameter's histogram is not bimodal, NotBimodal propagates unless
+    Each parameter is fitted independently via its histogram valley; see
+    fit_url_histograms.
+    """
+    return fit_url_histograms(
+        url_histograms(train_urls, buckets),
+        cosine_cutoff=cosine_cutoff,
+        fallback_defaults=fallback_defaults,
+    )
+
+
+def fit_url_histograms(
+    hists: dict[str, Histogram],
+    *,
+    cosine_cutoff: float = DEFAULT_THRESHOLDS.cosine_cutoff,
+    fallback_defaults: bool = False,
+) -> Thresholds:
+    """Fit the thresholds from the url_histograms() of a training URL set.
+
+    When a parameter's histogram is not bimodal, NotBimodal propagates unless
     fallback_defaults is set, in which case that parameter falls back to the
     published default.  Samples below MIN_FIT_URLS cannot support the
     histogram analysis at all and are treated the same way.
     """
-    if len(train_urls) == 0:
-        raise EmptyInput("no training URLs")
-    if len(buckets) != 3:
-        raise ValueError("buckets must give three sizes")
-    if len(train_urls) < MIN_FIT_URLS:
+    n = sum(next(iter(hists.values())).counts.values())
+    if n < MIN_FIT_URLS:
         if not fallback_defaults:
-            raise NotBimodal(
-                f"only {len(train_urls)} training URLs; fitting needs {MIN_FIT_URLS}"
-            )
+            raise NotBimodal(f"only {n} training URLs; fitting needs {MIN_FIT_URLS}")
         return replace(DEFAULT_THRESHOLDS, cosine_cutoff=cosine_cutoff)
-    hists = url_histograms(train_urls, buckets)
     fitted = []
     for (name, hist), default in zip(hists.items(), astuple(DEFAULT_THRESHOLDS)):
         try:

@@ -9,6 +9,7 @@ with a trailing slash, so string equality is URL equality downstream.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
 from importlib import resources
@@ -22,6 +23,10 @@ from .errors import MalformedRecord, MalformedUrl
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
+
+# root-relative hrefs that resolve to the base's origin plus their non-empty
+# segments, unless a segment is "." or ".."
+_PLAIN_PATH = re.compile(r"/(?:[A-Za-z0-9_~-][A-Za-z0-9._~/-]*)?")
 
 _suffix_cache: frozenset[str] | None = None
 
@@ -167,6 +172,23 @@ class LinkPartition:
     skipped: int = 0
 
 
+def _resolve_plain_path(href: str, origin: PageUrl) -> PageUrl | None:
+    """normalize(href, base) for a plain root-relative href, else None.
+
+    *origin* is normalize("/", base), which gives the scheme, host and port
+    of every root-relative href on the page and their registrable domain.
+    """
+    if not _PLAIN_PATH.fullmatch(href):
+        return None
+    subpaths = tuple(seg for seg in href.split("/") if seg)
+    if "." in subpaths or ".." in subpaths:
+        return None
+    tail = "/".join(subpaths) + "/" if subpaths else ""
+    return PageUrl(
+        raw=href, normalized=origin.normalized + tail, domain=origin.domain, subpaths=subpaths
+    )
+
+
 def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = None) -> LinkPartition:
     """Extract, normalize, and dedupe every href in *html*.
 
@@ -176,6 +198,11 @@ def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = No
     collector = _HrefCollector()
     collector.feed(html)
     collector.close()
+    try:
+        # the base's origin and domain, for the plain root-relative hrefs
+        probe = normalize("/", base=base, suffixes=suffixes)
+    except MalformedUrl:
+        probe = None
     seen: set[str] = set()
     internal: list[PageUrl] = []
     external: list[PageUrl] = []
@@ -184,11 +211,13 @@ def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = No
         href = href.strip()
         if not href or href.lower().startswith(_DISCARD_PREFIXES):
             continue
-        try:
-            url = normalize(href, base=base, suffixes=suffixes)
-        except MalformedUrl:
-            skipped += 1
-            continue
+        url = _resolve_plain_path(href, probe) if probe is not None else None
+        if url is None:
+            try:
+                url = normalize(href, base=base, suffixes=suffixes)
+            except MalformedUrl:
+                skipped += 1
+                continue
         if url.normalized in seen:
             continue
         seen.add(url.normalized)

@@ -6,6 +6,7 @@ from topicpages import (
     classify_url,
     dictionary_assist,
     filter_subpages,
+    load_dictionary,
     normalize,
 )
 from topicpages.classify import (
@@ -106,6 +107,35 @@ class TestClassify:
         for path in ["/sports/", "/Cricket/", "/politics/", "/topics/election/"]:
             clf.classify(u(path))
         assert counting.lookups == before
+
+    def test_each_distinct_subpath_scored_once(self, toy_dictionary, toy_model):
+        counting = CountingModel(toy_model)
+        clf = TopicClassifier(toy_dictionary, counting)
+        first = clf.classify(u("/football/"))
+        before = counting.lookups
+        again = clf.classify(u("/noise/FootBall/"))
+        assert counting.lookups == before + 1  # only /noise/ is new
+        assert again.matched_subpath == "FootBall"
+        assert (again.topic, again.method, again.score) == (first.topic, first.method, first.score)
+
+    def test_equal_scores_go_to_the_first_topic_by_name(self):
+        # zebra and alpha have the same keyword vector, so every subpath ties
+        dictionary = load_dictionary(
+            '{"topics": {"zebra": ["zed"], "alpha": ["aye"]}, "generic_subpaths": [], "other_name": "other"}'
+        )
+        model = EmbeddingModel(2, {"zed": [1.0, 1.0], "aye": [1.0, 1.0], "near": [1.0, 0.9]})
+        clf = TopicClassifier(dictionary, model)
+        for path in ["/near/", "/Near/"]:
+            a = clf.classify(u(path))
+            assert (a.topic.name, a.method) == ("alpha", METHOD_EMBEDDING)
+
+    def test_shared_classifier_matches_fresh_ones(self, toy_dictionary, toy_model):
+        paths = ["/football/", "/Football/", "/quiz/", "/noise/economy/", "/QUIZ/football/",
+                 "/noise/", "/sports/", "/football/quiz/"]
+        shared = TopicClassifier(toy_dictionary, toy_model, cutoff=0.5)
+        for path in paths + paths[::-1]:
+            fresh = TopicClassifier(toy_dictionary, toy_model, cutoff=0.5).classify(u(path))
+            assert shared.classify(u(path)) == fresh
 
     def test_invalid_cutoff(self, toy_dictionary, toy_model):
         with pytest.raises(ValueError):

@@ -1,8 +1,11 @@
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from topicpages import (
     EmbeddingModel,
@@ -11,6 +14,7 @@ from topicpages import (
     load_embeddings,
     tokenize_subpath,
 )
+from topicpages import embeddings as embeddings_mod
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import DimensionMismatch, MalformedHeader
 
@@ -79,11 +83,170 @@ class TestLoadEmbeddings:
         p.write_text(W2V, "utf-8")
         assert load_embeddings_file(p).dimension == 2
 
+    def test_bad_value_in_duplicate_row_accepted(self):
+        # the first row of a token wins, and later rows are only width-checked
+        m = load_embeddings("2 1\na 1.0\nA oops\n")
+        assert len(m) == 1 and m.vector("a") == pytest.approx([1.0])
+
+    def test_width_of_duplicate_row_checked(self):
+        with pytest.raises(DimensionMismatch, match="line 3: expected 1 values, got 2"):
+            load_embeddings("2 1\na 1.0\nA 1.0 2.0\n")
+
+    def test_values_python_accepts_and_numpy_does_not(self):
+        m = load_embeddings("2 2\na 1_0 2\nb \u0661 -0.0\n")
+        assert m.vector("a").tolist() == [10.0, 2.0]
+        assert m.vector("b").tolist() == [1.0, 0.0]
+
+    def test_error_line_number_past_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 2)
+        with pytest.raises(DimensionMismatch, match="^line 6: non-numeric coordinate$"):
+            load_embeddings("5 1\na 1\n\nb 2\nc 3\nd x\n")
+
+    def test_malformed_row_before_bad_utf8_reports_the_row(self, tmp_path, monkeypatch):
+        # the file is read in blocks, so a fault in an early block is found
+        # before an undecodable byte far enough into a later one
+        monkeypatch.setattr(embeddings_mod, "_READ_CHARS", 64)
+        monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 1)
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"2 1\na oops\n" + b"b 1.0\n" * 10000 + b"c \xff\n")
+        with pytest.raises(DimensionMismatch, match="line 2"):
+            load_embeddings_file(p)
+
+    def test_bad_utf8_alone_raises_decode_error(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"1 1\na \xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_embeddings_file(p)
+
+
+def reference_load(document):
+    """The line-by-line parser the bulk loader must agree with.
+
+    Returns (dimension, {token: vector}) or raises what the loader raises.
+    """
+    lines = document.splitlines()
+    if not lines:
+        raise MalformedHeader("empty document")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise MalformedHeader(f"expected 'count dimension', got {lines[0]!r}")
+    try:
+        _, dim = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise MalformedHeader(f"non-integer header: {lines[0]!r}") from exc
+    if dim < 1:
+        raise MalformedHeader("dimension must be positive")
+    vectors = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != dim + 1:
+            raise DimensionMismatch(
+                f"line {lineno}: expected {dim} values, got {len(parts) - 1}"
+            )
+        token = parts[0].lower()
+        if token in vectors:
+            continue
+        try:
+            vectors[token] = np.array([float(p) for p in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise DimensionMismatch(f"line {lineno}: non-numeric coordinate") from exc
+    return dim, vectors
+
+
+def outcome(load, arg):
+    """(dimension, [(token, vector bytes)]) or (error type, message)."""
+    try:
+        model = load(arg)
+    except (MalformedHeader, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return model.dimension, [(t, v.tobytes()) for t, v in model.items()]
+
+
+def reference_outcome(document):
+    try:
+        dim, vectors = reference_load(document)
+    except (MalformedHeader, DimensionMismatch) as exc:
+        return type(exc), str(exc)
+    return dim, [(t, v.tobytes()) for t, v in vectors.items()]
+
+
+GOOD_VALUES = st.one_of(
+    st.floats().map(repr),  # includes nan, inf, -0.0 and subnormals
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["+2", "1e5", "-nan", "Infinity", ".5", "1E-3"]),
+)
+# float() takes the first three, numpy takes none of them
+BAD_VALUES = st.sampled_from(["1_0", "\u0661", "\uff11", "oops", "0x1", "1,5", "1.0\x00"])
+SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\xa0", " \t"])
+
+
+@st.composite
+def vector_line(draw, dim):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "  ", "\t", "\xa0"]))  # blank
+    token = draw(st.sampled_from(["a", "A", "b", "B", "Cat", "cAT", "x_y", "\u00e9", "\u00c9", "1"]))
+    n = dim + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 15)) == 0 else 0)
+    line = token
+    for _ in range(max(0, n)):
+        value = draw(BAD_VALUES if draw(st.integers(0, 19)) == 0 else GOOD_VALUES)
+        line += draw(SEPARATORS) + value
+    return line + draw(st.sampled_from(["", "", " ", "\t", "\xa0"]))
+
+
+@st.composite
+def documents(draw):
+    dim = draw(st.integers(1, 3))
+    header = draw(st.sampled_from([f"9 {dim}"] * 6 + [f"1 {dim} ", "x", f"2 {dim - 1}"]))
+    lines = [header] + draw(st.lists(vector_line(dim), max_size=12))
+    ends = [draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0c", "\x85"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+class TestBulkLoaderMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(documents(), st.integers(1, 5), st.integers(1, 40))
+    def test_text_and_file_match_reference(self, document, chunk_lines, read_chars):
+        expected = reference_outcome(document)
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+            mp.setattr(embeddings_mod, "_CHUNK_LINES", chunk_lines)
+            mp.setattr(embeddings_mod, "_READ_CHARS", read_chars)
+            path = Path(tmp) / "v.txt"
+            path.write_bytes(document.encode("utf-8"))
+            assert outcome(load_embeddings, document) == expected
+            assert outcome(load_embeddings, document.encode("utf-8")) == expected
+            assert outcome(load_embeddings_file, path) == expected
+
+    def test_default_chunk_sizes_on_a_long_file(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = [
+            f"w{i % 9000} " + " ".join(repr(float(x)) for x in rng.normal(size=4))
+            for i in range(10000)
+        ]
+        document = "10000 4\n" + "\n".join(rows) + "\n"
+        path = tmp_path / "v.txt"
+        path.write_text(document, "utf-8")
+        expected = reference_outcome(document)
+        assert outcome(load_embeddings, document) == expected
+        assert outcome(load_embeddings_file, path) == expected
+
 
 class TestEmbeddingModel:
     def test_direct_construction_checks_shape(self):
         with pytest.raises(DimensionMismatch):
             EmbeddingModel(3, {"a": [1.0, 2.0]})
+
+    def test_direct_construction_keeps_order_and_values(self):
+        m = EmbeddingModel(2, {"b": [1.0, 2.0], "a": np.array([3.0, -0.0])})
+        assert [(t, v.tolist()) for t, v in m.items()] == [("b", [1.0, 2.0]), ("a", [3.0, -0.0])]
+        assert m.vector("a").dtype == np.float64
+        assert len(m) == 2 and "b" in m and m.vector("c") is None
+
+    def test_empty_model(self):
+        m = EmbeddingModel(2, {})
+        assert len(m) == 0 and list(m.items()) == []
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -144,7 +307,14 @@ class TestCosine:
     @example(a=[0.0, 1.6e-162], scale=0.5)  # squared norm underflows
     def test_scale_invariant(self, a, scale):
         b = [x * scale for x in a]
+        # a scaled entry that went subnormal or to zero lost bits, and the
+        # property is about scale, not that loss (see the cosine docstring)
+        assume(all(x == 0.0 or abs(y) >= sys.float_info.min for x, y in zip(a, b)))
         assert cosine(a, b) == pytest.approx(cosine(a, a), abs=1e-9)
+
+    def test_underflowed_operand_is_the_zero_vector(self):
+        # [0.0, 5e-324] scaled by 0.5 underflows to the zero vector
+        assert cosine([0.0, 5e-324], [0.0, 0.0]) == 0.0
 
     @given(st.tuples(vec, vec).filter(lambda p: len(p[0]) == len(p[1])))
     def test_plain_formula_above_small_norms(self, pair):

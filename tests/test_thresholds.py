@@ -13,8 +13,19 @@ from topicpages import (
     normalize,
     url_metrics,
 )
+from topicpages import thresholds as thresholds_mod
+from topicpages.config import load_config
 from topicpages.errors import EmptyInput, NotBimodal
-from topicpages.thresholds import write_histogram_csv
+from topicpages.pipeline import Runner
+from topicpages.thresholds import (
+    DEFAULT_BUCKET_SIZES,
+    fit_url_histograms,
+    url_histograms,
+    write_histogram_csv,
+)
+from topicpages.urls import write_url_file
+
+from conftest import build_e2e_workspace
 
 
 def hist_from_counts(counts, bucket_size=1.0):
@@ -169,6 +180,44 @@ class TestFitThresholds:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             fit_thresholds([])
+
+
+class TestFitUrlHistograms:
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize(
+        "urls",
+        [
+            planted_urls(seed=21),
+            [normalize(f"https://site.example/{'a' * n}/") for n in [8] * 30 + [9] * 5],
+            [normalize(f"https://site.example/{'ab' * (n + 1)}/") for n in range(13)],
+        ],
+        ids=["bimodal", "unimodal", "small"],
+    )
+    def test_same_result_as_fit_thresholds(self, urls, fallback):
+        def result(fit, arg):
+            try:
+                return fit(arg, cosine_cutoff=0.55, fallback_defaults=fallback)
+            except NotBimodal as exc:
+                return str(exc)
+
+        hists = url_histograms(urls, DEFAULT_BUCKET_SIZES)
+        assert result(fit_url_histograms, hists) == result(fit_thresholds, urls)
+
+    def test_fit_stage_computes_each_url_metrics_once(self, tmp_path, monkeypatch):
+        config_path = build_e2e_workspace(tmp_path / "ws")
+        cfg = load_config(config_path, env={}, overrides={"fallback_defaults": True})
+        urls = planted_urls(seed=3, n_side=40)
+        source = tmp_path / "internal.jsonl"
+        write_url_file(source, [(u, "site.example") for u in urls])
+        calls = []
+
+        def counting(u):
+            calls.append(u.normalized)
+            return url_metrics(u)
+
+        monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
+        Runner(cfg).stage_fit_thresholds(source)
+        assert sorted(calls) == sorted(u.normalized for u in urls)
 
 
 class TestFitCosineCutoff:

@@ -1,9 +1,11 @@
+import html
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from topicpages import extract_links, normalize, registrable_domain, url_metrics
 from topicpages.errors import MalformedRecord, MalformedUrl
-from topicpages.urls import read_url_file, write_url_file
+from topicpages.urls import PageUrl, read_url_file, write_url_file
 
 
 class TestRegistrableDomain:
@@ -133,6 +135,83 @@ class TestExtractLinks:
         base = normalize("https://mysite.example/")
         part = extract_links("<html><body>no links</body></html>", base)
         assert part.internal == () and part.external == () and part.skipped == 0
+
+
+def reference_extract(hrefs, base, suffixes):
+    """extract_links() with every href resolved by normalize()."""
+    seen, internal, external, skipped = set(), [], [], 0
+    for href in hrefs:
+        href = href.strip()
+        if not href or href.lower().startswith(("javascript:", "mailto:", "#")):
+            continue
+        try:
+            url = normalize(href, base=base, suffixes=suffixes)
+        except MalformedUrl:
+            skipped += 1
+            continue
+        if url.normalized not in seen:
+            seen.add(url.normalized)
+            (internal if url.domain == base.domain else external).append(url)
+    return tuple(internal), tuple(external), skipped
+
+
+SEGMENT = st.one_of(
+    st.from_regex(r"[A-Za-z0-9_~.-]{1,8}", fullmatch=True),
+    st.sampled_from([".", "..", "...", "", "a;b", "%41", "caf\u00e9", "a:b", "A-B"]),
+)
+HREF = st.one_of(
+    st.lists(SEGMENT, max_size=4).map(lambda segs: "/" + "/".join(segs)),
+    st.lists(SEGMENT, max_size=4).map(lambda segs: "/" + "/".join(segs) + "/"),
+    st.tuples(
+        st.lists(SEGMENT, min_size=1, max_size=3).map("/".join),
+        st.sampled_from(["?q=1", "#frag", "?", "#"]),
+    ).map(lambda t: "/" + t[0] + t[1]),
+    st.lists(SEGMENT, min_size=1, max_size=3).map("/".join),  # path-relative
+    st.sampled_from([
+        "/", "//", "//other.example/x/", "///x", "/./x", "/x/../y", " /padded/ ", "/x//y",
+        "https://Sub.MySite.City.Test/News/", "http://other.example:8080/a", "#top",
+        "mailto:a@b.c", "javascript:void(0)", "http://[broken/", "/x\ty", "/a b",
+    ]),
+)
+BASE = st.one_of(
+    st.sampled_from([
+        "https://mysite.example/",
+        "https://news.mysite.city.test/",
+        "http://Sub.MYSITE.example:80/",
+        "https://mysite.example:8443/home/",
+        "http://127.0.0.1:8080/",
+    ]).map(normalize),
+    # bases not produced by normalize(): raw casing, a default port, an IPv6
+    # literal, a path and query, and schemes the fast path must not serve
+    st.sampled_from([
+        "HTTPS://MySite.Example:443/Index.html?x=1",
+        "http://[::1]:8080/",
+        "http://[2001:db8::1]/news/",
+        "ftp://mysite.example/",
+        "http:///nohost/",
+    ]).map(lambda raw: PageUrl(raw=raw, normalized=raw, domain="mysite.example", subpaths=())),
+)
+SUFFIXES = st.sampled_from([None, frozenset({"city.test", "example"}), frozenset({"test"})])
+
+
+class TestExtractLinksMatchesNormalize:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(HREF, max_size=12), BASE, SUFFIXES)
+    def test_every_href_as_normalize_resolves_it(self, hrefs, base, suffixes):
+        page = "".join(f'<a href="{html.escape(h, quote=True)}">x</a>' for h in hrefs)
+        part = extract_links(page, base, suffixes)
+        expected = reference_extract(hrefs, base, suffixes)
+        assert (part.internal, part.external, part.skipped) == expected
+
+    def test_custom_suffixes_move_the_run_domain(self):
+        # under these suffixes the page's own domain is mysite.city.test, not
+        # the base's city.test, so even its plain paths are external
+        base = normalize("https://news.mysite.city.test/")
+        part = extract_links('<a href="/sports/">s</a>', base, frozenset({"city.test"}))
+        assert part.internal == ()
+        assert [(u.normalized, u.domain) for u in part.external] == [
+            ("https://news.mysite.city.test/sports/", "mysite.city.test")
+        ]
 
 
 class TestUrlFiles:

@@ -17,6 +17,7 @@ from .errors import KTooLarge, SingleCluster
 
 _GAP_STREAM = 9001  # keeps reference-set draws off the k-means seed streams
 _SIGN_TOL = 1e-12
+_BATCH_TERMS = 1 << 20  # (point, center, coordinate) terms per batched distance step
 
 
 @dataclass(frozen=True)
@@ -132,37 +133,18 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator, max_iter: int) -> KmeansResult:
-    rows = len(X)
-    centers = _kmeans_pp_init(X, k, rng)
-    assignments = None
-    history: list[float] = []
-    for iteration in range(1, max_iter + 1):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_assign = np.argmin(d2, axis=1)
-        for c in range(k):
-            if not np.any(new_assign == c):
-                # reseed an empty cluster to the point farthest from its center,
-                # taken from a cluster of two or more so that none is emptied
-                own = ((X - centers[new_assign]) ** 2).sum(axis=1)
-                shared = np.bincount(new_assign, minlength=k)[new_assign] >= 2
-                far = int(np.argmax(np.where(shared, own, -1.0)))
-                new_assign[far] = c
-                centers[c] = X[far]
-        if assignments is not None and np.array_equal(new_assign, assignments):
-            break
-        assignments = new_assign
-        centers = np.stack([X[assignments == c].mean(axis=0) for c in range(k)])
-        history.append(float(((X - centers[assignments]) ** 2).sum()))
-    sse = history[-1] if history else float(((X - centers[assignments]) ** 2).sum())
-    return KmeansResult(
-        assignments=assignments,
-        centers=centers,
-        sse=sse,
-        n_iter=len(history),
-        sse_history=tuple(history),
-        degenerate=len(np.unique(X, axis=0)) < k,
-    )
+def _reseed_empty(X: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> None:
+    """Give every empty cluster a point, in place, cluster by cluster."""
+    k = len(centers)
+    for c in range(k):
+        if not np.any(assignments == c):
+            # reseed an empty cluster to the point farthest from its center,
+            # taken from a cluster of two or more so that none is emptied
+            own = ((X - centers[assignments]) ** 2).sum(axis=1)
+            shared = np.bincount(assignments, minlength=k)[assignments] >= 2
+            far = int(np.argmax(np.where(shared, own, -1.0)))
+            assignments[far] = c
+            centers[c] = X[far]
 
 
 def kmeans(
@@ -174,8 +156,12 @@ def kmeans(
 ) -> KmeansResult:
     """Best-of-*restarts* Lloyd iterations with k-means++ seeding.
 
-    Runs are ranked by SSE; ties keep the earliest run, so results are a
-    pure function of (X, k, seed, restarts, max_iter).
+    Restart r seeds its centers from the stream (seed, r).  The restarts
+    then iterate together: each step assigns every point of every active
+    restart to its nearest center at once, and a restart leaves the active
+    set when its assignments stop changing.  The result is the restart with
+    the lowest SSE; ties keep the earliest restart, so results are a pure
+    function of (X, k, seed, restarts, max_iter).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) == 0:
@@ -186,13 +172,50 @@ def kmeans(
         raise KTooLarge(f"k={k} exceeds {len(X)} rows")
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    best: KmeansResult | None = None
-    for run in range(restarts):
-        rng = np.random.default_rng([seed, run])
-        result = _lloyd(X, k, rng, max_iter)
-        if best is None or result.sse < best.sse:
-            best = result
-    return best
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    rows, dim = X.shape
+    centers = np.stack(
+        [_kmeans_pp_init(X, k, np.random.default_rng([seed, run])) for run in range(restarts)]
+    )
+    assignments = np.zeros((restarts, rows), dtype=np.intp)
+    histories: list[list[float]] = [[] for _ in range(restarts)]
+    active = np.arange(restarts)
+    # restarts per distance step, so the (restarts, rows, k, dim) temporary
+    # stays within _BATCH_TERMS terms or one restart's worth
+    step = max(1, _BATCH_TERMS // (rows * k * dim))
+    for iteration in range(max_iter):
+        parts = [active[i : i + step] for i in range(0, len(active), step)]
+        new_assign = np.concatenate(
+            [((X[:, None, :] - centers[p][:, None]) ** 2).sum(axis=3).argmin(axis=2) for p in parts]
+        )
+        present = np.zeros((len(active), k), dtype=bool)
+        present[np.arange(len(active))[:, None], new_assign] = True
+        for i in np.flatnonzero(~present.all(axis=1)):
+            _reseed_empty(X, centers[active[i]], new_assign[i])
+        if iteration > 0:
+            moved = (new_assign != assignments[active]).any(axis=1)
+            active, new_assign = active[moved], new_assign[moved]
+            if len(active) == 0:
+                break
+        assignments[active] = new_assign
+        for r in active:
+            for c in range(k):
+                # a mean per cluster sums in a single Lloyd run's order, to the last bit
+                centers[r, c] = X[assignments[r] == c].mean(axis=0)
+        sse = ((X - centers[active[:, None], new_assign]) ** 2).reshape(len(active), -1).sum(axis=1)
+        for r, value in zip(active, sse):
+            histories[r].append(float(value))
+    best = min(range(restarts), key=lambda r: histories[r][-1])
+    history = histories[best]
+    return KmeansResult(
+        assignments=assignments[best].copy(),
+        centers=centers[best].copy(),
+        sse=history[-1],
+        n_iter=len(history),
+        sse_history=tuple(history),
+        degenerate=len(np.unique(X, axis=0)) < k,
+    )
 
 
 def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> float:

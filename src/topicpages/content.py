@@ -23,6 +23,9 @@ from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# the ASCII characters str.isalpha accepts are exactly these
+_ASCII_LETTER_RE = re.compile(r"[A-Za-z]")
+_ASCII_RUN_RE = re.compile(r"[\x00-\x7f]+")
 
 # script/style bodies are code, not page copy
 _SKIP_ELEMENTS = frozenset({"script", "style"})
@@ -56,6 +59,8 @@ def extract_text(html: str) -> str:
 
 
 def _unaccent(text: str) -> str:
+    if text.isascii():
+        return text  # NFD leaves ASCII as it is
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
@@ -65,11 +70,12 @@ def preprocess(text: str, stopwords: AbstractSet[str] = DEFAULT_STOPWORDS) -> li
 
     Order: lowercase, un-accent, split on non-alphanumeric runs, stem,
     then drop stopwords.  Digits are kept: numeric tokens such as era or
-    disease names carry topical signal.
+    disease names carry topical signal.  Each distinct token is stemmed
+    once per call.
     """
     tokens = _TOKEN_RE.findall(_unaccent(text.lower()))
-    stems = (stem(t) for t in tokens)
-    return [t for t in stems if t not in stopwords]
+    kept = {t: s for t in set(tokens) if (s := stem(t)) not in stopwords}
+    return [kept[t] for t in tokens if t in kept]
 
 
 @dataclass(frozen=True)
@@ -163,10 +169,16 @@ def detect_english(
     min_confident_length characters yield a low-confidence verdict.
     """
     confident = len(text) >= min_confident_length
-    letters = [ch for ch in text if ch.isalpha()]
-    if not letters:
-        return EnglishVerdict(False, confident)
-    latin_share = sum(ord(ch) < 128 for ch in letters) / len(letters)
+    if text.isascii():
+        if not _ASCII_LETTER_RE.search(text):
+            return EnglishVerdict(False, confident)
+        latin_share = 1.0
+    else:
+        latin = len(_ASCII_LETTER_RE.findall(text))
+        letters = latin + sum(map(str.isalpha, _ASCII_RUN_RE.sub("", text)))
+        if not letters:
+            return EnglishVerdict(False, confident)
+        latin_share = latin / letters
     tokens = _TOKEN_RE.findall(text.lower())
     stop_share = (sum(t in stopwords for t in tokens) / len(tokens)) if tokens else 0.0
     return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedHeader
+from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
@@ -84,8 +84,13 @@ def _dimension(header: str) -> int:
     return dim
 
 
+def _where(source: str | None, lineno: int) -> str:
+    """A line's location in an error: "path:N" in a file, "line N" in a document."""
+    return f"line {lineno}" if source is None else f"{source}:{lineno}"
+
+
 def _parse_rows_slowly(
-    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int]
+    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], source: str | None
 ) -> np.ndarray:
     """Line by line: the reference semantics and the exact error for a bad line."""
     vectors = []
@@ -95,7 +100,7 @@ def _parse_rows_slowly(
         parts = line.split()
         if len(parts) != dim + 1:
             raise DimensionMismatch(
-                f"line {lineno}: expected {dim} values, got {len(parts) - 1}"
+                f"{_where(source, lineno)}: expected {dim} values, got {len(parts) - 1}"
             )
         token = parts[0].lower()
         if token in rows:
@@ -103,13 +108,13 @@ def _parse_rows_slowly(
         try:
             vectors.append([float(p) for p in parts[1:]])
         except ValueError as exc:
-            raise DimensionMismatch(f"line {lineno}: non-numeric coordinate") from exc
+            raise DimensionMismatch(f"{_where(source, lineno)}: non-numeric coordinate") from exc
         rows[token] = len(rows)
     return np.array(vectors, dtype=float).reshape(len(vectors), dim)
 
 
 def _parse_rows(
-    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int]
+    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], source: str | None
 ) -> np.ndarray:
     """The vectors of the tokens that *lines* add to *rows*, which gains them.
 
@@ -124,7 +129,7 @@ def _parse_rows(
         if not parts:
             continue
         if len(parts) == 1:
-            return _parse_rows_slowly(lines, first_lineno, dim, rows)
+            return _parse_rows_slowly(lines, first_lineno, dim, rows, source)
         tokens.append(parts[0].lower())
         rests.append(parts[1])
     if not rests:
@@ -134,7 +139,7 @@ def _parse_rows(
     except ValueError:
         values = None
     if values is None or values.shape != (len(rests), dim):
-        return _parse_rows_slowly(lines, first_lineno, dim, rows)
+        return _parse_rows_slowly(lines, first_lineno, dim, rows, source)
     kept = []
     for i, token in enumerate(tokens):
         if token not in rows:
@@ -143,17 +148,23 @@ def _parse_rows(
     return values if len(kept) == len(values) else values[kept]
 
 
-def _load_lines(lines: Iterable[str]) -> EmbeddingModel:
+def _load_lines(lines: Iterable[str], source: str | None = None) -> EmbeddingModel:
+    """Parse a header and vector lines; *source*, a file's path, prefixes errors."""
     lines = iter(lines)
     header = next(lines, None)
-    if header is None:
-        raise MalformedHeader("empty document")
-    dim = _dimension(header)
+    try:
+        if header is None:
+            raise MalformedHeader("empty document")
+        dim = _dimension(header)
+    except MalformedHeader as exc:
+        if source is None:
+            raise
+        raise MalformedHeader(f"{_where(source, 1)}: {exc}") from exc
     rows: dict[str, int] = {}
     blocks = []
     lineno = 2
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        blocks.append(_parse_rows(chunk, lineno, dim, rows))
+        blocks.append(_parse_rows(chunk, lineno, dim, rows, source))
         lineno += len(chunk)
     matrix = np.concatenate(blocks) if blocks else np.empty((0, dim), dtype=float)
     return EmbeddingModel._of_matrix(matrix, rows)
@@ -186,9 +197,32 @@ def load_embeddings(document: str | bytes) -> EmbeddingModel:
     return _load_lines(document.splitlines())
 
 
+def _undecodable_line(path: str | Path) -> int:
+    """The number of the first line of *path* that is not UTF-8, as _file_lines counts."""
+    lineno = 0
+    with open(path, "rb") as fh:
+        for raw in fh:  # UTF-8 never encodes a character with a b"\n" byte
+            for line in raw.decode("utf-8", "surrogateescape").splitlines():
+                lineno += 1
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # an undecodable byte became a surrogate
+                    return lineno
+    return lineno
+
+
 def load_embeddings_file(path: str | Path) -> EmbeddingModel:
-    """load_embeddings() over a file, read in chunks rather than whole."""
-    return _load_lines(_file_lines(path))
+    """load_embeddings() over a file, read in chunks rather than whole.
+
+    Every fault in the file is a MalformedDocument whose message starts with
+    "<path>:<line>: ", bytes that are not UTF-8 included.
+    """
+    try:
+        return _load_lines(_file_lines(path), str(path))
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(
+            f"{_where(str(path), _undecodable_line(path))}: not UTF-8: {exc.reason}"
+        ) from exc
 
 
 def combined_embedding(tokens: Iterable[str], model: EmbeddingModel) -> np.ndarray:

@@ -48,8 +48,20 @@ def read_homepage_list(path: str | Path) -> list[PageUrl]:
     return out
 
 
+def _json_text(obj, path: Path, indent: int | None = None) -> str:
+    """*obj* as JSON for the artifact at *path*; NaN and infinities are refused."""
+    try:
+        return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False, indent=indent)
+    except ValueError as exc:
+        raise PipelineError(f"{path.name}: {exc}") from exc
+
+
 def _json_dump(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n", "utf-8")
+    path.write_text(_json_text(obj, path, indent=2) + "\n", "utf-8")
+
+
+def _jsonl_dump(rows: Iterable[dict], path: Path) -> None:
+    path.write_text("".join(_json_text(row, path) + "\n" for row in rows), "utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -321,10 +333,7 @@ class Runner:
         ]
         matrix = content_mod.tfidf(docs, stopword_set, min_df=self.config.min_df)
         _json_dump(matrix.to_dict(), self._output("content-matrix", "content-matrix.json"))
-        lang_path = self._output("languages", "languages.jsonl")
-        with open(lang_path, "w", encoding="utf-8") as fh:
-            for entry in languages:
-                fh.write(json.dumps(entry, ensure_ascii=False, sort_keys=True) + "\n")
+        _jsonl_dump(languages, self._output("languages", "languages.jsonl"))
         return {
             "documents": len(docs),
             "terms": len(matrix.terms),

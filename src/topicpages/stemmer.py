@@ -51,10 +51,6 @@ def _ends_cvc(word: str) -> bool:
     )
 
 
-def _replace_suffix(word: str, suffix: str, replacement: str) -> str:
-    return word[: len(word) - len(suffix)] + replacement
-
-
 # (suffix, replacement) tables for steps 2-4; conditions are on the measure
 # of what remains once the suffix is stripped.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -57,6 +58,12 @@ def _clean_domain(domain: str) -> str:
     return domain.strip().lower().lstrip(".")
 
 
+@lru_cache(maxsize=4096)
+def _registrable(cleaned: str) -> str:
+    """registrable_domain of a cleaned domain; a crawl log names few domains many times."""
+    return registrable_domain(cleaned)
+
+
 def ingest_logs(
     lines: Iterable[str],
     topics: Collection[str] | None = None,
@@ -93,7 +100,7 @@ def ingest_logs(
 def _parse_record(obj: dict) -> CrawlRecord:
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
-    site = registrable_domain(_clean_domain(str(obj["site"])))
+    site = _registrable(_clean_domain(str(obj["site"])))
     if not site:
         raise ValueError("empty site")
     tp_cookies, third_parties = record_third_parties(
@@ -130,7 +137,7 @@ def record_third_parties(
     """
 
     def third(domains: Iterable[str]) -> list[str]:
-        regs = (registrable_domain(_clean_domain(d)) for d in domains)
+        regs = (_registrable(_clean_domain(d)) for d in domains)
         return [reg for reg in regs if reg != site]
 
     tp_cookies = tuple(third(cookie_domains))
@@ -211,7 +218,7 @@ def disconnect_to_tsv(dl: DisconnectList) -> str:
 def categorize(tp_domain: str, dl: DisconnectList) -> str:
     """Category of a third-party domain; subdomains inherit parent entries."""
     host = _clean_domain(tp_domain)
-    reg = registrable_domain(host)
+    reg = _registrable(host)
     probe = host
     while True:
         category = dl.entries.get(probe)

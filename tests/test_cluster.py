@@ -171,6 +171,103 @@ class TestKmeans:
         assert math.isfinite(result.sse)
 
 
+def reference_kmeans(X, k, seed, restarts, max_iter):
+    """One Lloyd loop per restart, the earliest lowest SSE kept: what the batched
+    restarts must reproduce bit for bit."""
+    X = np.asarray(X, dtype=float)
+    best = None
+    for run in range(restarts):
+        centers = cluster_mod._kmeans_pp_init(X, k, np.random.default_rng([seed, run]))
+        assignments = None
+        history = []
+        for _ in range(max_iter):
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_assign = np.argmin(d2, axis=1)
+            for c in range(k):
+                if not np.any(new_assign == c):
+                    own = ((X - centers[new_assign]) ** 2).sum(axis=1)
+                    shared = np.bincount(new_assign, minlength=k)[new_assign] >= 2
+                    far = int(np.argmax(np.where(shared, own, -1.0)))
+                    new_assign[far] = c
+                    centers[c] = X[far]
+            if assignments is not None and np.array_equal(new_assign, assignments):
+                break
+            assignments = new_assign
+            centers = np.stack([X[assignments == c].mean(axis=0) for c in range(k)])
+            history.append(float(((X - centers[assignments]) ** 2).sum()))
+        if best is None or history[-1] < best.sse:
+            best = cluster_mod.KmeansResult(
+                assignments=assignments,
+                centers=centers,
+                sse=history[-1],
+                n_iter=len(history),
+                sse_history=tuple(history),
+                degenerate=len(np.unique(X, axis=0)) < k,
+            )
+    return best
+
+
+def fields(result):
+    """A k-means result as comparable bytes, field by field."""
+    return (
+        np.float64(result.sse).tobytes(),
+        result.assignments.tobytes(),
+        result.assignments.dtype,
+        result.centers.tobytes(),
+        result.n_iter,
+        np.array(result.sse_history).tobytes(),
+        result.degenerate,
+    )
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """(X, k): rows drawn from a few distinct ones, so duplicates, ties between
+    restarts and empty clusters are common; coordinates small integers or
+    floats whose sums round."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+    )
+    distinct = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    X = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=24))
+    return np.array(X), draw(st.integers(1, len(X)))
+
+
+class TestBatchedRestarts:
+    @settings(max_examples=200, deadline=None)
+    @example(case=(np.ones((9, 2)), 4), seed=0, restarts=3, max_iter=300)  # every init empty
+    @example(case=(three_blobs(4), 1), seed=1, restarts=2, max_iter=300)
+    @example(case=(three_blobs(4), 12), seed=2, restarts=4, max_iter=300)
+    @example(case=(three_blobs(4), 3), seed=3, restarts=5, max_iter=1)
+    @given(
+        case=kmeans_inputs(),
+        seed=st.integers(0, 2**16),
+        restarts=st.integers(1, 6),
+        max_iter=st.sampled_from([1, 2, 3, 300]),
+    )
+    def test_matches_one_loop_per_restart(self, case, seed, restarts, max_iter):
+        X, k = case
+        expected = reference_kmeans(X, k, seed, restarts, max_iter)
+        assert fields(kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)) == fields(
+            expected
+        )
+
+    def test_small_distance_steps_change_nothing(self, monkeypatch):
+        # the (restarts, rows, k, dim) temporary is cut into steps of one and
+        # of two restarts
+        X = three_blobs(6)
+        expected = fields(kmeans(X, 4, seed=9, restarts=5))
+        for terms in (1, 2 * len(X) * 4 * 2):
+            monkeypatch.setattr(cluster_mod, "_BATCH_TERMS", terms)
+            assert fields(kmeans(X, 4, seed=9, restarts=5)) == expected
+
+    def test_max_iter_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans([[1.0], [2.0]], 1, max_iter=0)
+
+
 class TestSilhouette:
     def test_hand_computed_pairs(self):
         s = silhouette([[0.0], [0.1], [10.0], [10.1]], [0, 0, 1, 1])

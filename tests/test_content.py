@@ -1,8 +1,12 @@
 import math
+import re
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import topicpages.content as content_mod
 from topicpages import (
     ContentMatrix,
     TopicDocument,
@@ -11,7 +15,51 @@ from topicpages import (
     preprocess,
     tfidf,
 )
+from topicpages.content import EnglishVerdict
 from topicpages.errors import EmptyCorpus
+from topicpages.stemmer import stem
+from topicpages.stopwords import DEFAULT_STOPWORDS
+
+TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+
+# words and characters at the edges of the rules: stopwords, stems that are
+# stopwords, digits and "_", precomposed and combining accents, non-Latin
+# letters, and characters that are letters to one rule but not another
+# (ordinal and modifier letters, titlecase, astral, Roman numerals, superscripts)
+EDGE_WORDS = st.sampled_from(
+    [
+        "the", "The", "of", "and", "is", "running", "news", "x_y", "42", "4th", "Café",
+        "cafe\u0301", "nai\u0308ve", "Ærø", "straße", "İstanbul", "Жизнь", "समाचार",
+        "\u00aa", "\u02b0", "\u01c5", "\U0001d518", "\u216b", "\u00b2", "\u0661\u0662", "\u0301",
+    ]
+)
+SEPARATORS = st.sampled_from([" ", " ", "_", "-", ". ", "\u00a0", ""])
+
+
+@st.composite
+def edge_texts(draw):
+    parts = draw(st.lists(st.one_of(EDGE_WORDS, st.text(max_size=4)), max_size=30))
+    return "".join(part + draw(SEPARATORS) for part in parts)
+
+
+def reference_preprocess(text, stopwords=DEFAULT_STOPWORDS):
+    """NFD without combining marks on every text, then one stem call per token."""
+    decomposed = unicodedata.normalize("NFD", text.lower())
+    unaccented = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    stems = (stem(t) for t in TOKEN_RE.findall(unaccented))
+    return [t for t in stems if t not in stopwords]
+
+
+def reference_detect_english(text, stopwords=DEFAULT_STOPWORDS, min_confident_length=40):
+    """The letter shares taken from a list of every letter."""
+    confident = len(text) >= min_confident_length
+    letters = [ch for ch in text if ch.isalpha()]
+    if not letters:
+        return EnglishVerdict(False, confident)
+    latin_share = sum(ord(ch) < 128 for ch in letters) / len(letters)
+    tokens = TOKEN_RE.findall(text.lower())
+    stop_share = (sum(t in stopwords for t in tokens) / len(tokens)) if tokens else 0.0
+    return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)
 
 
 class TestExtractText:
@@ -55,6 +103,27 @@ class TestPreprocess:
 
     def test_custom_stopwords(self):
         assert preprocess("cricket bat", stopwords={"cricket"}) == ["bat"]
+
+
+    @settings(max_examples=200, deadline=None)
+    @example(text="Caf\u00e9 cafe\u0301 NAI\u0308VE the running", stopwords=DEFAULT_STOPWORDS)
+    @given(
+        text=st.one_of(edge_texts(), st.text()),
+        stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"news", "run", "cafe"})]),
+    )
+    def test_matches_per_token_stemming(self, text, stopwords):
+        assert preprocess(text, stopwords) == reference_preprocess(text, stopwords)
+
+    def test_each_distinct_token_stemmed_once(self, monkeypatch):
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(content_mod, "stem", counting)
+        assert preprocess("Running runs RUNNING run the The") == ["run", "run", "run", "run"]
+        assert sorted(calls) == ["run", "running", "runs", "the"]
 
 
 class TestTfidf:
@@ -162,3 +231,13 @@ class TestDetectEnglish:
 
     def test_numbers_only(self):
         assert not detect_english("12345 67890").is_english
+
+    @settings(max_examples=200, deadline=None)
+    @example(text="the abcdef \u00e9", min_length=40)  # 9 of 10 letters Basic Latin: 0.9
+    @example(text="the abcde \u00e9", min_length=40)
+    @example(text="the news \u00aa\u02b0 x_y 42", min_length=40)
+    @given(text=st.one_of(edge_texts(), st.text()), min_length=st.integers(0, 60))
+    def test_matches_letter_list(self, text, min_length):
+        assert detect_english(text, min_confident_length=min_length) == reference_detect_english(
+            text, min_confident_length=min_length
+        )

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from topicpages import (
 )
 from topicpages import embeddings as embeddings_mod
 from topicpages.embeddings import load_embeddings_file
-from topicpages.errors import DimensionMismatch, MalformedHeader
+from topicpages.errors import DimensionMismatch, MalformedDocument, MalformedHeader
 
 
 class TestTokenizeSubpath:
@@ -109,33 +110,54 @@ class TestLoadEmbeddings:
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 1)
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 1\na oops\n" + b"b 1.0\n" * 10000 + b"c \xff\n")
-        with pytest.raises(DimensionMismatch, match="line 2"):
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(p))}:2: non-numeric"):
             load_embeddings_file(p)
 
-    def test_bad_utf8_alone_raises_decode_error(self, tmp_path):
+    def test_bad_utf8_names_file_and_line(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_bytes(b"1 1\na \xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(MalformedDocument, match=f"^{re.escape(str(p))}:2: not UTF-8: "):
+            load_embeddings_file(p)
+
+    @pytest.mark.parametrize(
+        "data,lineno",
+        [
+            (b"\xff 1\n", 1),
+            (b"3 1\na 1\r\nb 2\rc \xfe\n", 4),  # counted as str.splitlines() counts
+            (b"3 1\n\n\na 1\nb \xc3", 5),  # a sequence cut off at the end
+            (b"3 1\na 1\n" + b"b 1\n" * 5000 + b"c \xe9t\xe9 1\n", 5003),
+        ],
+    )
+    def test_undecodable_line_number(self, tmp_path, data, lineno):
+        p = tmp_path / "v.txt"
+        p.write_bytes(data)
+        with pytest.raises(MalformedDocument, match=f"^{re.escape(str(p))}:{lineno}: not UTF-8"):
             load_embeddings_file(p)
 
 
-def reference_load(document):
+def reference_load(document, path=None):
     """The line-by-line parser the bulk loader must agree with.
 
-    Returns (dimension, {token: vector}) or raises what the loader raises.
+    Returns (dimension, {token: vector}) or raises what the loader raises;
+    with *path*, as a file at that path: errors start with "<path>:<line>: ".
     """
+
+    def at(lineno):
+        return f"line {lineno}: " if path is None else f"{path}:{lineno}: "
+
+    header_at = "" if path is None else at(1)
     lines = document.splitlines()
     if not lines:
-        raise MalformedHeader("empty document")
+        raise MalformedHeader(f"{header_at}empty document")
     header = lines[0].split()
     if len(header) != 2:
-        raise MalformedHeader(f"expected 'count dimension', got {lines[0]!r}")
+        raise MalformedHeader(f"{header_at}expected 'count dimension', got {lines[0]!r}")
     try:
         _, dim = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise MalformedHeader(f"non-integer header: {lines[0]!r}") from exc
+        raise MalformedHeader(f"{header_at}non-integer header: {lines[0]!r}") from exc
     if dim < 1:
-        raise MalformedHeader("dimension must be positive")
+        raise MalformedHeader(f"{header_at}dimension must be positive")
     vectors = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -143,7 +165,7 @@ def reference_load(document):
         parts = line.split()
         if len(parts) != dim + 1:
             raise DimensionMismatch(
-                f"line {lineno}: expected {dim} values, got {len(parts) - 1}"
+                f"{at(lineno)}expected {dim} values, got {len(parts) - 1}"
             )
         token = parts[0].lower()
         if token in vectors:
@@ -151,7 +173,7 @@ def reference_load(document):
         try:
             vectors[token] = np.array([float(p) for p in parts[1:]], dtype=float)
         except ValueError as exc:
-            raise DimensionMismatch(f"line {lineno}: non-numeric coordinate") from exc
+            raise DimensionMismatch(f"{at(lineno)}non-numeric coordinate") from exc
     return dim, vectors
 
 
@@ -164,9 +186,9 @@ def outcome(load, arg):
     return model.dimension, [(t, v.tobytes()) for t, v in model.items()]
 
 
-def reference_outcome(document):
+def reference_outcome(document, path=None):
     try:
-        dim, vectors = reference_load(document)
+        dim, vectors = reference_load(document, path)
     except (MalformedHeader, DimensionMismatch) as exc:
         return type(exc), str(exc)
     return dim, [(t, v.tobytes()) for t, v in vectors.items()]
@@ -217,7 +239,7 @@ class TestBulkLoaderMatchesReference:
             path.write_bytes(document.encode("utf-8"))
             assert outcome(load_embeddings, document) == expected
             assert outcome(load_embeddings, document.encode("utf-8")) == expected
-            assert outcome(load_embeddings_file, path) == expected
+            assert outcome(load_embeddings_file, path) == reference_outcome(document, path)
 
     def test_default_chunk_sizes_on_a_long_file(self, tmp_path):
         rng = np.random.default_rng(0)

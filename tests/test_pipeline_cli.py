@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+import topicpages.cluster as cluster_mod
 from topicpages.cli import main
 from topicpages.config import load_config
 from topicpages.errors import MissingStage
-from topicpages.pipeline import STAGE_NAMED, Runner, read_homepage_list
+from topicpages.pipeline import STAGE_NAMED, Runner, read_homepage_list, run_pipeline
 
 from conftest import build_e2e_workspace
 
@@ -187,6 +188,41 @@ class TestRunnerDirect:
         summary = json.loads(out)
         assert "classify" not in summary
         assert summary["filter"]["kept"] > 0
+
+    @pytest.mark.parametrize(
+        "data,fault",
+        [
+            (b"1 1\na \xff\n", ":2: not UTF-8: "),
+            (b"9 2\na 1 2\nb 1\n", ":3: expected 2 values, got 1"),
+        ],
+    )
+    def test_bad_embeddings_file_is_a_classify_error_naming_it(
+        self, e2e_config, tmp_path, data, fault
+    ):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(data)
+        cfg = load_config(e2e_config, env={}, overrides={"embeddings": str(vectors)})
+        code, summary = run_pipeline(cfg)
+        assert code == 1
+        assert len(summary["errors"]) == 1
+        assert summary["errors"][0].startswith(f"classify: {vectors}{fault}")
+
+    def test_nan_never_reaches_an_artifact(self, e2e_config, monkeypatch):
+        # a NaN gap makes each cluster stage fail, naming its artifact, which
+        # is not written
+        monkeypatch.setattr(cluster_mod, "_gap", lambda *args: float("nan"))
+        cfg = load_config(e2e_config, env={})
+        code, summary = run_pipeline(cfg)
+        assert code == 1
+        assert [e.split(": ")[:2] for e in summary["errors"]] == [
+            ["cluster-tracking", "clusters-tracking.json"],
+            ["cluster-content", "clusters-content.json"],
+        ]
+        out = Path(cfg.out_dir)
+        assert not (out / "clusters-tracking.json").exists()
+        assert not (out / "clusters-content.json").exists()
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert "clusters-content" not in manifest["artifacts"]
 
     def test_run_without_tracking_inputs_skips_the_tracking_branch(
         self, e2e_config, capsys, tmp_path

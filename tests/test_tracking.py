@@ -19,6 +19,7 @@ from topicpages import (
     read_crawl_log,
     top_tp_coverage,
 )
+import topicpages.tracking as tracking_mod
 from topicpages.errors import MalformedRecord, UnknownTopic
 from topicpages.stats import summary
 from topicpages.tracking import (
@@ -144,6 +145,27 @@ class TestIngest:
 
     def test_blank_lines_skipped(self):
         assert ingest_logs(["", "  "]) == []
+
+    def test_each_cleaned_domain_resolved_once(self, monkeypatch):
+        calls = []
+
+        def counting(host):
+            calls.append(host)
+            return registrable_domain(host)
+
+        tracking_mod._registrable.cache_clear()
+        monkeypatch.setattr(tracking_mod, "registrable_domain", counting)
+        visit = {
+            "page_url": "https://www.site.example/sports/",
+            "site": "www.site.example",
+            "topic": "sports",
+            "cookies": [{"cookie_domain": d} for d in (".ADS.example", "ads.example", " ads.example")],
+            "requests": [{"request_domain": d} for d in ("cdn.ads.example", "WWW.SITE.EXAMPLE")],
+        }
+        records = ingest_logs([json.dumps(visit)] * 3)
+        assert sorted(calls) == ["ads.example", "cdn.ads.example", "www.site.example"]
+        assert records[0].tp_cookies == ("ads.example",) * 3
+        assert records[0].third_parties == {"ads.example"}
 
 
 class TestCookieStats:

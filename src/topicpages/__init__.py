@@ -51,7 +51,6 @@ from .thresholds import (
     build_histogram,
     filter_subpages,
     find_bimodal_threshold,
-    fit_cosine_cutoff,
     fit_thresholds,
 )
 from .tracking import (
@@ -113,7 +112,6 @@ __all__ = [
     "fetch_one",
     "filter_subpages",
     "find_bimodal_threshold",
-    "fit_cosine_cutoff",
     "fit_thresholds",
     "gap_statistic",
     "ingest_logs",

@@ -18,7 +18,6 @@ URL is selected.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +25,8 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
-from .errors import EmptyCandidates, MalformedRecord, NoSubpaths
+from .errors import EmptyCandidates, NoSubpaths
+from .lines import read_jsonl, write_jsonl
 from .stopwords import DEFAULT_STOPWORDS
 from .urls import PageUrl, normalize
 
@@ -214,55 +214,40 @@ def assignment_to_record(a: TopicAssignment) -> dict:
 
 
 def write_assignments(path: str | Path, assignments: Iterable[TopicAssignment]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in assignments:
-            fh.write(json.dumps(assignment_to_record(a), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, map(assignment_to_record, assignments))
 
 
 def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[TopicAssignment]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    TopicAssignment(
-                        url=normalize(obj["url"]),
-                        topic=dictionary.topic_named(obj["topic"]),
-                        method=obj["method"],
-                        score=float(obj["score"]),
-                        matched_subpath=obj["matched_subpath"],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    return out
+    def assignment(obj: dict) -> TopicAssignment:
+        return TopicAssignment(
+            url=normalize(obj["url"]),
+            topic=dictionary.topic_named(obj["topic"]),
+            method=obj["method"],
+            score=float(obj["score"]),
+            matched_subpath=obj["matched_subpath"],
+        )
+
+    return list(read_jsonl(path, assignment))
 
 
 def write_best_subpages(path: str | Path, results: Iterable[BestSubpages]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for best in results:
-            for topic, url in sorted(best.selections.items(), key=lambda kv: kv[0].name):
-                row = {"site": best.site, "topic": topic.name, "url": url.normalized}
-                fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
-                fh.write("\n")
+    write_jsonl(
+        path,
+        (
+            {"site": best.site, "topic": topic.name, "url": url.normalized}
+            for best in results
+            for topic, url in sorted(best.selections.items(), key=lambda kv: kv[0].name)
+        ),
+    )
+
+
+def _best_row(obj: dict) -> dict:
+    row = {key: obj[key] for key in ("site", "topic", "url")}
+    if not all(isinstance(value, str) for value in row.values()):
+        raise TypeError("site, topic and url must be strings")
+    return row
 
 
 def read_best_subpages(path: str | Path) -> list[dict]:
     """Rows of {"site", "topic", "url"} in file order."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append({"site": obj["site"], "topic": obj["topic"], "url": obj["url"]})
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    return out
+    return list(read_jsonl(path, _best_row))

@@ -34,9 +34,6 @@ class PcaModel:
         """True when fewer nonzero-variance axes existed than were asked for."""
         return len(self.components) < self.n_requested
 
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        return (np.asarray(X, dtype=float) - self.mean) @ self.components.T
-
     def inverse_transform(self, reduced: np.ndarray) -> np.ndarray:
         return np.asarray(reduced, dtype=float) @ self.components + self.mean
 

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ConfigError
+from .lines import parse_lines, read_lines
 
 ENV_PREFIX = "TOPICPAGES_"
 
@@ -93,13 +94,13 @@ class PipelineConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _parse_value(raw: str, lineno: int):
+def _parse_value(raw: str):
     raw = raw.strip()
     if not raw:
-        raise ConfigError(f"line {lineno}: missing value")
+        raise ConfigError("missing value")
     if raw[0] in "\"'":
         if len(raw) < 2 or raw[-1] != raw[0]:
-            raise ConfigError(f"line {lineno}: unterminated string")
+            raise ConfigError("unterminated string")
         return raw[1:-1]
     if raw in ("true", "false"):
         return raw == "true"
@@ -113,21 +114,18 @@ def _parse_value(raw: str, lineno: int):
         return raw  # bare string
 
 
+def _config_pair(line: str) -> tuple[str, object]:
+    key, sep, raw = line.partition("=")
+    if not sep:
+        raise ConfigError("expected 'key = value'")
+    if not key.strip():
+        raise ConfigError("empty key")
+    return key.strip(), _parse_value(raw)
+
+
 def parse_config_text(text: str) -> dict:
     """Parse flat `key = value` lines; # starts a comment line."""
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        values[key] = _parse_value(raw, lineno)
-    return values
+    return dict(parse_lines(text.split("\n"), _config_pair))
 
 
 def _coerce(key: str, value, target_type) -> object:
@@ -160,7 +158,7 @@ def load_config(
         path = Path(config_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {config_file}")
-        merged.update(parse_config_text(path.read_text("utf-8")))
+        merged.update(read_lines(path, _config_pair, ConfigError))
     for name, value in env.items():
         if name.startswith(ENV_PREFIX):
             merged[name[len(ENV_PREFIX):].lower()] = value

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateKeyword, EmptyTopicSet, MalformedDocument
+from .lines import read_json
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,6 @@ class TopicalDictionary:
     def generic_subpaths(self) -> frozenset[str]:
         return self._generic
 
-    def keyword_count(self) -> int:
-        return len(self._keyword_owner)
-
     def __len__(self) -> int:
         return len(self._entries)
 
@@ -119,6 +117,10 @@ def load_dictionary(document: str | bytes) -> TopicalDictionary:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from exc
+    return _dictionary_of(data)
+
+
+def _dictionary_of(data: object) -> TopicalDictionary:
     if not isinstance(data, dict) or not isinstance(data.get("topics"), dict):
         raise MalformedDocument('expected an object with a "topics" mapping')
     if not data["topics"]:
@@ -138,7 +140,7 @@ def load_dictionary(document: str | bytes) -> TopicalDictionary:
 
 
 def load_dictionary_file(path: str | Path) -> TopicalDictionary:
-    return load_dictionary(Path(path).read_text("utf-8"))
+    return read_json(path, _dictionary_of)
 
 
 def bundled_dictionary() -> TopicalDictionary:

@@ -16,6 +16,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
+from .lines import where
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
@@ -84,11 +85,6 @@ def _dimension(header: str) -> int:
     return dim
 
 
-def _where(source: str | None, lineno: int) -> str:
-    """A line's location in an error: "path:N" in a file, "line N" in a document."""
-    return f"line {lineno}" if source is None else f"{source}:{lineno}"
-
-
 def _parse_rows_slowly(
     lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], source: str | None
 ) -> np.ndarray:
@@ -100,7 +96,7 @@ def _parse_rows_slowly(
         parts = line.split()
         if len(parts) != dim + 1:
             raise DimensionMismatch(
-                f"{_where(source, lineno)}: expected {dim} values, got {len(parts) - 1}"
+                f"{where(source, lineno)}: expected {dim} values, got {len(parts) - 1}"
             )
         token = parts[0].lower()
         if token in rows:
@@ -108,7 +104,7 @@ def _parse_rows_slowly(
         try:
             vectors.append([float(p) for p in parts[1:]])
         except ValueError as exc:
-            raise DimensionMismatch(f"{_where(source, lineno)}: non-numeric coordinate") from exc
+            raise DimensionMismatch(f"{where(source, lineno)}: non-numeric coordinate") from exc
         rows[token] = len(rows)
     return np.array(vectors, dtype=float).reshape(len(vectors), dim)
 
@@ -159,7 +155,7 @@ def _load_lines(lines: Iterable[str], source: str | None = None) -> EmbeddingMod
     except MalformedHeader as exc:
         if source is None:
             raise
-        raise MalformedHeader(f"{_where(source, 1)}: {exc}") from exc
+        raise MalformedHeader(f"{where(source, 1)}: {exc}") from exc
     rows: dict[str, int] = {}
     blocks = []
     lineno = 2
@@ -221,7 +217,7 @@ def load_embeddings_file(path: str | Path) -> EmbeddingModel:
         return _load_lines(_file_lines(path), str(path))
     except UnicodeDecodeError as exc:
         raise MalformedDocument(
-            f"{_where(str(path), _undecodable_line(path))}: not UTF-8: {exc.reason}"
+            f"{where(str(path), _undecodable_line(path))}: not UTF-8: {exc.reason}"
         ) from exc
 
 

@@ -8,7 +8,6 @@ stage reads snapshots, which keeps whole-pipeline runs reproducible.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import urllib.error
 import urllib.request
@@ -21,6 +20,7 @@ from urllib import robotparser
 from urllib.parse import urlsplit
 
 from .errors import MalformedRecord
+from .lines import read_jsonl, write_jsonl
 from .urls import PageUrl
 
 # one fixed desktop browser identity for every request in a crawl
@@ -164,32 +164,19 @@ def result_to_index_row(result: FetchResult, path: str | None) -> dict:
     }
 
 
+def _index_entry(obj: dict) -> tuple[str, dict]:
+    url, path = obj["url"], obj.get("path")
+    if not isinstance(url, str) or not isinstance(path, (str, type(None))):
+        raise TypeError("url must be a string and path a string or null")
+    return url, obj
+
+
 def load_snapshot_index(directory: str | Path) -> dict[str, dict]:
     """Read the snapshot index; an absent index is an empty store."""
     index_path = Path(directory) / INDEX_NAME
     if not index_path.exists():
         return {}
-    rows: dict[str, dict] = {}
-    with open(index_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                rows[obj["url"]] = obj
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise MalformedRecord(f"{index_path}:{lineno}: {exc}") from exc
-    return rows
-
-
-def _write_index(directory: Path, rows: dict[str, dict]) -> Path:
-    index_path = directory / INDEX_NAME
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for url in sorted(rows):
-            fh.write(json.dumps(rows[url], ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
-    return index_path
+    return dict(read_jsonl(index_path, _index_entry))
 
 
 def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Path:
@@ -210,7 +197,9 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
             if not target.exists():
                 target.write_text(result.body, encoding="utf-8")
         rows[result.url.normalized] = result_to_index_row(result, path)
-    return _write_index(directory, rows)
+    index_path = directory / INDEX_NAME
+    write_jsonl(index_path, (rows[url] for url in sorted(rows)))
+    return index_path
 
 
 def read_snapshot(directory: str | Path, row: dict) -> str:

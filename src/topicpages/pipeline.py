@@ -9,9 +9,9 @@ two runs over the same inputs and seed produce byte-identical bundles.
 from __future__ import annotations
 
 import hashlib
-import json
 import shutil
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .dictionary import TopicalDictionary, bundled_dictionary, load_dictionary_f
 from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import fetch_missing, load_snapshot_index, read_snapshot
+from .lines import read_json, read_jsonl, read_lines, write_json, write_jsonl, write_text
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
@@ -40,28 +41,7 @@ MANIFEST_NAME = "manifest.json"
 
 def read_homepage_list(path: str | Path) -> list[PageUrl]:
     """One homepage URL per line; blank lines and # comments are skipped."""
-    out = []
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(normalize(line))
-    return out
-
-
-def _json_text(obj, path: Path, indent: int | None = None) -> str:
-    """*obj* as JSON for the artifact at *path*; NaN and infinities are refused."""
-    try:
-        return json.dumps(obj, ensure_ascii=False, sort_keys=True, allow_nan=False, indent=indent)
-    except ValueError as exc:
-        raise PipelineError(f"{path.name}: {exc}") from exc
-
-
-def _json_dump(obj, path: Path) -> None:
-    path.write_text(_json_text(obj, path, indent=2) + "\n", "utf-8")
-
-
-def _jsonl_dump(rows: Iterable[dict], path: Path) -> None:
-    path.write_text("".join(_json_text(row, path) + "\n" for row in rows), "utf-8")
+    return list(read_lines(path, normalize))
 
 
 def _sha256(path: Path) -> str:
@@ -136,8 +116,7 @@ class Runner:
         return path
 
     def thresholds(self) -> Thresholds:
-        path = self._require("fit-thresholds", "thresholds.json")
-        return Thresholds.from_dict(json.loads(path.read_text("utf-8")))
+        return read_json(self._require("fit-thresholds", "thresholds.json"), Thresholds.from_dict)
 
     # --- stages -------------------------------------------------------------
 
@@ -201,7 +180,7 @@ class Runner:
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
-        _json_dump(fitted.to_dict(), self._output("thresholds", "thresholds.json"))
+        write_json(self._output("thresholds", "thresholds.json"), fitted.to_dict())
         for name, hist in hists.items():
             write_histogram_csv(hist, self._output(f"histogram-{name}", f"histograms/{name}.csv"))
         return fitted.to_dict()
@@ -258,7 +237,7 @@ class Runner:
         matrix_topics = {row["topic"] for row in best_rows}
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
-        _json_dump(matrix.to_dict(), self._output("tracking-matrix", "tracking-matrix.json"))
+        write_json(self._output("tracking-matrix", "tracking-matrix.json"), matrix.to_dict())
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -289,7 +268,7 @@ class Runner:
             ],
             "records": len(records),
         }
-        _json_dump(report, self._output("tracking-report", "tracking-report.json"))
+        write_json(self._output("tracking-report", "tracking-report.json"), report)
         return {"records": len(records), "third_parties": len(matrix.third_parties)}
 
     def stage_content(self) -> dict:
@@ -332,8 +311,8 @@ class Runner:
             for t, chunks in sorted(texts.items())
         ]
         matrix = content_mod.tfidf(docs, stopword_set, min_df=self.config.min_df)
-        _json_dump(matrix.to_dict(), self._output("content-matrix", "content-matrix.json"))
-        _jsonl_dump(languages, self._output("languages", "languages.jsonl"))
+        write_json(self._output("content-matrix", "content-matrix.json"), matrix.to_dict())
+        write_jsonl(self._output("languages", "languages.jsonl"), languages)
         return {
             "documents": len(docs),
             "terms": len(matrix.terms),
@@ -368,7 +347,7 @@ class Runner:
             "assignments": report.assignments,
             "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
         }
-        _json_dump(payload, self._register(Path(out).stem, Path(out)))
+        write_json(self._register(Path(out).stem, Path(out)), payload)
         shown = ("matrix", "k", "sse", "silhouette", "gap")
         return {"out": str(out), **{key: payload[key] for key in shown}}
 
@@ -384,7 +363,7 @@ class Runner:
             restarts=cfg.restarts,
             b_refs=cfg.b_refs,
         )
-        self._register(Path(out).stem, Path(out)).write_text(sweep.to_csv(), "utf-8")
+        write_text(self._register(Path(out).stem, Path(out)), sweep.to_csv())
         return {
             "matrix": Path(matrix).name,
             "out": str(out),
@@ -414,7 +393,7 @@ class Runner:
             listing[name] = {"path": rel, "sha256": _sha256(path)}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out_dir / MANIFEST_NAME
-        _json_dump({"artifacts": listing}, manifest_path)
+        write_json(manifest_path, {"artifacts": listing})
         return manifest_path
 
 
@@ -427,12 +406,21 @@ def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
     path = Path(path)
     if not path.exists():
         raise MissingStage(f"{path.name} is missing")
-    obj = json.loads(path.read_text("utf-8"))
+    return read_json(path, _labeled_matrix)
+
+
+def _labeled_matrix(obj: dict) -> tuple[tuple[str, ...], "np.ndarray"]:
     if "cells" in obj:
         m = tracking_mod.TrackingMatrix.from_dict(obj)
         return m.topics, m.cells.astype(float)
     m = content_mod.ContentMatrix.from_dict(obj)
     return m.topics, m.weights
+
+
+def _site_of(obj: dict) -> str:
+    if not isinstance(obj["site"], str):
+        raise TypeError("site must be a string")
+    return obj["site"]
 
 
 def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path], list[str]]:
@@ -459,28 +447,28 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
 
     def write_csv(name: str, header: str, rows: Iterable[str]) -> None:
         path = plots / name
-        path.write_text(header + "\n" + "".join(r + "\n" for r in rows), "utf-8")
+        write_text(path, header + "\n" + "".join(r + "\n" for r in rows))
         emitted.append(path)
 
     def fmt(x: float) -> str:
         return f"{x:.12g}"
 
-    # threshold histograms
+    # threshold histograms, each file's header line skipped
     hist_dir = need("histograms/")
     if hist_dir:
         rows = []
         for csv_path in sorted(hist_dir.glob("*.csv")):
-            for line in csv_path.read_text("utf-8").splitlines()[1:]:
+            for line in islice(read_lines(csv_path, str), 1, None):
                 rows.append(f"{csv_path.stem},{line}")
         write_csv("threshold-histograms.csv", "parameter,bucket,count", rows)
 
     # topic coverage across sites
     best_path = need("best.jsonl")
     if best_path:
-        rows_raw = [json.loads(line) for line in best_path.read_text("utf-8").splitlines() if line]
+        rows_raw = classify_mod.read_best_subpages(best_path)
         internal_path = out_dir / "internal.jsonl"
         if internal_path.exists():
-            sites = {json.loads(line)["site"] for line in internal_path.read_text("utf-8").splitlines() if line}
+            sites = set(read_jsonl(internal_path, _site_of))
         else:
             sites = {r["site"] for r in rows_raw}
         per_topic: dict[str, set[str]] = {}
@@ -497,10 +485,8 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
             else [],
         )
 
-    # tracking analytics
-    report_path = need("tracking-report.json")
-    if report_path:
-        report = json.loads(report_path.read_text("utf-8"))
+    # tracking analytics; a fault in the report's shape is a fault of its file
+    def tracking_plots(report: dict) -> None:
         write_csv(
             "cookies-per-topic.csv",
             "topic,min,q1,median,mean,q3,max,count",
@@ -540,12 +526,15 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
             ],
         )
 
+    report_path = need("tracking-report.json")
+    if report_path:
+        read_json(report_path, tracking_plots)
+
     # cluster scatters and metric curves
     for tag in ("tracking", "content"):
         cluster_path = need(f"clusters-{tag}.json")
         if cluster_path:
-            payload = json.loads(cluster_path.read_text("utf-8"))
-            write_csv(
+            read_json(cluster_path, lambda payload: write_csv(
                 f"cluster-scatter-{tag}.csv",
                 "label,cluster," + ",".join(f"x{i}" for i in range(payload["n"])),
                 [
@@ -553,7 +542,7 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
                     + ",".join(fmt(v) for v in coords)
                     for label, coords in sorted(payload["points"].items())
                 ],
-            )
+            ))
         sweep_path = need(f"sweep-{tag}.csv")
         if sweep_path:
             target = plots / f"metric-curves-{tag}.csv"
@@ -561,8 +550,8 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
             emitted.append(target)
 
     notes = plots / "notes.txt"
-    notes.write_text(
-        "".join(f"missing: {name}\n" for name in missing) if missing else "complete\n", "utf-8"
+    write_text(
+        notes, "".join(f"missing: {name}\n" for name in missing) if missing else "complete\n"
     )
     emitted.append(notes)
     return emitted, missing
@@ -620,12 +609,15 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     for stage in STAGES:
         if (stage.after and stage.after not in succeeded) or config.unset(stage.requires):
             continue
+        registered = dict(runner.artifacts)
         try:
             summary[stage.name] = runner.run_stage(stage)
             succeeded.add(stage.name)
         except PipelineError as exc:
             errors.append(f"{stage.name}: {exc}")
             summary[stage.name] = {"error": str(exc)}
+            # a file a failed stage named may be a stale one from an earlier run
+            runner.artifacts = registered
     runner.write_manifest()
     summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
     summary["errors"] = errors

@@ -11,18 +11,15 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-
-def _parse(text: str) -> frozenset[str]:
-    return frozenset(w.strip() for w in text.splitlines() if w.strip())
+from .lines import parse_lines, read_lines
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword file (one word per line); default is the bundled list."""
     if path is None:
         text = resources.files("topicpages").joinpath("data/stopwords_english.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    return _parse(text)
+        return frozenset(parse_lines(text.split("\n"), str))
+    return frozenset(read_lines(path, str))
 
 
 DEFAULT_STOPWORDS = load_stopwords()

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import EmptyInput, NotBimodal
+from .lines import write_text
 from .urls import PageUrl, url_metrics
 
 # the three URL-shape series: histogram name and UrlMetrics field, in the
@@ -23,7 +24,6 @@ URL_SERIES = (
     ("hyphens", "max_hyphens"),
 )
 DEFAULT_BUCKET_SIZES = (1.0, 5.0, 1.0)
-COSINE_BUCKET_SIZE = 0.05
 
 # a candidate split must leave this share of samples on each side,
 # which suppresses noise-spike "modes" in the tails
@@ -279,16 +279,6 @@ def fit_url_histograms(
     return Thresholds(*fitted, cosine_cutoff=cosine_cutoff)
 
 
-def fit_cosine_cutoff(max_scores: Sequence[float], *, fallback_defaults: bool = False) -> float:
-    """Fit the classification cutoff from per-URL best cosine scores."""
-    try:
-        return float(find_bimodal_threshold(build_histogram(max_scores, COSINE_BUCKET_SIZE)))
-    except NotBimodal:
-        if fallback_defaults:
-            return DEFAULT_THRESHOLDS.cosine_cutoff
-        raise
-
-
 def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
     """Keep URLs whose metrics sit at or below every threshold."""
     out = []
@@ -305,7 +295,5 @@ def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
 
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:
     """Dump (bucket, count) rows so the fitted histograms can be replotted."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("bucket,count\n")
-        for start, count in h.sorted_items():
-            fh.write(f"{start},{count}\n")
+    rows = "".join(f"{start},{count}\n" for start, count in h.sorted_items())
+    write_text(path, "bucket,count\n" + rows)

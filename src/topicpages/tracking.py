@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import MalformedRecord, MalformedUrl, UnknownTopic
+from .lines import parse_lines, read_lines
 from .stats import Summary, summary
 from .urls import PageUrl, normalize, registrable_domain
 
@@ -30,18 +31,6 @@ FINGERPRINTING = "Fingerprinting"
 UNKNOWN = "Unknown"
 
 CATEGORIES = (ADVERTISING, CONTENT_SOCIAL, ANALYTICS, FINGERPRINTING)
-
-# upstream service-list category names -> our four analysis buckets
-_UPSTREAM_CATEGORY_MAP = {
-    "Advertising": ADVERTISING,
-    "Analytics": ANALYTICS,
-    "Fingerprinting": FINGERPRINTING,
-    "FingerprintingInvasive": FINGERPRINTING,
-    "FingerprintingGeneral": FINGERPRINTING,
-    "Content": CONTENT_SOCIAL,
-    "Social": CONTENT_SOCIAL,
-}
-
 
 @dataclass(frozen=True)
 class CrawlRecord:
@@ -74,30 +63,11 @@ def ingest_logs(
     nor "homepage" raises UnknownTopic.  is_third_party flags in the input
     are ignored: third parties are resolved against the record's site.
     """
-    records: list[CrawlRecord] = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"line {lineno}: not JSON: {exc}") from exc
-        try:
-            record = _parse_record(obj)
-        except (KeyError, TypeError, ValueError, MalformedUrl) as exc:
-            raise MalformedRecord(f"line {lineno}: {exc}") from exc
-        if (
-            topics is not None
-            and record.topic != HOMEPAGE_TOPIC
-            and record.topic not in topics
-        ):
-            raise UnknownTopic(f"line {lineno}: topic {record.topic!r} is not configured")
-        records.append(record)
-    return records
+    return list(parse_lines(lines, partial(_parse_record, topics=topics)))
 
 
-def _parse_record(obj: dict) -> CrawlRecord:
+def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
+    obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
     site = _registrable(_clean_domain(str(obj["site"])))
@@ -111,10 +81,17 @@ def _parse_record(obj: dict) -> CrawlRecord:
     redirects = int(obj.get("redirects", 0))
     if redirects < 0:
         raise ValueError("redirects must be non-negative")
+    try:
+        page_url = normalize(str(obj["page_url"]))
+    except MalformedUrl as exc:
+        raise MalformedRecord(str(exc)) from exc
+    topic = str(obj["topic"])
+    if topics is not None and topic != HOMEPAGE_TOPIC and topic not in topics:
+        raise UnknownTopic(f"topic {topic!r} is not configured")
     return CrawlRecord(
-        page_url=normalize(str(obj["page_url"])),
+        page_url=page_url,
         site=site,
-        topic=str(obj["topic"]),
+        topic=topic,
         crawl_id=str(obj.get("crawl_id", "")),
         tp_cookies=tp_cookies,
         third_parties=third_parties,
@@ -123,8 +100,7 @@ def _parse_record(obj: dict) -> CrawlRecord:
 
 
 def read_crawl_log(path: str | Path, topics: Collection[str] | None = None) -> list[CrawlRecord]:
-    with open(path, encoding="utf-8") as fh:
-        return ingest_logs(fh, topics)
+    return list(read_lines(path, partial(_parse_record, topics=topics)))
 
 
 def record_third_parties(
@@ -161,58 +137,31 @@ class DisconnectList:
     entries: Mapping[str, str]
 
 
+def _disconnect_entry(line: str) -> tuple[str, str]:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise MalformedRecord("expected 'domain<TAB>category'")
+    domain, category = _clean_domain(parts[0]), parts[1].strip()
+    if category not in CATEGORIES:
+        raise MalformedRecord(f"unknown category {category!r}")
+    return domain, category
+
+
+def _disconnect_list(entries: Iterable[tuple[str, str]]) -> DisconnectList:
+    """The first entry for a domain wins."""
+    out: dict[str, str] = {}
+    for domain, category in entries:
+        out.setdefault(domain, category)
+    return DisconnectList(out)
+
+
 def load_disconnect_tsv(text: str) -> DisconnectList:
     """Parse the canonical two-column (domain, category) TSV."""
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise MalformedRecord(f"line {lineno}: expected 'domain<TAB>category'")
-        domain, category = _clean_domain(parts[0]), parts[1].strip()
-        if category not in CATEGORIES:
-            raise MalformedRecord(f"line {lineno}: unknown category {category!r}")
-        entries.setdefault(domain, category)
-    return DisconnectList(entries)
+    return _disconnect_list(parse_lines(text.split("\n"), _disconnect_entry))
 
 
 def load_disconnect_file(path: str | Path) -> DisconnectList:
-    return load_disconnect_tsv(Path(path).read_text("utf-8"))
-
-
-def convert_disconnect_services(document: str | bytes) -> DisconnectList:
-    """Flatten the upstream nested services JSON into canonical entries.
-
-    Content and Social merge into one bucket; categories outside the four
-    analysed ones are dropped.  The first category claiming a domain wins.
-    """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"not valid JSON: {exc}") from exc
-    entries: dict[str, str] = {}
-    for upstream_name, services in data.get("categories", {}).items():
-        category = _UPSTREAM_CATEGORY_MAP.get(upstream_name)
-        if category is None:
-            continue
-        for service in services:
-            for _, site_map in service.items():
-                for _, domains in site_map.items():
-                    if not isinstance(domains, list):
-                        continue
-                    for domain in domains:
-                        reg = registrable_domain(_clean_domain(str(domain)))
-                        entries.setdefault(reg, category)
-    return DisconnectList(entries)
-
-
-def disconnect_to_tsv(dl: DisconnectList) -> str:
-    lines = [f"{domain}\t{category}" for domain, category in sorted(dl.entries.items())]
-    return "\n".join(lines) + "\n" if lines else ""
+    return _disconnect_list(read_lines(path, _disconnect_entry))
 
 
 def categorize(tp_domain: str, dl: DisconnectList) -> str:

@@ -8,7 +8,6 @@ with a trailing slash, so string equality is URL equality downstream.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from html.parser import HTMLParser
@@ -18,6 +17,7 @@ from typing import Iterable, NamedTuple
 from urllib.parse import urljoin, urlparse
 
 from .errors import MalformedRecord, MalformedUrl
+from .lines import parse_lines, read_jsonl, read_lines, write_jsonl
 
 # hrefs with these prefixes are navigation chrome, not pages
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
@@ -31,26 +31,18 @@ _PLAIN_PATH = re.compile(r"/(?:[A-Za-z0-9_~-][A-Za-z0-9._~/-]*)?")
 _suffix_cache: frozenset[str] | None = None
 
 
-def _parse_suffix_lines(text: str) -> frozenset[str]:
-    return frozenset(
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    )
-
-
 def public_suffixes() -> frozenset[str]:
     """The bundled public-suffix snapshot, loaded once per process."""
     global _suffix_cache
     if _suffix_cache is None:
         text = resources.files("topicpages").joinpath("data/public_suffixes.txt").read_text("utf-8")
-        _suffix_cache = _parse_suffix_lines(text)
+        _suffix_cache = frozenset(parse_lines(text.split("\n"), str.lower))
     return _suffix_cache
 
 
 def load_suffixes(path: str | Path) -> frozenset[str]:
     """Read an override suffix file (one suffix per line, # comments)."""
-    return _parse_suffix_lines(Path(path).read_text("utf-8"))
+    return frozenset(read_lines(path, str.lower))
 
 
 def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str:
@@ -255,25 +247,8 @@ def url_from_record(obj: dict) -> tuple[PageUrl, str]:
 
 def write_url_file(path: str | Path, rows: Iterable[tuple[PageUrl, str]]) -> None:
     """Write (url, site) pairs as one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, site in rows:
-            fh.write(json.dumps(url_to_record(u, site), ensure_ascii=False, sort_keys=True))
-            fh.write("\n")
+    write_jsonl(path, (url_to_record(u, site) for u, site in rows))
 
 
 def read_url_file(path: str | Path) -> list[tuple[PageUrl, str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"line {lineno}: not JSON: {exc}") from exc
-            try:
-                out.append(url_from_record(obj))
-            except MalformedRecord as exc:
-                raise MalformedRecord(f"line {lineno}: {exc}") from exc
-    return out
+    return list(read_jsonl(path, url_from_record))

@@ -18,7 +18,11 @@ class TestLoadDictionary:
         assert d.other_topic().name == "other"
         assert d.other_topic().is_other
         assert len(d) == 3
-        assert d.keyword_count() == 3
+        assert [d.topic_of_keyword(k).name for k in ("sports", "cricket", "politics")] == [
+            "sports",
+            "sports",
+            "politics",
+        ]
 
     def test_keyword_lookup(self):
         d = load_dictionary(doc({"sports": ["cricket"]}))
@@ -84,7 +88,7 @@ class TestLoadDictionary:
     def test_file_round_trip(self, tmp_path):
         p = tmp_path / "d.json"
         p.write_text(doc({"sports": ["cricket"]}), "utf-8")
-        assert load_dictionary_file(p).keyword_count() == 1
+        assert load_dictionary_file(p).topic_of_keyword("cricket") == Topic("sports")
 
 
 class TestTopicalDictionaryDirect:
@@ -116,5 +120,7 @@ def test_bundled_dictionary_shape():
     assert len(d.non_other_topics()) == 15
     names = {t.name for t in d.non_other_topics()}
     assert {"sports", "politics", "business-economy-finance", "entertainment"} <= names
-    assert d.keyword_count() >= len(d.non_other_topics())
+    for topic in d.non_other_topics():
+        assert d.keywords_for(topic)
+        assert all(d.topic_of_keyword(k) == topic for k in d.keywords_for(topic))
     assert d.is_generic("topics")

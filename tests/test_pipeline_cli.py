@@ -224,6 +224,35 @@ class TestRunnerDirect:
         manifest = json.loads((out / "manifest.json").read_text("utf-8"))
         assert "clusters-content" not in manifest["artifacts"]
 
+    def test_failed_stage_leaves_no_stale_manifest_entry(self, e2e_config, monkeypatch):
+        # the second run's cluster stages fail; the files the first run
+        # wrote stay as they were, but this run's manifest does not list them
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        before = (out / "clusters-content.json").read_bytes()
+        monkeypatch.setattr(cluster_mod, "_gap", lambda *args: float("nan"))
+        assert run_pipeline(cfg)[0] == 1
+        assert (out / "clusters-content.json").read_bytes() == before
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        assert "clusters-content" not in manifest["artifacts"]
+        assert "clusters-tracking" not in manifest["artifacts"]
+        assert "tracking-matrix" in manifest["artifacts"]
+
+    @pytest.mark.parametrize(
+        "key,stage", [("crawl_logs", "track"), ("disconnect", "track"), ("urls", "fetch")]
+    )
+    def test_input_that_is_not_utf8_is_one_stage_error(self, e2e_config, tmp_path, key, stage):
+        cfg = load_config(e2e_config, env={})
+        bad = tmp_path / f"bad-{key}"
+        bad.write_bytes(Path(getattr(cfg, key)).read_bytes() + b'{"site": "\xff"}\n')
+        cfg = load_config(e2e_config, env={}, overrides={key: str(bad)})
+        code, summary = run_pipeline(cfg)
+        assert code == 1
+        assert len(summary["errors"]) == 1
+        assert summary["errors"][0].startswith(f"{stage}: {bad}:")
+        assert ": not UTF-8: " in summary["errors"][0]
+
     def test_run_without_tracking_inputs_skips_the_tracking_branch(
         self, e2e_config, capsys, tmp_path
     ):
@@ -279,6 +308,13 @@ class TestRunnerDirect:
 
 
 class TestOtherCommands:
+    def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.toml"
+        config.write_bytes(b"seed = 1\nuser_agent = \xff\n")
+        code, _, err = run_cli(capsys, "run", "--config", config)
+        assert code == 2
+        assert err.startswith(f"error: {config}:2: not UTF-8: ")
+
     def test_assist_dictionary_lists_unmatched_subpaths(self, e2e_config, capsys):
         run_cli(capsys, "run", "--config", e2e_config)
         code, out, _ = run_cli(capsys, "assist-dictionary", "--config", e2e_config)

@@ -8,7 +8,6 @@ from topicpages import (
     build_histogram,
     filter_subpages,
     find_bimodal_threshold,
-    fit_cosine_cutoff,
     fit_thresholds,
     normalize,
     url_metrics,
@@ -218,19 +217,6 @@ class TestFitUrlHistograms:
         monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
         Runner(cfg).stage_fit_thresholds(source)
         assert sorted(calls) == sorted(u.normalized for u in urls)
-
-
-class TestFitCosineCutoff:
-    def test_two_score_clusters(self):
-        scores = [0.1] * 10 + [0.6] * 12
-        assert fit_cosine_cutoff(scores) == 0.55
-
-    def test_fallback(self):
-        assert fit_cosine_cutoff([0.5] * 40, fallback_defaults=True) == 0.4
-
-    def test_no_fallback_raises(self):
-        with pytest.raises(NotBimodal):
-            fit_cosine_cutoff([0.5] * 40)
 
 
 class TestFilterSubpages:

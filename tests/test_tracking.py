@@ -24,8 +24,6 @@ from topicpages.errors import MalformedRecord, UnknownTopic
 from topicpages.stats import summary
 from topicpages.tracking import (
     UNKNOWN,
-    convert_disconnect_services,
-    disconnect_to_tsv,
     load_disconnect_file,
 )
 from topicpages.urls import registrable_domain
@@ -208,41 +206,6 @@ class TestDisconnectList:
     def test_tsv_bad_width(self):
         with pytest.raises(MalformedRecord):
             load_disconnect_tsv("a.example Advertising\n")
-
-    def test_convert_upstream_services(self):
-        doc = json.dumps(
-            {
-                "categories": {
-                    "Advertising": [
-                        {"Ad Corp": {"https://adcorp.example/": ["ads.adcorp.example"]}}
-                    ],
-                    "Content": [
-                        {"Widget Co": {"https://w.example/": ["w.example"]}}
-                    ],
-                    "Social": [
-                        {"Social Inc": {"https://s.example/": ["s.example"]}}
-                    ],
-                    "FingerprintingInvasive": [
-                        {"FP": {"https://fp.example/": ["fp.example"]}}
-                    ],
-                    "Cryptomining": [
-                        {"Miner": {"https://m.example/": ["m.example"]}}
-                    ],
-                }
-            }
-        )
-        dl = convert_disconnect_services(doc)
-        assert dl.entries["adcorp.example"] == "Advertising"
-        assert dl.entries["w.example"] == "Content & Social"
-        assert dl.entries["s.example"] == "Content & Social"
-        assert dl.entries["fp.example"] == "Fingerprinting"
-        assert "m.example" not in dl.entries
-
-    def test_tsv_round_trip(self):
-        dl = load_disconnect_tsv("b.example\tAnalytics\na.example\tAdvertising\n")
-        text = disconnect_to_tsv(dl)
-        assert text == "a.example\tAdvertising\nb.example\tAnalytics\n"
-        assert load_disconnect_tsv(text).entries == dl.entries
 
     def test_categorize_subdomain_inherits(self, disconnect):
         assert categorize("cdn.ad-serve.example", disconnect) == "Advertising"

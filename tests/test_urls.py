@@ -231,11 +231,13 @@ class TestUrlFiles:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "urls.jsonl"
         path.write_text('{"raw": "x"}\n', "utf-8")
-        with pytest.raises(MalformedRecord, match="line 1"):
+        with pytest.raises(MalformedRecord) as err:
             read_url_file(path)
+        assert str(err.value).startswith(f"{path}:1: ")
 
     def test_not_json_reports_number(self, tmp_path):
         path = tmp_path / "urls.jsonl"
         path.write_text("{}\nnot json\n", "utf-8")
-        with pytest.raises(MalformedRecord, match="line 1|line 2"):
+        with pytest.raises(MalformedRecord) as err:
             read_url_file(path)
+        assert str(err.value).startswith(f"{path}:1: ")

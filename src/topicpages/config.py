@@ -2,9 +2,9 @@
 
 One flat TOML-style key-value file configures a whole run.  Precedence,
 lowest to highest: built-in defaults, config file, TOPICPAGES_* environment
-variables, command-line flags.  Every file path named by the active
-configuration must exist at validation time so failures happen before any
-stage runs.
+variables, command-line flags.  Every path named by the active
+configuration must exist, as a file or as the snapshot directory, at
+validation time so failures happen before any stage runs.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ class PipelineConfig:
         return [key for key in keys if getattr(self, key) in (None, "")]
 
     def validate(self, require: tuple[str, ...] = ()) -> None:
-        """Check basic ranges plus existence of every configured path.
+        """Check basic ranges, and that every configured path exists and is
+        of its kind: the snapshot store a directory, every other path a file.
 
         *require* names path keys that must be configured for the intended
         stages (e.g. ("dictionary", "embeddings") for classification).
@@ -80,8 +81,15 @@ class PipelineConfig:
         problems = [f"{key} is required but not configured" for key in self.unset(require)]
         for key in _PATH_KEYS:
             value = getattr(self, key)
-            if value and not Path(value).exists():
+            if not value:
+                continue
+            path = Path(value)
+            if not path.exists():
                 problems.append(f"{key}: no such path: {value}")
+            elif key == "snapshots" and not path.is_dir():
+                problems.append(f"{key}: not a directory: {value}")
+            elif key != "snapshots" and not path.is_file():
+                problems.append(f"{key}: not a file: {value}")
         if self.seed < 0:
             problems.append("seed must be non-negative")
         if self.parallel < 1:

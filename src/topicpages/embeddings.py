@@ -8,6 +8,7 @@ contribute nothing.
 
 from __future__ import annotations
 
+import io
 import re
 from itertools import islice
 from pathlib import Path
@@ -16,12 +17,11 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
-from .lines import where
+from .lines import decoded_lines, where
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
 _CHUNK_LINES = 4096  # vector lines per bulk parse
-_READ_CHARS = 1 << 20  # characters per read of an embeddings file
 
 
 def tokenize_subpath(subpath: str, stopwords: AbstractSet[str] = frozenset()) -> list[str]:
@@ -85,28 +85,16 @@ def _dimension(header: str) -> int:
     return dim
 
 
-def _parse_rows_slowly(
-    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], source: str | None
-) -> np.ndarray:
-    """Line by line: the reference semantics and the exact error for a bad line."""
-    vectors = []
-    for lineno, line in enumerate(lines, start=first_lineno):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != dim + 1:
-            raise DimensionMismatch(
-                f"{where(source, lineno)}: expected {dim} values, got {len(parts) - 1}"
-            )
-        token = parts[0].lower()
-        if token in rows:
-            continue
-        try:
-            vectors.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise DimensionMismatch(f"{where(source, lineno)}: non-numeric coordinate") from exc
-        rows[token] = len(rows)
-    return np.array(vectors, dtype=float).reshape(len(vectors), dim)
+def _values(rests: Sequence[str], dim: int) -> np.ndarray | None:
+    """The values of each row's text after its token, or None when a row is
+    not *dim* numbers as numpy reads them."""
+    if not all(rests):  # loadtxt skips an empty row, and warns when every row is
+        return None
+    try:
+        values = np.loadtxt(rests, dtype=float, delimiter=None, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rests), dim) else None
 
 
 def _parse_rows(
@@ -114,28 +102,31 @@ def _parse_rows(
 ) -> np.ndarray:
     """The vectors of the tokens that *lines* add to *rows*, which gains them.
 
-    One bulk parse of every line's values; a chunk numpy rejects (or that has
-    the wrong shape) is parsed again line by line, which accepts what float()
-    accepts and raises the error for the first bad line.
+    One parse of every row's values; when it fails, the first row that fails
+    alone is the error.
     """
     tokens: list[str] = []
     rests: list[str] = []
-    for line in lines:
-        parts = line.split(None, 1)
-        if not parts:
-            continue
-        if len(parts) == 1:
-            return _parse_rows_slowly(lines, first_lineno, dim, rows, source)
-        tokens.append(parts[0].lower())
-        rests.append(parts[1])
+    linenos: list[int] = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        # numpy ends a row at "\r"; here only "\n" does, and "\r" is whitespace
+        parts = line.replace("\r", " ").split(None, 1)
+        if parts:
+            tokens.append(parts[0].lower())
+            rests.append(parts[1] if len(parts) == 2 else "")
+            linenos.append(lineno)
     if not rests:
         return np.empty((0, dim), dtype=float)
-    try:
-        values = np.loadtxt(rests, dtype=float, delimiter=None, comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (len(rests), dim):
-        return _parse_rows_slowly(lines, first_lineno, dim, rows, source)
+    values = _values(rests, dim)
+    if values is None:
+        for lineno, rest in zip(linenos, rests):
+            if _values([rest], dim) is None:
+                width = len(rest.split())
+                fault = (
+                    "non-numeric coordinate" if width == dim
+                    else f"expected {dim} values, got {width}"
+                )
+                raise DimensionMismatch(f"{where(source, lineno)}: {fault}")
     kept = []
     for i, token in enumerate(tokens):
         if token not in rows:
@@ -151,7 +142,7 @@ def _load_lines(lines: Iterable[str], source: str | None = None) -> EmbeddingMod
     try:
         if header is None:
             raise MalformedHeader("empty document")
-        dim = _dimension(header)
+        dim = _dimension(header.removesuffix("\n"))
     except MalformedHeader as exc:
         if source is None:
             raise
@@ -166,59 +157,28 @@ def _load_lines(lines: Iterable[str], source: str | None = None) -> EmbeddingMod
     return EmbeddingModel._of_matrix(matrix, rows)
 
 
-def _file_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, split as str.splitlines() splits the whole text."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        tail = ""
-        while block := fh.read(_READ_CHARS):
-            # lines up to the last "\n" are complete; the rest may continue
-            # in the next block
-            text = tail + block
-            cut = text.rfind("\n") + 1
-            tail = text[cut:]
-            yield from text[:cut].splitlines()
-        yield from tail.splitlines()
-
-
 def load_embeddings(document: str | bytes) -> EmbeddingModel:
     """Parse word2vec text format.
 
-    Tokens are lowercased; when case-folding collides, the first row wins.
-    Tokens and values are split on any whitespace.  The declared vocabulary
-    count is not enforced (files are routinely truncated for experiments);
-    the dimension is.
+    Rows end at "\\n" only.  Tokens are lowercased; when case-folding
+    collides, the first row wins, though every row's values must parse.
+    Tokens and values are split on any other whitespace, and a value is a
+    number as numpy's loadtxt reads one.  The declared vocabulary count is
+    not enforced (files are routinely truncated for experiments); the
+    dimension is.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
-    return _load_lines(document.splitlines())
-
-
-def _undecodable_line(path: str | Path) -> int:
-    """The number of the first line of *path* that is not UTF-8, as _file_lines counts."""
-    lineno = 0
-    with open(path, "rb") as fh:
-        for raw in fh:  # UTF-8 never encodes a character with a b"\n" byte
-            for line in raw.decode("utf-8", "surrogateescape").splitlines():
-                lineno += 1
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:  # an undecodable byte became a surrogate
-                    return lineno
-    return lineno
+    return _load_lines(io.StringIO(document, newline="\n"))
 
 
 def load_embeddings_file(path: str | Path) -> EmbeddingModel:
-    """load_embeddings() over a file, read in chunks rather than whole.
+    """load_embeddings() over a file, read line by line rather than whole.
 
     Every fault in the file is a MalformedDocument whose message starts with
     "<path>:<line>: ", bytes that are not UTF-8 included.
     """
-    try:
-        return _load_lines(_file_lines(path), str(path))
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(
-            f"{where(str(path), _undecodable_line(path))}: not UTF-8: {exc.reason}"
-        ) from exc
+    return _load_lines(decoded_lines(path, MalformedDocument), str(path))
 
 
 def combined_embedding(tokens: Iterable[str], model: EmbeddingModel) -> np.ndarray:

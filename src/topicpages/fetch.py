@@ -20,7 +20,7 @@ from urllib import robotparser
 from urllib.parse import urlsplit
 
 from .errors import MalformedRecord
-from .lines import read_jsonl, write_jsonl
+from .lines import read_jsonl, read_text, write_jsonl
 from .urls import PageUrl
 
 # one fixed desktop browser identity for every request in a crawl
@@ -205,7 +205,7 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
 def read_snapshot(directory: str | Path, row: dict) -> str:
     if not row.get("path"):
         raise MalformedRecord(f"no snapshot body for {row.get('url')!r}")
-    return (Path(directory) / row["path"]).read_text(encoding="utf-8")
+    return read_text(Path(directory) / row["path"])
 
 
 def fetch_missing(

@@ -62,7 +62,8 @@ def parse_lines(
         yield value
 
 
-def _decoded(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
+def decoded_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
+    """The lines of a UTF-8 file, each with its "\\n" end; a bad byte is an *error*."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):  # binary files split on b"\n" only
             try:
@@ -76,7 +77,7 @@ def read_lines(
     path: str | Path, parse: Callable[[str], T], error: type[PipelineError] = MalformedRecord
 ) -> Iterator[T]:
     """parse_lines() over the lines of a file."""
-    return parse_lines(_decoded(path, error), parse, path, error)
+    return parse_lines(decoded_lines(path, error), parse, path, error)
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
@@ -84,14 +85,19 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
     return read_lines(path, lambda line: parse(json.loads(line)))
 
 
-def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """parse(the one JSON value a file holds); its faults are MalformedDocument errors."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file read whole; a byte that is not UTF-8 is a MalformedDocument."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise MalformedDocument(f"{where(path, lineno)}: not UTF-8: {exc.reason}") from exc
+
+
+def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
+    """parse(the one JSON value a file holds); its faults are MalformedDocument errors."""
+    text = read_text(path)
     try:
         return parse(json.loads(text))
     except _FAULTS as exc:

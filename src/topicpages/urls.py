@@ -233,16 +233,12 @@ def url_to_record(u: PageUrl, site: str) -> dict:
 
 
 def url_from_record(obj: dict) -> tuple[PageUrl, str]:
-    try:
-        u = PageUrl(
-            raw=obj["raw"],
-            normalized=obj["normalized"],
-            domain=obj["domain"],
-            subpaths=tuple(obj["subpaths"]),
-        )
-        return u, obj["site"]
-    except (KeyError, TypeError) as exc:
-        raise MalformedRecord(f"bad URL record: {exc}") from exc
+    fields = (obj["raw"], obj["normalized"], obj["domain"], obj["site"])
+    subpaths = obj["subpaths"]
+    if not isinstance(subpaths, list) or not all(isinstance(f, str) for f in (*fields, *subpaths)):
+        raise MalformedRecord("URL record fields must be strings, subpaths a list of strings")
+    raw, normalized, domain, site = fields
+    return PageUrl(raw, normalized, domain, tuple(subpaths)), site
 
 
 def write_url_file(path: str | Path, rows: Iterable[tuple[PageUrl, str]]) -> None:

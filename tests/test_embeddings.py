@@ -84,19 +84,26 @@ class TestLoadEmbeddings:
         p.write_text(W2V, "utf-8")
         assert load_embeddings_file(p).dimension == 2
 
-    def test_bad_value_in_duplicate_row_accepted(self):
-        # the first row of a token wins, and later rows are only width-checked
-        m = load_embeddings("2 1\na 1.0\nA oops\n")
-        assert len(m) == 1 and m.vector("a") == pytest.approx([1.0])
+    def test_bad_value_in_duplicate_row_rejected(self):
+        # the first row of a token wins, but every row's values must parse
+        with pytest.raises(DimensionMismatch, match="^line 3: non-numeric coordinate$"):
+            load_embeddings("2 1\na 1.0\nA oops\n")
 
     def test_width_of_duplicate_row_checked(self):
         with pytest.raises(DimensionMismatch, match="line 3: expected 1 values, got 2"):
             load_embeddings("2 1\na 1.0\nA 1.0 2.0\n")
 
     def test_values_python_accepts_and_numpy_does_not(self):
-        m = load_embeddings("2 2\na 1_0 2\nb \u0661 -0.0\n")
-        assert m.vector("a").tolist() == [10.0, 2.0]
-        assert m.vector("b").tolist() == [1.0, 0.0]
+        for value in ["1_0", "\u0661"]:
+            with pytest.raises(DimensionMismatch, match="^line 3: non-numeric coordinate$"):
+                load_embeddings(f"2 2\na 1 2\nb {value} -0.0\n")
+
+    def test_only_newline_ends_a_row(self):
+        # "\r" and the other breaks str.splitlines() knows are whitespace in a row
+        m = load_embeddings("1 2\na 1\r2\x85\u2028\r\t\n")
+        assert m.vector("a").tolist() == [1.0, 2.0]
+        with pytest.raises(DimensionMismatch, match="^line 2: expected 1 values, got 3$"):
+            load_embeddings("2 1\na 1\rb 2\n")
 
     def test_error_line_number_past_a_chunk(self, monkeypatch):
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 2)
@@ -104,9 +111,8 @@ class TestLoadEmbeddings:
             load_embeddings("5 1\na 1\n\nb 2\nc 3\nd x\n")
 
     def test_malformed_row_before_bad_utf8_reports_the_row(self, tmp_path, monkeypatch):
-        # the file is read in blocks, so a fault in an early block is found
-        # before an undecodable byte far enough into a later one
-        monkeypatch.setattr(embeddings_mod, "_READ_CHARS", 64)
+        # the file is read as it is parsed, so a fault in an early chunk is
+        # found before an undecodable byte in a later one
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 1)
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 1\na oops\n" + b"b 1.0\n" * 10000 + b"c \xff\n")
@@ -123,7 +129,7 @@ class TestLoadEmbeddings:
         "data,lineno",
         [
             (b"\xff 1\n", 1),
-            (b"3 1\na 1\r\nb 2\rc \xfe\n", 4),  # counted as str.splitlines() counts
+            (b"3 1\na 1\r\nb 2\rc \xfe\n", 3),  # only "\n" ends a line
             (b"3 1\n\n\na 1\nb \xc3", 5),  # a sequence cut off at the end
             (b"3 1\na 1\n" + b"b 1\n" * 5000 + b"c \xe9t\xe9 1\n", 5003),
         ],
@@ -146,7 +152,7 @@ def reference_load(document, path=None):
         return f"line {lineno}: " if path is None else f"{path}:{lineno}: "
 
     header_at = "" if path is None else at(1)
-    lines = document.splitlines()
+    lines = document.split("\n") if document else []
     if not lines:
         raise MalformedHeader(f"{header_at}empty document")
     header = lines[0].split()
@@ -168,12 +174,14 @@ def reference_load(document, path=None):
                 f"{at(lineno)}expected {dim} values, got {len(parts) - 1}"
             )
         token = parts[0].lower()
-        if token in vectors:
-            continue
+        # numpy reads what float() reads, but for "_" and non-ASCII digits
+        if not all(p.isascii() and "_" not in p for p in parts[1:]):
+            raise DimensionMismatch(f"{at(lineno)}non-numeric coordinate")
         try:
-            vectors[token] = np.array([float(p) for p in parts[1:]], dtype=float)
+            vector = np.array([float(p) for p in parts[1:]], dtype=float)
         except ValueError as exc:
             raise DimensionMismatch(f"{at(lineno)}non-numeric coordinate") from exc
+        vectors.setdefault(token, vector)
     return dim, vectors
 
 
@@ -199,7 +207,7 @@ GOOD_VALUES = st.one_of(
     st.integers(-99, 99).map(str),
     st.sampled_from(["+2", "1e5", "-nan", "Infinity", ".5", "1E-3"]),
 )
-# float() takes the first three, numpy takes none of them
+# float() takes the first three; numpy, and so the reference, takes none of them
 BAD_VALUES = st.sampled_from(["1_0", "\u0661", "\uff11", "oops", "0x1", "1,5", "1.0\x00"])
 SEPARATORS = st.sampled_from([" ", " ", "  ", "\t", "\xa0", " \t"])
 
@@ -229,17 +237,26 @@ def documents(draw):
 
 class TestBulkLoaderMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(documents(), st.integers(1, 5), st.integers(1, 40))
-    def test_text_and_file_match_reference(self, document, chunk_lines, read_chars):
+    @given(documents(), st.integers(1, 5))
+    def test_text_and_file_match_reference(self, document, chunk_lines):
         expected = reference_outcome(document)
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(embeddings_mod, "_CHUNK_LINES", chunk_lines)
-            mp.setattr(embeddings_mod, "_READ_CHARS", read_chars)
             path = Path(tmp) / "v.txt"
             path.write_bytes(document.encode("utf-8"))
             assert outcome(load_embeddings, document) == expected
             assert outcome(load_embeddings, document.encode("utf-8")) == expected
             assert outcome(load_embeddings_file, path) == reference_outcome(document, path)
+
+    @given(st.one_of(GOOD_VALUES, BAD_VALUES))
+    def test_reference_reads_a_value_when_numpy_does(self, value):
+        try:
+            np.loadtxt([value], dtype=float, delimiter=None, comments=None, ndmin=2)
+            numpy_reads = True
+        except ValueError:
+            numpy_reads = False
+        expected = 1 if numpy_reads else DimensionMismatch  # the dimension, or the error
+        assert reference_outcome(f"1 1\na {value}\n")[0] == expected
 
     def test_default_chunk_sizes_on_a_long_file(self, tmp_path):
         rng = np.random.default_rng(0)

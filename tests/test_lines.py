@@ -14,7 +14,7 @@ from topicpages.config import PipelineConfig
 from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
-from topicpages.fetch import load_snapshot_index
+from topicpages.fetch import load_snapshot_index, read_snapshot
 from topicpages.lines import write_json, write_jsonl
 from topicpages.pipeline import Runner, emit_plot_data, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
@@ -69,6 +69,10 @@ READERS = {
     "snapshot-index": (
         "index.jsonl", _rows(*({"url": f"https://{s}.example/", "path": None} for s in "abc")),
         "jsonl", lambda p: load_snapshot_index(p.parent),
+    ),
+    "snapshot-body": (
+        "page.html", ["<html>", "<p>a</p>", "</html>"], "text",
+        lambda p: read_snapshot(p.parent, {"path": p.name}),
     ),
     "homepage-list": (
         "urls.txt", ["# sites", "https://a.example/", "https://b.example/"], "text",

@@ -6,7 +6,8 @@ import pytest
 import topicpages.cluster as cluster_mod
 from topicpages.cli import main
 from topicpages.config import load_config
-from topicpages.errors import MissingStage
+from topicpages.errors import ConfigError, MissingStage
+from topicpages.fetch import load_snapshot_index
 from topicpages.pipeline import STAGE_NAMED, Runner, read_homepage_list, run_pipeline
 
 from conftest import build_e2e_workspace
@@ -253,6 +254,37 @@ class TestRunnerDirect:
         assert summary["errors"][0].startswith(f"{stage}: {bad}:")
         assert ": not UTF-8: " in summary["errors"][0]
 
+    def test_homepage_body_that_is_not_utf8_is_one_extract_error(self, e2e_config):
+        cfg = load_config(e2e_config, env={})
+        index = load_snapshot_index(cfg.snapshots)
+        body = Path(cfg.snapshots) / index["https://alpha-news.example/"]["path"]
+        data = body.read_bytes() + b"\n<p>\xff</p>\n"
+        body.write_bytes(data)
+        lineno = data.count(b"\n", 0, data.index(b"\xff")) + 1
+        code, summary = run_pipeline(cfg)
+        assert code == 1
+        assert [e for e in summary["errors"] if e.startswith("extract: ")] == [
+            f"extract: {body}:{lineno}: not UTF-8: invalid start byte"
+        ]
+
+    @pytest.mark.parametrize("key", ["crawl_logs", "disconnect", "embeddings", "snapshots"])
+    def test_configured_path_of_the_wrong_kind_is_a_config_error(
+        self, e2e_config, capsys, tmp_path, monkeypatch, key
+    ):
+        wrong = tmp_path / "wrong"
+        if key == "snapshots":
+            wrong.write_text("", "utf-8")
+        else:
+            wrong.mkdir()
+        cfg = load_config(e2e_config, env={}, overrides={key: str(wrong)})
+        kind = "directory" if key == "snapshots" else "file"
+        with pytest.raises(ConfigError, match=f"^{key}: not a {kind}: "):
+            run_pipeline(cfg)
+        monkeypatch.setenv(f"TOPICPAGES_{key.upper()}", str(wrong))
+        code, _, err = run_cli(capsys, "run", "--config", e2e_config)
+        assert code == 2
+        assert f"{key}: not a {kind}: {wrong}" in err
+
     def test_run_without_tracking_inputs_skips_the_tracking_branch(
         self, e2e_config, capsys, tmp_path
     ):
@@ -314,6 +346,16 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "run", "--config", config)
         assert code == 2
         assert err.startswith(f"error: {config}:2: not UTF-8: ")
+
+    def test_url_record_of_the_wrong_types_exits_1(self, e2e_config, capsys, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        row = {"raw": 1, "normalized": 1, "domain": 1, "subpaths": [], "site": 1}
+        bad.write_text(json.dumps(row) + "\n", "utf-8")
+        code, _, err = run_cli(
+            capsys, "fit-thresholds", "--config", e2e_config, "--input", bad
+        )
+        assert code == 1
+        assert err.startswith(f"error: {bad}:1: ")
 
     def test_assist_dictionary_lists_unmatched_subpaths(self, e2e_config, capsys):
         run_cli(capsys, "run", "--config", e2e_config)

@@ -159,8 +159,9 @@ def main(argv=None) -> int:
     try:
         if stage is not None:
             cfg = _config_from(args, require=stage.requires)
-            inputs = [getattr(args, name) for name in ("input", "strict") if hasattr(args, name)]
-            _emit(Runner(cfg).run_stage(stage, *inputs))
+            given = [args.input] if getattr(args, "input", None) else []
+            options = {"strict": args.strict} if hasattr(args, "strict") else {}
+            _emit(Runner(cfg).run_stage(stage, *given, **options))
         elif args.command == "cluster":
             _emit(Runner(_config_from(args)).stage_cluster(args.matrix, args.out))
         elif args.command == "cluster-sweep":

@@ -276,7 +276,14 @@ def _gap(
 def _score(
     X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int
 ) -> tuple[KmeansResult, float | None, float]:
-    """One k-means fit, its silhouette (k >= 2) and its gap: one scored cell."""
+    """One k-means fit, its silhouette (k >= 2) and its gap: one scored cell.
+
+    k above the number of distinct rows is refused: k-means would split
+    duplicate rows into zero-SSE clusters.
+    """
+    distinct = len(np.unique(X, axis=0))
+    if k > distinct:
+        raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
     result = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
     sil = silhouette(X, result.assignments) if k >= 2 else None
     return result, sil, _gap(X, k, result.sse, seed, b_refs, restarts, max_iter)
@@ -369,12 +376,8 @@ def model_select(
         except ValueError as exc:
             rows.extend(SweepRow(n, k, None, None, None, str(exc)) for k in ks)
             continue
-        distinct = len(np.unique(reduced, axis=0))
         for k in ks:
             try:
-                if k > distinct:
-                    # k-means would split duplicate rows into zero-SSE clusters
-                    raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
                 result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter)
                 rows.append(SweepRow(n, k, result.sse, sil, gap))
             except (KTooLarge, SingleCluster) as exc:

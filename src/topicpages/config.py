@@ -166,6 +166,8 @@ def load_config(
         path = Path(config_file)
         if not path.exists():
             raise ConfigError(f"config file not found: {config_file}")
+        if not path.is_file():
+            raise ConfigError(f"config file is not a file: {config_file}")
         merged.update(read_lines(path, _config_pair, ConfigError))
     for name, value in env.items():
         if name.startswith(ENV_PREFIX):

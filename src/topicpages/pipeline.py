@@ -28,6 +28,7 @@ from .lines import read_json, read_jsonl, read_lines, write_json, write_jsonl, w
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
+    URL_SERIES,
     Thresholds,
     filter_subpages,
     fit_url_histograms,
@@ -78,8 +79,6 @@ class Runner:
 
     def embeddings(self) -> EmbeddingModel:
         if self._embeddings is None:
-            if not self.config.embeddings:
-                raise MissingStage("no embeddings file configured")
             self._embeddings = load_embeddings_file(self.config.embeddings)
         return self._embeddings
 
@@ -95,35 +94,29 @@ class Runner:
         return load_suffixes(self.config.suffixes) if self.config.suffixes else None
 
     def homepages(self) -> list[PageUrl]:
-        if not self.config.urls:
-            raise MissingStage("no homepage list configured")
-        return read_homepage_list(self.config.urls)
-
-    def _register(self, name: str, path: Path) -> Path:
-        self.artifacts[name] = path
-        return path
-
-    def _output(self, name: str, filename: str) -> Path:
-        """Register an artifact in out_dir; its directory is created on first use."""
-        path = self.out_dir / filename
-        path.parent.mkdir(parents=True, exist_ok=True)
-        return self._register(name, path)
-
-    def _require(self, name: str, filename: str) -> Path:
-        path = self.out_dir / filename
-        if not path.exists():
-            raise MissingStage(f"{filename} is missing; run the {name} stage first")
-        return path
-
-    def thresholds(self) -> Thresholds:
-        return read_json(self._require("fit-thresholds", "thresholds.json"), Thresholds.from_dict)
+        """The configured homepage list; none when `urls` is unset."""
+        return read_homepage_list(self.config.urls) if self.config.urls else []
 
     # --- stages -------------------------------------------------------------
 
-    def run_stage(self, stage: Stage, *inputs) -> dict:
-        """Call a table entry's method, looked up at call time, on its files in out_dir."""
-        args = (self.out_dir / name for name in stage.args)
-        return getattr(self, stage.method)(*args, *inputs)
+    def run_stage(self, stage: Stage, *given, **options) -> dict:
+        """Check a table entry's keys and reads, call its method (looked up at call
+        time) on its read paths, *given* ones replacing the leading reads, then its
+        write paths, whose directories it creates, and register the writes."""
+        unset = self.config.unset(stage.requires)
+        if unset:
+            raise MissingStage(f"no {unset[0]} configured")
+        upstream = stage.reads[len(given):]
+        for name in upstream:
+            if not (self.out_dir / name).exists():
+                raise MissingStage(f"{name} is missing; run the {WRITER[name]} stage first")
+        writes = [self.out_dir / name for name in stage.writes]
+        for path in writes:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        reads = [*given, *(self.out_dir / name for name in upstream)]
+        summary = getattr(self, stage.method)(*reads, *writes, **options)
+        self.artifacts.update(zip(map(artifact_name, stage.writes), writes))
+        return summary
 
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
@@ -139,15 +132,15 @@ class Runner:
             **({"user_agent": cfg.user_agent} if cfg.user_agent else {}),
             respect_robots=cfg.respect_robots,
         )
-        self._register("snapshot-index", self.snapshot_dir / "index.jsonl")
+        self.artifacts["snapshot-index"] = self.snapshot_dir / "index.jsonl"
         return {"fetched": fetched, "reused": reused}
 
-    def stage_fetch_sections(self) -> dict:
+    def stage_fetch_sections(self, best: Path) -> dict:
         """Add the selected section pages to the snapshot store."""
-        best = classify_mod.read_best_subpages(self._require("best-subpages", "best.jsonl"))
-        return self.stage_fetch([normalize(row["url"]) for row in best])
+        rows = classify_mod.read_best_subpages(best)
+        return self.stage_fetch([normalize(row["url"]) for row in rows])
 
-    def stage_extract(self) -> dict:
+    def stage_extract(self, internal_path: Path, external_path: Path) -> dict:
         """Partition every homepage's links into internal / external files."""
         suffixes = self.suffix_set()
         index = load_snapshot_index(self.snapshot_dir)
@@ -164,8 +157,8 @@ class Runner:
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
-        write_url_file(self._output("internal", "internal.jsonl"), internal)
-        write_url_file(self._output("external", "external.jsonl"), external)
+        write_url_file(internal_path, internal)
+        write_url_file(external_path, external)
         return {
             "internal": len(internal),
             "external": len(external),
@@ -173,62 +166,49 @@ class Runner:
             "missing_snapshots": missing,
         }
 
-    def stage_fit_thresholds(self, urls_path: str | Path | None = None) -> dict:
+    def stage_fit_thresholds(self, source: str | Path, thresholds: Path, *histograms: Path) -> dict:
+        """Fit the URL-shape cutoffs; each histogram is written to the file named after it."""
         cfg = self.config
-        source = Path(urls_path) if urls_path else self._require("extract", "internal.jsonl")
         hists = url_histograms([u for u, _ in read_url_file(source)], DEFAULT_BUCKET_SIZES)
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
-        write_json(self._output("thresholds", "thresholds.json"), fitted.to_dict())
-        for name, hist in hists.items():
-            write_histogram_csv(hist, self._output(f"histogram-{name}", f"histograms/{name}.csv"))
+        write_json(thresholds, fitted.to_dict())
+        for path in histograms:
+            write_histogram_csv(hists[path.stem], path)
         return fitted.to_dict()
 
-    def stage_filter(self, urls_path: str | Path | None = None) -> dict:
-        source = Path(urls_path) if urls_path else self._require("extract", "internal.jsonl")
+    def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> dict:
         rows = read_url_file(source)
-        thresholds = self.thresholds()
+        fitted = read_json(thresholds, Thresholds.from_dict)
         kept_urls = set(
-            u.normalized for u in filter_subpages([u for u, _ in rows], thresholds)
+            u.normalized for u in filter_subpages([u for u, _ in rows], fitted)
         )
         kept = [(u, site) for u, site in rows if u.normalized in kept_urls]
-        write_url_file(self._output("filtered", "filtered.jsonl"), kept)
+        write_url_file(filtered, kept)
         return {"kept": len(kept), "dropped": len(rows) - len(kept)}
 
-    def stage_classify(self, urls_path: str | Path | None = None) -> dict:
-        source = Path(urls_path) if urls_path else self._require("filter", "filtered.jsonl")
+    def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> dict:
         rows = read_url_file(source)
-        classifier = self.classifier(self.thresholds().cosine_cutoff)
+        classifier = self.classifier(read_json(thresholds, Thresholds.from_dict).cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
-        classify_mod.write_assignments(
-            self._output("assignments", "assignments.jsonl"), assignments
-        )
+        classify_mod.write_assignments(out, assignments)
         methods = {"exact": 0, "embedding": 0, "other": 0}
         for a in assignments:
             methods[a.method] += 1
         return {"classified": len(assignments), **methods}
 
-    def stage_best_subpages(self, assignments_path: str | Path | None = None) -> dict:
-        source = (
-            Path(assignments_path)
-            if assignments_path
-            else self._require("classify", "assignments.jsonl")
-        )
+    def stage_best_subpages(self, source: str | Path, out: Path) -> dict:
         assignments = classify_mod.read_assignments(source, self.dictionary())
         results = self.classifier().select_best_subpages(assignments)
-        classify_mod.write_best_subpages(self._output("best", "best.jsonl"), results)
+        classify_mod.write_best_subpages(out, results)
         return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
 
-    def stage_track(self) -> dict:
+    def stage_track(self, best: Path, matrix_path: Path, report_path: Path) -> dict:
         cfg = self.config
-        if not cfg.crawl_logs:
-            raise MissingStage("no crawl_logs configured")
-        if not cfg.disconnect:
-            raise MissingStage("no disconnect list configured")
-        best_rows = classify_mod.read_best_subpages(self._require("best-subpages", "best.jsonl"))
+        best_rows = classify_mod.read_best_subpages(best)
         topic_names = {t.name for t in self.dictionary().topics()}
         topic_names.update(row["topic"] for row in best_rows)
         records = tracking_mod.read_crawl_log(cfg.crawl_logs, topics=topic_names)
@@ -237,7 +217,7 @@ class Runner:
         matrix_topics = {row["topic"] for row in best_rows}
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
-        write_json(self._output("tracking-matrix", "tracking-matrix.json"), matrix.to_dict())
+        write_json(matrix_path, matrix.to_dict())
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -268,22 +248,19 @@ class Runner:
             ],
             "records": len(records),
         }
-        write_json(self._output("tracking-report", "tracking-report.json"), report)
+        write_json(report_path, report)
         return {"records": len(records), "third_parties": len(matrix.third_parties)}
 
-    def stage_content(self) -> dict:
+    def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> dict:
         """Build per-topic documents from snapshots and weigh their terms."""
-        best_rows = classify_mod.read_best_subpages(self._require("best-subpages", "best.jsonl"))
+        best_rows = classify_mod.read_best_subpages(best)
         index = load_snapshot_index(self.snapshot_dir)
         stopword_set = self.stopword_set()
 
         pages: list[tuple[str, str]] = []  # (topic, url) in deterministic order
         for row in sorted(best_rows, key=lambda r: (r["topic"], r["url"])):
             pages.append((row["topic"], row["url"]))
-        try:
-            homepage_urls = [u.normalized for u in self.homepages()]
-        except MissingStage:
-            homepage_urls = []
+        homepage_urls = [u.normalized for u in self.homepages()]
         pages.extend((tracking_mod.HOMEPAGE_TOPIC, u) for u in sorted(homepage_urls))
 
         texts: dict[str, list[str]] = {}
@@ -311,8 +288,8 @@ class Runner:
             for t, chunks in sorted(texts.items())
         ]
         matrix = content_mod.tfidf(docs, stopword_set, min_df=self.config.min_df)
-        write_json(self._output("content-matrix", "content-matrix.json"), matrix.to_dict())
-        write_jsonl(self._output("languages", "languages.jsonl"), languages)
+        write_json(matrix_path, matrix.to_dict())
+        write_jsonl(languages_path, languages)
         return {
             "documents": len(docs),
             "terms": len(matrix.terms),
@@ -347,7 +324,7 @@ class Runner:
             "assignments": report.assignments,
             "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
         }
-        write_json(self._register(Path(out).stem, Path(out)), payload)
+        write_json(out, payload)
         shown = ("matrix", "k", "sse", "silhouette", "gap")
         return {"out": str(out), **{key: payload[key] for key in shown}}
 
@@ -363,7 +340,7 @@ class Runner:
             restarts=cfg.restarts,
             b_refs=cfg.b_refs,
         )
-        write_text(self._register(Path(out).stem, Path(out)), sweep.to_csv())
+        write_text(out, sweep.to_csv())
         return {
             "matrix": Path(matrix).name,
             "out": str(out),
@@ -375,8 +352,7 @@ class Runner:
 
     def stage_report(self, strict: bool = False) -> dict:
         emitted, missing = emit_plot_data(self.out_dir, strict=strict)
-        for path in emitted:
-            self._register(f"plots/{path.name}", path)
+        self.artifacts.update((f"plots/{path.name}", path) for path in emitted)
         return {"emitted": [p.name for p in emitted], "missing": missing}
 
     # --- manifest ---------------------------------------------------------------
@@ -403,9 +379,6 @@ def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
     The two formats are told apart by their payload key: presence matrices
     carry integer "cells", term-weight matrices carry "weights".
     """
-    path = Path(path)
-    if not path.exists():
-        raise MissingStage(f"{path.name} is missing")
     return read_json(path, _labeled_matrix)
 
 
@@ -438,7 +411,7 @@ def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path
 
     def need(filename: str) -> Path | None:
         path = out_dir / filename
-        if path.is_dir() if filename.endswith("/") else path.exists():
+        if any(path.glob("*.csv")) if filename.endswith("/") else path.exists():
             return path
         if strict:
             raise MissingStage(f"{filename} is missing")
@@ -565,32 +538,47 @@ class Stage:
     method: str                      # Runner method, looked up at call time
     after: str | None = None         # stage that must have succeeded first
     requires: tuple[str, ...] = ()   # config keys the stage cannot run without
-    args: tuple[str, ...] = ()       # leading file arguments, named in out_dir
+    reads: tuple[str, ...] = ()      # upstream files in out_dir, passed first
+    writes: tuple[str, ...] = ()     # files the stage writes in out_dir, passed next
+
+
+def artifact_name(filename: str) -> str:
+    """A written file's manifest name: its stem, or histogram-<stem> under histograms/."""
+    path = Path(filename)
+    return f"histogram-{path.stem}" if path.parent.name == "histograms" else path.stem
 
 
 # run order; a stage whose upstream failed or was skipped, or whose required
 # keys are unset, is skipped
 STAGES = (
     Stage("fetch", "stage_fetch", requires=("urls",)),
-    Stage("extract", "stage_extract", "fetch", ("urls",)),
-    Stage("fit-thresholds", "stage_fit_thresholds", "extract"),
-    Stage("filter", "stage_filter", "fit-thresholds"),
-    Stage("classify", "stage_classify", "filter", ("embeddings",)),
-    Stage("best-subpages", "stage_best_subpages", "classify", ("embeddings",)),
-    Stage("fetch-sections", "stage_fetch_sections", "best-subpages"),
-    Stage("track", "stage_track", "best-subpages", ("crawl_logs", "disconnect")),
+    Stage("extract", "stage_extract", "fetch", ("urls",),
+          writes=("internal.jsonl", "external.jsonl")),
+    Stage("fit-thresholds", "stage_fit_thresholds", "extract", reads=("internal.jsonl",),
+          writes=("thresholds.json", *(f"histograms/{name}.csv" for name, _ in URL_SERIES))),
+    Stage("filter", "stage_filter", "fit-thresholds",
+          reads=("internal.jsonl", "thresholds.json"), writes=("filtered.jsonl",)),
+    Stage("classify", "stage_classify", "filter", ("embeddings",),
+          reads=("filtered.jsonl", "thresholds.json"), writes=("assignments.jsonl",)),
+    Stage("best-subpages", "stage_best_subpages", "classify", ("embeddings",),
+          reads=("assignments.jsonl",), writes=("best.jsonl",)),
+    Stage("fetch-sections", "stage_fetch_sections", "best-subpages", reads=("best.jsonl",)),
+    Stage("track", "stage_track", "best-subpages", ("crawl_logs", "disconnect"),
+          reads=("best.jsonl",), writes=("tracking-matrix.json", "tracking-report.json")),
     Stage("cluster-tracking", "stage_cluster", "track",
-          args=("tracking-matrix.json", "clusters-tracking.json")),
+          reads=("tracking-matrix.json",), writes=("clusters-tracking.json",)),
     Stage("sweep-tracking", "stage_cluster_sweep", "track",
-          args=("tracking-matrix.json", "sweep-tracking.csv")),
-    Stage("content", "stage_content", "best-subpages"),
+          reads=("tracking-matrix.json",), writes=("sweep-tracking.csv",)),
+    Stage("content", "stage_content", "best-subpages",
+          reads=("best.jsonl",), writes=("content-matrix.json", "languages.jsonl")),
     Stage("cluster-content", "stage_cluster", "content",
-          args=("content-matrix.json", "clusters-content.json")),
+          reads=("content-matrix.json",), writes=("clusters-content.json",)),
     Stage("sweep-content", "stage_cluster_sweep", "content",
-          args=("content-matrix.json", "sweep-content.csv")),
+          reads=("content-matrix.json",), writes=("sweep-content.csv",)),
     Stage("report", "stage_report"),
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}
+WRITER = {name: stage.name for stage in STAGES for name in stage.writes}
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
@@ -609,15 +597,12 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     for stage in STAGES:
         if (stage.after and stage.after not in succeeded) or config.unset(stage.requires):
             continue
-        registered = dict(runner.artifacts)
         try:
             summary[stage.name] = runner.run_stage(stage)
             succeeded.add(stage.name)
         except PipelineError as exc:
             errors.append(f"{stage.name}: {exc}")
             summary[stage.name] = {"error": str(exc)}
-            # a file a failed stage named may be a stale one from an earlier run
-            runner.artifacts = registered
     runner.write_manifest()
     summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
     summary["errors"] = errors

@@ -41,7 +41,7 @@ from topicpages.classify import TopicClassifier
 from topicpages.cluster import pca_fit as _pca_fit
 from topicpages.config import PipelineConfig, load_config
 from topicpages.embeddings import EmbeddingModel
-from topicpages.pipeline import Runner, run_pipeline
+from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
 from topicpages.thresholds import DEFAULT_THRESHOLDS
 
 from conftest import DATA, build_e2e_workspace
@@ -439,7 +439,7 @@ class TestTrackingAnalytics:
                 }
                 fh.write(json.dumps(row) + "\n")
         started = time.perf_counter()
-        summary = runner.stage_track()
+        summary = runner.run_stage(STAGE_NAMED["track"])
         assert time.perf_counter() - started < 1.0
         assert summary == {"records": 25, "third_parties": 8}
 

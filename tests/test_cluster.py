@@ -319,6 +319,15 @@ class TestClusterReport:
         with pytest.raises(ValueError):
             cluster_report([[0.0], [1.0]], ["a"], 1)
 
+    def test_k_above_distinct_rows_refused(self):
+        # k-means would report SSE 0 for duplicate rows split into clusters
+        X = [[0.0, 0.0]] * 8 + [[10.0, 10.0]] * 8
+        labels = [str(i) for i in range(len(X))]
+        with pytest.raises(KTooLarge, match=r"^k=4 exceeds 2 distinct rows$"):
+            cluster_report(X, labels, 4, seed=1, restarts=2, b_refs=2)
+        rep = cluster_report(X, labels, 2, seed=1, restarts=2, b_refs=2)
+        assert rep.sse == 0.0 and not rep.degenerate
+
 
 class TestSharedScorer:
     """A scored cell fits k-means once and takes its gap from that fit."""

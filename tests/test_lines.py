@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from topicpages import load_config, load_dictionary, normalize
 from topicpages.classify import read_assignments, read_best_subpages
-from topicpages.config import PipelineConfig
 from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
-from topicpages.lines import write_json, write_jsonl
-from topicpages.pipeline import Runner, emit_plot_data, load_matrix_file, read_homepage_list
+from topicpages.lines import read_json, write_json, write_jsonl
+from topicpages.pipeline import emit_plot_data, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
+from topicpages.thresholds import Thresholds
 from topicpages.tracking import load_disconnect_file, read_crawl_log
 from topicpages.urls import load_suffixes, read_url_file, url_to_record
 
@@ -97,7 +97,7 @@ READERS = {
     "thresholds": (
         "thresholds.json",
         _document({"max_url_length": 80, "max_subpath_length": 30, "max_hyphens": 4}),
-        "json", lambda p: Runner(PipelineConfig(out_dir=str(p.parent))).thresholds(),
+        "json", lambda p: read_json(p, Thresholds.from_dict),
     ),
     "matrix": (
         "tracking-matrix.json",

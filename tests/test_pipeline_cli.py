@@ -5,10 +5,19 @@ import pytest
 
 import topicpages.cluster as cluster_mod
 from topicpages.cli import main
-from topicpages.config import load_config
-from topicpages.errors import ConfigError, MissingStage
+from topicpages.config import PipelineConfig, load_config
+from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage
 from topicpages.fetch import load_snapshot_index
-from topicpages.pipeline import STAGE_NAMED, Runner, read_homepage_list, run_pipeline
+from topicpages.lines import write_json
+from topicpages.pipeline import (
+    STAGE_NAMED,
+    STAGES,
+    WRITER,
+    Runner,
+    artifact_name,
+    read_homepage_list,
+    run_pipeline,
+)
 
 from conftest import build_e2e_workspace
 
@@ -327,7 +336,31 @@ class TestRunnerDirect:
     def test_track_requires_best_subpages(self, e2e_config):
         cfg = load_config(e2e_config, env={})
         with pytest.raises(MissingStage, match="best.jsonl"):
-            Runner(cfg).stage_track()
+            Runner(cfg).run_stage(STAGE_NAMED["track"])
+
+    def test_cluster_stage_refuses_k_above_distinct_rows(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        matrix = {"topics": ["a", "b", "c", "d"], "third_parties": ["x", "y", "z"],
+                  "cells": [[1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 1]]}
+        write_json(out / "tracking-matrix.json", matrix)
+        cfg = PipelineConfig(out_dir=str(out), k=3, restarts=2, b_refs=2)
+        runner = Runner(cfg)
+        with pytest.raises(KTooLarge, match=r"^k=3 exceeds 2 distinct rows$"):
+            runner.run_stage(STAGE_NAMED["cluster-tracking"])
+        assert not (out / "clusters-tracking.json").exists()
+        assert runner.artifacts == {}
+
+    def test_failed_fit_leaves_its_histograms_missing_for_report(self, tmp_path):
+        out = tmp_path / "out"
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", "utf-8")
+        runner = Runner(PipelineConfig(out_dir=str(out)))
+        with pytest.raises(EmptyInput):
+            runner.run_stage(STAGE_NAMED["fit-thresholds"], empty)
+        assert (out / "histograms").is_dir()  # made when the stage started
+        assert runner.artifacts == {}
+        assert "histograms/" in runner.run_stage(STAGE_NAMED["report"])["missing"]
 
     def test_homepage_list_parsing(self, tmp_path):
         listing = tmp_path / "urls.txt"
@@ -337,6 +370,89 @@ class TestRunnerDirect:
             "https://a.example/",
             "https://b.example/x/",
         ]
+
+
+# what each stage needs first: its first required key, and its first read
+# with the stage that writes it
+UNSET_KEY = {
+    "fetch": "urls",
+    "extract": "urls",
+    "classify": "embeddings",
+    "best-subpages": "embeddings",
+    "track": "crawl_logs",
+}
+FIRST_READ = {
+    "fit-thresholds": ("internal.jsonl", "extract"),
+    "filter": ("internal.jsonl", "extract"),
+    "classify": ("filtered.jsonl", "filter"),
+    "best-subpages": ("assignments.jsonl", "classify"),
+    "fetch-sections": ("best.jsonl", "best-subpages"),
+    "track": ("best.jsonl", "best-subpages"),
+    "cluster-tracking": ("tracking-matrix.json", "track"),
+    "sweep-tracking": ("tracking-matrix.json", "track"),
+    "content": ("best.jsonl", "best-subpages"),
+    "cluster-content": ("content-matrix.json", "content"),
+    "sweep-content": ("content-matrix.json", "content"),
+}
+
+
+class TestStageTable:
+    def test_every_read_has_one_earlier_writer(self):
+        written: set[str] = set()
+        for stage in STAGES:
+            for name in stage.reads:
+                assert name in written, (stage.name, name)
+            for name in stage.writes:
+                assert name not in written, (stage.name, name)
+                written.add(name)
+        assert set(WRITER) == written
+
+    def test_after_writes_one_of_the_reads(self):
+        for stage in STAGES:
+            if stage.after is None:
+                continue
+            if stage.name == "extract":
+                # extract reads the snapshot store, which lies outside out_dir
+                assert (stage.after, stage.reads) == ("fetch", ())
+                continue
+            assert set(STAGE_NAMED[stage.after].writes) & set(stage.reads), stage.name
+
+    def test_expected_prerequisites_cover_the_table(self):
+        assert set(UNSET_KEY) | set(FIRST_READ) == {
+            stage.name for stage in STAGES if stage.reads or stage.requires
+        }
+
+    @pytest.mark.parametrize("name", sorted(UNSET_KEY))
+    def test_unset_key_is_named_and_nothing_created(self, tmp_path, name):
+        out = tmp_path / "out"
+        with pytest.raises(MissingStage, match=f"^no {UNSET_KEY[name]} configured$"):
+            Runner(PipelineConfig(out_dir=str(out))).run_stage(STAGE_NAMED[name])
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(FIRST_READ))
+    def test_missing_read_names_its_writer_and_nothing_created(self, e2e_config, tmp_path, name):
+        out = tmp_path / "out"
+        cfg = load_config(e2e_config, env={}, overrides={"out_dir": str(out)})
+        read, writer = FIRST_READ[name]
+        with pytest.raises(MissingStage) as caught:
+            Runner(cfg).run_stage(STAGE_NAMED[name])
+        assert str(caught.value) == f"{read} is missing; run the {writer} stage first"
+        assert not out.exists()
+
+    def test_manifest_lists_every_declared_write(self, e2e_config):
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        listing = json.loads((out / "manifest.json").read_text("utf-8"))["artifacts"]
+        declared = {artifact_name(name): name for stage in STAGES for name in stage.writes}
+        plots = {name for name in listing if name.startswith("plots/")}
+        assert plots
+        assert set(listing) == set(declared) | plots | {"snapshot-index"}
+        for name, filename in declared.items():
+            assert listing[name]["path"] == filename, name
+        for name in plots:
+            assert listing[name]["path"] == name
+        assert artifact_name("histograms/hyphens.csv") == "histogram-hyphens"
 
 
 class TestOtherCommands:
@@ -507,6 +623,11 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "run", "--config", tmp_path / "absent.toml")
         assert code == 2
         assert "not found" in err
+
+    def test_config_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "run", "--config", tmp_path)
+        assert code == 2
+        assert err == f"error: config file is not a file: {tmp_path}\n"
 
     def test_missing_required_input_exit_code(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

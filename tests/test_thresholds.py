@@ -15,7 +15,7 @@ from topicpages import (
 from topicpages import thresholds as thresholds_mod
 from topicpages.config import load_config
 from topicpages.errors import EmptyInput, NotBimodal
-from topicpages.pipeline import Runner
+from topicpages.pipeline import STAGE_NAMED, Runner
 from topicpages.thresholds import (
     DEFAULT_BUCKET_SIZES,
     fit_url_histograms,
@@ -215,7 +215,7 @@ class TestFitUrlHistograms:
             return url_metrics(u)
 
         monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
-        Runner(cfg).stage_fit_thresholds(source)
+        Runner(cfg).run_stage(STAGE_NAMED["fit-thresholds"], source)
         assert sorted(calls) == sorted(u.normalized for u in urls)
 
 

@@ -1,8 +1,11 @@
 """Command-line front end: one subcommand per pipeline stage plus `run`.
 
-Global options (--config, --seed, --parallel, --out-dir) are accepted by
-every subcommand.  Values resolve as defaults < config file < TOPICPAGES_*
-environment < command-line flags.
+Every subcommand takes --config FILE and one flag --<key> per configuration
+key, `_` written `-` (--out-dir, --n-range, ...): a flag for a boolean key
+sets it true, and any other flag's value is read as its key's type, as in
+the config file.  Values resolve as defaults < config file < TOPICPAGES_*
+environment < command-line flags.  Subcommands add only their own options:
+--input, --matrix, --out, --strict and --top.
 """
 
 from __future__ import annotations
@@ -14,28 +17,29 @@ from dataclasses import fields
 from pathlib import Path
 
 from .classify import dictionary_assist, read_assignments
-from .config import PipelineConfig, load_config
+from .config import TYPES, PipelineConfig, load_config
 from .errors import ConfigError, PipelineError
 from .pipeline import STAGE_NAMED, Runner, run_pipeline
 
 
 def _global_parser() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    g = parent.add_argument_group("global options")
+    g = parent.add_argument_group("configuration")
     g.add_argument("--config", metavar="FILE", help="key = value configuration file")
-    g.add_argument("--seed", type=int, help="master random seed")
-    g.add_argument("--parallel", type=int, help="max concurrent fetches")
-    g.add_argument("--out-dir", dest="out_dir", help="run directory for artifacts")
+    for f in fields(PipelineConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if TYPES[f.name] is bool:
+            g.add_argument(flag, action="store_true", default=None, help=f.metadata["help"])
+        else:
+            shown = "" if f.default in (None, "") else f" (default {f.default})"
+            metavar = "PATH" if f.default is None else TYPES[f.name].__name__.upper()
+            g.add_argument(flag, metavar=metavar, help=f.metadata["help"] + shown)
     return parent
 
 
 def _config_from(args: argparse.Namespace, require: tuple[str, ...] = ()) -> PipelineConfig:
-    overrides = {}
-    for field in fields(PipelineConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            overrides[field.name] = value
-    cfg = load_config(getattr(args, "config", None), overrides=overrides)
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
+    cfg = load_config(args.config, overrides=overrides)
     cfg.validate(require)
     return cfg
 
@@ -53,102 +57,61 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    p = sub.add_parser("fetch", parents=[parent], help="snapshot the configured homepages")
-    p.add_argument("--urls", help="homepage list file, one URL per line")
-    p.add_argument("--snapshots", help="snapshot store directory")
-    p.add_argument("--live", action="store_true", default=None, help="refetch even when cached")
-    p.add_argument("--timeout", type=float, help="per-request timeout in seconds")
-    p.add_argument("--retries", type=int, help="extra attempts per URL")
-    p.add_argument("--user-agent", dest="user_agent", help="User-Agent header")
-    p.add_argument(
-        "--respect-robots",
-        dest="respect_robots",
-        action="store_true",
-        default=None,
-        help="skip URLs disallowed by robots.txt",
+    def command(name: str, summary: str, input_help: str | None = None):
+        # no prefix abbreviations: among 27 key flags --n or --out would silently pick one
+        p = sub.add_parser(name, parents=[parent], help=summary, allow_abbrev=False)
+        if input_help:
+            p.add_argument("--input", metavar="JSONL", help=input_help)
+        return p
+
+    command("fetch", "snapshot the configured homepages")
+    command("extract", "split homepage links into internal and external")
+    command(
+        "fit-thresholds",
+        "fit URL-shape cutoffs from histograms",
+        "URL records to fit on (default: extracted internal links)",
     )
-
-    p = sub.add_parser(
-        "extract", parents=[parent], help="split homepage links into internal and external"
+    command(
+        "filter",
+        "drop URLs that exceed the thresholds",
+        "URL records to filter (default: extracted internal links)",
     )
-    p.add_argument("--urls", help="homepage list file, one URL per line")
-    p.add_argument("--snapshots", help="snapshot store directory")
-    p.add_argument("--suffixes", help="public-suffix override file")
-
-    p = sub.add_parser(
-        "fit-thresholds", parents=[parent], help="fit URL-shape cutoffs from histograms"
+    command(
+        "classify",
+        "assign a topic to every kept URL",
+        "URL records to classify (default: filtered links)",
     )
-    p.add_argument("--input", metavar="JSONL", help="URL records to fit on (default: extracted internal links)")
-    p.add_argument(
-        "--fallback-defaults",
-        dest="fallback_defaults",
-        action="store_true",
-        default=None,
-        help="fall back to published defaults when a histogram is not bimodal",
+    command(
+        "best-subpages",
+        "pick each site's best page per topic",
+        "assignments to select from (default: classified links)",
     )
-    p.add_argument("--cosine-cutoff", dest="cosine_cutoff", type=float)
+    command("track", "third-party analytics from crawl logs")
+    command("content", "term weights per topic from snapshots")
 
-    p = sub.add_parser("filter", parents=[parent], help="drop URLs that exceed the thresholds")
-    p.add_argument("--input", metavar="JSONL", help="URL records to filter (default: extracted internal links)")
-
-    p = sub.add_parser("classify", parents=[parent], help="assign a topic to every kept URL")
-    p.add_argument("--input", metavar="JSONL", help="URL records to classify (default: filtered links)")
-    p.add_argument("--dictionary", help="topical dictionary JSON (default: bundled)")
-    p.add_argument("--embeddings", help="word2vec text embeddings")
-    p.add_argument("--stopwords", help="stopword list, one word per line")
-
-    p = sub.add_parser(
-        "best-subpages", parents=[parent], help="pick each site's best page per topic"
-    )
-    p.add_argument("--input", metavar="JSONL", help="assignments to select from (default: classified links)")
-    p.add_argument("--dictionary", help="topical dictionary JSON (default: bundled)")
-    p.add_argument("--embeddings", help="word2vec text embeddings")
-    p.add_argument("--stopwords", help="stopword list, one word per line")
-
-    p = sub.add_parser("track", parents=[parent], help="third-party analytics from crawl logs")
-    p.add_argument("--crawl-logs", dest="crawl_logs", help="crawl-log JSONL")
-    p.add_argument("--disconnect", help="tracker category list TSV")
-    p.add_argument("--top-sites", dest="top_sites", help="comma-separated popular sites")
-    p.add_argument("--top-tp", dest="top_tp", type=int, help="third parties on the coverage board")
-
-    p = sub.add_parser("content", parents=[parent], help="term weights per topic from snapshots")
-    p.add_argument("--snapshots", help="snapshot store directory")
-    p.add_argument("--stopwords", help="stopword list, one word per line")
-    p.add_argument("--min-df", dest="min_df", type=int, help="drop terms in fewer documents")
-
-    p = sub.add_parser("cluster", parents=[parent], help="reduce and cluster a matrix file")
+    p = command("cluster", "reduce and cluster a matrix file")
     p.add_argument("--matrix", required=True, metavar="JSON", help="matrix artifact to cluster")
-    p.add_argument("--pca-n", dest="pca_n", type=int, help="components to keep (default 2)")
-    p.add_argument("--k", type=int, help="number of clusters (default 4)")
     p.add_argument("--out", default="clusters.json", metavar="JSON", help="output path")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--b-refs", dest="b_refs", type=int, help="reference draws for the gap statistic")
 
-    p = sub.add_parser("cluster-sweep", parents=[parent], help="score every (n, k) combination")
+    p = command("cluster-sweep", "score every (n, k) combination")
     p.add_argument("--matrix", required=True, metavar="JSON", help="matrix artifact to sweep")
-    p.add_argument("--n", dest="n_range", metavar="A..B", help="component range (default 2..15)")
-    p.add_argument("--k", dest="k_range", metavar="A..B", help="cluster-count range (default 2..15)")
     p.add_argument("--out", default="sweep.csv", metavar="CSV", help="output path")
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--b-refs", dest="b_refs", type=int)
 
-    p = sub.add_parser("report", parents=[parent], help="emit plot-ready CSVs for the bundle")
+    p = command("report", "emit plot-ready CSVs for the bundle")
     p.add_argument(
         "--strict",
         action="store_true",
         help="fail on the first missing upstream artifact instead of noting it",
     )
 
-    p = sub.add_parser(
+    p = command(
         "assist-dictionary",
-        parents=[parent],
-        help="frequent unmatched subpaths, candidates for new keywords",
+        "frequent unmatched subpaths, candidates for new keywords",
+        "assignments to mine (default: classified links)",
     )
-    p.add_argument("--input", metavar="JSONL", help="assignments to mine (default: classified links)")
-    p.add_argument("--dictionary", help="topical dictionary JSON (default: bundled)")
     p.add_argument("--top", type=int, default=30, help="rows to print")
 
-    sub.add_parser("run", parents=[parent], help="run every configured stage end to end")
+    command("run", "run every configured stage end to end")
 
     return parser
 

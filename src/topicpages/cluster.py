@@ -110,7 +110,6 @@ class KmeansResult:
     sse: float
     n_iter: int
     sse_history: tuple[float, ...]
-    degenerate: bool
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,7 +210,6 @@ def kmeans(
         sse=history[-1],
         n_iter=len(history),
         sse_history=tuple(history),
-        degenerate=len(np.unique(X, axis=0)) < k,
     )
 
 
@@ -299,7 +297,6 @@ class ClusterReport:
     silhouette: float | None
     gap: float
     seed: int
-    degenerate: bool = False
 
 
 def cluster_report(
@@ -323,7 +320,6 @@ def cluster_report(
         silhouette=sil,
         gap=gap,
         seed=seed,
-        degenerate=result.degenerate,
     )
 
 

@@ -318,7 +318,6 @@ class Runner:
             "sse": report.sse,
             "silhouette": report.silhouette,
             "gap": report.gap,
-            "degenerate": report.degenerate,
             "rank_deficient": model.rank_deficient,
             "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
             "assignments": report.assignments,

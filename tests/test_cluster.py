@@ -113,7 +113,6 @@ class TestKmeans:
         per_blob = [set(result.assignments[i * 8:(i + 1) * 8].tolist()) for i in range(3)]
         assert all(len(s) == 1 for s in per_blob)
         assert len(set().union(*per_blob)) == 3
-        assert not result.degenerate
 
     def test_deterministic_for_fixed_seed(self):
         X = three_blobs()
@@ -136,10 +135,6 @@ class TestKmeans:
         result = kmeans(X, 3, seed=1)
         assert sorted(result.assignments.tolist()) == [0, 1, 2]
         assert result.sse == pytest.approx(0.0, abs=1e-12)
-
-    def test_duplicate_rows_flagged_degenerate(self):
-        X = [[1.0, 1.0], [1.0, 1.0], [2.0, 2.0]]
-        assert kmeans(X, 3, seed=1).degenerate
 
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
@@ -196,7 +191,6 @@ def reference_kmeans(X, k, seed, restarts, max_iter):
                 sse=history[-1],
                 n_iter=len(history),
                 sse_history=tuple(history),
-                degenerate=len(np.unique(X, axis=0)) < k,
             )
     return best
 
@@ -210,7 +204,6 @@ def fields(result):
         result.centers.tobytes(),
         result.n_iter,
         np.array(result.sse_history).tobytes(),
-        result.degenerate,
     )
 
 
@@ -326,7 +319,7 @@ class TestClusterReport:
         with pytest.raises(KTooLarge, match=r"^k=4 exceeds 2 distinct rows$"):
             cluster_report(X, labels, 4, seed=1, restarts=2, b_refs=2)
         rep = cluster_report(X, labels, 2, seed=1, restarts=2, b_refs=2)
-        assert rep.sse == 0.0 and not rep.degenerate
+        assert rep.sse == 0.0
 
 
 class TestSharedScorer:

@@ -149,9 +149,7 @@ def test_reader_fault_names_file_and_line(tmp_path, name, fault):
     assert str(err.value).startswith(prefix)
 
 
-# the config file is left out: its unknown keys and bad values are reported
-# by key, after the lines are read
-@pytest.mark.parametrize("name", [name for name in READERS if name != "config"])
+@pytest.mark.parametrize("name", list(READERS))
 @settings(max_examples=15, deadline=None)
 @given(
     edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=4)

@@ -1,11 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
 from topicpages.cli import main
-from topicpages.config import PipelineConfig, load_config
+from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage
 from topicpages.fetch import load_snapshot_index
 from topicpages.lines import write_json
@@ -455,6 +457,93 @@ class TestStageTable:
         assert artifact_name("histograms/hyphens.csv") == "histogram-hyphens"
 
 
+COMMANDS = (
+    "fetch", "extract", "fit-thresholds", "filter", "classify", "best-subpages", "track",
+    "content", "cluster", "cluster-sweep", "report", "assist-dictionary", "run",
+)
+REQUIRED = {"cluster": ("--matrix", "m.json"), "cluster-sweep": ("--matrix", "m.json")}
+
+
+def _flag(field):
+    return "--" + field.name.replace("_", "-")
+
+
+class TestConfigFlags:
+    """Every configuration key is a flag --<key> on every subcommand."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_key_flag_reaches_the_config(self, command, capsys, monkeypatch):
+        given = {str: "x", int: "7", float: "0.5"}
+        argv, expected = [command, *REQUIRED.get(command, ())], {}
+        for field in dataclasses.fields(PipelineConfig):
+            if TYPES[field.name] is bool:
+                argv.append(_flag(field))
+                expected[field.name] = True
+            else:
+                argv += [_flag(field), given[TYPES[field.name]]]
+                expected[field.name] = TYPES[field.name](given[TYPES[field.name]])
+        loaded = []
+
+        def load(*args, **kwargs):
+            loaded.append(load_config(*args, **kwargs))
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli_mod, "load_config", load)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "error: stop\n")
+        assert {key: getattr(loaded[0], key) for key in expected} == expected
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_every_key_flag_with_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for field in dataclasses.fields(PipelineConfig):
+            assert field.metadata["help"]
+            assert f"{_flag(field)} " in shown and field.metadata["help"] in shown, field.name
+
+    def test_run_flags_override_the_config_file(self, e2e_config, capsys, monkeypatch, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(Path(load_config(e2e_config).embeddings).read_bytes())
+        ran = []
+        monkeypatch.setattr(cli_mod, "run_pipeline", lambda cfg: (ran.append(cfg), (0, {}))[1])
+        code, _, _ = run_cli(
+            capsys, "run", "--config", e2e_config, "--k", "3", "--embeddings", vectors
+        )
+        assert code == 0
+        assert (ran[0].k, ran[0].embeddings) == (3, str(vectors))
+        assert ran[0].urls == load_config(e2e_config).urls
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("run", "--k", "4.9"), "k: cannot interpret '4.9'"),
+            (("cluster-sweep", "--matrix", "m.json", "--k", "2..8"), "k: cannot interpret '2..8'"),
+            (("fetch", "--timeout", "soon"), "timeout: cannot interpret 'soon'"),
+        ],
+    )
+    def test_bad_flag_value_exits_2(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--n", "--out", "--top"])
+    def test_flags_are_not_abbreviated(self, flag, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", flag, "2"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_out_of_range_knob_exits_2_before_any_stage(self, e2e_config, capsys):
+        with open(e2e_config, "a", encoding="utf-8") as fh:
+            fh.write("top_tp = 0\n")
+        code, out, err = run_cli(capsys, "run", "--config", e2e_config)
+        assert (code, out, err) == (2, "", "error: top_tp must be at least 1\n")
+        assert not (e2e_config.parent / "out").exists()
+
+
 class TestOtherCommands:
     def test_config_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.toml"
@@ -517,8 +606,8 @@ class TestOtherCommands:
             "cluster-sweep",
             "--matrix", matrix,
             "--out", target,
-            "--n", "1..2",
-            "--k", "2..3",
+            "--n-range", "1..2",
+            "--k-range", "2..3",
             "--restarts", "2",
             "--b-refs", "2",
         )
@@ -564,7 +653,7 @@ class TestOtherCommands:
             ("cluster", "--matrix", run_out / "tracking-matrix.json",
              "--out", tmp_path / "c.json", *fast),
             ("cluster-sweep", "--matrix", run_out / "content-matrix.json",
-             "--out", tmp_path / "s.csv", "--n", "1..2", "--k", "2..3", *fast),
+             "--out", tmp_path / "s.csv", "--n-range", "1..2", "--k-range", "2..3", *fast),
             ("assist-dictionary", "--input", run_out / "assignments.jsonl",
              "--dictionary", load_config(e2e_config).dictionary),
         )

@@ -41,7 +41,7 @@ from .embeddings import (
 )
 from .errors import PipelineError
 from .fetch import FetchResult, fetch_all, fetch_missing, fetch_one, save_snapshots
-from .pipeline import Runner, emit_plot_data, run_pipeline
+from .pipeline import Runner, run_pipeline
 from .stats import cohens_kappa, ks_two_sample, summary
 from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
@@ -104,7 +104,6 @@ __all__ = [
     "cosine",
     "detect_english",
     "dictionary_assist",
-    "emit_plot_data",
     "extract_links",
     "extract_text",
     "fetch_all",

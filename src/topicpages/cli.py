@@ -44,6 +44,12 @@ def _config_from(args: argparse.Namespace, require: tuple[str, ...] = ()) -> Pip
     return cfg
 
 
+def _at_least_one(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return int(text)
+
+
 def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
 
@@ -109,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "frequent unmatched subpaths, candidates for new keywords",
         "assignments to mine (default: classified links)",
     )
-    p.add_argument("--top", type=int, default=30, help="rows to print")
+    p.add_argument("--top", type=_at_least_one, default=30, help="rows to print")
 
     command("run", "run every configured stage end to end")
 
@@ -123,8 +129,7 @@ def main(argv=None) -> int:
         if stage is not None:
             cfg = _config_from(args, require=stage.requires)
             given = [args.input] if getattr(args, "input", None) else []
-            options = {"strict": args.strict} if hasattr(args, "strict") else {}
-            _emit(Runner(cfg).run_stage(stage, *given, **options))
+            _emit(Runner(cfg).run_stage(stage, *given, strict=getattr(args, "strict", False)))
         elif args.command == "cluster":
             _emit(Runner(_config_from(args)).stage_cluster(args.matrix, args.out))
         elif args.command == "cluster-sweep":

@@ -41,8 +41,11 @@ MANIFEST_NAME = "manifest.json"
 
 
 def read_homepage_list(path: str | Path) -> list[PageUrl]:
-    """One homepage URL per line; blank lines and # comments are skipped."""
-    return list(read_lines(path, normalize))
+    """One homepage URL per line; blank lines, # comments and repeats of a URL are skipped."""
+    first: dict[str, PageUrl] = {}
+    for url in read_lines(path, normalize):
+        first.setdefault(url.normalized, url)
+    return list(first.values())
 
 
 def _sha256(path: Path) -> str:
@@ -99,22 +102,26 @@ class Runner:
 
     # --- stages -------------------------------------------------------------
 
-    def run_stage(self, stage: Stage, *given, **options) -> dict:
+    def run_stage(self, stage: Stage, *given, strict: bool = False) -> dict:
         """Check a table entry's keys and reads, call its method (looked up at call
         time) on its read paths, *given* ones replacing the leading reads, then its
-        write paths, whose directories it creates, and register the writes."""
+        write paths, whose directories it creates, and register the writes.  An optional
+        stage, which writes only what its reads allow, gets an absent read as None unless
+        *strict*, and its writes from an earlier run are removed first."""
         unset = self.config.unset(stage.requires)
         if unset:
             raise MissingStage(f"no {unset[0]} configured")
         upstream = stage.reads[len(given):]
-        for name in upstream:
-            if not (self.out_dir / name).exists():
+        present = [path if path.exists() else None for path in (self.out_dir / n for n in upstream)]
+        for name, path in zip(upstream, present):
+            if path is None and (strict or not stage.optional):
                 raise MissingStage(f"{name} is missing; run the {WRITER[name]} stage first")
         writes = [self.out_dir / name for name in stage.writes]
         for path in writes:
             path.parent.mkdir(parents=True, exist_ok=True)
-        reads = [*given, *(self.out_dir / name for name in upstream)]
-        summary = getattr(self, stage.method)(*reads, *writes, **options)
+            if stage.optional:
+                path.unlink(missing_ok=True)
+        summary = getattr(self, stage.method)(*given, *present, *writes)
         self.artifacts.update(zip(map(artifact_name, stage.writes), writes))
         return summary
 
@@ -349,9 +356,118 @@ class Runner:
 
     # --- plot data ------------------------------------------------------------
 
-    def stage_report(self, strict: bool = False) -> dict:
-        emitted, missing = emit_plot_data(self.out_dir, strict=strict)
-        self.artifacts.update((f"plots/{path.name}", path) for path in emitted)
+    def stage_report(
+        self, url_length, subpath_length, hyphens, internal, best, tracking_report,
+        clusters_tracking, sweep_tracking, clusters_content, sweep_content,
+        histograms_csv, coverage_csv, cookies_csv, breakdown_csv, percent_diff_csv,
+        heatmap_csv, scatter_tracking, curves_tracking, scatter_content, curves_content, notes,
+    ) -> dict:
+        """Write plot-ready CSVs from whichever reads the bundle holds, an absent read
+        being None, and list the absent ones in notes.txt."""
+        reads = (url_length, subpath_length, hyphens, internal, best, tracking_report,
+                 clusters_tracking, sweep_tracking, clusters_content, sweep_content)
+        missing = [name for name, path in zip(STAGE_NAMED["report"].reads, reads) if path is None]
+        emitted: list[Path] = []
+
+        def write_csv(path: Path, header: str, rows: Iterable[str]) -> None:
+            write_text(path, header + "\n" + "".join(r + "\n" for r in rows))
+            emitted.append(path)
+
+        def fmt(x: float) -> str:
+            return f"{x:.12g}"
+
+        # threshold histograms, each file's header line skipped
+        histograms = sorted(path for path in (url_length, subpath_length, hyphens) if path)
+        if histograms:
+            rows = [f"{path.stem},{line}"
+                    for path in histograms for line in islice(read_lines(path, str), 1, None)]
+            write_csv(histograms_csv, "parameter,bucket,count", rows)
+
+        # topic coverage across sites
+        if best:
+            chosen = classify_mod.read_best_subpages(best)
+            sites = set(read_jsonl(internal, _site_of)) if internal else {r["site"] for r in chosen}
+            per_topic: dict[str, set[str]] = {}
+            for r in chosen:
+                per_topic.setdefault(r["topic"], set()).add(r["site"])
+            write_csv(
+                coverage_csv,
+                "topic,percent_of_sites",
+                [
+                    f"{topic},{fmt(100.0 * len(covered) / len(sites))}"
+                    for topic, covered in sorted(per_topic.items())
+                ]
+                if sites
+                else [],
+            )
+
+        # tracking analytics; a fault in the report's shape is a fault of its file
+        def tracking_plots(report: dict) -> None:
+            write_csv(
+                cookies_csv,
+                "topic,min,q1,median,mean,q3,max,count",
+                [
+                    f"{t},{fmt(s['min'])},{fmt(s['q1'])},{fmt(s['median'])},"
+                    f"{fmt(s['mean'])},{fmt(s['q3'])},{fmt(s['max'])},{s['count']}"
+                    for t, s in sorted(report["cookie_stats"].items())
+                ],
+            )
+            rows = []
+            for scope in ("all", "top_sites"):
+                breakdown = report["category_breakdown"].get(scope)
+                if breakdown is None:
+                    continue
+                for topic, counts in sorted(breakdown.items()):
+                    for category, count in sorted(counts.items()):
+                        rows.append(f"{scope},{topic},{category},{count}")
+            write_csv(breakdown_csv, "scope,topic,category,distinct_third_parties", rows)
+            diff = report.get("percent_diff_vs_homepage")
+            if diff:
+                write_csv(
+                    percent_diff_csv,
+                    "topic,category,percent_or_new",
+                    [
+                        f"{topic},{category},{value if isinstance(value, str) else fmt(value)}"
+                        for topic, row in sorted(diff.items())
+                        for category, value in sorted(row.items())
+                    ],
+                )
+            write_csv(
+                heatmap_csv,
+                "third_party,topic,percent_of_pages",
+                [
+                    f"{entry['third_party']},{topic},{fmt(pct)}"
+                    for entry in report["top_tp_coverage"]
+                    for topic, pct in sorted(entry["coverage"].items())
+                ],
+            )
+
+        if tracking_report:
+            read_json(tracking_report, tracking_plots)
+
+        # cluster scatters and metric curves
+        for clusters, sweep, scatter, curves in (
+            (clusters_tracking, sweep_tracking, scatter_tracking, curves_tracking),
+            (clusters_content, sweep_content, scatter_content, curves_content),
+        ):
+            if clusters:
+                read_json(clusters, lambda payload: write_csv(
+                    scatter,
+                    "label,cluster," + ",".join(f"x{i}" for i in range(payload["n"])),
+                    [
+                        f"{label},{payload['assignments'][label]},"
+                        + ",".join(fmt(v) for v in coords)
+                        for label, coords in sorted(payload["points"].items())
+                    ],
+                ))
+            if sweep:
+                shutil.copyfile(sweep, curves)
+                emitted.append(curves)
+
+        write_text(
+            notes, "".join(f"missing: {name}\n" for name in missing) if missing else "complete\n"
+        )
+        emitted.append(notes)
         return {"emitted": [p.name for p in emitted], "missing": missing}
 
     # --- manifest ---------------------------------------------------------------
@@ -395,143 +511,10 @@ def _site_of(obj: dict) -> str:
     return obj["site"]
 
 
-def emit_plot_data(out_dir: str | Path, strict: bool = False) -> tuple[list[Path], list[str]]:
-    """Write plot-ready CSVs for whichever artifacts the bundle holds.
-
-    Returns (emitted paths, missing upstream artifact names).  With
-    strict=True a missing upstream raises MissingStage instead of being
-    noted.
-    """
-    out_dir = Path(out_dir)
-    plots = out_dir / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
-    emitted: list[Path] = []
-    missing: list[str] = []
-
-    def need(filename: str) -> Path | None:
-        path = out_dir / filename
-        if any(path.glob("*.csv")) if filename.endswith("/") else path.exists():
-            return path
-        if strict:
-            raise MissingStage(f"{filename} is missing")
-        missing.append(filename)
-        return None
-
-    def write_csv(name: str, header: str, rows: Iterable[str]) -> None:
-        path = plots / name
-        write_text(path, header + "\n" + "".join(r + "\n" for r in rows))
-        emitted.append(path)
-
-    def fmt(x: float) -> str:
-        return f"{x:.12g}"
-
-    # threshold histograms, each file's header line skipped
-    hist_dir = need("histograms/")
-    if hist_dir:
-        rows = []
-        for csv_path in sorted(hist_dir.glob("*.csv")):
-            for line in islice(read_lines(csv_path, str), 1, None):
-                rows.append(f"{csv_path.stem},{line}")
-        write_csv("threshold-histograms.csv", "parameter,bucket,count", rows)
-
-    # topic coverage across sites
-    best_path = need("best.jsonl")
-    if best_path:
-        rows_raw = classify_mod.read_best_subpages(best_path)
-        internal_path = out_dir / "internal.jsonl"
-        if internal_path.exists():
-            sites = set(read_jsonl(internal_path, _site_of))
-        else:
-            sites = {r["site"] for r in rows_raw}
-        per_topic: dict[str, set[str]] = {}
-        for r in rows_raw:
-            per_topic.setdefault(r["topic"], set()).add(r["site"])
-        write_csv(
-            "topic-coverage.csv",
-            "topic,percent_of_sites",
-            [
-                f"{topic},{fmt(100.0 * len(covered) / len(sites))}"
-                for topic, covered in sorted(per_topic.items())
-            ]
-            if sites
-            else [],
-        )
-
-    # tracking analytics; a fault in the report's shape is a fault of its file
-    def tracking_plots(report: dict) -> None:
-        write_csv(
-            "cookies-per-topic.csv",
-            "topic,min,q1,median,mean,q3,max,count",
-            [
-                f"{t},{fmt(s['min'])},{fmt(s['q1'])},{fmt(s['median'])},"
-                f"{fmt(s['mean'])},{fmt(s['q3'])},{fmt(s['max'])},{s['count']}"
-                for t, s in sorted(report["cookie_stats"].items())
-            ],
-        )
-        rows = []
-        for scope in ("all", "top_sites"):
-            breakdown = report["category_breakdown"].get(scope)
-            if breakdown is None:
-                continue
-            for topic, counts in sorted(breakdown.items()):
-                for category, count in sorted(counts.items()):
-                    rows.append(f"{scope},{topic},{category},{count}")
-        write_csv("category-breakdown.csv", "scope,topic,category,distinct_third_parties", rows)
-        diff = report.get("percent_diff_vs_homepage")
-        if diff:
-            write_csv(
-                "category-percent-diff.csv",
-                "topic,category,percent_or_new",
-                [
-                    f"{topic},{category},{value if isinstance(value, str) else fmt(value)}"
-                    for topic, row in sorted(diff.items())
-                    for category, value in sorted(row.items())
-                ],
-            )
-        write_csv(
-            "top-tp-heatmap.csv",
-            "third_party,topic,percent_of_pages",
-            [
-                f"{entry['third_party']},{topic},{fmt(pct)}"
-                for entry in report["top_tp_coverage"]
-                for topic, pct in sorted(entry["coverage"].items())
-            ],
-        )
-
-    report_path = need("tracking-report.json")
-    if report_path:
-        read_json(report_path, tracking_plots)
-
-    # cluster scatters and metric curves
-    for tag in ("tracking", "content"):
-        cluster_path = need(f"clusters-{tag}.json")
-        if cluster_path:
-            read_json(cluster_path, lambda payload: write_csv(
-                f"cluster-scatter-{tag}.csv",
-                "label,cluster," + ",".join(f"x{i}" for i in range(payload["n"])),
-                [
-                    f"{label},{payload['assignments'][label]},"
-                    + ",".join(fmt(v) for v in coords)
-                    for label, coords in sorted(payload["points"].items())
-                ],
-            ))
-        sweep_path = need(f"sweep-{tag}.csv")
-        if sweep_path:
-            target = plots / f"metric-curves-{tag}.csv"
-            shutil.copyfile(sweep_path, target)
-            emitted.append(target)
-
-    notes = plots / "notes.txt"
-    write_text(
-        notes, "".join(f"missing: {name}\n" for name in missing) if missing else "complete\n"
-    )
-    emitted.append(notes)
-    return emitted, missing
-
-
 @dataclass(frozen=True)
 class Stage:
-    """One step of a full run, also reachable as the subcommand of that name."""
+    """One step of a full run.  Every stage but fetch-sections and the
+    cluster-<tag>/sweep-<tag> entries is also the subcommand of that name."""
 
     name: str                        # summary key and subcommand
     method: str                      # Runner method, looked up at call time
@@ -539,13 +522,17 @@ class Stage:
     requires: tuple[str, ...] = ()   # config keys the stage cannot run without
     reads: tuple[str, ...] = ()      # upstream files in out_dir, passed first
     writes: tuple[str, ...] = ()     # files the stage writes in out_dir, passed next
+    optional: bool = False           # absent reads passed as None, old writes removed
 
 
 def artifact_name(filename: str) -> str:
-    """A written file's manifest name: its stem, or histogram-<stem> under histograms/."""
-    path = Path(filename)
-    return f"histogram-{path.stem}" if path.parent.name == "histograms" else path.stem
+    """A written file's manifest name: its stem, histogram-<stem> under histograms/,
+    or the file name itself under plots/."""
+    folder, stem = Path(filename).parent.name, Path(filename).stem
+    return {"plots": filename, "histograms": f"histogram-{stem}"}.get(folder, stem)
 
+
+HISTOGRAMS = tuple(f"histograms/{name}.csv" for name, _ in URL_SERIES)
 
 # run order; a stage whose upstream failed or was skipped, or whose required
 # keys are unset, is skipped
@@ -554,7 +541,7 @@ STAGES = (
     Stage("extract", "stage_extract", "fetch", ("urls",),
           writes=("internal.jsonl", "external.jsonl")),
     Stage("fit-thresholds", "stage_fit_thresholds", "extract", reads=("internal.jsonl",),
-          writes=("thresholds.json", *(f"histograms/{name}.csv" for name, _ in URL_SERIES))),
+          writes=("thresholds.json", *HISTOGRAMS)),
     Stage("filter", "stage_filter", "fit-thresholds",
           reads=("internal.jsonl", "thresholds.json"), writes=("filtered.jsonl",)),
     Stage("classify", "stage_classify", "filter", ("embeddings",),
@@ -574,7 +561,15 @@ STAGES = (
           reads=("content-matrix.json",), writes=("clusters-content.json",)),
     Stage("sweep-content", "stage_cluster_sweep", "content",
           reads=("content-matrix.json",), writes=("sweep-content.csv",)),
-    Stage("report", "stage_report"),
+    Stage("report", "stage_report", optional=True,
+          reads=(*HISTOGRAMS, "internal.jsonl", "best.jsonl", "tracking-report.json",
+                 "clusters-tracking.json", "sweep-tracking.csv",
+                 "clusters-content.json", "sweep-content.csv"),
+          writes=tuple(f"plots/{name}" for name in (
+              "threshold-histograms.csv", "topic-coverage.csv", "cookies-per-topic.csv",
+              "category-breakdown.csv", "category-percent-diff.csv", "top-tp-heatmap.csv",
+              "cluster-scatter-tracking.csv", "metric-curves-tracking.csv",
+              "cluster-scatter-content.csv", "metric-curves-content.csv", "notes.txt"))),
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}
 WRITER = {name: stage.name for stage in STAGES for name in stage.writes}

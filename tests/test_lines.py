@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicpages import load_config, load_dictionary, normalize
+from topicpages import PipelineConfig, load_config, load_dictionary, normalize
 from topicpages.classify import read_assignments, read_best_subpages
 from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
 from topicpages.lines import read_json, write_json, write_jsonl
-from topicpages.pipeline import emit_plot_data, load_matrix_file, read_homepage_list
+from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
 from topicpages.thresholds import Thresholds
 from topicpages.tracking import load_disconnect_file, read_crawl_log
@@ -53,7 +53,8 @@ SPORTS = load_dictionary(json.dumps({"topics": {"sports": ["sports"]}}))
 
 
 def _plots(path):
-    return emit_plot_data(path.parent.parent if path.parent.name == "histograms" else path.parent)
+    out_dir = path.parent.parent if path.parent.name == "histograms" else path.parent
+    return Runner(PipelineConfig(out_dir=str(out_dir))).run_stage(STAGE_NAMED["report"])
 
 
 # (file name, its lines, how it is parsed: "jsonl", "json" (whole) or

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -362,15 +363,52 @@ class TestRunnerDirect:
             runner.run_stage(STAGE_NAMED["fit-thresholds"], empty)
         assert (out / "histograms").is_dir()  # made when the stage started
         assert runner.artifacts == {}
-        assert "histograms/" in runner.run_stage(STAGE_NAMED["report"])["missing"]
+        histograms = [
+            f"histograms/{name}.csv" for name in ("url_length", "subpath_length", "hyphens")
+        ]
+        assert runner.run_stage(STAGE_NAMED["report"])["missing"][:3] == histograms
+        notes = (out / "plots" / "notes.txt").read_text("utf-8")
+        assert notes.startswith("".join(f"missing: {name}\n" for name in histograms))
+
+    def test_report_removes_a_stale_plot_and_does_not_list_it(self, e2e_config):
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        stale = out / "plots" / "cookies-per-topic.csv"
+        assert stale.exists()
+        (out / "tracking-report.json").unlink()
+        runner = Runner(cfg)
+        assert runner.run_stage(STAGE_NAMED["report"])["missing"] == ["tracking-report.json"]
+        listing = json.loads(runner.write_manifest().read_text("utf-8"))["artifacts"]
+        assert not stale.exists()
+        assert "plots/cookies-per-topic.csv" not in listing
+        assert "plots/topic-coverage.csv" in listing
+        notes = (out / "plots" / "notes.txt").read_text("utf-8")
+        assert notes == "missing: tracking-report.json\n"
+
+    def test_repeated_homepage_is_read_once(self, e2e_config, tmp_path):
+        # the first URL again, as written and as a line that normalizes to it
+        cfg = load_config(e2e_config, env={})
+        lines = Path(cfg.urls).read_text("utf-8").splitlines()
+        planted = tmp_path / "planted.txt"
+        planted.write_text("".join(f"{u}\n" for u in [*lines, lines[0], lines[0] + "#top"]))
+        bundles = []
+        for urls, out in ((cfg.urls, tmp_path / "once"), (planted, tmp_path / "twice")):
+            overrides = {"urls": str(urls), "out_dir": str(out)}
+            assert run_pipeline(load_config(e2e_config, env={}, overrides=overrides))[0] == 0
+            bundles.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                            if p.is_file()})
+        assert bundles[0] == bundles[1]
 
     def test_homepage_list_parsing(self, tmp_path):
         listing = tmp_path / "urls.txt"
-        listing.write_text("# comment\n\nhttps://a.example\nhttps://b.example/x/\n")
+        listing.write_text(
+            "# comment\n\nhttps://a.example\nhttps://b.example/x/\nHTTPS://A.example/?q#f\n"
+        )
         urls = read_homepage_list(listing)
-        assert [u.normalized for u in urls] == [
-            "https://a.example/",
-            "https://b.example/x/",
+        assert [(u.raw, u.normalized) for u in urls] == [
+            ("https://a.example", "https://a.example/"),
+            ("https://b.example/x/", "https://b.example/x/"),
         ]
 
 
@@ -395,6 +433,7 @@ FIRST_READ = {
     "content": ("best.jsonl", "best-subpages"),
     "cluster-content": ("content-matrix.json", "content"),
     "sweep-content": ("content-matrix.json", "content"),
+    "report": ("histograms/url_length.csv", "fit-thresholds"),  # with strict
 }
 
 
@@ -419,6 +458,16 @@ class TestStageTable:
                 continue
             assert set(STAGE_NAMED[stage.after].writes) & set(stage.reads), stage.name
 
+    def test_each_method_takes_one_path_per_declared_file(self):
+        for stage in STAGES:
+            method = getattr(Runner, stage.method, None)
+            assert callable(method), stage.name
+            params = list(inspect.signature(method).parameters.values())[1:]
+            paths = [p for p in params if p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty]
+            takes_rest = any(p.kind is p.VAR_POSITIONAL for p in params)
+            files = len(stage.reads) + len(stage.writes)
+            assert len(paths) == files or (takes_rest and len(paths) < files), stage.name
+
     def test_expected_prerequisites_cover_the_table(self):
         assert set(UNSET_KEY) | set(FIRST_READ) == {
             stage.name for stage in STAGES if stage.reads or stage.requires
@@ -436,8 +485,9 @@ class TestStageTable:
         out = tmp_path / "out"
         cfg = load_config(e2e_config, env={}, overrides={"out_dir": str(out)})
         read, writer = FIRST_READ[name]
+        stage = STAGE_NAMED[name]
         with pytest.raises(MissingStage) as caught:
-            Runner(cfg).run_stage(STAGE_NAMED[name])
+            Runner(cfg).run_stage(stage, strict=stage.optional)
         assert str(caught.value) == f"{read} is missing; run the {writer} stage first"
         assert not out.exists()
 
@@ -447,14 +497,11 @@ class TestStageTable:
         out = Path(cfg.out_dir)
         listing = json.loads((out / "manifest.json").read_text("utf-8"))["artifacts"]
         declared = {artifact_name(name): name for stage in STAGES for name in stage.writes}
-        plots = {name for name in listing if name.startswith("plots/")}
-        assert plots
-        assert set(listing) == set(declared) | plots | {"snapshot-index"}
+        assert set(listing) == set(declared) | {"snapshot-index"}
         for name, filename in declared.items():
             assert listing[name]["path"] == filename, name
-        for name in plots:
-            assert listing[name]["path"] == name
         assert artifact_name("histograms/hyphens.csv") == "histogram-hyphens"
+        assert artifact_name("plots/notes.txt") == "plots/notes.txt"
 
 
 COMMANDS = (
@@ -700,13 +747,23 @@ class TestOtherCommands:
             capsys, "report", "--strict", "--out-dir", tmp_path / "empty"
         )
         assert code == 1
-        assert "missing" in err
+        assert err == "error: histograms/url_length.csv is missing; run the fit-thresholds stage first\n"
+        assert not (tmp_path / "empty").exists()
 
     def test_report_lenient_notes_missing(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "report", "--out-dir", tmp_path / "empty")
         assert code == 0
         notes = (tmp_path / "empty" / "plots" / "notes.txt").read_text("utf-8")
-        assert "missing: best.jsonl" in notes
+        assert notes == "".join(f"missing: {name}\n" for name in STAGE_NAMED["report"].reads)
+        assert "missing: best.jsonl\n" in notes
+        assert json.loads(out)["emitted"] == ["notes.txt"]
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_assist_dictionary_refuses_top_below_1(self, top, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["assist-dictionary", "--top", top])
+        assert exit_.value.code == 2
+        assert f"argument --top: must be at least 1: {top}" in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--config", tmp_path / "absent.toml")

@@ -1,7 +1,9 @@
 """PCA reduction, seeded K-means, and cluster-count selection metrics.
 
-Everything here is deterministic given (data, seed): K-means restarts draw
-from RNG streams derived from (seed, run index), and PCA component signs
+One batched Lloyd loop fits every k-means: a stack of datasets and their
+restarts iterates as one set of runs, so a scored cell fits its data and its
+gap references in one call.  Given (data, seed) all is deterministic: restart
+r draws from the RNG stream (seed, r) in any batch, and PCA component signs
 follow a fixed convention, so repeated sweeps are byte-identical.
 """
 
@@ -41,11 +43,9 @@ class PcaModel:
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     out = components.copy()
     for row in out:
-        for v in row:
-            if abs(v) > _SIGN_TOL:
-                if v < 0:
-                    row *= -1.0
-                break
+        large = row[np.abs(row) > _SIGN_TOL]
+        if large.size and large[0] < 0:
+            row *= -1.0
     return out
 
 
@@ -112,35 +112,105 @@ class KmeansResult:
     sse_history: tuple[float, ...]
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    rows = len(X)
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(rows))
-    centers[0] = X[first]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+def _kmeans_pp_init(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ centers of each run in a (runs, rows, dim) stack, run r drawing from rngs[r]."""
+    runs, rows, _ = X.shape
+    each = np.arange(runs)
+    picks = np.empty((runs, k), dtype=np.intp)
+    picks[:, 0] = [rng.integers(rows) for rng in rngs]
+    d2 = ((X - X[each, picks[:, 0]][:, None]) ** 2).sum(axis=2)
     for c in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(rows))
-        else:
-            idx = int(rng.choice(rows, p=d2 / total))
-        centers[c] = X[idx]
-        d2 = np.minimum(d2, ((X - X[idx]) ** 2).sum(axis=1))
-    return centers
+        for r, (rng, total) in enumerate(zip(rngs, d2.sum(axis=1))):
+            picks[r, c] = rng.integers(rows) if total <= 0.0 else rng.choice(rows, p=d2[r] / total)
+        d2 = np.minimum(d2, ((X - X[each, picks[:, c]][:, None]) ** 2).sum(axis=2))
+    return X[each[:, None], picks]
 
 
-def _reseed_empty(X: np.ndarray, centers: np.ndarray, assignments: np.ndarray) -> None:
-    """Give every empty cluster a point, in place, cluster by cluster."""
-    k = len(centers)
-    for c in range(k):
-        if not np.any(assignments == c):
-            # reseed an empty cluster to the point farthest from its center,
-            # taken from a cluster of two or more so that none is emptied
-            own = ((X - centers[assignments]) ** 2).sum(axis=1)
-            shared = np.bincount(assignments, minlength=k)[assignments] >= 2
-            far = int(np.argmax(np.where(shared, own, -1.0)))
-            assignments[far] = c
-            centers[c] = X[far]
+def _means(X: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
+    """Each run's cluster means, to the last bit X[r][assignments[r] == c].mean(axis=0)."""
+    runs, rows, dim = X.shape
+    keys = (np.arange(runs)[:, None] * k + assignments).ravel()
+    counts = np.bincount(keys, minlength=runs * k)
+    if dim > 1:  # a mean over rows adds them one by one, in row order as np.add.at does
+        sums = np.zeros((runs * k, dim))
+        np.add.at(sums, keys, X.reshape(-1, dim))
+        return (sums / counts[:, None]).reshape(runs, k, dim)
+    # a mean over one column sums it pairwise: average each size's clusters as rows of a block
+    values = X.ravel()[np.argsort(keys, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    means = np.empty(runs * k)
+    for size in np.unique(counts):
+        chosen = np.flatnonzero(counts == size)
+        means[chosen] = values[starts[chosen][:, None] + np.arange(size)].mean(axis=1)
+    return means.reshape(runs, k, 1)
+
+
+def _lloyd(data: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) -> list[KmeansResult]:
+    """The best-of-*restarts* k-means fit of each dataset in a (datasets, rows, dim) stack.
+
+    Restart r of every dataset seeds from the stream (seed, r), then all runs
+    iterate together, each on its own dataset, until its assignments stop
+    changing.  Each dataset keeps its lowest-SSE run, ties to the earliest
+    restart, so each fit equals the one its dataset gets alone.
+    """
+    X = np.repeat(data, restarts, axis=0)  # run r fits dataset r // restarts
+    runs, rows, dim = X.shape
+    centers = _kmeans_pp_init(X, k, [np.random.default_rng([seed, r % restarts]) for r in range(runs)])
+    assignments = np.zeros((runs, rows), dtype=np.intp)
+    histories: list[list[float]] = [[] for _ in range(runs)]
+    active = np.arange(runs)
+    # runs per distance step: the (runs, rows, k, dim) temporary within _BATCH_TERMS or one run
+    step = max(1, _BATCH_TERMS // (rows * k * dim))
+    for iteration in range(max_iter):
+        new_assign = np.concatenate([
+            ((X[p, :, None] - centers[p][:, None]) ** 2).sum(axis=3).argmin(axis=2)
+            for p in np.split(active, range(step, len(active), step))
+        ])
+        present = (new_assign[:, :, None] == np.arange(k)).any(axis=1)
+        for i in np.flatnonzero(~present.all(axis=1)):
+            # move to each empty cluster, in turn, the point farthest from its
+            # center, taken from a cluster of two or more so that none is emptied
+            x, own, assign = X[active[i]], centers[active[i]], new_assign[i]
+            for c in np.flatnonzero(~present[i]):
+                d2 = ((x - own[assign]) ** 2).sum(axis=1)
+                shared = np.bincount(assign, minlength=k)[assign] >= 2
+                far = int(np.argmax(np.where(shared, d2, -1.0)))
+                assign[far], own[c] = c, x[far]
+        if iteration > 0:
+            moved = (new_assign != assignments[active]).any(axis=1)
+            active, new_assign = active[moved], new_assign[moved]
+            if len(active) == 0:
+                break
+        assignments[active] = new_assign
+        centers[active] = _means(X[active], new_assign, k)
+        sse = ((X[active] - centers[active[:, None], new_assign]) ** 2).reshape(len(active), -1)
+        for r, value in zip(active, sse.sum(axis=1)):
+            histories[r].append(float(value))
+    fits = []
+    for first in range(0, runs, restarts):
+        r = min(range(first, first + restarts), key=lambda run: histories[run][-1])
+        h = histories[r]
+        fits.append(KmeansResult(assignments[r].copy(), centers[r].copy(), h[-1], len(h), tuple(h)))
+    return fits
+
+
+def _fits(
+    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int, b_refs: int = 0
+) -> list[KmeansResult]:
+    """The fits of X and of its *b_refs* reference draws, as one batch of the Lloyd loop;
+    draw b is uniform over X's bounding box, from the stream (seed, _GAP_STREAM, b)."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or len(X) == 0:
+        raise ValueError("X must be a non-empty 2-D matrix")
+    for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+    if k > len(X):
+        raise KTooLarge(f"k={k} exceeds {len(X)} rows")
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    refs = [np.random.default_rng([seed, _GAP_STREAM, b]).uniform(lo, hi, size=X.shape)
+            for b in range(b_refs)]
+    return _lloyd(np.stack([X, *refs]), k, seed, restarts, max_iter)
 
 
 def kmeans(
@@ -150,67 +220,10 @@ def kmeans(
     restarts: int = 10,
     max_iter: int = 300,
 ) -> KmeansResult:
-    """Best-of-*restarts* Lloyd iterations with k-means++ seeding.
-
-    Restart r seeds its centers from the stream (seed, r).  The restarts
-    then iterate together: each step assigns every point of every active
-    restart to its nearest center at once, and a restart leaves the active
-    set when its assignments stop changing.  The result is the restart with
-    the lowest SSE; ties keep the earliest restart, so results are a pure
-    function of (X, k, seed, restarts, max_iter).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or len(X) == 0:
-        raise ValueError("X must be a non-empty 2-D matrix")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > len(X):
-        raise KTooLarge(f"k={k} exceeds {len(X)} rows")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    rows, dim = X.shape
-    centers = np.stack(
-        [_kmeans_pp_init(X, k, np.random.default_rng([seed, run])) for run in range(restarts)]
-    )
-    assignments = np.zeros((restarts, rows), dtype=np.intp)
-    histories: list[list[float]] = [[] for _ in range(restarts)]
-    active = np.arange(restarts)
-    # restarts per distance step, so the (restarts, rows, k, dim) temporary
-    # stays within _BATCH_TERMS terms or one restart's worth
-    step = max(1, _BATCH_TERMS // (rows * k * dim))
-    for iteration in range(max_iter):
-        parts = [active[i : i + step] for i in range(0, len(active), step)]
-        new_assign = np.concatenate(
-            [((X[:, None, :] - centers[p][:, None]) ** 2).sum(axis=3).argmin(axis=2) for p in parts]
-        )
-        present = np.zeros((len(active), k), dtype=bool)
-        present[np.arange(len(active))[:, None], new_assign] = True
-        for i in np.flatnonzero(~present.all(axis=1)):
-            _reseed_empty(X, centers[active[i]], new_assign[i])
-        if iteration > 0:
-            moved = (new_assign != assignments[active]).any(axis=1)
-            active, new_assign = active[moved], new_assign[moved]
-            if len(active) == 0:
-                break
-        assignments[active] = new_assign
-        for r in active:
-            for c in range(k):
-                # a mean per cluster sums in a single Lloyd run's order, to the last bit
-                centers[r, c] = X[assignments[r] == c].mean(axis=0)
-        sse = ((X - centers[active[:, None], new_assign]) ** 2).reshape(len(active), -1).sum(axis=1)
-        for r, value in zip(active, sse):
-            histories[r].append(float(value))
-    best = min(range(restarts), key=lambda r: histories[r][-1])
-    history = histories[best]
-    return KmeansResult(
-        assignments=assignments[best].copy(),
-        centers=centers[best].copy(),
-        sse=history[-1],
-        n_iter=len(history),
-        sse_history=tuple(history),
-    )
+    """Best-of-*restarts* Lloyd iterations with k-means++ seeding: the batched
+    Lloyd loop on X alone, so results are a pure function of (X, k, seed,
+    restarts, max_iter)."""
+    return _fits(X, k, seed, restarts, max_iter)[0]
 
 
 def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> float:
@@ -245,36 +258,26 @@ def gap_statistic(
 ) -> float:
     """Tibshirani-style gap: reference dispersion minus observed, in logs.
 
-    References are uniform draws over the data's bounding box, clustered
-    with the same k and seed policy as the data.
+    References are uniform draws over the data's bounding box, fitted in
+    one batch with the data, with the same k and seed policy.
     """
-    X = np.asarray(X, dtype=float)
-    observed = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
-    return _gap(X, k, observed.sse, seed, b_refs, restarts, max_iter)
+    observed, *references = _fits(X, k, seed, restarts, max_iter, b_refs)
+    return _gap(observed, references)
 
 
-def _gap(
-    X: np.ndarray, k: int, observed: float, seed: int, b_refs: int, restarts: int, max_iter: int
-) -> float:
-    """The gap of a fit with SSE *observed*, against *b_refs* reference draws."""
-    if b_refs < 1:
+def _gap(observed: KmeansResult, references: list[KmeansResult]) -> float:
+    """The gap of fit *observed* against its reference fits, b_refs of them."""
+    if not references:
         raise ValueError("b_refs must be positive")
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
     tiny = float(np.finfo(float).tiny)
-    ref_logs = []
-    for b in range(b_refs):
-        rng = np.random.default_rng([seed, _GAP_STREAM, b])
-        ref = rng.uniform(lo, hi, size=X.shape)
-        sse = kmeans(ref, k, seed=seed, restarts=restarts, max_iter=max_iter).sse
-        ref_logs.append(math.log(max(sse, tiny)))
-    return float(np.mean(ref_logs) - math.log(max(observed, tiny)))
+    ref_logs = [math.log(max(ref.sse, tiny)) for ref in references]
+    return float(np.mean(ref_logs) - math.log(max(observed.sse, tiny)))
 
 
 def _score(
     X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int
 ) -> tuple[KmeansResult, float | None, float]:
-    """One k-means fit, its silhouette (k >= 2) and its gap: one scored cell.
+    """One batch of k-means fits, its silhouette (k >= 2) and its gap: one scored cell.
 
     k above the number of distinct rows is refused: k-means would split
     duplicate rows into zero-SSE clusters.
@@ -282,9 +285,9 @@ def _score(
     distinct = len(np.unique(X, axis=0))
     if k > distinct:
         raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
-    result = kmeans(X, k, seed=seed, restarts=restarts, max_iter=max_iter)
+    result, *references = _fits(X, k, seed, restarts, max_iter, b_refs)
     sil = silhouette(X, result.assignments) if k >= 2 else None
-    return result, sil, _gap(X, k, result.sse, seed, b_refs, restarts, max_iter)
+    return result, sil, _gap(result, references)
 
 
 # --- reports and sweeps ------------------------------------------------------
@@ -379,8 +382,5 @@ def model_select(
             except (KTooLarge, SingleCluster) as exc:
                 rows.append(SweepRow(n, k, None, None, None, str(exc)))
     scored = [r for r in rows if r.error is None and r.silhouette is not None]
-    best = None
-    if scored:
-        top = max(scored, key=lambda r: (r.silhouette, -r.n, -r.k))
-        best = (top.n, top.k)
-    return SweepResult(tuple(rows), best)
+    top = max(scored, key=lambda r: (r.silhouette, -r.n, -r.k), default=None)
+    return SweepResult(tuple(rows), (top.n, top.k) if top else None)

@@ -102,17 +102,22 @@ class Runner:
 
     # --- stages -------------------------------------------------------------
 
-    def run_stage(self, stage: Stage, *given, strict: bool = False) -> dict:
+    def run_stage(
+        self, stage: Stage, *given, strict: bool = False, ran: set[str] | None = None
+    ) -> dict:
         """Check a table entry's keys and reads, call its method (looked up at call
         time) on its read paths, *given* ones replacing the leading reads, then its
         write paths, whose directories it creates, and register the writes.  An optional
         stage, which writes only what its reads allow, gets an absent read as None unless
-        *strict*, and its writes from an earlier run are removed first."""
+        *strict*, and its writes from an earlier run are removed first.  Given *ran*, the
+        stages that succeeded in this run, a read that none of them wrote is absent."""
         unset = self.config.unset(stage.requires)
         if unset:
             raise MissingStage(f"no {unset[0]} configured")
         upstream = stage.reads[len(given):]
-        present = [path if path.exists() else None for path in (self.out_dir / n for n in upstream)]
+        paths = [self.out_dir / name for name in upstream]
+        present = [path if path.exists() and (ran is None or WRITER[name] in ran) else None
+                   for name, path in zip(upstream, paths)]
         for name, path in zip(upstream, present):
             if path is None and (strict or not stage.optional):
                 raise MissingStage(f"{name} is missing; run the {WRITER[name]} stage first")
@@ -580,8 +585,8 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
 
     The config is validated first, with the first stage's keys required.
     Stage failures are collected rather than raised; downstream stages that
-    depend on a failed stage are skipped, and the exit code is 0 only when
-    nothing failed.
+    depend on a failed stage are skipped, the report reads only files this
+    run wrote, and the exit code is 0 only when nothing failed.
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
@@ -592,7 +597,7 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
         if (stage.after and stage.after not in succeeded) or config.unset(stage.requires):
             continue
         try:
-            summary[stage.name] = runner.run_stage(stage)
+            summary[stage.name] = runner.run_stage(stage, ran=succeeded)
             succeeded.add(stage.name)
         except PipelineError as exc:
             errors.append(f"{stage.name}: {exc}")

@@ -160,13 +160,28 @@ class TestKmeans:
         assert math.isfinite(result.sse)
 
 
+def reference_pp_init(X, k, rng):
+    """k-means++ seeding of one restart on its own."""
+    rows = len(X)
+    centers = np.empty((k, X.shape[1]))
+    first = int(rng.integers(rows))
+    centers[0] = X[first]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(d2.sum())
+        idx = int(rng.integers(rows)) if total <= 0.0 else int(rng.choice(rows, p=d2 / total))
+        centers[c] = X[idx]
+        d2 = np.minimum(d2, ((X - X[idx]) ** 2).sum(axis=1))
+    return centers
+
+
 def reference_kmeans(X, k, seed, restarts, max_iter):
     """One Lloyd loop per restart, the earliest lowest SSE kept: what the batched
     restarts must reproduce bit for bit."""
     X = np.asarray(X, dtype=float)
     best = None
     for run in range(restarts):
-        centers = cluster_mod._kmeans_pp_init(X, k, np.random.default_rng([seed, run]))
+        centers = reference_pp_init(X, k, np.random.default_rng([seed, run]))
         assignments = None
         history = []
         for _ in range(max_iter):
@@ -207,19 +222,35 @@ def fields(result):
     )
 
 
+# coordinates: small integers or floats whose sums round
+COORD = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+)
+
+
 @st.composite
 def kmeans_inputs(draw):
     """(X, k): rows drawn from a few distinct ones, so duplicates, ties between
-    restarts and empty clusters are common; coordinates small integers or
-    floats whose sums round."""
+    restarts and empty clusters are common."""
     dim = draw(st.integers(1, 3))
-    coord = st.one_of(
-        st.integers(-3, 3).map(float),
-        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
-    )
-    distinct = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    distinct = draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=1, max_size=8))
     X = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=24))
     return np.array(X), draw(st.integers(1, len(X)))
+
+
+@st.composite
+def kmeans_stacks(draw):
+    """(stack, k): two or three datasets of one shape, each drawn like kmeans_inputs."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 12))
+    datasets = []
+    for _ in range(draw(st.integers(2, 3))):
+        distinct = draw(
+            st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=1, max_size=6)
+        )
+        datasets.append(draw(st.lists(st.sampled_from(distinct), min_size=rows, max_size=rows)))
+    return np.array(datasets), draw(st.integers(1, rows))
 
 
 class TestBatchedRestarts:
@@ -249,6 +280,35 @@ class TestBatchedRestarts:
         for terms in (1, 2 * len(X) * 4 * 2):
             monkeypatch.setattr(cluster_mod, "_BATCH_TERMS", terms)
             assert fields(kmeans(X, 4, seed=9, restarts=5)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @example(  # every cluster of every run empty at first, beside a dataset with none
+        case=(np.stack([np.ones((9, 2)), three_blobs(3)]), 4), seed=0, restarts=3, max_iter=300
+    )
+    @example(  # clusters of eight or more non-integer values in one column
+        case=(np.random.default_rng(1).normal(size=(3, 40, 1)) * 1e3, 2),
+        seed=1, restarts=4, max_iter=300,
+    )
+    @given(
+        case=kmeans_stacks(),
+        seed=st.integers(0, 2**16),
+        restarts=st.integers(1, 4),
+        max_iter=st.sampled_from([1, 2, 300]),
+    )
+    def test_batch_matches_each_dataset_alone(self, case, seed, restarts, max_iter):
+        data, k = case
+        fits = cluster_mod._lloyd(data, k, seed, restarts, max_iter)
+        assert [fields(fit) for fit in fits] == [
+            fields(reference_kmeans(X, k, seed, restarts, max_iter)) for X in data
+        ]
+
+    def test_distance_steps_across_datasets_change_nothing(self, monkeypatch):
+        # steps of two runs, with three restarts per dataset, cut across
+        # every dataset boundary
+        data = np.stack([three_blobs(3, seed=s) for s in range(3)])
+        expected = [fields(reference_kmeans(X, 4, 9, 3, 300)) for X in data]
+        monkeypatch.setattr(cluster_mod, "_BATCH_TERMS", 2 * 9 * 4 * 2)
+        assert [fields(fit) for fit in cluster_mod._lloyd(data, 4, 9, 3, 300)] == expected
 
     def test_max_iter_must_be_positive(self):
         with pytest.raises(ValueError, match="max_iter"):
@@ -323,27 +383,29 @@ class TestClusterReport:
 
 
 class TestSharedScorer:
-    """A scored cell fits k-means once and takes its gap from that fit."""
+    """A scored cell fits its data and its gap references in one batch."""
 
     @pytest.fixture
-    def kmeans_calls(self, monkeypatch):
+    def batches(self, monkeypatch):
+        """(k, datasets) of every call of the batched Lloyd loop."""
         calls = []
+        lloyd = cluster_mod._lloyd
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return kmeans(*args, **kwargs)
+        def counting(data, k, *args):
+            calls.append((k, len(data)))
+            return lloyd(data, k, *args)
 
-        monkeypatch.setattr(cluster_mod, "kmeans", counting)
+        monkeypatch.setattr(cluster_mod, "_lloyd", counting)
         return calls
 
-    def test_one_fit_per_sweep_cell_plus_references(self, kmeans_calls):
+    def test_one_batch_per_sweep_cell_holding_its_references(self, batches):
         model_select(three_blobs(points_per_blob=4), [1, 2], [2, 3], seed=42, restarts=2, b_refs=3)
-        assert kmeans_calls == [2] * 4 + [3] * 4 + [2] * 4 + [3] * 4
+        assert batches == [(2, 4), (3, 4), (2, 4), (3, 4)]
 
-    def test_one_fit_per_report_plus_references(self, kmeans_calls):
+    def test_one_batch_per_report_holding_its_references(self, batches):
         X = three_blobs(points_per_blob=4)
         cluster_report(X, [str(i) for i in range(len(X))], 3, seed=1, restarts=2, b_refs=3)
-        assert kmeans_calls == [3] * 4
+        assert batches == [(3, 4)]
 
     def test_report_gap_equals_gap_statistic(self):
         X = three_blobs(points_per_blob=4)

@@ -386,6 +386,26 @@ class TestRunnerDirect:
         notes = (out / "plots" / "notes.txt").read_text("utf-8")
         assert notes == "missing: tracking-report.json\n"
 
+    def test_rerun_does_not_plot_a_skipped_stage_file(self, e2e_config):
+        # the second run has no crawl log, so track and its cluster stages are
+        # skipped; the files they wrote in the first run stay but are not read
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        assert (out / "plots" / "cookies-per-topic.csv").exists()
+        code, summary = run_pipeline(dataclasses.replace(cfg, crawl_logs=None, disconnect=None))
+        assert code == 0
+        assert "track" not in summary
+        assert (out / "tracking-report.json").exists()
+        assert not (out / "plots" / "cookies-per-topic.csv").exists()
+        assert not (out / "plots" / "cluster-scatter-tracking.csv").exists()
+        notes = (out / "plots" / "notes.txt").read_text("utf-8")
+        tracking_reads = ("tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv")
+        assert notes == "".join(f"missing: {name}\n" for name in tracking_reads)
+        listing = json.loads((out / "manifest.json").read_text("utf-8"))["artifacts"]
+        assert [name for name in listing if "tracking" in name] == []
+        assert "plots/cluster-scatter-content.csv" in listing
+
     def test_repeated_homepage_is_read_once(self, e2e_config, tmp_path):
         # the first URL again, as written and as a line that normalizes to it
         cfg = load_config(e2e_config, env={})

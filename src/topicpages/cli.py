@@ -14,12 +14,11 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .classify import dictionary_assist, read_assignments
 from .config import TYPES, PipelineConfig, load_config
 from .errors import ConfigError, PipelineError
-from .pipeline import STAGE_NAMED, Runner, run_pipeline
+from .pipeline import STAGE_NAMED, Runner, Stage, run_pipeline
 
 
 def _global_parser() -> argparse.ArgumentParser:
@@ -50,6 +49,10 @@ def _at_least_one(text: str) -> int:
     return int(text)
 
 
+# assist-dictionary reads what best-subpages reads, without the embeddings that stage requires
+_ASSIST = Stage("assist-dictionary", "", reads=STAGE_NAMED["best-subpages"].reads)
+
+
 def _emit(summary: dict) -> None:
     print(json.dumps(summary, ensure_ascii=False, sort_keys=True, indent=2))
 
@@ -63,35 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
 
-    def command(name: str, summary: str, input_help: str | None = None):
+    def command(name: str, summary: str, records: str | None = None):
         # no prefix abbreviations: among 27 key flags --n or --out would silently pick one
         p = sub.add_parser(name, parents=[parent], help=summary, allow_abbrev=False)
-        if input_help:
-            p.add_argument("--input", metavar="JSONL", help=input_help)
+        if records:  # what --input replaces: the stage's first read
+            read = STAGE_NAMED.get(name, _ASSIST).reads[0]
+            p.add_argument("--input", metavar="JSONL", help=f"{records} (default: {read})")
         return p
 
     command("fetch", "snapshot the configured homepages")
     command("extract", "split homepage links into internal and external")
-    command(
-        "fit-thresholds",
-        "fit URL-shape cutoffs from histograms",
-        "URL records to fit on (default: extracted internal links)",
-    )
-    command(
-        "filter",
-        "drop URLs that exceed the thresholds",
-        "URL records to filter (default: extracted internal links)",
-    )
-    command(
-        "classify",
-        "assign a topic to every kept URL",
-        "URL records to classify (default: filtered links)",
-    )
-    command(
-        "best-subpages",
-        "pick each site's best page per topic",
-        "assignments to select from (default: classified links)",
-    )
+    command("fit-thresholds", "fit URL-shape cutoffs from histograms", "URL records to fit on")
+    command("filter", "drop URLs that exceed the thresholds", "URL records to filter")
+    command("classify", "assign a topic to every kept URL", "URL records to classify")
+    command("best-subpages", "pick each site's best page per topic", "assignments to select from")
     command("track", "third-party analytics from crawl logs")
     command("content", "term weights per topic from snapshots")
 
@@ -110,11 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail on the first missing upstream artifact instead of noting it",
     )
 
-    p = command(
-        "assist-dictionary",
-        "frequent unmatched subpaths, candidates for new keywords",
-        "assignments to mine (default: classified links)",
-    )
+    p = command(_ASSIST.name, "frequent unmatched subpaths, candidates for new keywords",
+                "assignments to mine")
     p.add_argument("--top", type=_at_least_one, default=30, help="rows to print")
 
     command("run", "run every configured stage end to end")
@@ -125,19 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     stage = STAGE_NAMED.get(args.command)
+    given = [args.input] if getattr(args, "input", None) else []
     try:
         if stage is not None:
             cfg = _config_from(args, require=stage.requires)
-            given = [args.input] if getattr(args, "input", None) else []
             _emit(Runner(cfg).run_stage(stage, *given, strict=getattr(args, "strict", False)))
         elif args.command == "cluster":
             _emit(Runner(_config_from(args)).stage_cluster(args.matrix, args.out))
         elif args.command == "cluster-sweep":
             _emit(Runner(_config_from(args)).stage_cluster_sweep(args.matrix, args.out))
         elif args.command == "assist-dictionary":
-            cfg = _config_from(args)
-            dictionary = Runner(cfg).dictionary()
-            source = args.input or str(Path(cfg.out_dir) / "assignments.jsonl")
+            runner = Runner(_config_from(args))
+            [source] = runner.inputs(_ASSIST, given)
+            dictionary = runner.dictionary
             assignments = read_assignments(source, dictionary)
             skip = set(dictionary.generic_subpaths)
             for subpath, count in dictionary_assist(assignments, skip)[: args.top]:

@@ -78,7 +78,7 @@ class SingleCluster(PipelineError):
 
 
 class MissingStage(PipelineError):
-    """A required upstream artifact is absent from the bundle."""
+    """A stage cannot run: a key it requires is unset or an upstream artifact is absent."""
 
 
 class ConfigError(PipelineError):

@@ -8,6 +8,7 @@ stage reads snapshots, which keeps whole-pipeline runs reproducible.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import threading
 import urllib.error
 import urllib.request
@@ -15,9 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 from urllib import robotparser
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import MalformedRecord
 from .lines import read_jsonl, read_text, write_jsonl
@@ -53,8 +54,16 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+def _uri(url: str) -> str:
+    """*url* with its path percent-encoded as UTF-8 outside RFC 3986's path characters,
+    %XX escapes kept; a path that needs no escaping is left as it is."""
+    parts = urlsplit(url)
+    path = quote(parts.path, safe="/%:@!$&'()*+,;=")
+    return url if path == parts.path else urlunsplit(parts._replace(path=path))
+
+
 def _fetch_once(url: str, timeout: float, user_agent: str) -> tuple[int, str]:
-    request = urllib.request.Request(url, headers={"User-Agent": user_agent})
+    request = urllib.request.Request(_uri(url), headers={"User-Agent": user_agent})
     # urllib's default redirect handler follows up to 10 redirects
     with urllib.request.urlopen(request, timeout=timeout) as resp:
         body = resp.read().decode("utf-8", errors="replace")
@@ -70,8 +79,9 @@ def fetch_one(
     """Fetch one page, retrying transient failures.
 
     *retries* counts re-attempts after the first try.  4xx/5xx responses,
-    timeouts, and connection errors all surface as error-populated results
-    after the attempts are exhausted; a failed page never aborts a batch.
+    timeouts, connection errors and malformed responses all surface as
+    error-populated results after the attempts are exhausted; a failed page
+    never aborts a batch.
     """
     attempts = 1 + max(0, retries)
     error = "unknown error"
@@ -85,6 +95,8 @@ def fetch_one(
             error = f"unreachable: {exc.reason}"
         except (TimeoutError, OSError) as exc:
             error = f"unreachable: {exc}"
+        except (http.client.HTTPException, ValueError) as exc:
+            error = f"failed: {exc!r}"
     return FetchResult(url=url, status=None, body=None, fetched_at=_now(), error=error)
 
 
@@ -154,16 +166,6 @@ def _snapshot_name(body: str) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:24] + ".html"
 
 
-def result_to_index_row(result: FetchResult, path: str | None) -> dict:
-    return {
-        "url": result.url.normalized,
-        "path": path,
-        "status": result.status,
-        "fetched_at": result.fetched_at.isoformat(),
-        "error": result.error,
-    }
-
-
 def _index_entry(obj: dict) -> tuple[str, dict]:
     url, path = obj["url"], obj.get("path")
     if not isinstance(url, str) or not isinstance(path, (str, type(None))):
@@ -196,7 +198,13 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
             target = directory / path
             if not target.exists():
                 target.write_text(result.body, encoding="utf-8")
-        rows[result.url.normalized] = result_to_index_row(result, path)
+        rows[result.url.normalized] = {
+            "url": result.url.normalized,
+            "path": path,
+            "status": result.status,
+            "fetched_at": result.fetched_at.isoformat(),
+            "error": result.error,
+        }
     index_path = directory / INDEX_NAME
     write_jsonl(index_path, (rows[url] for url in sorted(rows)))
     return index_path
@@ -206,6 +214,14 @@ def read_snapshot(directory: str | Path, row: dict) -> str:
     if not row.get("path"):
         raise MalformedRecord(f"no snapshot body for {row.get('url')!r}")
     return read_text(Path(directory) / row["path"])
+
+
+def stored_bodies(directory: str | Path, urls: Iterable[str]) -> Iterator[str | None]:
+    """Each URL's stored body, in order, or None when the store holds no body for
+    it; the index is read once, now, and each body when its turn comes."""
+    index = load_snapshot_index(directory)
+    rows = (index.get(url, {}) for url in urls)
+    return (read_snapshot(directory, row) if row.get("path") else None for row in rows)
 
 
 def fetch_missing(

@@ -9,8 +9,8 @@ two runs over the same inputs and seed produce byte-identical bundles.
 from __future__ import annotations
 
 import hashlib
-import shutil
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -23,8 +23,8 @@ from .config import PipelineConfig, parse_range
 from .dictionary import TopicalDictionary, bundled_dictionary, load_dictionary_file
 from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
-from .fetch import fetch_missing, load_snapshot_index, read_snapshot
-from .lines import read_json, read_jsonl, read_lines, write_json, write_jsonl, write_text
+from .fetch import INDEX_NAME, fetch_missing, stored_bodies
+from .lines import read_json, read_jsonl, read_lines, read_text, write_json, write_jsonl, write_text
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
@@ -63,79 +63,83 @@ class Runner:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.artifacts: dict[str, Path] = {}
-        self._dictionary: TopicalDictionary | None = None
-        self._embeddings: EmbeddingModel | None = None
 
-    # --- shared resources --------------------------------------------------
+    # --- run inputs, each loaded when first used and kept for the run ---------
 
     @property
     def snapshot_dir(self) -> Path:
         return Path(self.config.snapshots) if self.config.snapshots else self.out_dir / "snapshots"
 
+    @cached_property
     def dictionary(self) -> TopicalDictionary:
-        if self._dictionary is None:
-            if self.config.dictionary:
-                self._dictionary = load_dictionary_file(self.config.dictionary)
-            else:
-                self._dictionary = bundled_dictionary()
-        return self._dictionary
+        cfg = self.config
+        return load_dictionary_file(cfg.dictionary) if cfg.dictionary else bundled_dictionary()
 
+    @cached_property
     def embeddings(self) -> EmbeddingModel:
-        if self._embeddings is None:
-            self._embeddings = load_embeddings_file(self.config.embeddings)
-        return self._embeddings
+        return load_embeddings_file(self.config.embeddings)
 
     def classifier(self, cutoff: float = 0.4) -> classify_mod.TopicClassifier:
         return classify_mod.TopicClassifier(
-            self.dictionary(), self.embeddings(), cutoff=cutoff, stopwords=self.stopword_set()
+            self.dictionary, self.embeddings, cutoff=cutoff, stopwords=self.stopwords
         )
 
-    def stopword_set(self) -> frozenset[str]:
+    @cached_property
+    def stopwords(self) -> frozenset[str]:
         return load_stopwords(self.config.stopwords) if self.config.stopwords else DEFAULT_STOPWORDS
 
-    def suffix_set(self):
+    @cached_property
+    def suffixes(self) -> frozenset[str] | None:
         return load_suffixes(self.config.suffixes) if self.config.suffixes else None
 
+    @cached_property
     def homepages(self) -> list[PageUrl]:
         """The configured homepage list; none when `urls` is unset."""
         return read_homepage_list(self.config.urls) if self.config.urls else []
 
     # --- stages -------------------------------------------------------------
 
-    def run_stage(
-        self, stage: Stage, *given, strict: bool = False, ran: set[str] | None = None
-    ) -> dict:
-        """Check a table entry's keys and reads, call its method (looked up at call
-        time) on its read paths, *given* ones replacing the leading reads, then its
-        write paths, whose directories it creates, and register the writes.  An optional
-        stage, which writes only what its reads allow, gets an absent read as None unless
-        *strict*, and its writes from an earlier run are removed first.  Given *ran*, the
-        stages that succeeded in this run, a read that none of them wrote is absent."""
+    def inputs(self, stage: Stage, given: Sequence = (), strict: bool = False,
+               ran: set[str] | None = None) -> list[Path | None]:
+        """A table entry's read paths, *given* ones first in place of its leading reads,
+        or MissingStage saying why it cannot run: a required key unset or a read absent.
+        A read is present if its writer is in *ran*, the stages that succeeded in this
+        run, or without *ran* if the file exists; an optional stage gets an absent read
+        as None unless *strict*."""
         unset = self.config.unset(stage.requires)
         if unset:
             raise MissingStage(f"no {unset[0]} configured")
-        upstream = stage.reads[len(given):]
-        paths = [self.out_dir / name for name in upstream]
-        present = [path if path.exists() and (ran is None or WRITER[name] in ran) else None
-                   for name, path in zip(upstream, paths)]
-        for name, path in zip(upstream, present):
-            if path is None and (strict or not stage.optional):
+        paths: list[Path | None] = list(given)
+        for name in stage.reads[len(given):]:
+            path = self.out_dir / name
+            if (WRITER[name] in ran) if ran is not None else path.exists():
+                paths.append(path)
+            elif stage.optional and not strict:
+                paths.append(None)
+            else:
                 raise MissingStage(f"{name} is missing; run the {WRITER[name]} stage first")
+        return paths
+
+    def run_stage(self, stage: Stage, *given, strict: bool = False,
+                  ran: set[str] | None = None) -> dict:
+        """Call a table entry's method (looked up at call time) on its inputs(), then on
+        its write paths, whose directories it creates, and register the writes.  An
+        optional stage, which writes what its reads allow, first loses its old writes."""
+        reads = self.inputs(stage, given, strict, ran)
         writes = [self.out_dir / name for name in stage.writes]
         for path in writes:
             path.parent.mkdir(parents=True, exist_ok=True)
             if stage.optional:
                 path.unlink(missing_ok=True)
-        summary = getattr(self, stage.method)(*given, *present, *writes)
+        summary = getattr(self, stage.method)(*reads, *writes)
         self.artifacts.update(zip(map(artifact_name, stage.writes), writes))
         return summary
 
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
         cfg = self.config
-        targets = list(urls) if urls is not None else self.homepages()
         fetched, reused = fetch_missing(
-            targets,
+            urls if urls is not None else self.homepages,
             self.snapshot_dir,
             live=cfg.live,
             parallelism=cfg.parallel,
@@ -144,7 +148,7 @@ class Runner:
             **({"user_agent": cfg.user_agent} if cfg.user_agent else {}),
             respect_robots=cfg.respect_robots,
         )
-        self.artifacts["snapshot-index"] = self.snapshot_dir / "index.jsonl"
+        self.artifacts["snapshot-index"] = self.snapshot_dir / INDEX_NAME
         return {"fetched": fetched, "reused": reused}
 
     def stage_fetch_sections(self, best: Path) -> dict:
@@ -154,18 +158,16 @@ class Runner:
 
     def stage_extract(self, internal_path: Path, external_path: Path) -> dict:
         """Partition every homepage's links into internal / external files."""
-        suffixes = self.suffix_set()
-        index = load_snapshot_index(self.snapshot_dir)
         internal: list[tuple[PageUrl, str]] = []
         external: list[tuple[PageUrl, str]] = []
         skipped = 0
         missing: list[str] = []
-        for homepage in self.homepages():
-            row = index.get(homepage.normalized)
-            if row is None or not row.get("path"):
+        bodies = stored_bodies(self.snapshot_dir, [u.normalized for u in self.homepages])
+        for homepage, body in zip(self.homepages, bodies):
+            if body is None:
                 missing.append(homepage.normalized)
                 continue
-            partition = extract_links(read_snapshot(self.snapshot_dir, row), homepage, suffixes)
+            partition = extract_links(body, homepage, self.suffixes)
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
@@ -213,7 +215,7 @@ class Runner:
         return {"classified": len(assignments), **methods}
 
     def stage_best_subpages(self, source: str | Path, out: Path) -> dict:
-        assignments = classify_mod.read_assignments(source, self.dictionary())
+        assignments = classify_mod.read_assignments(source, self.dictionary)
         results = self.classifier().select_best_subpages(assignments)
         classify_mod.write_best_subpages(out, results)
         return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
@@ -221,7 +223,7 @@ class Runner:
     def stage_track(self, best: Path, matrix_path: Path, report_path: Path) -> dict:
         cfg = self.config
         best_rows = classify_mod.read_best_subpages(best)
-        topic_names = {t.name for t in self.dictionary().topics()}
+        topic_names = {t.name for t in self.dictionary.topics()}
         topic_names.update(row["topic"] for row in best_rows)
         records = tracking_mod.read_crawl_log(cfg.crawl_logs, topics=topic_names)
         dl = tracking_mod.load_disconnect_file(cfg.disconnect)
@@ -266,25 +268,23 @@ class Runner:
     def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> dict:
         """Build per-topic documents from snapshots and weigh their terms."""
         best_rows = classify_mod.read_best_subpages(best)
-        index = load_snapshot_index(self.snapshot_dir)
-        stopword_set = self.stopword_set()
 
         pages: list[tuple[str, str]] = []  # (topic, url) in deterministic order
         for row in sorted(best_rows, key=lambda r: (r["topic"], r["url"])):
             pages.append((row["topic"], row["url"]))
-        homepage_urls = [u.normalized for u in self.homepages()]
+        homepage_urls = [u.normalized for u in self.homepages]
         pages.extend((tracking_mod.HOMEPAGE_TOPIC, u) for u in sorted(homepage_urls))
 
         texts: dict[str, list[str]] = {}
         languages: list[dict] = []
         missing: list[str] = []
-        for topic, url in pages:
-            row = index.get(url)
-            if row is None or not row.get("path"):
+        bodies = stored_bodies(self.snapshot_dir, [url for _, url in pages])
+        for (topic, url), body in zip(pages, bodies):
+            if body is None:
                 missing.append(url)
                 continue
-            text = content_mod.extract_text(read_snapshot(self.snapshot_dir, row))
-            verdict = content_mod.detect_english(text, stopword_set)
+            text = content_mod.extract_text(body)
+            verdict = content_mod.detect_english(text, self.stopwords)
             languages.append(
                 {
                     "url": url,
@@ -299,7 +299,7 @@ class Runner:
             content_mod.TopicDocument(topic=t, text=" ".join(chunks))
             for t, chunks in sorted(texts.items())
         ]
-        matrix = content_mod.tfidf(docs, stopword_set, min_df=self.config.min_df)
+        matrix = content_mod.tfidf(docs, self.stopwords, min_df=self.config.min_df)
         write_json(matrix_path, matrix.to_dict())
         write_jsonl(languages_path, languages)
         return {
@@ -466,7 +466,7 @@ class Runner:
                     ],
                 ))
             if sweep:
-                shutil.copyfile(sweep, curves)
+                write_text(curves, read_text(sweep))
                 emitted.append(curves)
 
         write_text(
@@ -523,7 +523,6 @@ class Stage:
 
     name: str                        # summary key and subcommand
     method: str                      # Runner method, looked up at call time
-    after: str | None = None         # stage that must have succeeded first
     requires: tuple[str, ...] = ()   # config keys the stage cannot run without
     reads: tuple[str, ...] = ()      # upstream files in out_dir, passed first
     writes: tuple[str, ...] = ()     # files the stage writes in out_dir, passed next
@@ -539,32 +538,30 @@ def artifact_name(filename: str) -> str:
 
 HISTOGRAMS = tuple(f"histograms/{name}.csv" for name, _ in URL_SERIES)
 
-# run order; a stage whose upstream failed or was skipped, or whose required
-# keys are unset, is skipped
+# run order; run_pipeline skips a stage that Runner.inputs refuses
 STAGES = (
-    Stage("fetch", "stage_fetch", requires=("urls",)),
-    Stage("extract", "stage_extract", "fetch", ("urls",),
-          writes=("internal.jsonl", "external.jsonl")),
-    Stage("fit-thresholds", "stage_fit_thresholds", "extract", reads=("internal.jsonl",),
+    Stage("fetch", "stage_fetch", ("urls",)),
+    Stage("extract", "stage_extract", ("urls",), writes=("internal.jsonl", "external.jsonl")),
+    Stage("fit-thresholds", "stage_fit_thresholds", reads=("internal.jsonl",),
           writes=("thresholds.json", *HISTOGRAMS)),
-    Stage("filter", "stage_filter", "fit-thresholds",
+    Stage("filter", "stage_filter",
           reads=("internal.jsonl", "thresholds.json"), writes=("filtered.jsonl",)),
-    Stage("classify", "stage_classify", "filter", ("embeddings",),
+    Stage("classify", "stage_classify", ("embeddings",),
           reads=("filtered.jsonl", "thresholds.json"), writes=("assignments.jsonl",)),
-    Stage("best-subpages", "stage_best_subpages", "classify", ("embeddings",),
+    Stage("best-subpages", "stage_best_subpages", ("embeddings",),
           reads=("assignments.jsonl",), writes=("best.jsonl",)),
-    Stage("fetch-sections", "stage_fetch_sections", "best-subpages", reads=("best.jsonl",)),
-    Stage("track", "stage_track", "best-subpages", ("crawl_logs", "disconnect"),
+    Stage("fetch-sections", "stage_fetch_sections", reads=("best.jsonl",)),
+    Stage("track", "stage_track", ("crawl_logs", "disconnect"),
           reads=("best.jsonl",), writes=("tracking-matrix.json", "tracking-report.json")),
-    Stage("cluster-tracking", "stage_cluster", "track",
+    Stage("cluster-tracking", "stage_cluster",
           reads=("tracking-matrix.json",), writes=("clusters-tracking.json",)),
-    Stage("sweep-tracking", "stage_cluster_sweep", "track",
+    Stage("sweep-tracking", "stage_cluster_sweep",
           reads=("tracking-matrix.json",), writes=("sweep-tracking.csv",)),
-    Stage("content", "stage_content", "best-subpages",
+    Stage("content", "stage_content",
           reads=("best.jsonl",), writes=("content-matrix.json", "languages.jsonl")),
-    Stage("cluster-content", "stage_cluster", "content",
+    Stage("cluster-content", "stage_cluster",
           reads=("content-matrix.json",), writes=("clusters-content.json",)),
-    Stage("sweep-content", "stage_cluster_sweep", "content",
+    Stage("sweep-content", "stage_cluster_sweep",
           reads=("content-matrix.json",), writes=("sweep-content.csv",)),
     Stage("report", "stage_report", optional=True,
           reads=(*HISTOGRAMS, "internal.jsonl", "best.jsonl", "tracking-report.json",
@@ -584,9 +581,9 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     """Run every stage the configuration enables; returns (exit code, summary).
 
     The config is validated first, with the first stage's keys required.
-    Stage failures are collected rather than raised; downstream stages that
-    depend on a failed stage are skipped, the report reads only files this
-    run wrote, and the exit code is 0 only when nothing failed.
+    Stage failures are collected rather than raised; a stage that Runner.inputs
+    refuses is skipped, so one that reads a failed stage's file is, and the
+    report reads only this run's files.  The exit code is 0 only when nothing failed.
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
@@ -594,11 +591,11 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     errors: list[str] = []
     succeeded: set[str] = set()
     for stage in STAGES:
-        if (stage.after and stage.after not in succeeded) or config.unset(stage.requires):
-            continue
         try:
             summary[stage.name] = runner.run_stage(stage, ran=succeeded)
             succeeded.add(stage.name)
+        except MissingStage:
+            continue
         except PipelineError as exc:
             errors.append(f"{stage.name}: {exc}")
             summary[stage.name] = {"error": str(exc)}

@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from topicpages import fetch_all, fetch_missing, fetch_one, normalize, save_snapshots
+from topicpages.cli import main
 from topicpages.errors import MalformedRecord
 from topicpages.fetch import (
     FetchResult,
@@ -16,6 +17,8 @@ from topicpages.fetch import (
 
 BODY_OK = "<html><body>hello world</body></html>"
 BODY_OTHER = "<html><body>something else entirely</body></html>"
+# each path as written in a link, and the request target the origin must see
+ESCAPED = {"/café/": "/caf%C3%A9/", "/खेल/": "/%E0%A4%96%E0%A5%87%E0%A4%B2/", "/a b/": "/a%20b/"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -69,6 +72,17 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, "tracked " + path)
         elif path == "/private/x/":
             self._send(200, "secret")
+        elif path in ESCAPED.values():
+            self._send(200, f'<a href="/ok/">seen {path}</a>')
+        elif path == "/bad-status/":
+            self.wfile.write(b"garbage\r\n\r\n")
+            self.close_connection = True
+        elif path == "/short/":
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b"short")
+            self.close_connection = True
         else:
             self._send(404, "no route")
 
@@ -137,6 +151,12 @@ class TestFetchOne:
         result = fetch_one(u(base, "/flaky/"), timeout=5.0, retries=0)
         assert result.error == "HTTP 500"
 
+    @pytest.mark.parametrize("path", sorted(ESCAPED))
+    def test_path_is_requested_in_uri_form(self, base, path):
+        result = fetch_one(u(base, path), timeout=5.0, retries=0)
+        assert result.status == 200
+        assert result.body == f'<a href="/ok/">seen {ESCAPED[path]}</a>'
+
     def test_connection_refused(self):
         # a port with nothing listening
         result = fetch_one(normalize("http://127.0.0.1:9/x/"), timeout=0.5, retries=0)
@@ -182,6 +202,28 @@ class TestFetchAll:
         assert all(r.status == 200 for r in results)
         assert server.max_in_flight <= 2
         assert server.max_in_flight >= 2  # it did actually run concurrently
+
+    def test_malformed_responses_become_rows_beside_a_good_url(self, base):
+        urls = [u(base, p) for p in ("/bad-status/", "/ok/", "/short/")]
+        results = fetch_all(urls, parallelism=2, timeout=5.0, retries=0)
+        assert [r.status for r in results] == [None, 200, None]
+        assert results[0].error.startswith("failed: BadStatusLine(")
+        assert results[1].body == BODY_OK
+        assert results[2].error.startswith("failed: IncompleteRead(")
+
+    def test_run_on_a_non_ascii_homepage_ends_with_a_summary(self, base, tmp_path, capsys):
+        urls = tmp_path / "urls.txt"
+        urls.write_text(f"{base}/café/\n", "utf-8")
+        store = tmp_path / "snapshots"
+        store.mkdir()
+        code = main(["run", "--urls", str(urls), "--snapshots", str(store),
+                     "--out-dir", str(tmp_path / "out"), "--fallback-defaults"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 0, summary["errors"]
+        assert summary["fetch"] == {"fetched": 1, "reused": 0}
+        assert summary["extract"]["internal"] == 1
+        (row,) = load_snapshot_index(store).values()
+        assert (row["url"], row["status"]) == (f"{base}/café/", 200)
 
     def test_parallelism_validated(self, base):
         with pytest.raises(ValueError):

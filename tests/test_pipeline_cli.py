@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
-from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage
+from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index
 from topicpages.lines import write_json
 from topicpages.pipeline import (
@@ -262,9 +263,12 @@ class TestRunnerDirect:
         cfg = load_config(e2e_config, env={}, overrides={key: str(bad)})
         code, summary = run_pipeline(cfg)
         assert code == 1
-        assert len(summary["errors"]) == 1
-        assert summary["errors"][0].startswith(f"{stage}: {bad}:")
-        assert ": not UTF-8: " in summary["errors"][0]
+        # extract reads the homepage list too, and fails on it after fetch
+        stages = [stage, "extract"] if key == "urls" else [stage]
+        assert [e.split(": ")[0] for e in summary["errors"]] == stages
+        for name, error in zip(stages, summary["errors"]):
+            assert error.startswith(f"{name}: {bad}:")
+            assert ": not UTF-8: " in error
 
     def test_homepage_body_that_is_not_utf8_is_one_extract_error(self, e2e_config):
         cfg = load_config(e2e_config, env={})
@@ -386,6 +390,28 @@ class TestRunnerDirect:
         notes = (out / "plots" / "notes.txt").read_text("utf-8")
         assert notes == "missing: tracking-report.json\n"
 
+    def test_metric_curves_are_the_sweep_bytes_written_in_one_step(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        sweep = b"n,k,sse,silhouette,gap\n1,2,0.5,,0.25\n"
+        (out / "sweep-content.csv").write_bytes(sweep)
+        runner = Runner(PipelineConfig(out_dir=str(out)))
+        runner.run_stage(STAGE_NAMED["report"])
+        curves = out / "plots" / "metric-curves-content.csv"
+        assert curves.read_bytes() == sweep
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if Path(dst).name.startswith("metric-curves-"):
+                raise OSError("planted")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="planted"):
+            runner.run_stage(STAGE_NAMED["report"])
+        # the earlier run's plots were removed first, and the failed write left no part
+        assert list((out / "plots").iterdir()) == []
+
     def test_rerun_does_not_plot_a_skipped_stage_file(self, e2e_config):
         # the second run has no crawl log, so track and its cluster stages are
         # skipped; the files they wrote in the first run stay but are not read
@@ -457,6 +483,28 @@ FIRST_READ = {
 }
 
 
+# the stages a run skips when one fails: those that read a file it writes,
+# directly or through a stage skipped for it
+AFTER_BEST = ("fetch-sections", "track", "cluster-tracking", "sweep-tracking",
+              "content", "cluster-content", "sweep-content")
+SKIPPED_WHEN_FAILED = {
+    "fetch": (),
+    "extract": ("fit-thresholds", "filter", "classify", "best-subpages", *AFTER_BEST),
+    "fit-thresholds": ("filter", "classify", "best-subpages", *AFTER_BEST),
+    "filter": ("classify", "best-subpages", *AFTER_BEST),
+    "classify": ("best-subpages", *AFTER_BEST),
+    "best-subpages": AFTER_BEST,
+    "fetch-sections": (),
+    "track": ("cluster-tracking", "sweep-tracking"),
+    "cluster-tracking": (),
+    "sweep-tracking": (),
+    "content": ("cluster-content", "sweep-content"),
+    "cluster-content": (),
+    "sweep-content": (),
+    "report": (),
+}
+
+
 class TestStageTable:
     def test_every_read_has_one_earlier_writer(self):
         written: set[str] = set()
@@ -468,15 +516,35 @@ class TestStageTable:
                 written.add(name)
         assert set(WRITER) == written
 
-    def test_after_writes_one_of_the_reads(self):
-        for stage in STAGES:
-            if stage.after is None:
-                continue
-            if stage.name == "extract":
-                # extract reads the snapshot store, which lies outside out_dir
-                assert (stage.after, stage.reads) == ("fetch", ())
-                continue
-            assert set(STAGE_NAMED[stage.after].writes) & set(stage.reads), stage.name
+    def test_failed_stage_skips_exactly_its_readers(self, tmp_path, monkeypatch):
+        # each method stubbed to touch its stage's writes, or to fail for one stage
+        failing = []
+
+        def stub(method):
+            def stage_method(self, *paths):
+                for stage in STAGES:
+                    writes = tuple(self.out_dir / name for name in stage.writes)
+                    if stage.method == method and paths[len(paths) - len(writes):] == writes:
+                        break
+                if stage.name in failing:
+                    raise PipelineError("planted")
+                for path in writes:
+                    path.touch()
+                return {}
+            return stage_method
+
+        for method in {stage.method for stage in STAGES}:
+            monkeypatch.setattr(Runner, method, stub(method))
+        given = tmp_path / "given"
+        given.touch()
+        keys = {key: str(given) for key in ("urls", "embeddings", "crawl_logs", "disconnect")}
+        cfg = PipelineConfig(out_dir=str(tmp_path / "out"), **keys)
+        assert set(SKIPPED_WHEN_FAILED) == set(STAGE_NAMED)
+        for name, skipped in SKIPPED_WHEN_FAILED.items():
+            failing[:] = [name]
+            code, summary = run_pipeline(cfg)
+            assert (code, summary["errors"]) == (1, [f"{name}: planted"])
+            assert set(STAGE_NAMED) - set(summary) == set(skipped), name
 
     def test_each_method_takes_one_path_per_declared_file(self):
         for stage in STAGES:
@@ -637,6 +705,11 @@ class TestOtherCommands:
         assert ["about-us", "1"] in rows
         assert ["quiz", "1"] in rows
         assert all(count == "1" for _, count in rows)
+
+    def test_assist_dictionary_names_the_missing_assignments(self, e2e_config, capsys):
+        code, out, err = run_cli(capsys, "assist-dictionary", "--config", e2e_config)
+        assert (code, out) == (1, "")
+        assert err == "error: assignments.jsonl is missing; run the classify stage first\n"
 
     def test_cluster_command(self, e2e_config, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,22 +5,18 @@ bucket for everything else.
 Run with:  python3 demos/02_topic_classification.py
 """
 
-from topicpages import EmbeddingModel, classify_url, load_dictionary, normalize
+from topicpages import EmbeddingModel, Topic, TopicalDictionary, classify_url, normalize
 
-DICTIONARY = """
-{
-  "topics": {
-    "sports": ["sports", "cricket"],
-    "politics": ["politics", "election"],
-    "business": ["business", "economy"]
-  },
-  "generic_subpaths": ["topics", "category"],
-  "other_name": "other"
+# A hand-built dictionary.  Real runs read a JSON file of the same shape with
+# load_dictionary_file(), or use bundled_dictionary().
+DICTIONARY = {
+    Topic("sports"): ["sports", "cricket"],
+    Topic("politics"): ["politics", "election"],
+    Topic("business"): ["business", "economy"],
 }
-"""
 
 # A tiny hand-built embedding space.  Real runs load fastText-style vectors
-# with load_embeddings(); the classifier only needs cosine geometry.
+# with load_embeddings_file(); the classifier only needs cosine geometry.
 VECTORS = {
     "sports": [1.0, 0.0, 0.0],
     "cricket": [0.9, 0.1, 0.0],
@@ -44,12 +40,12 @@ URLS = [
 
 
 def main() -> None:
-    dictionary = load_dictionary(DICTIONARY)
+    dictionary = TopicalDictionary(DICTIONARY, generic_subpaths=["topics", "category"])
     model = EmbeddingModel(3, VECTORS)
 
     print(f"{'url':44} {'topic':10} {'method':10} score   matched")
     for raw in URLS:
-        a = classify_url(normalize(raw), dictionary, model, cutoff=0.4)
+        a = classify_url(normalize(raw), dictionary, model)
         matched = a.matched_subpath or "-"
         print(f"{raw:44} {a.topic.name:10} {a.method:10} {a.score:.3f}   {matched}")
 

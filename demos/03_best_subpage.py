@@ -7,23 +7,18 @@ Run with:  python3 demos/03_best_subpage.py
 
 from topicpages import (
     EmbeddingModel,
+    Topic,
+    TopicalDictionary,
     TopicClassifier,
     filter_subpages,
-    load_dictionary,
     normalize,
 )
 from topicpages.thresholds import DEFAULT_THRESHOLDS
 
-DICTIONARY = """
-{
-  "topics": {
-    "sports": ["sports", "cricket"],
-    "politics": ["politics", "election"]
-  },
-  "generic_subpaths": ["topics"],
-  "other_name": "other"
+DICTIONARY = {
+    Topic("sports"): ["sports", "cricket"],
+    Topic("politics"): ["politics", "election"],
 }
-"""
 
 VECTORS = {
     "sports": [1.0, 0.0],
@@ -43,9 +38,9 @@ CANDIDATES = [
 
 
 def main() -> None:
-    dictionary = load_dictionary(DICTIONARY)
+    dictionary = TopicalDictionary(DICTIONARY, generic_subpaths=["topics"])
     model = EmbeddingModel(2, VECTORS)
-    classifier = TopicClassifier(dictionary, model, cutoff=0.4)
+    classifier = TopicClassifier(dictionary, model)
 
     sports = dictionary.topic_named("sports")
     print("selection weights for the sports candidates:")

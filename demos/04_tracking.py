@@ -6,15 +6,17 @@ Run with:  python3 demos/04_tracking.py
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 from topicpages import (
     build_tracking_matrix,
     category_breakdown,
     cookie_stats_by_topic,
-    ingest_logs,
-    load_disconnect_tsv,
+    load_disconnect_file,
     percent_diff_vs_homepage,
     preferential_attachment,
+    read_crawl_log,
     top_tp_coverage,
 )
 
@@ -52,7 +54,14 @@ ROWS = [
 
 
 def main() -> None:
-    records = ingest_logs(json.dumps(r) for r in ROWS)
+    # the crawler writes a JSON Lines log; the service list is a TSV file
+    with tempfile.TemporaryDirectory() as tmp:
+        crawl_log = Path(tmp) / "crawl_log.jsonl"
+        crawl_log.write_text("".join(json.dumps(r) + "\n" for r in ROWS), "utf-8")
+        disconnect = Path(tmp) / "disconnect.tsv"
+        disconnect.write_text(DISCONNECT_TSV, "utf-8")
+        records = read_crawl_log(crawl_log)
+        dl = load_disconnect_file(disconnect)
     print(f"ingested {len(records)} crawl records")
 
     matrix = build_tracking_matrix(records)
@@ -66,7 +75,6 @@ def main() -> None:
     for domain, topic in preferential_attachment(matrix):
         print(f"  {domain} -> {topic}")
 
-    dl = load_disconnect_tsv(DISCONNECT_TSV)
     breakdown = category_breakdown(records, dl)
     print("\ncategory counts per topic:")
     for topic, counts in sorted(breakdown.items()):

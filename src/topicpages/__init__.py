@@ -31,12 +31,12 @@ from .content import (
     preprocess,
     tfidf,
 )
-from .dictionary import Topic, TopicalDictionary, bundled_dictionary, load_dictionary
+from .dictionary import Topic, TopicalDictionary, bundled_dictionary, load_dictionary_file
 from .embeddings import (
     EmbeddingModel,
     combined_embedding,
     cosine,
-    load_embeddings,
+    load_embeddings_file,
     tokenize_subpath,
 )
 from .errors import PipelineError
@@ -59,8 +59,7 @@ from .tracking import (
     categorize,
     category_breakdown,
     cookie_stats_by_topic,
-    ingest_logs,
-    load_disconnect_tsv,
+    load_disconnect_file,
     percent_diff_vs_homepage,
     preferential_attachment,
     read_crawl_log,
@@ -113,13 +112,12 @@ __all__ = [
     "find_bimodal_threshold",
     "fit_thresholds",
     "gap_statistic",
-    "ingest_logs",
     "kmeans",
     "ks_two_sample",
     "load_config",
-    "load_dictionary",
-    "load_disconnect_tsv",
-    "load_embeddings",
+    "load_dictionary_file",
+    "load_disconnect_file",
+    "load_embeddings_file",
     "load_stopwords",
     "model_select",
     "normalize",

@@ -34,6 +34,9 @@ METHOD_EXACT = "exact"
 METHOD_EMBEDDING = "embedding"
 METHOD_OTHER = "other"
 
+# the least cosine of an embedding match when none is configured
+COSINE_CUTOFF = 0.4
+
 
 @dataclass(frozen=True)
 class TopicAssignment:
@@ -64,7 +67,7 @@ class TopicClassifier:
         self,
         dictionary: TopicalDictionary,
         model: EmbeddingModel,
-        cutoff: float = 0.4,
+        cutoff: float = COSINE_CUTOFF,
         stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     ) -> None:
         if not 0.0 <= cutoff <= 1.0:
@@ -171,7 +174,7 @@ def classify_url(
     url: PageUrl,
     dictionary: TopicalDictionary,
     model: EmbeddingModel,
-    cutoff: float = 0.4,
+    cutoff: float = COSINE_CUTOFF,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> TopicAssignment:
     """One-shot classification; build a TopicClassifier for bulk use."""

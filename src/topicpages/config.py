@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .classify import COSINE_CUTOFF
 from .errors import ConfigError
 from .lines import read_lines
 
@@ -52,7 +53,7 @@ class PipelineConfig:
     fallback_defaults: bool = _key(
         False, "fall back to published defaults when a histogram is not bimodal"
     )
-    cosine_cutoff: float = _key(0.4, "least cosine of an embedding match")
+    cosine_cutoff: float = _key(COSINE_CUTOFF, "least cosine of an embedding match")
     top_sites: str = _key("", "comma-separated registrable domains of popular sites")
     min_df: int = _key(1, "drop terms in fewer documents")
     pca_n: int = _key(2, "PCA components to keep")

@@ -8,7 +8,6 @@ A catch-all Other topic always exists and never carries keywords.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -103,23 +102,6 @@ class TopicalDictionary:
         return len(self._entries)
 
 
-def load_dictionary(document: str | bytes) -> TopicalDictionary:
-    """Parse a dictionary document.
-
-    Expected shape:
-        {"topics": {name: [keywords...]},
-         "generic_subpaths": [...],        # optional
-         "other_name": "other"}            # optional
-    """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from exc
-    return _dictionary_of(data)
-
-
 def _dictionary_of(data: object) -> TopicalDictionary:
     if not isinstance(data, dict) or not isinstance(data.get("topics"), dict):
         raise MalformedDocument('expected an object with a "topics" mapping')
@@ -140,10 +122,16 @@ def _dictionary_of(data: object) -> TopicalDictionary:
 
 
 def load_dictionary_file(path: str | Path) -> TopicalDictionary:
+    """Read a dictionary document.
+
+    Expected shape:
+        {"topics": {name: [keywords...]},
+         "generic_subpaths": [...],        # optional
+         "other_name": "other"}            # optional
+    """
     return read_json(path, _dictionary_of)
 
 
 def bundled_dictionary() -> TopicalDictionary:
     """The example dictionary shipped with the package (15 topics)."""
-    text = resources.files("topicpages").joinpath("data/topical_dictionary.json").read_text("utf-8")
-    return load_dictionary(text)
+    return load_dictionary_file(resources.files("topicpages") / "data/topical_dictionary.json")

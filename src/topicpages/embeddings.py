@@ -8,7 +8,6 @@ contribute nothing.
 
 from __future__ import annotations
 
-import io
 import re
 from itertools import islice
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
-from .lines import decoded_lines, where
+from .lines import decoded_lines
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
@@ -98,7 +97,7 @@ def _values(rests: Sequence[str], dim: int) -> np.ndarray | None:
 
 
 def _parse_rows(
-    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], source: str | None
+    lines: Sequence[str], first_lineno: int, dim: int, rows: dict[str, int], path: str | Path
 ) -> np.ndarray:
     """The vectors of the tokens that *lines* add to *rows*, which gains them.
 
@@ -126,7 +125,7 @@ def _parse_rows(
                     "non-numeric coordinate" if width == dim
                     else f"expected {dim} values, got {width}"
                 )
-                raise DimensionMismatch(f"{where(source, lineno)}: {fault}")
+                raise DimensionMismatch(f"{path}:{lineno}: {fault}")
     kept = []
     for i, token in enumerate(tokens):
         if token not in rows:
@@ -135,50 +134,33 @@ def _parse_rows(
     return values if len(kept) == len(values) else values[kept]
 
 
-def _load_lines(lines: Iterable[str], source: str | None = None) -> EmbeddingModel:
-    """Parse a header and vector lines; *source*, a file's path, prefixes errors."""
-    lines = iter(lines)
-    header = next(lines, None)
-    try:
-        if header is None:
-            raise MalformedHeader("empty document")
-        dim = _dimension(header.removesuffix("\n"))
-    except MalformedHeader as exc:
-        if source is None:
-            raise
-        raise MalformedHeader(f"{where(source, 1)}: {exc}") from exc
-    rows: dict[str, int] = {}
-    blocks = []
-    lineno = 2
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        blocks.append(_parse_rows(chunk, lineno, dim, rows, source))
-        lineno += len(chunk)
-    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim), dtype=float)
-    return EmbeddingModel._of_matrix(matrix, rows)
-
-
-def load_embeddings(document: str | bytes) -> EmbeddingModel:
-    """Parse word2vec text format.
+def load_embeddings_file(path: str | Path) -> EmbeddingModel:
+    """Parse a word2vec text file, read line by line rather than whole.
 
     Rows end at "\\n" only.  Tokens are lowercased; when case-folding
     collides, the first row wins, though every row's values must parse.
     Tokens and values are split on any other whitespace, and a value is a
     number as numpy's loadtxt reads one.  The declared vocabulary count is
     not enforced (files are routinely truncated for experiments); the
-    dimension is.
+    dimension is.  Every fault in the file is a MalformedDocument whose
+    message starts with "<path>:<line>: ", bytes that are not UTF-8 included.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
-    return _load_lines(io.StringIO(document, newline="\n"))
-
-
-def load_embeddings_file(path: str | Path) -> EmbeddingModel:
-    """load_embeddings() over a file, read line by line rather than whole.
-
-    Every fault in the file is a MalformedDocument whose message starts with
-    "<path>:<line>: ", bytes that are not UTF-8 included.
-    """
-    return _load_lines(decoded_lines(path, MalformedDocument), str(path))
+    lines = decoded_lines(path, MalformedDocument)
+    header = next(lines, None)
+    try:
+        if header is None:
+            raise MalformedHeader("empty document")
+        dim = _dimension(header.removesuffix("\n"))
+    except MalformedHeader as exc:
+        raise MalformedHeader(f"{path}:1: {exc}") from exc
+    rows: dict[str, int] = {}
+    blocks = []
+    lineno = 2
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        blocks.append(_parse_rows(chunk, lineno, dim, rows, path))
+        lineno += len(chunk)
+    matrix = np.concatenate(blocks) if blocks else np.empty((0, dim), dtype=float)
+    return EmbeddingModel._of_matrix(matrix, rows)
 
 
 def combined_embedding(tokens: Iterable[str], model: EmbeddingModel) -> np.ndarray:

@@ -5,9 +5,9 @@ line is stripped (so "\\r\\n" ends are accepted), blank lines and lines
 starting with "#" are skipped, and lines count from 1.  Every fault, a byte
 that is not UTF-8 included, raises a PipelineError whose message starts
 "<path>:<line>: ", or "<path>: " for a fault in the shape of a file read
-whole; in text that is not a file it starts "line <n>: ".  Writers sort
-keys, keep non-ASCII, refuse NaN and replace their target in one step, so a
-failed or killed write leaves the previous file or none, never part of one.
+whole.  Writers sort keys, keep non-ASCII, refuse NaN and replace their
+target in one step, so a failed or killed write leaves the previous file or
+none, never part of one.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ _ROW = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
 _DOCUMENT = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False, indent=2)
 
 
-def where(source: str | Path | None, lineno: int) -> str:
-    """A line's location in an error: "path:N" in a file, "line N" in a text."""
-    return f"line {lineno}" if source is None else f"{source}:{lineno}"
-
-
 def _located(exc: Exception, location: str, error: type[PipelineError]) -> PipelineError:
     """*exc* as an error at *location*; a PipelineError keeps its class."""
     if isinstance(exc, PipelineError):
@@ -44,24 +39,6 @@ def _located(exc: Exception, location: str, error: type[PipelineError]) -> Pipel
     return error(f"{location}: {exc}")
 
 
-def parse_lines(
-    lines: Iterable[str],
-    parse: Callable[[str], T],
-    source: str | Path | None = None,
-    error: type[PipelineError] = MalformedRecord,
-) -> Iterator[T]:
-    """parse(line) for each stripped line not skipped; *source* is the file they are from."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = parse(line)
-        except _FAULTS as exc:
-            raise _located(exc, where(source, lineno), error) from exc
-        yield value
-
-
 def decoded_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
     """The lines of a UTF-8 file, each with its "\\n" end; a bad byte is an *error*."""
     with open(path, "rb") as fh:
@@ -69,15 +46,23 @@ def decoded_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise error(f"{where(path, lineno)}: not UTF-8: {exc.reason}") from exc
+                raise error(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
             yield line
 
 
 def read_lines(
     path: str | Path, parse: Callable[[str], T], error: type[PipelineError] = MalformedRecord
 ) -> Iterator[T]:
-    """parse_lines() over the lines of a file."""
-    return parse_lines(decoded_lines(path, error), parse, path, error)
+    """parse(line) for each stripped line of a file that is not skipped."""
+    for lineno, line in enumerate(decoded_lines(path, error), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = parse(line)
+        except _FAULTS as exc:
+            raise _located(exc, f"{path}:{lineno}", error) from exc
+        yield value
 
 
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
@@ -92,7 +77,7 @@ def read_text(path: str | Path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedDocument(f"{where(path, lineno)}: not UTF-8: {exc.reason}") from exc
+        raise MalformedDocument(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
 
 
 def read_json(path: str | Path, parse: Callable[[object], T]) -> T:

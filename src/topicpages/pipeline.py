@@ -79,7 +79,7 @@ class Runner:
     def embeddings(self) -> EmbeddingModel:
         return load_embeddings_file(self.config.embeddings)
 
-    def classifier(self, cutoff: float = 0.4) -> classify_mod.TopicClassifier:
+    def classifier(self, cutoff: float) -> classify_mod.TopicClassifier:
         return classify_mod.TopicClassifier(
             self.dictionary, self.embeddings, cutoff=cutoff, stopwords=self.stopwords
         )
@@ -216,7 +216,7 @@ class Runner:
 
     def stage_best_subpages(self, source: str | Path, out: Path) -> dict:
         assignments = classify_mod.read_assignments(source, self.dictionary)
-        results = self.classifier().select_best_subpages(assignments)
+        results = self.classifier(self.config.cosine_cutoff).select_best_subpages(assignments)
         classify_mod.write_best_subpages(out, results)
         return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
 

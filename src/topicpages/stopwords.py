@@ -11,15 +11,12 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .lines import parse_lines, read_lines
+from .lines import read_lines
 
 
-def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
-    """Load a stopword file (one word per line); default is the bundled list."""
-    if path is None:
-        text = resources.files("topicpages").joinpath("data/stopwords_english.txt").read_text("utf-8")
-        return frozenset(parse_lines(text.split("\n"), str))
-    return frozenset(read_lines(path, str))
+def load_stopwords(path: str | Path) -> frozenset[str]:
+    """Read a stopword file: one word per line, # comments, lowercased like the tokens."""
+    return frozenset(read_lines(path, str.lower))
 
 
-DEFAULT_STOPWORDS = load_stopwords()
+DEFAULT_STOPWORDS = load_stopwords(resources.files("topicpages") / "data/stopwords_english.txt")

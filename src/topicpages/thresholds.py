@@ -12,6 +12,7 @@ from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .classify import COSINE_CUTOFF
 from .errors import EmptyInput, NotBimodal
 from .lines import write_text
 from .urls import PageUrl, url_metrics
@@ -41,7 +42,7 @@ class Thresholds:
     max_url_length: int
     max_subpath_length: int
     max_hyphens: int
-    cosine_cutoff: float = 0.4
+    cosine_cutoff: float = COSINE_CUTOFF
 
     def __post_init__(self):
         if min(self.max_url_length, self.max_subpath_length, self.max_hyphens) < 0:
@@ -59,16 +60,19 @@ class Thresholds:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Thresholds":
-        return cls(
-            max_url_length=int(obj["max_url_length"]),
-            max_subpath_length=int(obj["max_subpath_length"]),
-            max_hyphens=int(obj["max_hyphens"]),
-            cosine_cutoff=float(obj.get("cosine_cutoff", 0.4)),
-        )
+        """The to_dict() shape: each bound a JSON integer, the optional cutoff a JSON number."""
+        bounds = {key: obj[key] for key in ("max_url_length", "max_subpath_length", "max_hyphens")}
+        for key, bound in bounds.items():
+            if type(bound) is not int:
+                raise ValueError(f"{key} must be an integer, got {bound!r}")
+        cutoff = obj.get("cosine_cutoff", COSINE_CUTOFF)
+        if type(cutoff) not in (int, float):
+            raise ValueError(f"cosine_cutoff must be a number, got {cutoff!r}")
+        return cls(**bounds, cosine_cutoff=float(cutoff))
 
 
 # filtering defaults when a training set is too small or not bimodal
-DEFAULT_THRESHOLDS = Thresholds(80, 30, 4, 0.4)
+DEFAULT_THRESHOLDS = Thresholds(80, 30, 4)
 
 
 @dataclass(frozen=True)
@@ -235,7 +239,7 @@ def fit_thresholds(
     train_urls: Sequence[PageUrl],
     buckets: Sequence[float] = DEFAULT_BUCKET_SIZES,
     *,
-    cosine_cutoff: float = DEFAULT_THRESHOLDS.cosine_cutoff,
+    cosine_cutoff: float = COSINE_CUTOFF,
     fallback_defaults: bool = False,
 ) -> Thresholds:
     """Fit the three URL-shape thresholds from a training URL set.
@@ -253,7 +257,7 @@ def fit_thresholds(
 def fit_url_histograms(
     hists: dict[str, Histogram],
     *,
-    cosine_cutoff: float = DEFAULT_THRESHOLDS.cosine_cutoff,
+    cosine_cutoff: float = COSINE_CUTOFF,
     fallback_defaults: bool = False,
 ) -> Thresholds:
     """Fit the thresholds from the url_histograms() of a training URL set.

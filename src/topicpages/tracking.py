@@ -18,7 +18,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MalformedRecord, MalformedUrl, UnknownTopic
-from .lines import parse_lines, read_lines
+from .lines import read_lines
 from .stats import Summary, summary
 from .urls import PageUrl, normalize, registrable_domain
 
@@ -51,19 +51,6 @@ def _clean_domain(domain: str) -> str:
 def _registrable(cleaned: str) -> str:
     """registrable_domain of a cleaned domain; a crawl log names few domains many times."""
     return registrable_domain(cleaned)
-
-
-def ingest_logs(
-    lines: Iterable[str],
-    topics: Collection[str] | None = None,
-) -> list[CrawlRecord]:
-    """Parse crawl-log lines into records.
-
-    When *topics* is given, any record whose topic is neither in the set
-    nor "homepage" raises UnknownTopic.  is_third_party flags in the input
-    are ignored: third parties are resolved against the record's site.
-    """
-    return list(parse_lines(lines, partial(_parse_record, topics=topics)))
 
 
 def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
@@ -100,6 +87,12 @@ def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
 
 
 def read_crawl_log(path: str | Path, topics: Collection[str] | None = None) -> list[CrawlRecord]:
+    """Read a crawl log into records.
+
+    When *topics* is given, any record whose topic is neither in the set
+    nor "homepage" raises UnknownTopic.  is_third_party flags in the input
+    are ignored: third parties are resolved against the record's site.
+    """
     return list(read_lines(path, partial(_parse_record, topics=topics)))
 
 
@@ -147,21 +140,12 @@ def _disconnect_entry(line: str) -> tuple[str, str]:
     return domain, category
 
 
-def _disconnect_list(entries: Iterable[tuple[str, str]]) -> DisconnectList:
-    """The first entry for a domain wins."""
+def load_disconnect_file(path: str | Path) -> DisconnectList:
+    """Read the canonical two-column (domain, category) TSV; the first entry for a domain wins."""
     out: dict[str, str] = {}
-    for domain, category in entries:
+    for domain, category in read_lines(path, _disconnect_entry):
         out.setdefault(domain, category)
     return DisconnectList(out)
-
-
-def load_disconnect_tsv(text: str) -> DisconnectList:
-    """Parse the canonical two-column (domain, category) TSV."""
-    return _disconnect_list(parse_lines(text.split("\n"), _disconnect_entry))
-
-
-def load_disconnect_file(path: str | Path) -> DisconnectList:
-    return _disconnect_list(read_lines(path, _disconnect_entry))
 
 
 def categorize(tp_domain: str, dl: DisconnectList) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
@@ -17,7 +18,7 @@ from typing import Iterable, NamedTuple
 from urllib.parse import urljoin, urlparse
 
 from .errors import MalformedRecord, MalformedUrl
-from .lines import parse_lines, read_jsonl, read_lines, write_jsonl
+from .lines import read_jsonl, read_lines, write_jsonl
 
 # hrefs with these prefixes are navigation chrome, not pages
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
@@ -28,20 +29,15 @@ _DEFAULT_PORTS = {"http": 80, "https": 443}
 # segments, unless a segment is "." or ".."
 _PLAIN_PATH = re.compile(r"/(?:[A-Za-z0-9_~-][A-Za-z0-9._~/-]*)?")
 
-_suffix_cache: frozenset[str] | None = None
 
-
+@cache
 def public_suffixes() -> frozenset[str]:
     """The bundled public-suffix snapshot, loaded once per process."""
-    global _suffix_cache
-    if _suffix_cache is None:
-        text = resources.files("topicpages").joinpath("data/public_suffixes.txt").read_text("utf-8")
-        _suffix_cache = frozenset(parse_lines(text.split("\n"), str.lower))
-    return _suffix_cache
+    return load_suffixes(resources.files("topicpages") / "data/public_suffixes.txt")
 
 
 def load_suffixes(path: str | Path) -> frozenset[str]:
-    """Read an override suffix file (one suffix per line, # comments)."""
+    """Read a suffix file: one suffix per line, # comments, lowercased."""
     return frozenset(read_lines(path, str.lower))
 
 

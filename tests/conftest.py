@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from topicpages import load_dictionary, load_embeddings, normalize
+from topicpages import load_dictionary_file, load_embeddings_file, normalize
 from topicpages.fetch import FetchResult, save_snapshots
 
 DATA = Path(__file__).parent / "data"
@@ -17,24 +17,31 @@ DATA = Path(__file__).parent / "data"
 FROZEN_TIME = datetime(2024, 3, 17, 12, 0, 0, tzinfo=timezone.utc)
 
 
+def text_file(directory: str | Path, text: str, name: str = "input.txt") -> Path:
+    """A file *name* in *directory* that holds *text* as UTF-8, its line ends as given."""
+    path = Path(directory) / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
 @pytest.fixture(scope="session")
 def toy_dictionary():
-    return load_dictionary(DATA.joinpath("toy_dictionary.json").read_text("utf-8"))
+    return load_dictionary_file(DATA / "toy_dictionary.json")
 
 
 @pytest.fixture(scope="session")
 def toy_model():
-    return load_embeddings(DATA.joinpath("toy_vectors.txt").read_text("utf-8"))
+    return load_embeddings_file(DATA / "toy_vectors.txt")
 
 
 @pytest.fixture(scope="session")
 def selection_dictionary():
-    return load_dictionary(DATA.joinpath("selection_dictionary.json").read_text("utf-8"))
+    return load_dictionary_file(DATA / "selection_dictionary.json")
 
 
 @pytest.fixture(scope="session")
 def selection_model():
-    return load_embeddings(DATA.joinpath("selection_vectors.txt").read_text("utf-8"))
+    return load_embeddings_file(DATA / "selection_vectors.txt")
 
 
 def snapshot_result(url: str, body: str, status: int = 200) -> FetchResult:

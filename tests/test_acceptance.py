@@ -28,8 +28,8 @@ from topicpages import (
     gap_statistic,
     kmeans,
     ks_two_sample,
-    load_dictionary,
-    load_embeddings,
+    load_dictionary_file,
+    load_embeddings_file,
     model_select,
     normalize,
     pca_fit,
@@ -170,12 +170,12 @@ class CountingModel(EmbeddingModel):
 
 @pytest.fixture(scope="module")
 def plane_dictionary():
-    return load_dictionary((DATA / "accept_dictionary.json").read_text("utf-8"))
+    return load_dictionary_file(DATA / "accept_dictionary.json")
 
 
 @pytest.fixture(scope="module")
 def plane_model():
-    return load_embeddings((DATA / "accept_vectors.txt").read_text("utf-8"))
+    return load_embeddings_file(DATA / "accept_vectors.txt")
 
 
 BATTERY = (

@@ -6,7 +6,7 @@ from topicpages import (
     classify_url,
     dictionary_assist,
     filter_subpages,
-    load_dictionary,
+    load_dictionary_file,
     normalize,
 )
 from topicpages.classify import (
@@ -21,6 +21,8 @@ from topicpages.classify import (
 from topicpages.embeddings import EmbeddingModel
 from topicpages.errors import EmptyCandidates, MalformedRecord, NoSubpaths
 from topicpages.stopwords import DEFAULT_STOPWORDS
+
+from conftest import text_file
 
 
 def u(path):
@@ -118,11 +120,12 @@ class TestClassify:
         assert again.matched_subpath == "FootBall"
         assert (again.topic, again.method, again.score) == (first.topic, first.method, first.score)
 
-    def test_equal_scores_go_to_the_first_topic_by_name(self):
+    def test_equal_scores_go_to_the_first_topic_by_name(self, tmp_path):
         # zebra and alpha have the same keyword vector, so every subpath ties
-        dictionary = load_dictionary(
-            '{"topics": {"zebra": ["zed"], "alpha": ["aye"]}, "generic_subpaths": [], "other_name": "other"}'
-        )
+        dictionary = load_dictionary_file(text_file(
+            tmp_path,
+            '{"topics": {"zebra": ["zed"], "alpha": ["aye"]}, "generic_subpaths": [], "other_name": "other"}',
+        ))
         model = EmbeddingModel(2, {"zed": [1.0, 1.0], "aye": [1.0, 1.0], "near": [1.0, 0.9]})
         clf = TopicClassifier(dictionary, model)
         for path in ["/near/", "/Near/"]:

@@ -2,18 +2,26 @@ import json
 
 import pytest
 
-from topicpages import TopicalDictionary, bundled_dictionary, load_dictionary
-from topicpages.dictionary import Topic, load_dictionary_file
+from topicpages import TopicalDictionary, bundled_dictionary, load_dictionary_file
+from topicpages.dictionary import Topic
 from topicpages.errors import DuplicateKeyword, EmptyTopicSet, MalformedDocument
+
+from conftest import text_file
 
 
 def doc(topics, **extra):
     return json.dumps({"topics": topics, **extra})
 
 
+@pytest.fixture
+def load(tmp_path):
+    """load_dictionary_file() over a file that holds the text given."""
+    return lambda text: load_dictionary_file(text_file(tmp_path, text, "dictionary.json"))
+
+
 class TestLoadDictionary:
-    def test_basic_shape(self):
-        d = load_dictionary(doc({"sports": ["sports", "cricket"], "politics": ["politics"]}))
+    def test_basic_shape(self, load):
+        d = load(doc({"sports": ["sports", "cricket"], "politics": ["politics"]}))
         assert [t.name for t in d.non_other_topics()] == ["sports", "politics"]
         assert d.other_topic().name == "other"
         assert d.other_topic().is_other
@@ -24,45 +32,45 @@ class TestLoadDictionary:
             "politics",
         ]
 
-    def test_keyword_lookup(self):
-        d = load_dictionary(doc({"sports": ["cricket"]}))
+    def test_keyword_lookup(self, load):
+        d = load(doc({"sports": ["cricket"]}))
         assert d.topic_of_keyword("cricket") == Topic("sports")
         assert d.topic_of_keyword("absent") is None
         assert d.keywords_for(d.topic_named("sports")) == ("cricket",)
 
-    def test_keywords_lowercased(self):
-        d = load_dictionary(doc({"sports": ["Cricket"]}))
+    def test_keywords_lowercased(self, load):
+        d = load(doc({"sports": ["Cricket"]}))
         assert d.topic_of_keyword("cricket") is not None
 
-    def test_generic_subpaths(self):
-        d = load_dictionary(doc({"t": ["k"]}, generic_subpaths=["topics", "Pages"]))
+    def test_generic_subpaths(self, load):
+        d = load(doc({"t": ["k"]}, generic_subpaths=["topics", "Pages"]))
         assert d.is_generic("topics")
         assert d.is_generic("PAGES")
         assert not d.is_generic("k")
 
-    def test_custom_other_name(self):
-        d = load_dictionary(doc({"t": ["k"]}, other_name="misc"))
+    def test_custom_other_name(self, load):
+        d = load(doc({"t": ["k"]}, other_name="misc"))
         assert d.other_topic().name == "misc"
 
-    def test_other_carries_no_keywords(self):
-        d = load_dictionary(doc({"t": ["k"]}))
+    def test_other_carries_no_keywords(self, load):
+        d = load(doc({"t": ["k"]}))
         assert d.keywords_for(d.other_topic()) == ()
 
-    def test_duplicate_keyword_across_topics(self):
+    def test_duplicate_keyword_across_topics(self, load):
         with pytest.raises(DuplicateKeyword, match="cricket"):
-            load_dictionary(doc({"a": ["cricket"], "b": ["cricket"]}))
+            load(doc({"a": ["cricket"], "b": ["cricket"]}))
 
-    def test_duplicate_keyword_within_topic(self):
+    def test_duplicate_keyword_within_topic(self, load):
         with pytest.raises(DuplicateKeyword):
-            load_dictionary(doc({"a": ["x", "X"]}))
+            load(doc({"a": ["x", "X"]}))
 
-    def test_empty_topics(self):
+    def test_empty_topics(self, load):
         with pytest.raises(EmptyTopicSet):
-            load_dictionary(doc({}))
+            load(doc({}))
 
-    def test_topic_name_clashes_with_other(self):
+    def test_topic_name_clashes_with_other(self, load):
         with pytest.raises(MalformedDocument, match="clashes"):
-            load_dictionary(doc({"other": ["k"]}))
+            load(doc({"other": ["k"]}))
 
     @pytest.mark.parametrize(
         "text",
@@ -77,18 +85,13 @@ class TestLoadDictionary:
             doc({"t": [""]}),
         ],
     )
-    def test_malformed_documents(self, text):
+    def test_malformed_documents(self, load, text):
         with pytest.raises(MalformedDocument):
-            load_dictionary(text)
-
-    def test_bytes_accepted(self):
-        d = load_dictionary(doc({"t": ["k"]}).encode("utf-8"))
-        assert d.topic_named("t") == Topic("t")
+            load(text)
 
     def test_file_round_trip(self, tmp_path):
-        p = tmp_path / "d.json"
-        p.write_text(doc({"sports": ["cricket"]}), "utf-8")
-        assert load_dictionary_file(p).topic_of_keyword("cricket") == Topic("sports")
+        p = text_file(tmp_path, doc({"sports": ["cricket"]}), "d.json")
+        assert load_dictionary_file(str(p)).topic_of_keyword("cricket") == Topic("sports")
 
 
 class TestTopicalDictionaryDirect:

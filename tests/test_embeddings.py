@@ -2,7 +2,6 @@ import math
 import re
 import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +11,14 @@ from topicpages import (
     EmbeddingModel,
     combined_embedding,
     cosine,
-    load_embeddings,
+    load_embeddings_file,
     tokenize_subpath,
 )
 from topicpages import embeddings as embeddings_mod
-from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import DimensionMismatch, MalformedDocument, MalformedHeader
+from topicpages.stopwords import load_stopwords
+
+from conftest import text_file
 
 
 class TestTokenizeSubpath:
@@ -30,6 +31,10 @@ class TestTokenizeSubpath:
     def test_stopwords_removed_after_folding(self):
         assert tokenize_subpath("The-Movie-Review", {"the"}) == ["movie", "review"]
 
+    def test_stopword_file_lowercased_like_the_tokens(self, tmp_path):
+        stopwords = load_stopwords(text_file(tmp_path, "The\nOf\n"))
+        assert tokenize_subpath("The-State-of-Play", stopwords) == ["state", "play"]
+
     def test_empty_and_punctuation_only(self):
         assert tokenize_subpath("") == []
         assert tokenize_subpath("---") == []
@@ -41,74 +46,92 @@ class TestTokenizeSubpath:
 W2V = "3 2\nsports 1.0 0.0\ncricket 0.8 0.6\nnews 0.0 1.0\n"
 
 
+@pytest.fixture
+def vectors(tmp_path):
+    """The path of a vectors file that holds the text given."""
+    return lambda text: text_file(tmp_path, text, "v.txt")
+
+
+def at(path, lineno):
+    """The start of an error message at a line of *path*, as a regular expression."""
+    return re.escape(f"{path}:{lineno}: ")
+
+
 class TestLoadEmbeddings:
-    def test_basic(self):
-        m = load_embeddings(W2V)
+    def test_basic(self, vectors):
+        m = load_embeddings_file(vectors(W2V))
         assert m.dimension == 2
         assert len(m) == 3
         assert np.allclose(m.vector("cricket"), [0.8, 0.6])
         assert "sports" in m
         assert m.vector("absent") is None
 
-    def test_tokens_case_folded_first_wins(self):
-        m = load_embeddings("2 1\nSports 1.0\nsports 2.0\n")
+    def test_tokens_case_folded_first_wins(self, vectors):
+        m = load_embeddings_file(vectors("2 1\nSports 1.0\nsports 2.0\n"))
         assert m.vector("sports") == pytest.approx([1.0])
 
-    def test_count_header_not_enforced(self):
-        m = load_embeddings("999 1\na 1.0\n")
+    def test_count_header_not_enforced(self, vectors):
+        m = load_embeddings_file(vectors("999 1\na 1.0\n"))
         assert len(m) == 1
 
-    def test_blank_lines_skipped(self):
-        m = load_embeddings("1 1\n\na 1.0\n\n")
+    def test_blank_lines_skipped(self, vectors):
+        m = load_embeddings_file(vectors("1 1\n\na 1.0\n\n"))
         assert len(m) == 1
 
-    def test_empty_document(self):
-        with pytest.raises(MalformedHeader):
-            load_embeddings("")
+    def test_empty_document(self, vectors):
+        p = vectors("")
+        with pytest.raises(MalformedHeader, match=f"^{at(p, 1)}empty document$"):
+            load_embeddings_file(p)
 
     @pytest.mark.parametrize("header", ["3", "a b", "3 2 1", "3 0"])
-    def test_bad_headers(self, header):
-        with pytest.raises(MalformedHeader):
-            load_embeddings(header + "\na 1.0 2.0\n")
+    def test_bad_headers(self, vectors, header):
+        p = vectors(header + "\na 1.0 2.0\n")
+        with pytest.raises(MalformedHeader, match=f"^{at(p, 1)}"):
+            load_embeddings_file(p)
 
-    def test_wrong_width_reports_line_number(self):
-        with pytest.raises(DimensionMismatch, match="line 3"):
-            load_embeddings("2 2\na 1.0 2.0\nb 1.0\n")
+    def test_wrong_width_reports_line_number(self, vectors):
+        p = vectors("2 2\na 1.0 2.0\nb 1.0\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}"):
+            load_embeddings_file(p)
 
-    def test_non_numeric_reports_line_number(self):
-        with pytest.raises(DimensionMismatch, match="line 2"):
-            load_embeddings("1 2\na 1.0 oops\n")
+    def test_non_numeric_reports_line_number(self, vectors):
+        p = vectors("1 2\na 1.0 oops\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 2)}"):
+            load_embeddings_file(p)
 
-    def test_file_loader(self, tmp_path):
-        p = tmp_path / "v.txt"
-        p.write_text(W2V, "utf-8")
-        assert load_embeddings_file(p).dimension == 2
+    def test_file_loader(self, vectors):
+        assert load_embeddings_file(str(vectors(W2V))).dimension == 2
 
-    def test_bad_value_in_duplicate_row_rejected(self):
+    def test_bad_value_in_duplicate_row_rejected(self, vectors):
         # the first row of a token wins, but every row's values must parse
-        with pytest.raises(DimensionMismatch, match="^line 3: non-numeric coordinate$"):
-            load_embeddings("2 1\na 1.0\nA oops\n")
+        p = vectors("2 1\na 1.0\nA oops\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}non-numeric coordinate$"):
+            load_embeddings_file(p)
 
-    def test_width_of_duplicate_row_checked(self):
-        with pytest.raises(DimensionMismatch, match="line 3: expected 1 values, got 2"):
-            load_embeddings("2 1\na 1.0\nA 1.0 2.0\n")
+    def test_width_of_duplicate_row_checked(self, vectors):
+        p = vectors("2 1\na 1.0\nA 1.0 2.0\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}expected 1 values, got 2$"):
+            load_embeddings_file(p)
 
-    def test_values_python_accepts_and_numpy_does_not(self):
+    def test_values_python_accepts_and_numpy_does_not(self, vectors):
         for value in ["1_0", "\u0661"]:
-            with pytest.raises(DimensionMismatch, match="^line 3: non-numeric coordinate$"):
-                load_embeddings(f"2 2\na 1 2\nb {value} -0.0\n")
+            p = vectors(f"2 2\na 1 2\nb {value} -0.0\n")
+            with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}non-numeric coordinate$"):
+                load_embeddings_file(p)
 
-    def test_only_newline_ends_a_row(self):
+    def test_only_newline_ends_a_row(self, vectors):
         # "\r" and the other breaks str.splitlines() knows are whitespace in a row
-        m = load_embeddings("1 2\na 1\r2\x85\u2028\r\t\n")
+        m = load_embeddings_file(vectors("1 2\na 1\r2\x85\u2028\r\t\n"))
         assert m.vector("a").tolist() == [1.0, 2.0]
-        with pytest.raises(DimensionMismatch, match="^line 2: expected 1 values, got 3$"):
-            load_embeddings("2 1\na 1\rb 2\n")
+        p = vectors("2 1\na 1\rb 2\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 2)}expected 1 values, got 3$"):
+            load_embeddings_file(p)
 
-    def test_error_line_number_past_a_chunk(self, monkeypatch):
+    def test_error_line_number_past_a_chunk(self, vectors, monkeypatch):
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 2)
-        with pytest.raises(DimensionMismatch, match="^line 6: non-numeric coordinate$"):
-            load_embeddings("5 1\na 1\n\nb 2\nc 3\nd x\n")
+        p = vectors("5 1\na 1\n\nb 2\nc 3\nd x\n")
+        with pytest.raises(DimensionMismatch, match=f"^{at(p, 6)}non-numeric coordinate$"):
+            load_embeddings_file(p)
 
     def test_malformed_row_before_bad_utf8_reports_the_row(self, tmp_path, monkeypatch):
         # the file is read as it is parsed, so a fault in an early chunk is
@@ -141,17 +164,17 @@ class TestLoadEmbeddings:
             load_embeddings_file(p)
 
 
-def reference_load(document, path=None):
+def reference_load(document, path):
     """The line-by-line parser the bulk loader must agree with.
 
-    Returns (dimension, {token: vector}) or raises what the loader raises;
-    with *path*, as a file at that path: errors start with "<path>:<line>: ".
+    Returns (dimension, {token: vector}) or raises what the loader raises
+    for *document* as a file at *path*: errors start with "<path>:<line>: ".
     """
 
     def at(lineno):
-        return f"line {lineno}: " if path is None else f"{path}:{lineno}: "
+        return f"{path}:{lineno}: "
 
-    header_at = "" if path is None else at(1)
+    header_at = at(1)
     lines = document.split("\n") if document else []
     if not lines:
         raise MalformedHeader(f"{header_at}empty document")
@@ -194,7 +217,7 @@ def outcome(load, arg):
     return model.dimension, [(t, v.tobytes()) for t, v in model.items()]
 
 
-def reference_outcome(document, path=None):
+def reference_outcome(document, path):
     try:
         dim, vectors = reference_load(document, path)
     except (MalformedHeader, DimensionMismatch) as exc:
@@ -238,14 +261,10 @@ def documents(draw):
 class TestBulkLoaderMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(documents(), st.integers(1, 5))
-    def test_text_and_file_match_reference(self, document, chunk_lines):
-        expected = reference_outcome(document)
+    def test_file_matches_reference(self, document, chunk_lines):
         with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
             mp.setattr(embeddings_mod, "_CHUNK_LINES", chunk_lines)
-            path = Path(tmp) / "v.txt"
-            path.write_bytes(document.encode("utf-8"))
-            assert outcome(load_embeddings, document) == expected
-            assert outcome(load_embeddings, document.encode("utf-8")) == expected
+            path = text_file(tmp, document, "v.txt")
             assert outcome(load_embeddings_file, path) == reference_outcome(document, path)
 
     @given(st.one_of(GOOD_VALUES, BAD_VALUES))
@@ -256,7 +275,7 @@ class TestBulkLoaderMatchesReference:
         except ValueError:
             numpy_reads = False
         expected = 1 if numpy_reads else DimensionMismatch  # the dimension, or the error
-        assert reference_outcome(f"1 1\na {value}\n")[0] == expected
+        assert reference_outcome(f"1 1\na {value}\n", "v.txt")[0] == expected
 
     def test_default_chunk_sizes_on_a_long_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -265,11 +284,8 @@ class TestBulkLoaderMatchesReference:
             for i in range(10000)
         ]
         document = "10000 4\n" + "\n".join(rows) + "\n"
-        path = tmp_path / "v.txt"
-        path.write_text(document, "utf-8")
-        expected = reference_outcome(document)
-        assert outcome(load_embeddings, document) == expected
-        assert outcome(load_embeddings_file, path) == expected
+        path = text_file(tmp_path, document, "v.txt")
+        assert outcome(load_embeddings_file, path) == reference_outcome(document, path)
 
 
 class TestEmbeddingModel:
@@ -292,24 +308,25 @@ class TestEmbeddingModel:
             EmbeddingModel(0, {})
 
 
+@pytest.fixture(scope="module")
+def w2v(tmp_path_factory):
+    return load_embeddings_file(text_file(tmp_path_factory.mktemp("w2v"), W2V, "v.txt"))
+
+
 class TestCombinedEmbedding:
-    def test_sums_vectors(self):
-        m = load_embeddings(W2V)
-        assert np.allclose(combined_embedding(["sports", "news"], m), [1.0, 1.0])
+    def test_sums_vectors(self, w2v):
+        assert np.allclose(combined_embedding(["sports", "news"], w2v), [1.0, 1.0])
 
-    def test_oov_contributes_nothing(self):
-        m = load_embeddings(W2V)
-        assert np.allclose(combined_embedding(["sports", "zzz"], m), [1.0, 0.0])
+    def test_oov_contributes_nothing(self, w2v):
+        assert np.allclose(combined_embedding(["sports", "zzz"], w2v), [1.0, 0.0])
 
-    def test_all_oov_is_zero_vector(self):
-        m = load_embeddings(W2V)
-        out = combined_embedding(["zzz"], m)
+    def test_all_oov_is_zero_vector(self, w2v):
+        out = combined_embedding(["zzz"], w2v)
         assert out.shape == (2,)
         assert np.all(out == 0.0)
 
-    def test_repeated_token_counts_twice(self):
-        m = load_embeddings(W2V)
-        assert np.allclose(combined_embedding(["news", "news"], m), [0.0, 2.0])
+    def test_repeated_token_counts_twice(self, w2v):
+        assert np.allclose(combined_embedding(["news", "news"], w2v), [0.0, 2.0])
 
 
 class TestCosine:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicpages import PipelineConfig, load_config, load_dictionary, normalize
+from topicpages import PipelineConfig, load_config, normalize
 from topicpages.classify import read_assignments, read_best_subpages
 from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
@@ -20,6 +20,8 @@ from topicpages.stopwords import load_stopwords
 from topicpages.thresholds import Thresholds
 from topicpages.tracking import load_disconnect_file, read_crawl_log
 from topicpages.urls import load_suffixes, read_url_file, url_to_record
+
+from conftest import DATA
 
 
 def _rows(*rows):
@@ -49,7 +51,7 @@ REPORT = {
     "top_tp_coverage": [{"third_party": "ads.example", "coverage": {"sports": 50.0}}],
 }
 CLUSTERS = {"n": 1, "assignments": {"a": 0, "b": 1}, "points": {"a": [0.5], "b": [-0.5]}}
-SPORTS = load_dictionary(json.dumps({"topics": {"sports": ["sports"]}}))
+SPORTS = load_dictionary_file(DATA / "toy_dictionary.json")
 
 
 def _plots(path):

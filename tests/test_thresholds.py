@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,8 @@ from topicpages import (
     url_metrics,
 )
 from topicpages import thresholds as thresholds_mod
-from topicpages.config import load_config
-from topicpages.errors import EmptyInput, NotBimodal
+from topicpages.config import PipelineConfig, load_config
+from topicpages.errors import EmptyInput, MalformedDocument, NotBimodal
 from topicpages.pipeline import STAGE_NAMED, Runner
 from topicpages.thresholds import (
     DEFAULT_BUCKET_SIZES,
@@ -24,7 +27,7 @@ from topicpages.thresholds import (
 )
 from topicpages.urls import write_url_file
 
-from conftest import build_e2e_workspace
+from conftest import DATA, build_e2e_workspace
 
 
 def hist_from_counts(counts, bucket_size=1.0):
@@ -281,6 +284,35 @@ class TestThresholdsObject:
     def test_round_trip(self):
         t = Thresholds(70, 25, 3, cosine_cutoff=0.35)
         assert Thresholds.from_dict(t.to_dict()) == t
+
+    def test_integral_cutoff_is_a_number(self):
+        t = Thresholds.from_dict({**DEFAULT_THRESHOLDS.to_dict(), "cosine_cutoff": 1})
+        assert t.cosine_cutoff == 1.0 and isinstance(t.cosine_cutoff, float)
+
+    @pytest.mark.parametrize(
+        "key,value,fault",
+        [
+            ("max_url_length", 80.9, "max_url_length must be an integer, got 80.9"),
+            ("max_url_length", 80.0, "max_url_length must be an integer, got 80.0"),
+            ("max_subpath_length", True, "max_subpath_length must be an integer, got True"),
+            ("max_hyphens", "4", "max_hyphens must be an integer, got '4'"),
+            ("cosine_cutoff", True, "cosine_cutoff must be a number, got True"),
+            ("cosine_cutoff", "0.4", "cosine_cutoff must be a number, got '0.4'"),
+        ],
+    )
+    @pytest.mark.parametrize("stage", ["filter", "classify"])
+    def test_hand_edited_value_of_another_type_fails_the_stage(
+        self, tmp_path, stage, key, value, fault
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        thresholds = out / "thresholds.json"
+        thresholds.write_text(json.dumps({**DEFAULT_THRESHOLDS.to_dict(), key: value}), "utf-8")
+        source = tmp_path / "urls.jsonl"
+        write_url_file(source, [(normalize("https://a.example/sports/"), "a.example")])
+        cfg = PipelineConfig(out_dir=str(out), embeddings=str(DATA / "toy_vectors.txt"))
+        with pytest.raises(MalformedDocument, match=f"^{re.escape(f'{thresholds}: {fault}')}$"):
+            Runner(cfg).run_stage(STAGE_NAMED[stage], source)
 
 
 def test_histogram_csv(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import re
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -12,8 +14,7 @@ from topicpages import (
     categorize,
     category_breakdown,
     cookie_stats_by_topic,
-    ingest_logs,
-    load_disconnect_tsv,
+    load_disconnect_file,
     percent_diff_vs_homepage,
     preferential_attachment,
     read_crawl_log,
@@ -22,11 +23,10 @@ from topicpages import (
 import topicpages.tracking as tracking_mod
 from topicpages.errors import MalformedRecord, UnknownTopic
 from topicpages.stats import summary
-from topicpages.tracking import (
-    UNKNOWN,
-    load_disconnect_file,
-)
+from topicpages.tracking import UNKNOWN
 from topicpages.urls import registrable_domain
+
+from conftest import text_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -92,18 +92,19 @@ class TestIngest:
         assert "pixel-track.example" in c05.third_parties
         assert "trk.pixel-track.example" not in c05.third_parties
 
-    def test_unknown_topic_rejected(self):
+    def test_unknown_topic_rejected(self, tmp_path):
         line = json.dumps(
             {"page_url": "https://a.example/x/", "site": "a.example", "topic": "mystery"}
         )
-        with pytest.raises(UnknownTopic, match="line 1"):
-            ingest_logs([line], topics=("sports",))
+        p = text_file(tmp_path, line + "\n")
+        with pytest.raises(UnknownTopic, match=f"^{re.escape(str(p))}:1: "):
+            read_crawl_log(p, topics=("sports",))
 
-    def test_homepage_always_allowed(self):
+    def test_homepage_always_allowed(self, tmp_path):
         line = json.dumps(
             {"page_url": "https://a.example/", "site": "a.example", "topic": "homepage"}
         )
-        assert ingest_logs([line], topics=("sports",))[0].topic == "homepage"
+        assert read_crawl_log(text_file(tmp_path, line), topics=("sports",))[0].topic == "homepage"
 
     @pytest.mark.parametrize(
         "line",
@@ -137,14 +138,15 @@ class TestIngest:
             ),
         ],
     )
-    def test_malformed_records(self, line):
-        with pytest.raises(MalformedRecord, match="line 1"):
-            ingest_logs([line])
+    def test_malformed_records(self, tmp_path, line):
+        p = text_file(tmp_path, line + "\n")
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(p))}:1: "):
+            read_crawl_log(p)
 
-    def test_blank_lines_skipped(self):
-        assert ingest_logs(["", "  "]) == []
+    def test_blank_lines_skipped(self, tmp_path):
+        assert read_crawl_log(text_file(tmp_path, "\n  \n")) == []
 
-    def test_each_cleaned_domain_resolved_once(self, monkeypatch):
+    def test_each_cleaned_domain_resolved_once(self, tmp_path, monkeypatch):
         calls = []
 
         def counting(host):
@@ -160,7 +162,7 @@ class TestIngest:
             "cookies": [{"cookie_domain": d} for d in (".ADS.example", "ads.example", " ads.example")],
             "requests": [{"request_domain": d} for d in ("cdn.ads.example", "WWW.SITE.EXAMPLE")],
         }
-        records = ingest_logs([json.dumps(visit)] * 3)
+        records = read_crawl_log(text_file(tmp_path, (json.dumps(visit) + "\n") * 3))
         assert sorted(calls) == ["ads.example", "cdn.ads.example", "www.site.example"]
         assert records[0].tp_cookies == ("ads.example",) * 3
         assert records[0].third_parties == {"ads.example"}
@@ -195,17 +197,19 @@ class TestDisconnectList:
         assert disconnect.entries["cdn-static.example"] == "Content & Social"
         assert len(disconnect.entries) == 5
 
-    def test_tsv_first_entry_wins(self):
-        dl = load_disconnect_tsv("a.example\tAdvertising\na.example\tAnalytics\n")
-        assert dl.entries["a.example"] == "Advertising"
+    def test_tsv_first_entry_wins(self, tmp_path):
+        p = text_file(tmp_path, "a.example\tAdvertising\na.example\tAnalytics\n")
+        assert load_disconnect_file(p).entries["a.example"] == "Advertising"
 
-    def test_tsv_bad_category(self):
-        with pytest.raises(MalformedRecord, match="line 1"):
-            load_disconnect_tsv("a.example\tAdTech\n")
+    def test_tsv_bad_category(self, tmp_path):
+        p = text_file(tmp_path, "a.example\tAdTech\n")
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(p))}:1: "):
+            load_disconnect_file(p)
 
-    def test_tsv_bad_width(self):
-        with pytest.raises(MalformedRecord):
-            load_disconnect_tsv("a.example Advertising\n")
+    def test_tsv_bad_width(self, tmp_path):
+        p = text_file(tmp_path, "a.example Advertising\n")
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(p))}:1: "):
+            load_disconnect_file(p)
 
     def test_categorize_subdomain_inherits(self, disconnect):
         assert categorize("cdn.ad-serve.example", disconnect) == "Advertising"
@@ -360,7 +364,7 @@ class TestTopTpCoverage:
 ORACLE_SITES = ("alpha-news.example", "beta.co.uk", "gamma.example")
 ORACLE_TRACKERS = ("ad-serve.example", "pixel.co.uk", "beacon.example", "cdn.net")
 ORACLE_TOPICS = ("homepage", "politics", "sports")
-ORACLE_DISCONNECT = load_disconnect_tsv(
+ORACLE_DISCONNECT_TSV = (
     "ad-serve.example\tAdvertising\nbeacon.example\tAnalytics\nsub.cdn.net\tContent & Social\n"
 )
 
@@ -416,7 +420,9 @@ class TestOracle:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(crawl_line, min_size=1, max_size=12), st.integers(1, 10))
     def test_analyses_match_brute_force(self, lines, k):
-        records = ingest_logs(lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            records = read_crawl_log(text_file(tmp, "\n".join(lines), "crawl_log.jsonl"))
+            dl = load_disconnect_file(text_file(tmp, ORACLE_DISCONNECT_TSV, "disconnect.tsv"))
         visits = reference_visits(lines)
 
         per_topic = {}
@@ -436,9 +442,9 @@ class TestOracle:
                     ("Advertising", "Content & Social", "Analytics", "Fingerprinting", UNKNOWN), 0
                 )
                 for tp in tps:
-                    counts[categorize(tp, ORACLE_DISCONNECT)] += 1
+                    counts[categorize(tp, dl)] += 1
                 expect[topic] = counts
-            assert category_breakdown(records, ORACLE_DISCONNECT, sites=sites) == expect
+            assert category_breakdown(records, dl, sites=sites) == expect
 
         m = build_tracking_matrix(records, topics=("unvisited",))
         topics = sorted({topic for _, topic, _, _ in visits} | {"unvisited"})

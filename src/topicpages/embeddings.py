@@ -3,12 +3,18 @@
 The model file is the plain word2vec text format: a "count dimension"
 header, then one token and its coordinates per line.  Multi-token phrases
 are represented by summing their token vectors; out-of-vocabulary tokens
-contribute nothing.
+contribute nothing.  A parsed file can be kept in a cache directory, so a
+later load of the same bytes skips the parse.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+import os
 import re
+import sys
 from itertools import islice
 from pathlib import Path
 from typing import AbstractSet, Iterable, Iterator, Sequence
@@ -16,11 +22,12 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
-from .lines import decoded_lines
+from .lines import decoded_lines, file_sha256, write_bytes
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
 _CHUNK_LINES = 4096  # vector lines per bulk parse
+_ENTRY_DTYPE = np.dtype("<f8")  # cache entries hold little-endian float64 rows
 
 
 def tokenize_subpath(subpath: str, stopwords: AbstractSet[str] = frozenset()) -> list[str]:
@@ -134,7 +141,7 @@ def _parse_rows(
     return values if len(kept) == len(values) else values[kept]
 
 
-def load_embeddings_file(path: str | Path) -> EmbeddingModel:
+def load_embeddings_file(path: str | Path, cache: str | Path | None = None) -> EmbeddingModel:
     """Parse a word2vec text file, read line by line rather than whole.
 
     Rows end at "\\n" only.  Tokens are lowercased; when case-folding
@@ -144,7 +151,25 @@ def load_embeddings_file(path: str | Path) -> EmbeddingModel:
     not enforced (files are routinely truncated for experiments); the
     dimension is.  Every fault in the file is a MalformedDocument whose
     message starts with "<path>:<line>: ", bytes that are not UTF-8 included.
+
+    When *cache* is an existing directory, the parse is served from its entry
+    under cache/embeddings/, named by _cache_key, or made and then saved
+    there.  An entry that fails its checks is parsed anew and replaced; a
+    save that fails leaves the load as it was.
     """
+    entry = None
+    if cache is not None and Path(cache).is_dir():
+        entry = Path(cache) / "embeddings" / f"{_cache_key(path)}.bin"
+        model = _read_entry(entry)
+        if model is not None:
+            return model
+    model = _parse_file(path)
+    if entry is not None:
+        _write_entry(entry, model)
+    return model
+
+
+def _parse_file(path: str | Path) -> EmbeddingModel:
     lines = decoded_lines(path, MalformedDocument)
     header = next(lines, None)
     try:
@@ -161,6 +186,69 @@ def load_embeddings_file(path: str | Path) -> EmbeddingModel:
         lineno += len(chunk)
     matrix = np.concatenate(blocks) if blocks else np.empty((0, dim), dtype=float)
     return EmbeddingModel._of_matrix(matrix, rows)
+
+
+# --- the parse cache -----------------------------------------------------------
+#
+# An entry is one file: a JSON header line {"dimension", "rows", "tokens" (the
+# byte length of the token list), "sha256" (of everything after the line)},
+# then the matrix as little-endian float64 rows, then the tokens in row order,
+# UTF-8, joined by "\n", which no token holds.
+
+
+@functools.cache
+def _code_digests() -> tuple[str, ...]:
+    """What the parse depends on besides the file: this package's source files
+    and the Python and numpy versions, whose str.lower and number reading it uses."""
+    sources = sorted(Path(__file__).parent.glob("*.py"))
+    return (sys.version, np.__version__, *(f"{p.name}:{file_sha256(p)}" for p in sources))
+
+
+def _cache_key(path: str | Path) -> str:
+    return hashlib.sha256("\n".join((file_sha256(path), *_code_digests())).encode()).hexdigest()
+
+
+def _read_entry(entry: Path) -> EmbeddingModel | None:
+    """The model an entry holds, or None when it is absent or fails a check."""
+    try:
+        with open(entry, "rb") as fh:
+            header = json.loads(fh.readline())
+            dim, count, size = header["dimension"], header["rows"], header["tokens"]
+            numbers = (dim, count, size)
+            if not all(type(v) is int for v in numbers) or dim < 1 or min(numbers) < 0:
+                return None
+            length = count * dim * _ENTRY_DTYPE.itemsize
+            if os.fstat(fh.fileno()).st_size - fh.tell() != length + size:
+                return None
+            payload = bytearray(length + size)
+            if fh.readinto(payload) != len(payload):
+                return None
+        if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+            return None
+        text = payload[length:].decode("utf-8")
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return None
+    tokens = text.split("\n") if text else []
+    rows = dict(zip(tokens, range(count)))
+    if len(tokens) != count or len(rows) != count:
+        return None
+    matrix = np.frombuffer(payload, dtype=_ENTRY_DTYPE, count=count * dim).reshape(count, dim)
+    return EmbeddingModel._of_matrix(matrix, rows)
+
+
+def _write_entry(entry: Path, model: EmbeddingModel) -> None:
+    """Save *model* as *entry*; a store that cannot take it only loses the entry."""
+    values = np.ascontiguousarray(model._matrix, dtype=_ENTRY_DTYPE).reshape(-1).view(np.uint8)
+    tokens = "\n".join(model._rows).encode("utf-8")
+    digest = hashlib.sha256(values)
+    digest.update(tokens)
+    header = {"dimension": model.dimension, "rows": len(model), "tokens": len(tokens),
+              "sha256": digest.hexdigest()}
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        write_bytes(entry, (json.dumps(header, sort_keys=True).encode() + b"\n", values, tokens))
+    except OSError:
+        pass
 
 
 def combined_embedding(tokens: Iterable[str], model: EmbeddingModel) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 Fetching is the only stage that touches the network.  Results land in a
 snapshot directory (content-addressed files plus an index), and every other
-stage reads snapshots, which keeps whole-pipeline runs reproducible.
+stage reads snapshots, which keeps whole-pipeline runs reproducible.  Each
+body and the index are written whole or not at all.  The store also holds
+the embeddings parse cache under embeddings/ (see load_embeddings_file);
+its entries are safe to delete.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from urllib import robotparser
 from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import MalformedRecord
-from .lines import read_jsonl, read_text, write_jsonl
+from .lines import read_jsonl, read_text, write_jsonl, write_text
 from .urls import PageUrl
 
 # one fixed desktop browser identity for every request in a crawl
@@ -197,7 +200,7 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
             path = _snapshot_name(result.body)
             target = directory / path
             if not target.exists():
-                target.write_text(result.body, encoding="utf-8")
+                write_text(target, result.body)
         rows[result.url.normalized] = {
             "url": result.url.normalized,
             "path": path,

@@ -12,6 +12,7 @@ none, never part of one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -89,13 +90,22 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
         raise _located(exc, str(path), MalformedDocument) from exc
 
 
+def file_sha256(path: str | Path) -> str:
+    """The sha256 hex digest of a file's bytes, read in chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @contextmanager
-def _replacing(path: str | Path) -> Iterator:
-    """A text file that replaces *path* only when the block completes."""
+def _replacing(path: str | Path, binary: bool = False) -> Iterator:
+    """A text (or binary) file that replaces *path* only when the block completes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")) as fh:
             yield fh
         os.replace(tmp, path)
     except ValueError as exc:  # NaN or an infinity
@@ -107,6 +117,13 @@ def _replacing(path: str | Path) -> Iterator:
 def write_text(path: str | Path, text: str) -> None:
     with _replacing(path) as fh:
         fh.write(text)
+
+
+def write_bytes(path: str | Path, chunks: Iterable) -> None:
+    """Each buffer of *chunks* in turn, as the file's bytes."""
+    with _replacing(path, binary=True) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -4,11 +4,15 @@ Each stage reads upstream artifacts from a run directory and writes its own,
 so any stage can be re-run in isolation.  A full run finishes by writing
 manifest.json, the content-hash inventory of every artifact it produced;
 two runs over the same inputs and seed produce byte-identical bundles.
+
+A Runner loads each run input when first used and keeps it for the run.  It
+also keeps the rows of each URL file it writes that a stage reads, so a later
+stage of the same run gets them without a parse, and it loads the embeddings
+through the parse cache in the snapshot store.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -24,7 +28,9 @@ from .dictionary import TopicalDictionary, bundled_dictionary, load_dictionary_f
 from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
-from .lines import read_json, read_jsonl, read_lines, read_text, write_json, write_jsonl, write_text
+from .lines import (
+    file_sha256, read_json, read_lines, read_text, write_json, write_jsonl, write_text,
+)
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
@@ -48,14 +54,6 @@ def read_homepage_list(path: str | Path) -> list[PageUrl]:
     return list(first.values())
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class Runner:
     """Shared state for one pipeline run rooted at config.out_dir."""
 
@@ -63,6 +61,7 @@ class Runner:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.artifacts: dict[str, Path] = {}
+        self._url_rows: dict[Path, tuple[tuple[PageUrl, str], ...]] = {}
 
     # --- run inputs, each loaded when first used and kept for the run ---------
 
@@ -77,7 +76,7 @@ class Runner:
 
     @cached_property
     def embeddings(self) -> EmbeddingModel:
-        return load_embeddings_file(self.config.embeddings)
+        return load_embeddings_file(self.config.embeddings, cache=self.snapshot_dir)
 
     def classifier(self, cutoff: float) -> classify_mod.TopicClassifier:
         return classify_mod.TopicClassifier(
@@ -96,6 +95,20 @@ class Runner:
     def homepages(self) -> list[PageUrl]:
         """The configured homepage list; none when `urls` is unset."""
         return read_homepage_list(self.config.urls) if self.config.urls else []
+
+    # --- URL files, each parsed at most once per run ---------------------------
+
+    def url_rows(self, path: str | Path) -> Sequence[tuple[PageUrl, str]]:
+        """A URL file's (url, site) rows: those this Runner wrote there, or else the file's."""
+        kept = self._url_rows.get(Path(path))
+        return kept if kept is not None else read_url_file(path)
+
+    def _write_url_rows(self, path: Path, rows: Sequence[tuple[PageUrl, str]]) -> None:
+        """Write a URL file, and keep its rows for the run when a stage reads it."""
+        rows = tuple(rows)
+        write_url_file(path, rows)
+        if path.name in STAGE_READS:
+            self._url_rows[path] = rows
 
     # --- stages -------------------------------------------------------------
 
@@ -171,8 +184,8 @@ class Runner:
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
-        write_url_file(internal_path, internal)
-        write_url_file(external_path, external)
+        self._write_url_rows(internal_path, internal)
+        self._write_url_rows(external_path, external)
         return {
             "internal": len(internal),
             "external": len(external),
@@ -183,7 +196,7 @@ class Runner:
     def stage_fit_thresholds(self, source: str | Path, thresholds: Path, *histograms: Path) -> dict:
         """Fit the URL-shape cutoffs; each histogram is written to the file named after it."""
         cfg = self.config
-        hists = url_histograms([u for u, _ in read_url_file(source)], DEFAULT_BUCKET_SIZES)
+        hists = url_histograms([u for u, _ in self.url_rows(source)], DEFAULT_BUCKET_SIZES)
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
@@ -193,17 +206,17 @@ class Runner:
         return fitted.to_dict()
 
     def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> dict:
-        rows = read_url_file(source)
+        rows = self.url_rows(source)
         fitted = read_json(thresholds, Thresholds.from_dict)
         kept_urls = set(
             u.normalized for u in filter_subpages([u for u, _ in rows], fitted)
         )
         kept = [(u, site) for u, site in rows if u.normalized in kept_urls]
-        write_url_file(filtered, kept)
+        self._write_url_rows(filtered, kept)
         return {"kept": len(kept), "dropped": len(rows) - len(kept)}
 
     def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> dict:
-        rows = read_url_file(source)
+        rows = self.url_rows(source)
         classifier = self.classifier(read_json(thresholds, Thresholds.from_dict).cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
@@ -391,7 +404,10 @@ class Runner:
         # topic coverage across sites
         if best:
             chosen = classify_mod.read_best_subpages(best)
-            sites = set(read_jsonl(internal, _site_of)) if internal else {r["site"] for r in chosen}
+            sites = (
+                {site for _, site in self.url_rows(internal)} if internal
+                else {r["site"] for r in chosen}
+            )
             per_topic: dict[str, set[str]] = {}
             for r in chosen:
                 per_topic.setdefault(r["topic"], set()).add(r["site"])
@@ -486,7 +502,7 @@ class Runner:
                 rel = str(path.relative_to(self.out_dir))
             except ValueError:
                 rel = str(path)
-            listing[name] = {"path": rel, "sha256": _sha256(path)}
+            listing[name] = {"path": rel, "sha256": file_sha256(path)}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out_dir / MANIFEST_NAME
         write_json(manifest_path, {"artifacts": listing})
@@ -508,12 +524,6 @@ def _labeled_matrix(obj: dict) -> tuple[tuple[str, ...], "np.ndarray"]:
         return m.topics, m.cells.astype(float)
     m = content_mod.ContentMatrix.from_dict(obj)
     return m.topics, m.weights
-
-
-def _site_of(obj: dict) -> str:
-    if not isinstance(obj["site"], str):
-        raise TypeError("site must be a string")
-    return obj["site"]
 
 
 @dataclass(frozen=True)
@@ -575,6 +585,7 @@ STAGES = (
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}
 WRITER = {name: stage.name for stage in STAGES for name in stage.writes}
+STAGE_READS = {name for stage in STAGES for name in stage.reads}
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:

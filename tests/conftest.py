@@ -24,6 +24,11 @@ def text_file(directory: str | Path, text: str, name: str = "input.txt") -> Path
     return path
 
 
+def never_parse(path):
+    """A stand-in for embeddings._parse_file in a load that must be a cache hit."""
+    raise AssertionError(f"{path} was parsed, not served from the cache")
+
+
 @pytest.fixture(scope="session")
 def toy_dictionary():
     return load_dictionary_file(DATA / "toy_dictionary.json")

@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from topicpages import (
     tokenize_subpath,
 )
 from topicpages import embeddings as embeddings_mod
+from topicpages import lines as lines_mod
 from topicpages.errors import DimensionMismatch, MalformedDocument, MalformedHeader
 from topicpages.stopwords import load_stopwords
 
-from conftest import text_file
+from conftest import never_parse, text_file
 
 
 class TestTokenizeSubpath:
@@ -286,6 +288,107 @@ class TestBulkLoaderMatchesReference:
         document = "10000 4\n" + "\n".join(rows) + "\n"
         path = text_file(tmp_path, document, "v.txt")
         assert outcome(load_embeddings_file, path) == reference_outcome(document, path)
+
+
+def same_model(a, b):
+    """The same matrix bytes and the same tokens in the same row order."""
+    return (
+        a.dimension == b.dimension
+        and a._matrix.tobytes() == b._matrix.tobytes()
+        and list(a._rows.items()) == list(b._rows.items())
+    )
+
+
+# case-folding collisions (the first row wins), non-ASCII tokens, -0.0
+CACHED = "4 2\nSports 1.0 -0.0\nsports 9 9\n\u00dcber 0.5 1e-300\ncricket 0.8 0.6\n"
+
+
+@pytest.fixture
+def store(tmp_path):
+    directory = tmp_path / "store"
+    directory.mkdir()
+    return directory
+
+
+def entries(store):
+    return sorted(p.name for p in (store / "embeddings").iterdir())
+
+
+class TestParseCache:
+    @pytest.mark.parametrize("text", [CACHED, "0 3\n", W2V])
+    def test_hit_equals_miss(self, vectors, store, monkeypatch, text):
+        path = vectors(text)
+        plain = load_embeddings_file(path)
+        miss = load_embeddings_file(path, cache=store)
+        assert len(entries(store)) == 1
+        monkeypatch.setattr(embeddings_mod, "_parse_file", never_parse)
+        hit = load_embeddings_file(path, cache=store)
+        assert same_model(miss, plain) and same_model(hit, plain)
+        assert hit._matrix.flags.writeable
+
+    def test_edited_file_misses(self, vectors, store):
+        load_embeddings_file(vectors(W2V), cache=store)
+        edited = load_embeddings_file(vectors(W2V.replace("0.8", "0.7")), cache=store)
+        assert edited.vector("cricket").tolist() == [0.7, 0.6]
+        assert len(entries(store)) == 2
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "extended", "half-written", "empty", "header-flip", "matrix-flip",
+        "token-flip", "not-json",
+    ])
+    def test_damaged_entry_is_rebuilt(self, vectors, store, damage):
+        path = vectors(CACHED)
+        load_embeddings_file(path, cache=store)
+        [name] = entries(store)
+        entry = store / "embeddings" / name
+        whole = entry.read_bytes()
+        data = bytearray(whole)
+        header = whole.index(b"\n") + 1
+        if damage == "truncated":
+            data = data[:-1]
+        elif damage == "extended":
+            data += b"\0"
+        elif damage == "half-written":
+            data = data[: len(data) // 2]
+        elif damage == "empty":
+            data = b""
+        elif damage == "not-json":
+            data[0:1] = b"["
+        else:
+            at = {"header-flip": whole.index(b'"rows": ') + 8, "matrix-flip": header + 3,
+                  "token-flip": len(whole) - 2}[damage]
+            data[at] ^= 0x01
+        entry.write_bytes(bytes(data))
+        assert same_model(load_embeddings_file(path, cache=store), load_embeddings_file(path))
+        assert entry.read_bytes() == whole
+
+    def test_absent_store_loads_and_writes_nothing(self, vectors, tmp_path):
+        path = vectors(W2V)
+        model = load_embeddings_file(path, cache=tmp_path / "no-store")
+        assert same_model(model, load_embeddings_file(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.txt"]
+
+    @pytest.mark.parametrize("fault", ["read-only", "disk-full"])
+    def test_store_that_refuses_the_entry_still_loads(self, vectors, store, monkeypatch, fault):
+        path = vectors(W2V)
+        plain = load_embeddings_file(path)
+        if fault == "read-only":
+            def refuse(*args, **kwargs):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(Path, "mkdir", refuse)
+        else:
+            def full(data):
+                raise OSError(28, "No space left on device")
+
+            def open_on_a_full_disk(file, *args, **kwargs):
+                fh = open(file, *args, **kwargs)
+                fh.write = full
+                return fh
+
+            monkeypatch.setattr(lines_mod, "open", open_on_a_full_disk, raising=False)
+        assert same_model(load_embeddings_file(path, cache=store), plain)
+        assert [p for p in store.rglob("*") if p.is_file()] == []
 
 
 class TestEmbeddingModel:

@@ -7,10 +7,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from topicpages import fetch_all, fetch_missing, fetch_one, normalize, save_snapshots
+from topicpages import lines as lines_mod
 from topicpages.cli import main
 from topicpages.errors import MalformedRecord
 from topicpages.fetch import (
     FetchResult,
+    _snapshot_name,
     load_snapshot_index,
     read_snapshot,
 )
@@ -300,6 +302,34 @@ class TestSnapshotStore:
         lines = (tmp_path / "index.jsonl").read_text().splitlines()
         urls = [json.loads(line)["url"] for line in lines]
         assert urls == sorted(urls)
+
+    def test_body_write_that_fails_midway_leaves_no_file_under_its_name(
+        self, tmp_path, monkeypatch
+    ):
+        # a short file under the whole body's name would be skipped by every later save
+        url = normalize("https://a.example/x/")
+
+        def open_that_fails_midway(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            write = fh.write
+
+            def half(text):
+                write(text[: len(text) // 2])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+
+            fh.write = half
+            return fh
+
+        monkeypatch.setattr(lines_mod, "open", open_that_fails_midway, raising=False)
+        with pytest.raises(OSError):
+            save_snapshots([ok_result(url, BODY_OTHER)], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        save_snapshots([ok_result(url, BODY_OTHER)], tmp_path)
+        row = load_snapshot_index(tmp_path)[url.normalized]
+        assert row["path"] == _snapshot_name(BODY_OTHER)
+        assert read_snapshot(tmp_path, row) == BODY_OTHER
 
     def test_missing_index_is_empty_store(self, tmp_path):
         assert load_snapshot_index(tmp_path / "nowhere") == {}

@@ -8,11 +8,13 @@ import pytest
 
 import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
+import topicpages.pipeline as pipeline_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index
 from topicpages.lines import write_json
+from topicpages.urls import read_url_file, write_url_file
 from topicpages.pipeline import (
     STAGE_NAMED,
     STAGES,
@@ -503,6 +505,60 @@ SKIPPED_WHEN_FAILED = {
     "sweep-content": (),
     "report": (),
 }
+
+
+class TestEachFileParsedOnce:
+    def test_run_reads_no_url_file_it_wrote(self, e2e_config, monkeypatch):
+        def never_read(path):
+            raise AssertionError(f"{path} was parsed again")
+
+        monkeypatch.setattr(pipeline_mod, "read_url_file", never_read)
+        code, summary = run_pipeline(load_config(e2e_config, env={}))
+        assert code == 0, summary["errors"]
+        assert summary["report"]["missing"] == []
+
+    def test_kept_rows_are_the_file_rows_and_only_of_read_files(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        for name in ("fetch", "extract", "fit-thresholds", "filter"):
+            runner.run_stage(STAGE_NAMED[name])
+        for name in ("internal.jsonl", "filtered.jsonl"):
+            kept = runner.url_rows(runner.out_dir / name)
+            assert isinstance(kept, tuple)
+            assert list(kept) == read_url_file(runner.out_dir / name)
+        assert set(runner._url_rows) == {runner.out_dir / "internal.jsonl",
+                                         runner.out_dir / "filtered.jsonl"}
+
+    def test_given_source_is_read_not_rows_kept_from_another_path(
+        self, e2e_config, tmp_path, capsys
+    ):
+        runner = Runner(load_config(e2e_config, env={}))
+        runner.run_stage(STAGE_NAMED["fetch"])
+        runner.run_stage(STAGE_NAMED["extract"])
+        given = tmp_path / "given.jsonl"
+        write_url_file(given, runner.url_rows(runner.out_dir / "internal.jsonl")[:1])
+
+        def counted_rows(out_dir):
+            lines = (out_dir / "histograms" / "url_length.csv").read_text("utf-8").splitlines()
+            return sum(int(line.split(",")[1]) for line in lines[1:])
+
+        runner.run_stage(STAGE_NAMED["fit-thresholds"], given)
+        assert counted_rows(runner.out_dir) == 1
+        code, _, err = run_cli(capsys, "fit-thresholds", "--config", e2e_config, "--input", given)
+        assert code == 0, err
+        assert counted_rows(runner.out_dir) == 1
+
+    def test_report_checks_whole_internal_url_records(self, e2e_config, capsys):
+        # the report reads internal.jsonl as fit-thresholds and filter do, not only its sites
+        assert run_cli(capsys, "run", "--config", e2e_config)[0] == 0
+        internal = e2e_config.parent / "out" / "internal.jsonl"
+        lines = internal.read_text("utf-8").splitlines()
+        row = json.loads(lines[1])
+        del row["raw"]
+        lines[1] = json.dumps(row)
+        internal.write_text("".join(line + "\n" for line in lines), "utf-8")
+        code, _, err = run_cli(capsys, "report", "--config", e2e_config)
+        assert code == 1
+        assert err.startswith(f"error: {internal}:2: ")
 
 
 class TestStageTable:

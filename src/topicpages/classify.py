@@ -26,13 +26,14 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
 from .errors import EmptyCandidates, NoSubpaths
-from .lines import read_jsonl, write_jsonl
+from .lines import checked, read_jsonl, write_jsonl
 from .stopwords import DEFAULT_STOPWORDS
 from .urls import PageUrl, normalize
 
 METHOD_EXACT = "exact"
 METHOD_EMBEDDING = "embedding"
 METHOD_OTHER = "other"
+METHODS = (METHOD_EXACT, METHOD_EMBEDDING, METHOD_OTHER)
 
 # the least cosine of an embedding match when none is configured
 COSINE_CUTOFF = 0.4
@@ -222,11 +223,13 @@ def write_assignments(path: str | Path, assignments: Iterable[TopicAssignment]) 
 
 def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[TopicAssignment]:
     def assignment(obj: dict) -> TopicAssignment:
+        if obj["method"] not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {obj['method']!r}")
         return TopicAssignment(
             url=normalize(obj["url"]),
             topic=dictionary.topic_named(obj["topic"]),
             method=obj["method"],
-            score=float(obj["score"]),
+            score=float(checked(obj["score"], float, "score")),
             matched_subpath=obj["matched_subpath"],
         )
 

@@ -3,8 +3,9 @@
 One batched Lloyd loop fits every k-means: a stack of datasets and their
 restarts iterates as one set of runs, so a scored cell fits its data and its
 gap references in one call.  Given (data, seed) all is deterministic: restart
-r draws from the RNG stream (seed, r) in any batch, and PCA component signs
-follow a fixed convention, so repeated sweeps are byte-identical.
+r draws from the RNG stream (seed, r) in any batch, through the package's own
+k-means++ draw (_pp_draw), and PCA component signs follow a fixed convention,
+so repeated sweeps are byte-identical.
 """
 
 from __future__ import annotations
@@ -112,16 +113,53 @@ class KmeansResult:
     sse_history: tuple[float, ...]
 
 
-def _kmeans_pp_init(X: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
-    """k-means++ centers of each run in a (runs, rows, dim) stack, run r drawing from rngs[r]."""
+def _pp_draw(d2: np.ndarray, total: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Each run's k-means++ pick, a row drawn with probability d2 / total by its uniform u.
+
+    This is the package's own inverse-CDF draw, and it is what
+    Generator.choice(rows, p=d2 / total) computes from one random(): p =
+    d2 / total, cdf = p.cumsum(), cdf /= cdf[-1], and the pick is the count
+    of cdf entries <= u.  Every run of the (runs, rows) d2 draws at once;
+    cumsum adds along each row in order, so a run's cdf is the one it gets
+    alone.  Each total must be positive and finite.
+    """
+    cdf = (d2 / total[:, None]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+def _kmeans_pp_init(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarray:
+    """k-means++ centers of each run in a (runs, rows, dim) stack, run r reading the
+    stream (seed, r % restarts).
+
+    A run reads its stream as integers(rows) for its first center, then for
+    each further center one random() for _pp_draw, or integers(rows) where
+    its distances are all 0, which they stay, since they never grow.  Until
+    then every run of a restart reads the same numbers, so each restart's
+    stream is drawn once for all of them; a run whose distances are all 0
+    replays its own stream to that center and reads it alone from there.
+    """
     runs, rows, _ = X.shape
     each = np.arange(runs)
+    restart = each % restarts
+    streams = [np.random.default_rng([seed, r]) for r in range(restarts)]
     picks = np.empty((runs, k), dtype=np.intp)
-    picks[:, 0] = [rng.integers(rows) for rng in rngs]
+    picks[:, 0] = np.array([stream.integers(rows) for stream in streams])[restart]
+    uniforms = np.array([stream.random(k - 1) for stream in streams])[restart]
+    own: dict[int, np.random.Generator] = {}
     d2 = ((X - X[each, picks[:, 0]][:, None]) ** 2).sum(axis=2)
     for c in range(1, k):
-        for r, (rng, total) in enumerate(zip(rngs, d2.sum(axis=1))):
-            picks[r, c] = rng.integers(rows) if total <= 0.0 else rng.choice(rows, p=d2[r] / total)
+        total = d2.sum(axis=1)
+        if not np.isfinite(total).all():
+            raise ValueError("k-means++ distances are not finite")
+        for r in np.flatnonzero(total <= 0.0):
+            if r not in own:
+                own[r] = np.random.default_rng([seed, restart[r]])
+                own[r].integers(rows)
+                own[r].random(c - 1)
+            picks[r, c] = own[r].integers(rows)
+        live = np.flatnonzero(total > 0.0)
+        picks[live, c] = _pp_draw(d2[live], total[live], uniforms[live, c - 1])
         d2 = np.minimum(d2, ((X - X[each, picks[:, c]][:, None]) ** 2).sum(axis=2))
     return X[each[:, None], picks]
 
@@ -155,7 +193,7 @@ def _lloyd(data: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) ->
     """
     X = np.repeat(data, restarts, axis=0)  # run r fits dataset r // restarts
     runs, rows, dim = X.shape
-    centers = _kmeans_pp_init(X, k, [np.random.default_rng([seed, r % restarts]) for r in range(runs)])
+    centers = _kmeans_pp_init(X, k, seed, restarts)
     assignments = np.zeros((runs, rows), dtype=np.intp)
     histories: list[list[float]] = [[] for _ in range(runs)]
     active = np.arange(runs)

@@ -4,6 +4,10 @@ Topic documents are the concatenated visible text of every page assigned to
 a topic.  The term matrix weights each (topic, term) cell by
 (term count / document length) * ln(number of docs / docs containing term),
 so terms present in every topic document weigh exactly zero.
+
+read_page parses a page once for both its hrefs and its visible text, so a
+run's homepages are parsed once; tfidf stems each distinct word once per
+corpus.
 """
 
 from __future__ import annotations
@@ -19,8 +23,10 @@ from typing import AbstractSet, Sequence
 import numpy as np
 
 from .errors import EmptyCorpus
+from .lines import checked
 from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
+from .urls import _HrefCollector
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # the ASCII characters str.isalpha accepts are exactly these
@@ -32,12 +38,16 @@ _SKIP_ELEMENTS = frozenset({"script", "style"})
 
 
 class _TextCollector(HTMLParser):
+    """Collects the text chunks of a page that lie outside script and style elements;
+    character references are converted, as HTMLParser does by default."""
+
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
+        super().__init__()
         self._skip_depth = 0
         self.chunks: list[str] = []
 
     def handle_starttag(self, tag, attrs):
+        super().handle_starttag(tag, attrs)
         if tag in _SKIP_ELEMENTS:
             self._skip_depth += 1
 
@@ -50,12 +60,27 @@ class _TextCollector(HTMLParser):
             self.chunks.append(data)
 
 
-def extract_text(html: str) -> str:
-    """Visible text of an HTML document, whitespace-collapsed."""
-    collector = _TextCollector()
+class _PageCollector(_TextCollector, _HrefCollector):
+    """Both collectors in one parse: a page's text chunks and its hrefs."""
+
+
+def _parsed(collector: _TextCollector, html: str) -> str:
+    """Feed *html* to *collector* and return its text, whitespace-collapsed."""
     collector.feed(html)
     collector.close()
     return " ".join(" ".join(collector.chunks).split())
+
+
+def extract_text(html: str) -> str:
+    """Visible text of an HTML document, whitespace-collapsed."""
+    return _parsed(_TextCollector(), html)
+
+
+def read_page(html: str) -> tuple[list[str], str]:
+    """A page's hrefs, in document order, and extract_text(html), from one parse."""
+    collector = _PageCollector()
+    text = _parsed(collector, html)
+    return collector.hrefs, text
 
 
 def _unaccent(text: str) -> str:
@@ -63,6 +88,21 @@ def _unaccent(text: str) -> str:
         return text  # NFD leaves ASCII as it is
     decomposed = unicodedata.normalize("NFD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def _learn_stems(
+    tokens: list[str], stems: dict[str, str | None], stopwords: AbstractSet[str]
+) -> None:
+    """Add to *stems* each token it lacks, mapped to its stem, or to None when the stem
+    is a stopword."""
+    for token in set(tokens).difference(stems):
+        s = stem(token)
+        stems[token] = None if s in stopwords else s
+
+
+def _tokens(text: str) -> list[str]:
+    """Lowercase, un-accent and split on non-alphanumeric runs."""
+    return _TOKEN_RE.findall(_unaccent(text.lower()))
 
 
 def preprocess(text: str, stopwords: AbstractSet[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -73,9 +113,10 @@ def preprocess(text: str, stopwords: AbstractSet[str] = DEFAULT_STOPWORDS) -> li
     disease names carry topical signal.  Each distinct token is stemmed
     once per call.
     """
-    tokens = _TOKEN_RE.findall(_unaccent(text.lower()))
-    kept = {t: s for t in set(tokens) if (s := stem(t)) not in stopwords}
-    return [kept[t] for t in tokens if t in kept]
+    tokens = _tokens(text)
+    stems: dict[str, str | None] = {}
+    _learn_stems(tokens, stems, stopwords)
+    return [s for t in tokens if (s := stems[t]) is not None]
 
 
 @dataclass(frozen=True)
@@ -101,9 +142,14 @@ class ContentMatrix:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ContentMatrix":
-        topics = tuple(obj["topics"])
-        terms = tuple(obj["terms"])
-        weights = np.asarray(obj["weights"], dtype=float)
+        """The to_dict() shape: distinct string labels and finite weights."""
+        topics = tuple(checked(obj["topics"], str, "topics", each=True))
+        terms = tuple(checked(obj["terms"], str, "terms", each=True))
+        if len(set(topics)) < len(topics) or len(set(terms)) < len(terms):
+            raise ValueError("a topic or term label repeats")
+        rows = checked(obj["weights"], list, "weights", each=True)
+        weights = np.asarray([checked(row, float, "a weights row", each=True) for row in rows],
+                             dtype=float)
         if weights.shape != (len(topics), len(terms)):
             raise ValueError("weights shape does not match labels")
         return cls(topics, terms, weights)
@@ -130,20 +176,23 @@ def tfidf(
         raise EmptyCorpus("no topic documents")
     if min_df < 1:
         raise ValueError("min_df must be at least 1")
-    token_lists = [preprocess(d.text, stopwords) for d in docs]
-    df: dict[str, int] = {}
-    for tokens in token_lists:
-        for term in set(tokens):
-            df[term] = df.get(term, 0) + 1
+    # each word is stemmed once per corpus; a document's tokens are held only while it is counted
+    stems: dict[str, str | None] = {}
+    counts: list[Counter] = []
+    for d in docs:
+        tokens = _tokens(d.text)
+        _learn_stems(tokens, stems, stopwords)
+        doc_counts = Counter(map(stems.__getitem__, tokens))
+        doc_counts.pop(None, None)
+        counts.append(doc_counts)
+    df = Counter(term for doc_counts in counts for term in doc_counts)
     terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
     index = {t: j for j, t in enumerate(terms)}
     n_docs = len(docs)
     weights = np.zeros((n_docs, len(terms)), dtype=float)
-    for i, tokens in enumerate(token_lists):
-        if not tokens:
-            continue
-        total = len(tokens)
-        for term, count in Counter(tokens).items():
+    for i, doc_counts in enumerate(counts):
+        total = sum(doc_counts.values())
+        for term, count in doc_counts.items():
             j = index.get(term)
             if j is None:
                 continue
@@ -180,5 +229,5 @@ def detect_english(
             return EnglishVerdict(False, confident)
         latin_share = latin / letters
     tokens = _TOKEN_RE.findall(text.lower())
-    stop_share = (sum(t in stopwords for t in tokens) / len(tokens)) if tokens else 0.0
+    stop_share = (sum(map(stopwords.__contains__, tokens)) / len(tokens)) if tokens else 0.0
     return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -90,6 +91,34 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
         raise _located(exc, str(path), MalformedDocument) from exc
 
 
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}
+
+
+def _numbers(items) -> bool:
+    """True when each item is an int or a finite float, none a bool or a subclass:
+    a JSON number, and one that json writes as its repr."""
+    if not set(map(type, items)) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, items))
+    except OverflowError:  # an int past the float range, which is finite
+        return all(type(v) is int or math.isfinite(v) for v in items)
+
+
+def checked(value, kind: type, what: str, each: bool = False):
+    """*value* if its JSON type is *kind*, or with *each* if it is a list of such
+    values; else a ValueError naming *what*.  A bool is no integer, and a number
+    (*kind* float) is a finite int or float."""
+    if each and type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    items = value if each else (value,)
+    if _numbers(items) if kind is float else set(map(type, items)) <= {kind}:
+        return value
+    bad = next(v for v in items if not (_numbers((v,)) if kind is float else type(v) is kind))
+    must = f"hold {_KIND_NAMES[kind]} each" if each else f"be {_KIND_NAMES[kind]}"
+    raise ValueError(f"{what} must {must}, got {bad!r}")
+
+
 def file_sha256(path: str | Path) -> str:
     """The sha256 hex digest of a file's bytes, read in chunks."""
     digest = hashlib.sha256()
@@ -126,10 +155,34 @@ def write_bytes(path: str | Path, chunks: Iterable) -> None:
             fh.write(chunk)
 
 
+def _document(obj, indent: str) -> str:
+    """_DOCUMENT.encode(obj) with *indent* after each newline: the same text, but
+    a list of plain numbers is joined at once rather than by json's pure-Python
+    encoder, which indent=2 selects.  A value of any other kind, or a dict with a
+    key that is not a str, goes through _DOCUMENT, so its bytes and errors stay."""
+    inner = indent + "  "
+    if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
+        items = (f"{_DOCUMENT.encode(key)}: {_document(value, inner)}"
+                 for key, value in sorted(obj.items()))
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        items = map(repr, obj) if _numbers(obj) else (_document(v, inner) for v in obj)
+        brackets = "[]"
+    elif _numbers((obj,)):
+        return repr(obj)
+    else:
+        return _DOCUMENT.encode(obj).replace("\n", "\n" + indent)  # a string holds no newline
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def write_json(path: str | Path, obj) -> None:
     """*obj* as an indented JSON document."""
     with _replacing(path) as fh:
-        fh.write(_DOCUMENT.encode(obj) + "\n")
+        try:
+            text = _document(obj, "")
+        except RecursionError:  # a cycle, or nesting past the stack: json's own verdict
+            text = _DOCUMENT.encode(obj)
+        fh.write(text + "\n")
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:

@@ -5,10 +5,16 @@ so any stage can be re-run in isolation.  A full run finishes by writing
 manifest.json, the content-hash inventory of every artifact it produced;
 two runs over the same inputs and seed produce byte-identical bundles.
 
-A Runner loads each run input when first used and keeps it for the run.  It
-also keeps the rows of each URL file it writes that a stage reads, so a later
-stage of the same run gets them without a parse, and it loads the embeddings
-through the parse cache in the snapshot store.
+A Runner loads each run input when first used and keeps it for the run, and it
+loads the embeddings through the parse cache in the snapshot store.  It keeps
+what a later stage of the same run would otherwise parse again, and a full run
+lets go of each kept value after its last reader:
+- the rows of each URL file it writes that a stage reads, until the last
+  stage that takes them (fit-thresholds and filter for internal.jsonl,
+  classify for filtered.jsonl);
+- the site set of internal.jsonl, for the report, to the end of the run;
+- the visible text of each homepage, which extract parses for its links,
+  until content, which takes it in place of a second parse.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ from .thresholds import (
     url_histograms,
     write_histogram_csv,
 )
-from .urls import PageUrl, extract_links, load_suffixes, normalize, read_url_file, write_url_file
+from .urls import (
+    PageUrl, load_suffixes, normalize, partition_links, read_url_file, write_url_file,
+)
 
 MANIFEST_NAME = "manifest.json"
 
@@ -62,6 +70,8 @@ class Runner:
         self.out_dir = Path(config.out_dir)
         self.artifacts: dict[str, Path] = {}
         self._url_rows: dict[Path, tuple[tuple[PageUrl, str], ...]] = {}
+        self._url_sites: dict[Path, frozenset[str]] = {}
+        self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
 
     # --- run inputs, each loaded when first used and kept for the run ---------
 
@@ -103,12 +113,26 @@ class Runner:
         kept = self._url_rows.get(Path(path))
         return kept if kept is not None else read_url_file(path)
 
+    def url_sites(self, path: str | Path) -> frozenset[str]:
+        """The sites of a URL file's rows: kept when this Runner wrote it, or else read."""
+        kept = self._url_sites.get(Path(path))
+        return kept if kept is not None else frozenset(site for _, site in read_url_file(path))
+
     def _write_url_rows(self, path: Path, rows: Sequence[tuple[PageUrl, str]]) -> None:
-        """Write a URL file, and keep its rows for the run when a stage reads it."""
+        """Write a URL file; keep its rows when a stage takes them, and its site set
+        when the report reads it."""
         rows = tuple(rows)
         write_url_file(path, rows)
-        if path.name in STAGE_READS:
+        if path.name in STAGE_NAMED["report"].reads:
+            self._url_sites[path] = frozenset(site for _, site in rows)
+        if path.name in LAST_ROW_READER:
             self._url_rows[path] = rows
+
+    def release(self, stage: Stage) -> None:
+        """Let go of the kept rows of each URL file whose rows *stage* is the last to take."""
+        for name in stage.reads:
+            if LAST_ROW_READER.get(name) == stage.name:
+                self._url_rows.pop(self.out_dir / name, None)
 
     # --- stages -------------------------------------------------------------
 
@@ -151,8 +175,12 @@ class Runner:
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
         cfg = self.config
+        urls = urls if urls is not None else self.homepages
+        if cfg.live:  # a refetched page may change, so its kept text no longer holds
+            for url in urls:
+                self._homepage_texts.pop(url.normalized, None)
         fetched, reused = fetch_missing(
-            urls if urls is not None else self.homepages,
+            urls,
             self.snapshot_dir,
             live=cfg.live,
             parallelism=cfg.parallel,
@@ -170,7 +198,8 @@ class Runner:
         return self.stage_fetch([normalize(row["url"]) for row in rows])
 
     def stage_extract(self, internal_path: Path, external_path: Path) -> dict:
-        """Partition every homepage's links into internal / external files."""
+        """Partition every homepage's links into internal / external files, and keep
+        each homepage's text, from the same parse, for content."""
         internal: list[tuple[PageUrl, str]] = []
         external: list[tuple[PageUrl, str]] = []
         skipped = 0
@@ -180,7 +209,8 @@ class Runner:
             if body is None:
                 missing.append(homepage.normalized)
                 continue
-            partition = extract_links(body, homepage, self.suffixes)
+            hrefs, self._homepage_texts[homepage.normalized] = content_mod.read_page(body)
+            partition = partition_links(hrefs, homepage, self.suffixes)
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
@@ -222,7 +252,7 @@ class Runner:
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
         classify_mod.write_assignments(out, assignments)
-        methods = {"exact": 0, "embedding": 0, "other": 0}
+        methods = dict.fromkeys(classify_mod.METHODS, 0)
         for a in assignments:
             methods[a.method] += 1
         return {"classified": len(assignments), **methods}
@@ -279,7 +309,8 @@ class Runner:
         return {"records": len(records), "third_parties": len(matrix.third_parties)}
 
     def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> dict:
-        """Build per-topic documents from snapshots and weigh their terms."""
+        """Build per-topic documents from snapshots and weigh their terms; a homepage
+        that extract parsed in this run is not parsed again."""
         best_rows = classify_mod.read_best_subpages(best)
 
         pages: list[tuple[str, str]] = []  # (topic, url) in deterministic order
@@ -288,15 +319,19 @@ class Runner:
         homepage_urls = [u.normalized for u in self.homepages]
         pages.extend((tracking_mod.HOMEPAGE_TOPIC, u) for u in sorted(homepage_urls))
 
+        kept, self._homepage_texts = self._homepage_texts, {}  # content is their one reader
         texts: dict[str, list[str]] = {}
         languages: list[dict] = []
         missing: list[str] = []
-        bodies = stored_bodies(self.snapshot_dir, [url for _, url in pages])
-        for (topic, url), body in zip(pages, bodies):
-            if body is None:
-                missing.append(url)
-                continue
-            text = content_mod.extract_text(body)
+        bodies = stored_bodies(self.snapshot_dir, [url for _, url in pages if url not in kept])
+        for topic, url in pages:
+            text = kept.get(url)
+            if text is None:
+                body = next(bodies)
+                if body is None:
+                    missing.append(url)
+                    continue
+                text = content_mod.extract_text(body)
             verdict = content_mod.detect_english(text, self.stopwords)
             languages.append(
                 {
@@ -404,10 +439,7 @@ class Runner:
         # topic coverage across sites
         if best:
             chosen = classify_mod.read_best_subpages(best)
-            sites = (
-                {site for _, site in self.url_rows(internal)} if internal
-                else {r["site"] for r in chosen}
-            )
+            sites = self.url_sites(internal) if internal else {r["site"] for r in chosen}
             per_topic: dict[str, set[str]] = {}
             for r in chosen:
                 per_topic.setdefault(r["topic"], set()).add(r["site"])
@@ -585,7 +617,10 @@ STAGES = (
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}
 WRITER = {name: stage.name for stage in STAGES for name in stage.writes}
-STAGE_READS = {name for stage in STAGES for name in stage.reads}
+# the last stage, in run order, that takes a file's rows; the report, the one optional
+# stage, takes only a URL file's site set
+LAST_ROW_READER = {name: stage.name for stage in STAGES if not stage.optional
+                   for name in stage.reads}
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
@@ -606,10 +641,11 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
             summary[stage.name] = runner.run_stage(stage, ran=succeeded)
             succeeded.add(stage.name)
         except MissingStage:
-            continue
+            pass
         except PipelineError as exc:
             errors.append(f"{stage.name}: {exc}")
             summary[stage.name] = {"error": str(exc)}
+        runner.release(stage)
     runner.write_manifest()
     summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
     summary["errors"] = errors

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .classify import COSINE_CUTOFF
 from .errors import EmptyInput, NotBimodal
-from .lines import write_text
+from .lines import checked, write_text
 from .urls import PageUrl, url_metrics
 
 # the three URL-shape series: histogram name and UrlMetrics field, in the
@@ -61,13 +61,9 @@ class Thresholds:
     @classmethod
     def from_dict(cls, obj: dict) -> "Thresholds":
         """The to_dict() shape: each bound a JSON integer, the optional cutoff a JSON number."""
-        bounds = {key: obj[key] for key in ("max_url_length", "max_subpath_length", "max_hyphens")}
-        for key, bound in bounds.items():
-            if type(bound) is not int:
-                raise ValueError(f"{key} must be an integer, got {bound!r}")
-        cutoff = obj.get("cosine_cutoff", COSINE_CUTOFF)
-        if type(cutoff) not in (int, float):
-            raise ValueError(f"cosine_cutoff must be a number, got {cutoff!r}")
+        bounds = {key: checked(obj[key], int, key)
+                  for key in ("max_url_length", "max_subpath_length", "max_hyphens")}
+        cutoff = checked(obj.get("cosine_cutoff", COSINE_CUTOFF), float, "cosine_cutoff")
         return cls(**bounds, cosine_cutoff=float(cutoff))
 
 

@@ -18,7 +18,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import MalformedRecord, MalformedUrl, UnknownTopic
-from .lines import read_lines
+from .lines import checked, read_lines
 from .stats import Summary, summary
 from .urls import PageUrl, normalize, registrable_domain
 
@@ -235,11 +235,17 @@ class TrackingMatrix:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrackingMatrix":
-        topics = tuple(obj["topics"])
-        tps = tuple(obj["third_parties"])
-        cells = np.asarray(obj["cells"], dtype=int)
+        """The to_dict() shape: distinct string labels and non-negative integer cells."""
+        topics = tuple(checked(obj["topics"], str, "topics", each=True))
+        tps = tuple(checked(obj["third_parties"], str, "third_parties", each=True))
+        if len(set(topics)) < len(topics) or len(set(tps)) < len(tps):
+            raise ValueError("a topic or third-party label repeats")
+        rows = checked(obj["cells"], list, "cells", each=True)
+        cells = np.asarray([checked(row, int, "a cells row", each=True) for row in rows], dtype=int)
         if cells.shape != (len(topics), len(tps)):
             raise ValueError("cells shape does not match labels")
+        if (cells < 0).any():
+            raise ValueError("cells must be non-negative")
         return cls(topics, tps, cells)
 
     def equals(self, other: "TrackingMatrix") -> bool:

@@ -135,10 +135,11 @@ def url_metrics(u: PageUrl) -> UrlMetrics:
 
 
 class _HrefCollector(HTMLParser):
-    """Collects href attribute values from any element, in document order."""
+    """Collects href attribute values from any element, in document order; character
+    references are converted, as HTMLParser does by default."""
 
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
+        super().__init__()
         self.hrefs: list[str] = []
 
     def handle_starttag(self, tag, attrs):
@@ -178,14 +179,21 @@ def _resolve_plain_path(href: str, origin: PageUrl) -> PageUrl | None:
 
 
 def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = None) -> LinkPartition:
-    """Extract, normalize, and dedupe every href in *html*.
+    """Extract, normalize, and dedupe every href in *html*: partition_links of its hrefs."""
+    collector = _HrefCollector()
+    collector.feed(html)
+    collector.close()
+    return partition_links(collector.hrefs, base, suffixes)
+
+
+def partition_links(
+    hrefs: Iterable[str], base: PageUrl, suffixes: frozenset[str] | None = None
+) -> LinkPartition:
+    """Normalize and dedupe the hrefs found on the page *base*, in order.
 
     A link is internal iff its registrable domain equals the base page's;
     subdomains of the same registrable domain therefore count as internal.
     """
-    collector = _HrefCollector()
-    collector.feed(html)
-    collector.close()
     try:
         # the base's origin and domain, for the plain root-relative hrefs
         probe = normalize("/", base=base, suffixes=suffixes)
@@ -195,7 +203,7 @@ def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = No
     internal: list[PageUrl] = []
     external: list[PageUrl] = []
     skipped = 0
-    for href in collector.hrefs:
+    for href in hrefs:
         href = href.strip()
         if not href or href.lower().startswith(_DISCARD_PREFIXES):
             continue

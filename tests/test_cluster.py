@@ -315,6 +315,66 @@ class TestBatchedRestarts:
             kmeans([[1.0], [2.0]], 1, max_iter=0)
 
 
+def hand_pp_picks(X, k, rng):
+    """k-means++ row picks of one restart in plain Python: the inverse-CDF draw
+    over exact integer distances, integers(rows) where they are all 0."""
+    picks = [int(rng.integers(len(X)))]
+    for _ in range(1, k):
+        d2 = [min(sum((a - b) ** 2 for a, b in zip(x, X[p])) for p in picks) for x in X]
+        total = sum(d2)
+        if total == 0:
+            picks.append(int(rng.integers(len(X))))
+            continue
+        u, acc, cdf = rng.random(), 0.0, []
+        for d in d2:
+            acc += d / total
+            cdf.append(acc)
+        picks.append(sum(c / cdf[-1] <= u for c in cdf))
+    return picks
+
+
+class TestPpDraw:
+    @pytest.mark.parametrize(
+        "d2,u,pick",
+        [
+            ([0.0, 1.0, 3.0], 0.2, 1),   # cdf 0, 0.25, 1: a zero row is never drawn
+            ([0.0, 1.0, 3.0], 0.25, 2),  # a u on a cdf step goes past it
+            ([0.0, 1.0, 3.0], 0.0, 1),
+            ([1.0, 0.0, 1.0], 0.4, 0),   # cdf 0.5, 0.5, 1
+            ([1.0, 0.0, 1.0], 0.5, 2),
+            ([2.0, 2.0, 0.0], 0.99, 1),  # cdf 0.5, 1, 1: never the zero row at the end
+            ([5.0], 0.7, 0),
+        ],
+    )
+    def test_hand_computed_picks(self, d2, u, pick):
+        d2 = np.array([d2])
+        assert cluster_mod._pp_draw(d2, d2.sum(axis=1), np.array([u])).tolist() == [pick]
+
+    def test_runs_draw_at_once_as_each_alone(self):
+        d2 = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [2.0, 2.0, 0.0]])
+        u = np.array([0.2, 0.5, 0.49])
+        assert cluster_mod._pp_draw(d2, d2.sum(axis=1), u).tolist() == [1, 2, 0]
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_runs_with_all_zero_distances_read_their_own_streams(self, seed, k):
+        # the first dataset has two distinct rows, so its distances are all 0
+        # from the third center on; the second has four and reaches 0 at k = 4 only
+        data = np.array([[[0, 0], [0, 0], [5, 5], [5, 5]], [[0, 0], [1, 0], [0, 3], [7, 7]]])
+        restarts = 3
+        X = np.repeat(data.astype(float), restarts, axis=0)
+        centers = cluster_mod._kmeans_pp_init(X, k, seed, restarts)
+        for run, x in enumerate(data.tolist()):
+            for r in range(restarts):
+                picks = hand_pp_picks(x, k, np.random.default_rng([seed, r]))
+                assert centers[run * restarts + r].tolist() == [x[p] for p in picks]
+
+    def test_non_finite_distances_are_refused(self):
+        X = np.array([[[0.0], [1e200], [2e200]]])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+            cluster_mod._kmeans_pp_init(X, 2, 0, 1)
+
+
 class TestSilhouette:
     def test_hand_computed_pairs(self):
         s = silhouette([[0.0], [0.1], [10.0], [10.1]], [0, 0, 1, 1])

@@ -1,6 +1,7 @@
 import math
 import re
 import unicodedata
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from topicpages.content import EnglishVerdict
 from topicpages.errors import EmptyCorpus
 from topicpages.stemmer import stem
 from topicpages.stopwords import DEFAULT_STOPWORDS
+from topicpages.urls import _HrefCollector
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -84,6 +86,41 @@ class TestExtractText:
         assert extract_text('<a href="https://x.example/sports/">go</a>') == "go"
 
 
+# pieces of pages: hrefs in each quoting, character references in text and
+# attributes, script and style bodies, comments, and tags left open
+HTML_PIECES = st.sampled_from(
+    [
+        '<a href="/sports/">', "<A HREF='https://x.example/a&amp;b/'>", "<link href=/news/>",
+        '<a href="">', '<a name="top">', '<area href="&#x2f;world&#47;">', "<img src=x.png>",
+        "<br/>", "<p>", "</p>", "<div class=x>", "</div>", "<script>", "</script>",
+        "<style>", "</style>", "<script/>", "</b>", "<!-- a <a href='/c/'> -->", "<![CDATA[x]]>",
+        "Caf&eacute; &amp; b", "&#65;&#x263a;", "&nbsp;x", "&bogus; y", "a < b", "\n  \t",
+        'var s = "<a href=/in-script/>";', '<a href="/open/"', "<p class='unclosed",
+    ]
+)
+
+
+@st.composite
+def pages(draw):
+    pieces = draw(st.lists(st.one_of(HTML_PIECES, st.text(max_size=6)), max_size=25))
+    return "".join(pieces)
+
+
+def collected_hrefs(html):
+    collector = _HrefCollector()
+    collector.feed(html)
+    collector.close()
+    return collector.hrefs
+
+
+class TestReadPage:
+    @settings(max_examples=40, deadline=None)
+    @example(html='<a href="/x/">go</a><script>no</script>t&amp;u<p class="open')
+    @given(html=pages())
+    def test_one_parse_gives_the_hrefs_and_the_text(self, html):
+        assert content_mod.read_page(html) == (collected_hrefs(html), extract_text(html))
+
+
 class TestPreprocess:
     def test_accents_folded_before_stemming(self):
         assert preprocess("Économie") == ["economi"]
@@ -126,7 +163,56 @@ class TestPreprocess:
         assert sorted(calls) == ["run", "running", "runs", "the"]
 
 
+def reference_tfidf(docs, stopwords=DEFAULT_STOPWORDS, min_df=1):
+    """Terms and weights from each document's reference_preprocess tokens."""
+    token_lists = [reference_preprocess(d.text, stopwords) for d in docs]
+    df = Counter(term for tokens in token_lists for term in set(tokens))
+    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
+    weights = np.zeros((len(docs), len(terms)))
+    for i, tokens in enumerate(token_lists):
+        for j, term in enumerate(terms):
+            if term in tokens:
+                weights[i, j] = tokens.count(term) / len(tokens) * math.log(len(docs) / df[term])
+    return terms, weights
+
+
+ACCENTED_WORDS = st.sampled_from(
+    ["Économie", "ÉCONOMIE", "économies", "Naïve", "NAI\u0308VE", "Running", "RUNNING", "runs",
+     "Café", "CAFE\u0301", "The", "news", "Straße"]
+)
+
+
+@st.composite
+def corpus_texts(draw):
+    words = draw(st.lists(st.one_of(ACCENTED_WORDS, EDGE_WORDS), max_size=12))
+    return " ".join(words) + draw(st.text(max_size=8))
+
+
 class TestTfidf:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        texts=st.lists(corpus_texts(), min_size=1, max_size=3),
+        stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"news", "run", "cafe"})]),
+        min_df=st.integers(1, 2),
+    )
+    def test_matches_per_document_preprocessing(self, texts, stopwords, min_df):
+        docs = [TopicDocument(f"t{i}", text) for i, text in enumerate(texts)]
+        m = tfidf(docs, stopwords, min_df)
+        terms, weights = reference_tfidf(docs, stopwords, min_df)
+        assert m.terms == terms
+        assert m.weights.tolist() == weights.tolist()
+
+    def test_each_distinct_token_stemmed_once_per_corpus(self, monkeypatch):
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return stem(word)
+
+        monkeypatch.setattr(content_mod, "stem", counting)
+        tfidf([TopicDocument("a", "Running runs the"), TopicDocument("b", "RUNNING vote runs")])
+        assert sorted(calls) == ["running", "runs", "the", "vote"]
+
     def test_hand_computed_matrix(self):
         docs = [
             TopicDocument("sports", "cricket cricket bat"),

@@ -2,9 +2,11 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,7 @@ from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
-from topicpages.lines import read_json, write_json, write_jsonl
+from topicpages.lines import _DOCUMENT, read_json, write_json, write_jsonl
 from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
 from topicpages.thresholds import Thresholds
@@ -204,3 +206,98 @@ def test_jsonl_bytes(tmp_path):
     path = tmp_path / "rows.jsonl"
     write_jsonl(path, iter([{"b": "é", "a": 1.5}, {}]))
     assert path.read_bytes() == '{"a": 1.5, "b": "é"}\n{}\n'.encode("utf-8")
+
+
+# one value of a well-formed artifact replaced by a value of the wrong JSON type
+MATRIX = {"topics": ["a", "b"], "third_parties": ["x"], "cells": [[1], [0]]}
+CONTENT = {"topics": ["a", "b"], "terms": ["x"], "weights": [[0.5], [0.0]]}
+STRICT_FAULTS = {
+    "tracking-topic-1.5": ("tracking-matrix.json", {**MATRIX, "topics": ["a", 1.5]}),
+    "tracking-topic-repeated": ("tracking-matrix.json", {**MATRIX, "topics": ["a", "a"]}),
+    "tracking-party-null": ("tracking-matrix.json", {**MATRIX, "third_parties": [None]}),
+    "tracking-cell-negative": ("tracking-matrix.json", {**MATRIX, "cells": [[1], [-1]]}),
+    "tracking-cell-true": ("tracking-matrix.json", {**MATRIX, "cells": [[True], [0]]}),
+    "tracking-cell-1.5": ("tracking-matrix.json", {**MATRIX, "cells": [[1.5], [0]]}),
+    "content-topic-dict": ("content-matrix.json", {**CONTENT, "topics": [{"a": 1}, "b"]}),
+    "content-term-list": ("content-matrix.json", {**CONTENT, "terms": [["x"]]}),
+    "content-weight-string": ("content-matrix.json", {**CONTENT, "weights": [["0.5"], [0.0]]}),
+    "content-weight-true": ("content-matrix.json", {**CONTENT, "weights": [[True], [0.0]]}),
+    "content-weight-infinite": ("content-matrix.json", {**CONTENT, "weights": [[1e400], [0.0]]}),
+    "content-row-number": ("content-matrix.json", {**CONTENT, "weights": [0.5, 0.0]}),
+    "content-weight-past-float": ("content-matrix.json", {**CONTENT, "weights": [[10**400], [0]]}),
+    "score-nan-string": ("assignments.jsonl", {**ASSIGNMENT, "score": "nan"}),
+    "score-true": ("assignments.jsonl", {**ASSIGNMENT, "score": True}),
+    "score-1e400-string": ("assignments.jsonl", {**ASSIGNMENT, "score": "1e400"}),
+    "score-1e400": ("assignments.jsonl", {**ASSIGNMENT, "score": 1e400}),
+    "score-null": ("assignments.jsonl", {**ASSIGNMENT, "score": None}),
+    "method-bogus": ("assignments.jsonl", {**ASSIGNMENT, "method": "bogus"}),
+}
+
+
+@pytest.mark.parametrize("name", list(STRICT_FAULTS))
+def test_value_of_a_wrong_type_is_an_error_naming_the_file(tmp_path, name):
+    filename, obj = STRICT_FAULTS[name]
+    path = tmp_path / filename
+    text = json.dumps(obj).replace("Infinity", "1e400")  # 1e400 is how JSON spells it
+    path.write_text(text + "\n", "utf-8")
+    with pytest.raises(PipelineError) as err:
+        if filename == "assignments.jsonl":
+            read_assignments(path, SPORTS)
+        else:
+            load_matrix_file(path)
+    assert str(err.value).startswith(f"{path}:"), str(err.value)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.integers(-(10**20), 10**20), st.booleans(), st.none(), FINITE,
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-310]),
+    FINITE.map(np.float64), st.text(max_size=6),
+)
+NUMBER_LISTS = st.lists(
+    st.one_of(st.integers(-(10**6), 10**6), FINITE, st.sampled_from([10**400, -(10**309)])),
+    min_size=1, max_size=6,
+)
+VALUES = st.recursive(
+    st.one_of(SCALARS, NUMBER_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(-2, 2)), children, max_size=3),
+    ),
+    max_leaves=15,
+)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "doc.json"
+
+
+@settings(max_examples=40, deadline=None)
+@given(obj=VALUES)
+def test_document_bytes_are_json_encoders(doc_path, obj):
+    try:
+        expected = _DOCUMENT.encode(obj) + "\n"
+    except TypeError as exc:  # keys of mixed types do not sort
+        with pytest.raises(TypeError, match=re.escape(str(exc))):
+            write_json(doc_path, obj)
+        return
+    write_json(doc_path, obj)
+    assert doc_path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"a": [1.0, math.nan]},
+        [[0.5], [2, math.nan]],
+        {"b": {"c": np.float64("nan")}},
+        (1, -math.inf),
+    ],
+)
+def test_non_finite_number_fails_naming_the_file(tmp_path, bad):
+    with pytest.raises(PipelineError, match="^doc.json: Out of range float"):
+        write_json(tmp_path / "doc.json", bad)
+    assert list(tmp_path.iterdir()) == []

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
@@ -527,6 +528,42 @@ class TestEachFileParsedOnce:
             assert list(kept) == read_url_file(runner.out_dir / name)
         assert set(runner._url_rows) == {runner.out_dir / "internal.jsonl",
                                          runner.out_dir / "filtered.jsonl"}
+
+    def test_run_parses_each_page_once_as_content_alone_does(self, e2e_config, monkeypatch):
+        fed = []
+        feed = HTMLParser.feed
+
+        def recording(parser, data):
+            fed.append(data)
+            return feed(parser, data)
+
+        monkeypatch.setattr(HTMLParser, "feed", recording)
+        code, summary = run_pipeline(load_config(e2e_config, env={}))
+        assert code == 0, summary["errors"]
+        # the three homepages in extract, the selected section pages in content
+        assert len(fed) == len(set(fed)) == 3 + len(EXPECTED_BEST)
+        out = e2e_config.parent / "out"
+        written = {name: (out / name).read_bytes()
+                   for name in ("content-matrix.json", "languages.jsonl")}
+        # a stage run alone parses the homepages from the store
+        Runner(load_config(e2e_config, env={})).run_stage(STAGE_NAMED["content"])
+        assert {name: (out / name).read_bytes() for name in written} == written
+
+    def test_run_lets_go_of_kept_values_after_their_last_reader(self, e2e_config, monkeypatch):
+        kept = {}
+
+        class Recording(Runner):
+            def run_stage(self, stage, **kwargs):
+                kept[stage.name] = (sorted(path.name for path in self._url_rows),
+                                    len(self._homepage_texts))
+                return super().run_stage(stage, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "Runner", Recording)
+        assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
+        assert kept["fit-thresholds"] == (["internal.jsonl"], 3)
+        assert kept["classify"] == (["filtered.jsonl"], 3)
+        assert kept["content"] == ([], 3)
+        assert kept["cluster-content"] == kept["report"] == ([], 0)
 
     def test_given_source_is_read_not_rows_kept_from_another_path(
         self, e2e_config, tmp_path, capsys

@@ -8,10 +8,13 @@ Run with:  python3 demos/01_url_filtering.py
 import numpy as np
 
 from topicpages import (
-    extract_links,
+    DEFAULT_BUCKET_SIZES,
     filter_subpages,
-    fit_thresholds,
+    fit_url_histograms,
     normalize,
+    partition_links,
+    read_page,
+    url_histograms,
     url_metrics,
 )
 
@@ -30,7 +33,8 @@ HOMEPAGE = """
 
 def main() -> None:
     home = normalize("https://daily.example/")
-    links = extract_links(HOMEPAGE, home)
+    hrefs, _ = read_page(HOMEPAGE)  # one parse gives the page's hrefs and its text
+    links = partition_links(hrefs, home)
     print("internal links:")
     for u in links.internal:
         m = url_metrics(u)
@@ -54,7 +58,7 @@ def main() -> None:
     articles = [make(int(rng.integers(60, 90)), int(rng.integers(5, 10))) for _ in range(400)]
     train = [normalize(u) for u in sections + articles]
 
-    fitted = fit_thresholds(train)
+    fitted = fit_url_histograms(url_histograms(train, DEFAULT_BUCKET_SIZES))
     print("\nfitted thresholds:")
     print(f"  max_url_length     = {fitted.max_url_length}")
     print(f"  max_subpath_length = {fitted.max_subpath_length}")

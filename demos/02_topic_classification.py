@@ -5,7 +5,7 @@ bucket for everything else.
 Run with:  python3 demos/02_topic_classification.py
 """
 
-from topicpages import EmbeddingModel, Topic, TopicalDictionary, classify_url, normalize
+from topicpages import EmbeddingModel, Topic, TopicalDictionary, TopicClassifier, normalize
 
 # A hand-built dictionary.  Real runs read a JSON file of the same shape with
 # load_dictionary_file(), or use bundled_dictionary().
@@ -43,14 +43,16 @@ def main() -> None:
     dictionary = TopicalDictionary(DICTIONARY, generic_subpaths=["topics", "category"])
     model = EmbeddingModel(3, VECTORS)
 
+    classifier = TopicClassifier(dictionary, model)
+
     print(f"{'url':44} {'topic':10} {'method':10} score   matched")
     for raw in URLS:
-        a = classify_url(normalize(raw), dictionary, model)
+        a = classifier.classify(normalize(raw))
         matched = a.matched_subpath or "-"
         print(f"{raw:44} {a.topic.name:10} {a.method:10} {a.score:.3f}   {matched}")
 
     # Tightening the cutoff pushes borderline embedding matches into "other".
-    strict = classify_url(normalize(URLS[2]), dictionary, model, cutoff=0.999)
+    strict = TopicClassifier(dictionary, model, cutoff=0.999).classify(normalize(URLS[2]))
     print(f"\nwith cutoff=0.999 {URLS[2]} -> {strict.topic.name} ({strict.method})")
 
 

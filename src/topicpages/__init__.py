@@ -8,7 +8,6 @@ from .classify import (
     BestSubpages,
     TopicAssignment,
     TopicClassifier,
-    classify_url,
     dictionary_assist,
 )
 from .cluster import (
@@ -29,6 +28,7 @@ from .content import (
     detect_english,
     extract_text,
     preprocess,
+    read_page,
     tfidf,
 )
 from .dictionary import Topic, TopicalDictionary, bundled_dictionary, load_dictionary_file
@@ -46,12 +46,14 @@ from .stats import cohens_kappa, ks_two_sample, summary
 from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
+    DEFAULT_BUCKET_SIZES,
     DEFAULT_THRESHOLDS,
     Thresholds,
     build_histogram,
     filter_subpages,
     find_bimodal_threshold,
-    fit_thresholds,
+    fit_url_histograms,
+    url_histograms,
 )
 from .tracking import (
     TrackingMatrix,
@@ -65,7 +67,7 @@ from .tracking import (
     read_crawl_log,
     top_tp_coverage,
 )
-from .urls import PageUrl, extract_links, normalize, registrable_domain, url_metrics
+from .urls import PageUrl, normalize, partition_links, registrable_domain, url_metrics
 
 __version__ = "0.1.0"
 
@@ -73,6 +75,7 @@ __all__ = [
     "BestSubpages",
     "ClusterReport",
     "ContentMatrix",
+    "DEFAULT_BUCKET_SIZES",
     "DEFAULT_STOPWORDS",
     "DEFAULT_THRESHOLDS",
     "EmbeddingModel",
@@ -95,7 +98,6 @@ __all__ = [
     "bundled_dictionary",
     "categorize",
     "category_breakdown",
-    "classify_url",
     "cluster_report",
     "cohens_kappa",
     "combined_embedding",
@@ -103,14 +105,13 @@ __all__ = [
     "cosine",
     "detect_english",
     "dictionary_assist",
-    "extract_links",
     "extract_text",
     "fetch_all",
     "fetch_missing",
     "fetch_one",
     "filter_subpages",
     "find_bimodal_threshold",
-    "fit_thresholds",
+    "fit_url_histograms",
     "gap_statistic",
     "kmeans",
     "ks_two_sample",
@@ -121,11 +122,13 @@ __all__ = [
     "load_stopwords",
     "model_select",
     "normalize",
+    "partition_links",
     "pca_fit",
     "percent_diff_vs_homepage",
     "preferential_attachment",
     "preprocess",
     "read_crawl_log",
+    "read_page",
     "registrable_domain",
     "run_pipeline",
     "save_snapshots",
@@ -135,5 +138,6 @@ __all__ = [
     "tfidf",
     "tokenize_subpath",
     "top_tp_coverage",
+    "url_histograms",
     "url_metrics",
 ]

@@ -171,17 +171,6 @@ class TopicClassifier:
         return [BestSubpages(site, selections) for site, selections in sorted(by_site.items())]
 
 
-def classify_url(
-    url: PageUrl,
-    dictionary: TopicalDictionary,
-    model: EmbeddingModel,
-    cutoff: float = COSINE_CUTOFF,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-) -> TopicAssignment:
-    """One-shot classification; build a TopicClassifier for bulk use."""
-    return TopicClassifier(dictionary, model, cutoff, stopwords).classify(url)
-
-
 def dictionary_assist(
     assignments: Iterable[TopicAssignment],
     skip: AbstractSet = frozenset(),
@@ -226,11 +215,11 @@ def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[To
         if obj["method"] not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, got {obj['method']!r}")
         return TopicAssignment(
-            url=normalize(obj["url"]),
-            topic=dictionary.topic_named(obj["topic"]),
+            url=normalize(checked(obj["url"], str, "url")),
+            topic=dictionary.topic_named(checked(obj["topic"], str, "topic")),
             method=obj["method"],
             score=float(checked(obj["score"], float, "score")),
-            matched_subpath=obj["matched_subpath"],
+            matched_subpath=checked(obj["matched_subpath"], str, "matched_subpath"),
         )
 
     return list(read_jsonl(path, assignment))
@@ -248,10 +237,7 @@ def write_best_subpages(path: str | Path, results: Iterable[BestSubpages]) -> No
 
 
 def _best_row(obj: dict) -> dict:
-    row = {key: obj[key] for key in ("site", "topic", "url")}
-    if not all(isinstance(value, str) for value in row.values()):
-        raise TypeError("site, topic and url must be strings")
-    return row
+    return {key: checked(obj[key], str, key) for key in ("site", "topic", "url")}
 
 
 def read_best_subpages(path: str | Path) -> list[dict]:

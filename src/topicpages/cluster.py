@@ -37,9 +37,6 @@ class PcaModel:
         """True when fewer nonzero-variance axes existed than were asked for."""
         return len(self.components) < self.n_requested
 
-    def inverse_transform(self, reduced: np.ndarray) -> np.ndarray:
-        return np.asarray(reduced, dtype=float) @ self.components + self.mean
-
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     out = components.copy()

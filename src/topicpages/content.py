@@ -26,7 +26,6 @@ from .errors import EmptyCorpus
 from .lines import checked
 from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
-from .urls import _HrefCollector
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # the ASCII characters str.isalpha accepts are exactly these
@@ -37,17 +36,21 @@ _ASCII_RUN_RE = re.compile(r"[\x00-\x7f]+")
 _SKIP_ELEMENTS = frozenset({"script", "style"})
 
 
-class _TextCollector(HTMLParser):
-    """Collects the text chunks of a page that lie outside script and style elements;
-    character references are converted, as HTMLParser does by default."""
+class _PageParser(HTMLParser):
+    """Collects, in document order, every non-empty href value of any element and the
+    text chunks outside script and style elements; character references are converted,
+    as HTMLParser does by default."""
 
     def __init__(self) -> None:
         super().__init__()
         self._skip_depth = 0
+        self.hrefs: list[str] = []
         self.chunks: list[str] = []
 
     def handle_starttag(self, tag, attrs):
-        super().handle_starttag(tag, attrs)
+        for name, value in attrs:
+            if name.lower() == "href" and value:
+                self.hrefs.append(value)
         if tag in _SKIP_ELEMENTS:
             self._skip_depth += 1
 
@@ -60,27 +63,17 @@ class _TextCollector(HTMLParser):
             self.chunks.append(data)
 
 
-class _PageCollector(_TextCollector, _HrefCollector):
-    """Both collectors in one parse: a page's text chunks and its hrefs."""
-
-
-def _parsed(collector: _TextCollector, html: str) -> str:
-    """Feed *html* to *collector* and return its text, whitespace-collapsed."""
-    collector.feed(html)
-    collector.close()
-    return " ".join(" ".join(collector.chunks).split())
+def read_page(html: str) -> tuple[list[str], str]:
+    """A page's hrefs, in document order, and its visible text, whitespace-collapsed."""
+    parser = _PageParser()
+    parser.feed(html)
+    parser.close()
+    return parser.hrefs, " ".join(" ".join(parser.chunks).split())
 
 
 def extract_text(html: str) -> str:
     """Visible text of an HTML document, whitespace-collapsed."""
-    return _parsed(_TextCollector(), html)
-
-
-def read_page(html: str) -> tuple[list[str], str]:
-    """A page's hrefs, in document order, and extract_text(html), from one parse."""
-    collector = _PageCollector()
-    text = _parsed(collector, html)
-    return collector.hrefs, text
+    return read_page(html)[1]
 
 
 def _unaccent(text: str) -> str:

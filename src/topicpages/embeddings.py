@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import sys
 from itertools import islice
 from pathlib import Path
@@ -153,13 +154,13 @@ def load_embeddings_file(path: str | Path, cache: str | Path | None = None) -> E
     message starts with "<path>:<line>: ", bytes that are not UTF-8 included.
 
     When *cache* is an existing directory, the parse is served from its entry
-    under cache/embeddings/, named by _cache_key, or made and then saved
-    there.  An entry that fails its checks is parsed anew and replaced; a
-    save that fails leaves the load as it was.
+    cache/embeddings/<_code_folder()>/<sha256 of the file>.bin, or made and
+    then saved there.  An entry that fails its checks is parsed anew and
+    replaced; a save that fails leaves the load as it was.
     """
     entry = None
     if cache is not None and Path(cache).is_dir():
-        entry = Path(cache) / "embeddings" / f"{_cache_key(path)}.bin"
+        entry = Path(cache) / "embeddings" / _code_folder() / f"{file_sha256(path)}.bin"
         model = _read_entry(entry)
         if model is not None:
             return model
@@ -204,8 +205,9 @@ def _code_digests() -> tuple[str, ...]:
     return (sys.version, np.__version__, *(f"{p.name}:{file_sha256(p)}" for p in sources))
 
 
-def _cache_key(path: str | Path) -> str:
-    return hashlib.sha256("\n".join((file_sha256(path), *_code_digests())).encode()).hexdigest()
+def _code_folder() -> str:
+    """The name of the directory that holds the entries this code can serve."""
+    return hashlib.sha256("\n".join(_code_digests()).encode()).hexdigest()
 
 
 def _read_entry(entry: Path) -> EmbeddingModel | None:
@@ -237,7 +239,11 @@ def _read_entry(entry: Path) -> EmbeddingModel | None:
 
 
 def _write_entry(entry: Path, model: EmbeddingModel) -> None:
-    """Save *model* as *entry*; a store that cannot take it only loses the entry."""
+    """Save *model* as *entry*; a store that cannot take it only loses the entry.
+
+    After a save, the entries no other code can serve go: every other code
+    directory under embeddings/ and the flat *.bin entries of the former layout.
+    """
     values = np.ascontiguousarray(model._matrix, dtype=_ENTRY_DTYPE).reshape(-1).view(np.uint8)
     tokens = "\n".join(model._rows).encode("utf-8")
     digest = hashlib.sha256(values)
@@ -245,8 +251,13 @@ def _write_entry(entry: Path, model: EmbeddingModel) -> None:
     header = {"dimension": model.dimension, "rows": len(model), "tokens": len(tokens),
               "sha256": digest.hexdigest()}
     try:
-        entry.parent.mkdir(exist_ok=True)
+        entry.parent.mkdir(parents=True, exist_ok=True)
         write_bytes(entry, (json.dumps(header, sort_keys=True).encode() + b"\n", values, tokens))
+        for stale in entry.parent.parent.iterdir():
+            if stale.is_dir() and stale != entry.parent:
+                shutil.rmtree(stale, ignore_errors=True)  # refuses a symlink
+            elif stale.suffix == ".bin":
+                stale.unlink()
     except OSError:
         pass
 

@@ -24,7 +24,7 @@ from urllib import robotparser
 from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import MalformedRecord
-from .lines import read_jsonl, read_text, write_jsonl, write_text
+from .lines import checked, read_jsonl, read_text, write_jsonl, write_text
 from .urls import PageUrl
 
 # one fixed desktop browser identity for every request in a crawl
@@ -170,10 +170,9 @@ def _snapshot_name(body: str) -> str:
 
 
 def _index_entry(obj: dict) -> tuple[str, dict]:
-    url, path = obj["url"], obj.get("path")
-    if not isinstance(url, str) or not isinstance(path, (str, type(None))):
-        raise TypeError("url must be a string and path a string or null")
-    return url, obj
+    if obj.get("path") is not None:
+        checked(obj["path"], str, "path")
+    return checked(obj["url"], str, "url"), obj
 
 
 def load_snapshot_index(directory: str | Path) -> dict[str, dict]:

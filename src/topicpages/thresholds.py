@@ -231,25 +231,6 @@ def find_bimodal_threshold(h: Histogram) -> float:
     raise NotBimodal("no mode pair leaves enough mass on both sides")
 
 
-def fit_thresholds(
-    train_urls: Sequence[PageUrl],
-    buckets: Sequence[float] = DEFAULT_BUCKET_SIZES,
-    *,
-    cosine_cutoff: float = COSINE_CUTOFF,
-    fallback_defaults: bool = False,
-) -> Thresholds:
-    """Fit the three URL-shape thresholds from a training URL set.
-
-    Each parameter is fitted independently via its histogram valley; see
-    fit_url_histograms.
-    """
-    return fit_url_histograms(
-        url_histograms(train_urls, buckets),
-        cosine_cutoff=cosine_cutoff,
-        fallback_defaults=fallback_defaults,
-    )
-
-
 def fit_url_histograms(
     hists: dict[str, Histogram],
     *,

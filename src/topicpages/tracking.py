@@ -57,29 +57,31 @@ def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
-    site = _registrable(_clean_domain(str(obj["site"])))
+    site = _registrable(_clean_domain(checked(obj["site"], str, "site")))
     if not site:
         raise ValueError("empty site")
+    cookies = [c["cookie_domain"] for c in obj.get("cookies", [])]
+    requests = [r["request_domain"] for r in obj.get("requests", [])]
     tp_cookies, third_parties = record_third_parties(
         site,
-        [str(c["cookie_domain"]) for c in obj.get("cookies", [])],
-        [str(r["request_domain"]) for r in obj.get("requests", [])],
+        checked(cookies, str, "cookie domains", each=True),
+        checked(requests, str, "request domains", each=True),
     )
-    redirects = int(obj.get("redirects", 0))
+    redirects = checked(obj.get("redirects", 0), int, "redirects")
     if redirects < 0:
         raise ValueError("redirects must be non-negative")
     try:
-        page_url = normalize(str(obj["page_url"]))
+        page_url = normalize(checked(obj["page_url"], str, "page_url"))
     except MalformedUrl as exc:
         raise MalformedRecord(str(exc)) from exc
-    topic = str(obj["topic"])
+    topic = checked(obj["topic"], str, "topic")
     if topics is not None and topic != HOMEPAGE_TOPIC and topic not in topics:
         raise UnknownTopic(f"topic {topic!r} is not configured")
     return CrawlRecord(
         page_url=page_url,
         site=site,
         topic=topic,
-        crawl_id=str(obj.get("crawl_id", "")),
+        crawl_id=checked(obj.get("crawl_id", ""), str, "crawl_id"),
         tp_cookies=tp_cookies,
         third_parties=third_parties,
         redirects=redirects,

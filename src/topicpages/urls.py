@@ -11,14 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
-from html.parser import HTMLParser
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, NamedTuple
 from urllib.parse import urljoin, urlparse
 
-from .errors import MalformedRecord, MalformedUrl
-from .lines import read_jsonl, read_lines, write_jsonl
+from .errors import MalformedUrl
+from .lines import checked, read_jsonl, read_lines, write_jsonl
 
 # hrefs with these prefixes are navigation chrome, not pages
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
@@ -134,20 +133,6 @@ def url_metrics(u: PageUrl) -> UrlMetrics:
     )
 
 
-class _HrefCollector(HTMLParser):
-    """Collects href attribute values from any element, in document order; character
-    references are converted, as HTMLParser does by default."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.hrefs: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        for name, value in attrs:
-            if name.lower() == "href" and value:
-                self.hrefs.append(value)
-
-
 @dataclass(frozen=True)
 class LinkPartition:
     """Links found on a homepage, split by site membership.
@@ -176,14 +161,6 @@ def _resolve_plain_path(href: str, origin: PageUrl) -> PageUrl | None:
     return PageUrl(
         raw=href, normalized=origin.normalized + tail, domain=origin.domain, subpaths=subpaths
     )
-
-
-def extract_links(html: str, base: PageUrl, suffixes: frozenset[str] | None = None) -> LinkPartition:
-    """Extract, normalize, and dedupe every href in *html*: partition_links of its hrefs."""
-    collector = _HrefCollector()
-    collector.feed(html)
-    collector.close()
-    return partition_links(collector.hrefs, base, suffixes)
 
 
 def partition_links(
@@ -237,12 +214,10 @@ def url_to_record(u: PageUrl, site: str) -> dict:
 
 
 def url_from_record(obj: dict) -> tuple[PageUrl, str]:
-    fields = (obj["raw"], obj["normalized"], obj["domain"], obj["site"])
-    subpaths = obj["subpaths"]
-    if not isinstance(subpaths, list) or not all(isinstance(f, str) for f in (*fields, *subpaths)):
-        raise MalformedRecord("URL record fields must be strings, subpaths a list of strings")
-    raw, normalized, domain, site = fields
-    return PageUrl(raw, normalized, domain, tuple(subpaths)), site
+    raw, normalized, domain, site = (
+        checked(obj[key], str, key) for key in ("raw", "normalized", "domain", "site"))
+    subpaths = tuple(checked(obj["subpaths"], str, "subpaths", each=True))
+    return PageUrl(raw, normalized, domain, subpaths), site
 
 
 def write_url_file(path: str | Path, rows: Iterable[tuple[PageUrl, str]]) -> None:

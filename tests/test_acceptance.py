@@ -20,11 +20,9 @@ import pytest
 from topicpages import (
     build_tracking_matrix,
     category_breakdown,
-    classify_url,
     cohens_kappa,
     fetch_all,
     filter_subpages,
-    fit_thresholds,
     gap_statistic,
     kmeans,
     ks_two_sample,
@@ -42,7 +40,12 @@ from topicpages.cluster import pca_fit as _pca_fit
 from topicpages.config import PipelineConfig, load_config
 from topicpages.embeddings import EmbeddingModel
 from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
-from topicpages.thresholds import DEFAULT_THRESHOLDS
+from topicpages.thresholds import (
+    DEFAULT_BUCKET_SIZES,
+    DEFAULT_THRESHOLDS,
+    fit_url_histograms,
+    url_histograms,
+)
 
 from conftest import DATA, build_e2e_workspace
 
@@ -113,7 +116,7 @@ class TestThresholdRecovery:
         urls = subpages + articles
 
         started = time.perf_counter()
-        fitted = fit_thresholds(urls)
+        fitted = fit_url_histograms(url_histograms(urls, DEFAULT_BUCKET_SIZES))
         assert time.perf_counter() - started < 1.0
 
         sub_len = [len(u.normalized) for u in subpages]
@@ -192,7 +195,7 @@ BATTERY = (
 
 class TestClassification:
     def test_exact_match(self, plane_dictionary, plane_model):
-        a = classify_url(normalize(BATTERY[0]), plane_dictionary, plane_model, 0.4)
+        a = TopicClassifier(plane_dictionary, plane_model, 0.4).classify(normalize(BATTERY[0]))
         assert (a.topic.name, a.method, a.score) == ("sports", "exact", 1.0)
 
     def test_exact_match_never_consults_embeddings(self, plane_dictionary, plane_model):
@@ -207,7 +210,7 @@ class TestClassification:
         vectors = parse_vector_file(DATA / "accept_vectors.txt")
         # only "sports" of the sports keywords is in-vocabulary
         expected = hand_cosine(vectors["cricket"], vectors["sports"])
-        a = classify_url(normalize(BATTERY[1]), plane_dictionary, plane_model, 0.4)
+        a = TopicClassifier(plane_dictionary, plane_model, 0.4).classify(normalize(BATTERY[1]))
         assert a.topic.name == "sports"
         assert a.method == "embedding"
         assert a.matched_subpath == "cricket"
@@ -219,7 +222,7 @@ class TestClassification:
         )
 
     def test_out_of_vocabulary_is_other(self, plane_dictionary, plane_model):
-        a = classify_url(normalize(BATTERY[2]), plane_dictionary, plane_model, 0.4)
+        a = TopicClassifier(plane_dictionary, plane_model, 0.4).classify(normalize(BATTERY[2]))
         assert (a.topic.name, a.method, a.score) == ("other", "other", 0.0)
 
     def test_scale_invariance_at_7_3(self, plane_dictionary, plane_model):
@@ -228,8 +231,8 @@ class TestClassification:
         )
         for raw in BATTERY:
             url = normalize(raw)
-            a = classify_url(url, plane_dictionary, plane_model, 0.4)
-            b = classify_url(url, plane_dictionary, scaled, 0.4)
+            a = TopicClassifier(plane_dictionary, plane_model, 0.4).classify(url)
+            b = TopicClassifier(plane_dictionary, scaled, 0.4).classify(url)
             assert (a.topic.name, a.method, a.matched_subpath) == (
                 b.topic.name,
                 b.method,
@@ -475,7 +478,7 @@ class TestVarianceAccounting:
         model, reduced = pca_fit(X, 15)
         assert not model.rank_deficient
         assert float(np.sum(model.explained_variance_ratio)) == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(model.inverse_transform(reduced), X, atol=1e-8)
+        assert np.allclose(reduced @ model.components + model.mean, X, atol=1e-8)
 
 
 # --- 9: clustering metrics on the three-blob fixture ----------------------------

@@ -3,7 +3,6 @@ import pytest
 from topicpages import (
     DEFAULT_THRESHOLDS,
     TopicClassifier,
-    classify_url,
     dictionary_assist,
     filter_subpages,
     load_dictionary_file,
@@ -43,7 +42,7 @@ class CountingModel(EmbeddingModel):
 
 class TestClassify:
     def test_exact_keyword(self, toy_dictionary, toy_model):
-        a = classify_url(u("/sports/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/sports/"))
         assert a.topic.name == "sports"
         assert a.method == METHOD_EXACT
         assert a.score == 1.0
@@ -52,19 +51,19 @@ class TestClassify:
     def test_exact_is_case_insensitive_and_keeps_original_casing(
         self, toy_dictionary, toy_model
     ):
-        a = classify_url(u("/Cricket/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/Cricket/"))
         assert (a.topic.name, a.method) == ("sports", METHOD_EXACT)
         assert a.matched_subpath == "Cricket"
 
     def test_embedding_match(self, toy_dictionary, toy_model):
         # football = (0.6, 0, 0, 0, 0, 0.8) against the sports axis: cos 0.6
-        a = classify_url(u("/football/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/football/"))
         assert (a.topic.name, a.method) == ("sports", METHOD_EMBEDDING)
         assert a.score == pytest.approx(0.6, abs=1e-9)
         assert a.matched_subpath == "football"
 
     def test_below_cutoff_lands_in_other(self, toy_dictionary, toy_model):
-        a = classify_url(u("/quiz/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/quiz/"))
         assert a.topic.is_other
         assert (a.method, a.score, a.matched_subpath) == (METHOD_OTHER, 0.0, "")
 
@@ -75,30 +74,30 @@ class TestClassify:
         assert clf.classify(u("/football/")).topic.is_other
 
     def test_generic_subpath_skipped(self, toy_dictionary, toy_model):
-        a = classify_url(u("/topics/election/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/topics/election/"))
         assert (a.topic.name, a.method) == ("politics", METHOD_EXACT)
         assert a.matched_subpath == "election"
 
     def test_failed_segment_falls_through_to_next(self, toy_dictionary, toy_model):
         # /noise/ scores 0 everywhere, /economy/ is an exact keyword
-        a = classify_url(u("/noise/economy/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/noise/economy/"))
         assert (a.topic.name, a.method) == ("business", METHOD_EXACT)
 
     def test_top_segment_decides_before_lower_ones(self, toy_dictionary, toy_model):
-        a = classify_url(u("/sports/election/"), toy_dictionary, toy_model)
+        a = TopicClassifier(toy_dictionary, toy_model).classify(u("/sports/election/"))
         assert a.topic.name == "sports"
 
     def test_homepage_rejected(self, toy_dictionary, toy_model):
         with pytest.raises(NoSubpaths):
-            classify_url(u("/"), toy_dictionary, toy_model)
+            TopicClassifier(toy_dictionary, toy_model).classify(u("/"))
 
     def test_scores_invariant_under_model_scaling(self, toy_dictionary, toy_model):
         scaled = EmbeddingModel(
             toy_model.dimension, {t: v * 7.3 for t, v in toy_model.items()}
         )
         for path in ["/football/", "/quiz/", "/noise/economy/"]:
-            a = classify_url(u(path), toy_dictionary, toy_model)
-            b = classify_url(u(path), toy_dictionary, scaled)
+            a = TopicClassifier(toy_dictionary, toy_model).classify(u(path))
+            b = TopicClassifier(toy_dictionary, scaled).classify(u(path))
             assert (a.topic, a.method) == (b.topic, b.method)
             assert b.score == pytest.approx(a.score, abs=1e-12)
 

@@ -2,6 +2,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from html.parser import HTMLParser
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from topicpages import (
     detect_english,
     extract_text,
     preprocess,
+    read_page,
     tfidf,
 )
 from topicpages.content import EnglishVerdict
 from topicpages.errors import EmptyCorpus
 from topicpages.stemmer import stem
 from topicpages.stopwords import DEFAULT_STOPWORDS
-from topicpages.urls import _HrefCollector
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -106,19 +107,55 @@ def pages(draw):
     return "".join(pieces)
 
 
-def collected_hrefs(html):
-    collector = _HrefCollector()
-    collector.feed(html)
-    collector.close()
-    return collector.hrefs
+class HrefOracle(HTMLParser):
+    """Every non-empty href value of any element, in document order."""
+
+    def __init__(self):
+        super().__init__()
+        self.found = []
+
+    def handle_starttag(self, tag, attrs):
+        for name, value in attrs:
+            if name.lower() == "href" and value:
+                self.found.append(value)
+
+
+class TextOracle(HTMLParser):
+    """The text chunks outside script and style elements, in document order."""
+
+    def __init__(self):
+        super().__init__()
+        self.open_skips = 0
+        self.found = []
+
+    def handle_starttag(self, tag, attrs):
+        self.open_skips += tag in ("script", "style")
+
+    def handle_endtag(self, tag):
+        if tag in ("script", "style") and self.open_skips:
+            self.open_skips -= 1
+
+    def handle_data(self, data):
+        if not self.open_skips and data.strip():
+            self.found.append(data)
+
+
+def oracle(parser_class, html):
+    parser = parser_class()
+    parser.feed(html)
+    parser.close()
+    return parser.found
 
 
 class TestReadPage:
     @settings(max_examples=40, deadline=None)
     @example(html='<a href="/x/">go</a><script>no</script>t&amp;u<p class="open')
+    @example(html='<link HREF="/a/"><a href="">x</a><a name=b><area href="/c/"><a href=/d/>')
     @given(html=pages())
     def test_one_parse_gives_the_hrefs_and_the_text(self, html):
-        assert content_mod.read_page(html) == (collected_hrefs(html), extract_text(html))
+        text = " ".join(" ".join(oracle(TextOracle, html)).split())
+        assert read_page(html) == (oracle(HrefOracle, html), text)
+        assert extract_text(html) == text
 
 
 class TestPreprocess:

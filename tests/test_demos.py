@@ -24,3 +24,20 @@ def test_demo_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def readme_quick_start():
+    """The python block of the README's "Library quick start" section."""
+    section = (ROOT / "README.md").read_text("utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(capsys):
+    exec(compile(readme_quick_start(), "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+
+
+def test_every_public_name_resolves():
+    import topicpages
+
+    assert [name for name in topicpages.__all__ if not hasattr(topicpages, name)] == []

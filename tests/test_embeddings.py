@@ -311,7 +311,9 @@ def store(tmp_path):
 
 
 def entries(store):
-    return sorted(p.name for p in (store / "embeddings").iterdir())
+    """The cache entries of *store*, as paths under its embeddings/ folder."""
+    return sorted(str(p.relative_to(store / "embeddings"))
+                  for p in (store / "embeddings").rglob("*.bin"))
 
 
 class TestParseCache:
@@ -361,6 +363,40 @@ class TestParseCache:
         entry.write_bytes(bytes(data))
         assert same_model(load_embeddings_file(path, cache=store), load_embeddings_file(path))
         assert entry.read_bytes() == whole
+
+    def test_a_save_removes_the_entries_of_other_code(self, vectors, store, tmp_path,
+                                                       monkeypatch):
+        path = vectors(W2V)
+        load_embeddings_file(path, cache=store)
+        folder = store / "embeddings"
+        (folder / ("0" * 64)).mkdir()
+        (folder / ("0" * 64) / f"{'2' * 64}.bin").write_bytes(b"an entry of other code")
+        (folder / f"{'1' * 64}.bin").write_bytes(b"an entry of the flat layout")
+        (folder / "notes.txt").write_text("not an entry")
+        (store / "index.jsonl").write_text("")
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "keep.bin").write_text("kept")
+        (folder / "linked").symlink_to(outside, target_is_directory=True)
+        code = embeddings_mod._code_digests()
+        monkeypatch.setattr(embeddings_mod, "_code_digests", lambda: (*code, "edited.py"))
+        load_embeddings_file(path, cache=store)
+        [entry] = entries(store)
+        assert entry.startswith(embeddings_mod._code_folder() + "/")
+        assert sorted(p.name for p in folder.iterdir()) == sorted(
+            [embeddings_mod._code_folder(), "linked", "notes.txt"])
+        assert (outside / "keep.bin").read_text() == "kept"
+        assert (store / "index.jsonl").exists()
+
+    def test_entries_of_two_files_under_one_code_both_hit(self, tmp_path, store, monkeypatch):
+        paths = [text_file(tmp_path, W2V, "a.txt"), text_file(tmp_path, CACHED, "b.txt")]
+        plain = [load_embeddings_file(path) for path in paths]
+        for path in paths:
+            load_embeddings_file(path, cache=store)
+        assert len(entries(store)) == 2
+        monkeypatch.setattr(embeddings_mod, "_parse_file", never_parse)
+        for path, model in zip(paths, plain):
+            assert same_model(load_embeddings_file(path, cache=store), model)
 
     def test_absent_store_loads_and_writes_nothing(self, vectors, tmp_path):
         path = vectors(W2V)

@@ -231,6 +231,22 @@ STRICT_FAULTS = {
     "score-1e400": ("assignments.jsonl", {**ASSIGNMENT, "score": 1e400}),
     "score-null": ("assignments.jsonl", {**ASSIGNMENT, "score": None}),
     "method-bogus": ("assignments.jsonl", {**ASSIGNMENT, "method": "bogus"}),
+    "matched-subpath-number": ("assignments.jsonl", {**ASSIGNMENT, "matched_subpath": 3}),
+    "assignment-url-null": ("assignments.jsonl", {**ASSIGNMENT, "url": None}),
+    "assignment-topic-list": ("assignments.jsonl", {**ASSIGNMENT, "topic": ["sports"]}),
+    "best-site-number": ("best.jsonl", {**BEST, "site": 1}),
+    "url-subpath-number": ("urls.jsonl", {**URL_ROW, "subpaths": ["sports", 2]}),
+    "url-raw-null": ("urls.jsonl", {**URL_ROW, "raw": None}),
+    "index-path-number": ("index.jsonl", {"url": "https://a.example/", "path": 1}),
+    "index-url-null": ("index.jsonl", {"url": None, "path": None}),
+}
+STRICT_READERS = {
+    "tracking-matrix.json": load_matrix_file,
+    "content-matrix.json": load_matrix_file,
+    "assignments.jsonl": lambda p: read_assignments(p, SPORTS),
+    "best.jsonl": read_best_subpages,
+    "urls.jsonl": read_url_file,
+    "index.jsonl": lambda p: load_snapshot_index(p.parent),
 }
 
 
@@ -241,10 +257,7 @@ def test_value_of_a_wrong_type_is_an_error_naming_the_file(tmp_path, name):
     text = json.dumps(obj).replace("Infinity", "1e400")  # 1e400 is how JSON spells it
     path.write_text(text + "\n", "utf-8")
     with pytest.raises(PipelineError) as err:
-        if filename == "assignments.jsonl":
-            read_assignments(path, SPORTS)
-        else:
-            load_matrix_file(path)
+        STRICT_READERS[filename](path)
     assert str(err.value).startswith(f"{path}:"), str(err.value)
 
 

@@ -11,7 +11,6 @@ from topicpages import (
     build_histogram,
     filter_subpages,
     find_bimodal_threshold,
-    fit_thresholds,
     normalize,
     url_metrics,
 )
@@ -135,10 +134,15 @@ def planted_urls(seed, n_side=800):
     return [normalize(u) for u in urls]
 
 
+def fit(urls, **options):
+    """The fit-thresholds stage's fit: the histograms of *urls*, then their valleys."""
+    return fit_url_histograms(url_histograms(urls, DEFAULT_BUCKET_SIZES), **options)
+
+
 class TestFitThresholds:
     def test_recovers_each_parameter_gap(self):
         urls = planted_urls(seed=21)
-        fitted = fit_thresholds(urls)
+        fitted = fit(urls)
         metrics = [url_metrics(u) for u in urls]
         half = len(urls) // 2
         for vals, got in [
@@ -152,11 +156,11 @@ class TestFitThresholds:
     def test_unimodal_parameter_raises_with_name(self):
         urls = [normalize(f"https://site.example/{'a' * n}/") for n in [8] * 30 + [9] * 5]
         with pytest.raises(NotBimodal, match="url_length"):
-            fit_thresholds(urls)
+            fit(urls)
 
     def test_fallback_defaults(self):
         urls = [normalize(f"https://site.example/{'a' * n}/") for n in [8] * 30 + [9] * 5]
-        fitted = fit_thresholds(urls, fallback_defaults=True)
+        fitted = fit(urls, fallback_defaults=True)
         assert (
             fitted.max_url_length,
             fitted.max_subpath_length,
@@ -167,11 +171,11 @@ class TestFitThresholds:
         # a handful of URLs always shows accidental "modes"
         urls = [normalize(f"https://site.example/{'ab' * (n + 1)}/") for n in range(13)]
         with pytest.raises(NotBimodal, match="13 training URLs"):
-            fit_thresholds(urls)
+            fit(urls)
 
     def test_small_sample_falls_back(self):
         urls = [normalize(f"https://site.example/{'ab' * (n + 1)}/") for n in range(13)]
-        fitted = fit_thresholds(urls, fallback_defaults=True, cosine_cutoff=0.6)
+        fitted = fit(urls, fallback_defaults=True, cosine_cutoff=0.6)
         assert (
             fitted.max_url_length,
             fitted.max_subpath_length,
@@ -181,30 +185,10 @@ class TestFitThresholds:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            fit_thresholds([])
+            fit([])
 
 
 class TestFitUrlHistograms:
-    @pytest.mark.parametrize("fallback", [False, True])
-    @pytest.mark.parametrize(
-        "urls",
-        [
-            planted_urls(seed=21),
-            [normalize(f"https://site.example/{'a' * n}/") for n in [8] * 30 + [9] * 5],
-            [normalize(f"https://site.example/{'ab' * (n + 1)}/") for n in range(13)],
-        ],
-        ids=["bimodal", "unimodal", "small"],
-    )
-    def test_same_result_as_fit_thresholds(self, urls, fallback):
-        def result(fit, arg):
-            try:
-                return fit(arg, cosine_cutoff=0.55, fallback_defaults=fallback)
-            except NotBimodal as exc:
-                return str(exc)
-
-        hists = url_histograms(urls, DEFAULT_BUCKET_SIZES)
-        assert result(fit_url_histograms, hists) == result(fit_thresholds, urls)
-
     def test_fit_stage_computes_each_url_metrics_once(self, tmp_path, monkeypatch):
         config_path = build_e2e_workspace(tmp_path / "ws")
         cfg = load_config(config_path, env={}, overrides={"fallback_defaults": True})

@@ -143,6 +143,27 @@ class TestIngest:
         with pytest.raises(MalformedRecord, match=f"^{re.escape(str(p))}:1: "):
             read_crawl_log(p)
 
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [
+            ("cookies", [{"cookie_domain": None}], "cookie domains"),
+            ("requests", [{"request_domain": 17}], "request domains"),
+            ("redirects", True, "redirects"),
+            ("redirects", 2.7, "redirects"),
+            ("site", 12, "site"),
+            ("page_url", ["https://a.example/"], "page_url"),
+            ("topic", None, "topic"),
+            ("crawl_id", 5, "crawl_id"),
+        ],
+        ids=["cookie-null", "request-int", "redirects-true", "redirects-float", "site-int",
+             "page_url-list", "topic-null", "crawl_id-int"],
+    )
+    def test_value_of_a_wrong_type_is_not_coerced(self, tmp_path, field, value, named):
+        visit = {"page_url": "https://a.example/", "site": "a.example", "topic": "t"}
+        p = text_file(tmp_path, json.dumps(visit) + "\n" + json.dumps({**visit, field: value}))
+        with pytest.raises(MalformedRecord, match=f"^{re.escape(str(p))}:2: {named} must "):
+            read_crawl_log(p)
+
     def test_blank_lines_skipped(self, tmp_path):
         assert read_crawl_log(text_file(tmp_path, "\n  \n")) == []
 

@@ -3,7 +3,7 @@ import html
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topicpages import extract_links, normalize, registrable_domain, url_metrics
+from topicpages import normalize, partition_links, read_page, registrable_domain, url_metrics
 from topicpages.errors import MalformedRecord, MalformedUrl
 from topicpages.urls import PageUrl, read_url_file, write_url_file
 
@@ -114,7 +114,7 @@ HOMEPAGE_HTML = """
 class TestExtractLinks:
     def test_partition(self):
         base = normalize("https://mysite.example/")
-        part = extract_links(HOMEPAGE_HTML, base)
+        part = partition_links(read_page(HOMEPAGE_HTML)[0], base)
         internal = [u.normalized for u in part.internal]
         assert internal == [
             "https://mysite.example/sports/",
@@ -128,17 +128,17 @@ class TestExtractLinks:
 
     def test_relative_links_resolve_against_base(self):
         base = normalize("https://mysite.example/")
-        part = extract_links('<a href="jobs/">Jobs</a>', base)
+        part = partition_links(read_page('<a href="jobs/">Jobs</a>')[0], base)
         assert [u.normalized for u in part.internal] == ["https://mysite.example/jobs/"]
 
     def test_empty_document(self):
         base = normalize("https://mysite.example/")
-        part = extract_links("<html><body>no links</body></html>", base)
+        part = partition_links(read_page("<html><body>no links</body></html>")[0], base)
         assert part.internal == () and part.external == () and part.skipped == 0
 
 
 def reference_extract(hrefs, base, suffixes):
-    """extract_links() with every href resolved by normalize()."""
+    """partition_links() with every href resolved by normalize()."""
     seen, internal, external, skipped = set(), [], [], 0
     for href in hrefs:
         href = href.strip()
@@ -199,7 +199,7 @@ class TestExtractLinksMatchesNormalize:
     @given(st.lists(HREF, max_size=12), BASE, SUFFIXES)
     def test_every_href_as_normalize_resolves_it(self, hrefs, base, suffixes):
         page = "".join(f'<a href="{html.escape(h, quote=True)}">x</a>' for h in hrefs)
-        part = extract_links(page, base, suffixes)
+        part = partition_links(read_page(page)[0], base, suffixes)
         expected = reference_extract(hrefs, base, suffixes)
         assert (part.internal, part.external, part.skipped) == expected
 
@@ -207,7 +207,7 @@ class TestExtractLinksMatchesNormalize:
         # under these suffixes the page's own domain is mysite.city.test, not
         # the base's city.test, so even its plain paths are external
         base = normalize("https://news.mysite.city.test/")
-        part = extract_links('<a href="/sports/">s</a>', base, frozenset({"city.test"}))
+        part = partition_links(read_page('<a href="/sports/">s</a>')[0], base, frozenset({"city.test"}))
         assert part.internal == ()
         assert [(u.normalized, u.domain) for u in part.external] == [
             ("https://news.mysite.city.test/sports/", "mysite.city.test")

@@ -117,13 +117,24 @@ def build_workspace(root: Path) -> PipelineConfig:
     )
 
 
+def relative(value, root: Path):
+    """A summary value with each path under *root* written relative to it, so
+    the output is the same from run to run."""
+    if isinstance(value, dict):
+        return {key: relative(item, root) for key, item in value.items()}
+    if isinstance(value, str) and Path(value).is_relative_to(root):
+        return str(Path(value).relative_to(root))
+    return value
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = build_workspace(Path(tmp) / "ws")
+        root = Path(tmp) / "ws"
+        cfg = build_workspace(root)
         code, result = run_pipeline(cfg)
         print(f"pipeline exit code: {code}")
         for stage, info in result.items():
-            print(f"  {stage}: {info}")
+            print(f"  {stage}: {relative(info, root)}")
 
         out = Path(cfg.out_dir)
         best = [json.loads(l) for l in (out / "best.jsonl").read_text().splitlines()]

@@ -7,7 +7,17 @@ so terms present in every topic document weigh exactly zero.
 
 read_page parses a page once for both its hrefs and its visible text, so a
 run's homepages are parsed once; tfidf stems each distinct word once per
-corpus.
+corpus.  HTMLParser defines what read_page returns.  A page inside a
+well-formed subset of HTML is scanned with one compiled regex instead: start
+and end tags with ASCII names whose attributes are bare names or quoted
+values, script and style elements whose body holds no "<", a doctype, and
+comments whose body holds no "--", "<" or ">"; elements that newer
+HTMLParsers read as raw text (title, textarea, iframe and the like) only with
+a body free of "<" and "&".  On that subset HTMLParser
+ends every token where the regex does, on every supported Python, so the
+results are equal; a page with any "<" outside those constructs, or with an
+href whose named character reference is not a complete known name, goes to
+HTMLParser whole.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from html import unescape
+from html.entities import html5
 from html.parser import HTMLParser
 from typing import AbstractSet, Sequence
 
@@ -34,6 +46,38 @@ _ASCII_RUN_RE = re.compile(r"[\x00-\x7f]+")
 
 # script/style bodies are code, not page copy
 _SKIP_ELEMENTS = frozenset({"script", "style"})
+
+# read_page's subset: one alternative per construct.  A start tag's attributes
+# (group 3) each follow whitespace; a script or style start tag (group 1)
+# matches with its whole element.  Newer HTMLParsers read the content of the
+# group-2 elements as raw or escapable raw text, so their start tag matches only
+# before a body without "<" or "&" and the end tag, which every version reads
+# as plain text; plaintext never ends and is left out.  No quantifier nests over
+# one character class, so a page that fails to match cannot backtrack
+# exponentially.
+_WS = r"[ \t\n\r]"
+_TAG_NAME = r"[A-Za-z][-A-Za-z0-9]*"
+_ATTR_NAME = r"[A-Za-z_:][-A-Za-z0-9_:.]*"
+_VALUE = rf"""{_WS}*={_WS}*(?:"[^"]*"|'[^']*')"""
+_RAW_TEXT = "title|textarea|xmp|iframe|noembed|noframes|noscript"
+_MARKUP = re.compile(
+    rf"<(?:(?P<skip>(?i:script|style))(?={_WS}|>)"
+    rf"|(?P<raw>(?i:{_RAW_TEXT}))(?={_WS}|>)"
+    rf"|(?!(?i:script|style|{_RAW_TEXT}|plaintext)(?:{_WS}|[/>])){_TAG_NAME})"
+    rf"((?:{_WS}+{_ATTR_NAME}(?:{_VALUE})?)*){_WS}*"
+    rf"(?(skip)>[^<]*</(?i:(?P=skip))>|(?(raw)>(?=[^<&]*</(?i:(?P=raw))>)|/?>))"
+    rf"|</{_TAG_NAME}>"
+    r"|<!--(?:[^<>-]|-(?!-))*-->"
+    r"|<!(?i:doctype)[^<>]*>",
+    re.ASCII,
+)
+# one attribute of a group-3 run; an href gives its quoted value
+_ATTRIBUTE = re.compile(
+    rf"""{_WS}+(?:(?i:href){_WS}*={_WS}*(?:"([^"]*)"|'([^']*)')|{_ATTR_NAME}(?:{_VALUE})?)""",
+    re.ASCII,
+)
+# named references in an href; Pythons differ on one that is unknown or lacks ";"
+_NAMED_REF = re.compile(r"&[A-Za-z][A-Za-z0-9]*;?")
 
 
 class _PageParser(HTMLParser):
@@ -63,8 +107,35 @@ class _PageParser(HTMLParser):
             self.chunks.append(data)
 
 
+def _scan(html: str) -> tuple[list[str], str] | None:
+    """read_page(html) for a page inside the subset, else None.
+
+    The text outside the markup is joined with a space where each match was;
+    a match already ends a word and a character reference, so unescaping the
+    join and collapsing it equals doing so chunk by chunk.
+    """
+    pieces = _MARKUP.split(html)  # text, skip, raw, attributes, text, ...
+    text = " ".join(pieces[::4])
+    if "<" in text:
+        return None
+    hrefs = []
+    for quoted in _ATTRIBUTE.findall("".join(filter(None, pieces[3::4]))):
+        value = quoted[0] or quoted[1]
+        if not value:
+            continue
+        if "&" in value:
+            if not all(ref[-1] == ";" and ref[1:] in html5 for ref in _NAMED_REF.findall(value)):
+                return None
+            value = unescape(value)
+        hrefs.append(value)
+    return hrefs, " ".join(unescape(text).split())
+
+
 def read_page(html: str) -> tuple[list[str], str]:
     """A page's hrefs, in document order, and its visible text, whitespace-collapsed."""
+    scanned = _scan(html)
+    if scanned is not None:
+        return scanned
     parser = _PageParser()
     parser.feed(html)
     parser.close()

@@ -109,6 +109,8 @@ def checked(value, kind: type, what: str, each: bool = False):
     """*value* if its JSON type is *kind*, or with *each* if it is a list of such
     values; else a ValueError naming *what*.  A bool is no integer, and a number
     (*kind* float) is a finite int or float."""
+    if type(value) is kind and not each and kind is not float:
+        return value
     if each and type(value) is not list:
         raise ValueError(f"{what} must be a list, got {value!r}")
     items = value if each else (value,)

@@ -633,6 +633,8 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
+    # a manifest left by an earlier run must not vouch for a run that stops part way
+    (runner.out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     summary: dict[str, object] = {}
     errors: list[str] = []
     succeeded: set[str] = set()

@@ -8,6 +8,7 @@ be bimodal; the filter boundary is the valley between the two modes.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -96,15 +97,18 @@ def _bucket_index(value: float, bucket_size: float) -> int:
 
 
 def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
-    """Bucket values by floor(v / bucket_size) * bucket_size."""
+    """Bucket values by floor(v / bucket_size) * bucket_size.
+
+    Each distinct value is bucketed once; buckets keep the order in which
+    their first value occurs."""
     if bucket_size <= 0:
         raise ValueError("bucket_size must be positive")
     if len(values) == 0:
         raise EmptyInput("cannot build a histogram from no values")
     counts: dict = {}
-    for v in values:
+    for v, n in Counter(values).items():
         start = _bucket_start(_bucket_index(v, bucket_size), bucket_size)
-        counts[start] = counts.get(start, 0) + 1
+        counts[start] = counts.get(start, 0) + n
     return Histogram(bucket_size=float(bucket_size), counts=counts)
 
 

@@ -4,6 +4,16 @@ Identity of a site is its registrable domain (eTLD+1), resolved against a
 bundled public-suffix snapshot that callers can override with their own file.
 Normalized URLs are lowercase-host, query- and fragment-free, and always end
 with a trailing slash, so string equality is URL equality downstream.
+
+normalize defines how an href resolves.  partition_links resolves the plain
+hrefs that make up most of a homepage without urljoin: a root-relative path,
+or a lowercase http:// or https:// URL whose host is ASCII labels joined by
+dots, with no port, userinfo or trailing dot.  The path holds only letters,
+digits and "._~-/", and a ?query or #fragment may follow it.  normalize
+resolves such an href to its scheme, lowercased host and non-empty path
+segments, which the shortcut builds directly, looking each host's registrable
+domain up once per page.  An href with a "." or ".." segment, and every other
+href, goes through normalize.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple
 from urllib.parse import urljoin, urlparse
@@ -24,9 +35,13 @@ _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 
-# root-relative hrefs that resolve to the base's origin plus their non-empty
-# segments, unless a segment is "." or ".."
-_PLAIN_PATH = re.compile(r"/(?:[A-Za-z0-9_~-][A-Za-z0-9._~/-]*)?")
+# hrefs that resolve to a scheme and host (the base's for a root-relative path)
+# plus their path's non-empty segments, unless a segment is "." or ".."
+_PLAIN_HREF = re.compile(
+    r"(?:(https?)://([A-Za-z0-9-]+(?:\.[A-Za-z0-9-]+)+)(?=[/?#]|\Z)|(?=/(?!/)))"
+    r"(/[A-Za-z0-9._~/-]*)?(?:[?#].*)?",
+    re.DOTALL,
+)
 
 
 @cache
@@ -127,9 +142,9 @@ def normalize(raw: str, base: PageUrl | None = None, suffixes: frozenset[str] | 
 def url_metrics(u: PageUrl) -> UrlMetrics:
     """Character length of the normalized URL plus per-subpath maxima."""
     return UrlMetrics(
-        url_length=len(u.normalized),
-        max_subpath_length=max((len(s) for s in u.subpaths), default=0),
-        max_hyphens=max((s.count("-") for s in u.subpaths), default=0),
+        len(u.normalized),
+        max(map(len, u.subpaths), default=0),
+        max(map(str.count, u.subpaths, repeat("-")), default=0),
     )
 
 
@@ -146,21 +161,30 @@ class LinkPartition:
     skipped: int = 0
 
 
-def _resolve_plain_path(href: str, origin: PageUrl) -> PageUrl | None:
-    """normalize(href, base) for a plain root-relative href, else None.
+def _resolve_plain(
+    href: str, origin: PageUrl, domains: dict[str, str], suffixes: frozenset[str] | None
+) -> PageUrl | None:
+    """normalize(href, base, suffixes) for a plain href, else None.
 
-    *origin* is normalize("/", base), which gives the scheme, host and port
-    of every root-relative href on the page and their registrable domain.
+    *origin* is normalize("/", base, suffixes), which gives the scheme, host and
+    port of every root-relative href on the page and their registrable domain.
+    *domains* maps each absolute host seen on the page to its registrable domain.
     """
-    if not _PLAIN_PATH.fullmatch(href):
+    match = _PLAIN_HREF.fullmatch(href)
+    if match is None:
         return None
-    subpaths = tuple(seg for seg in href.split("/") if seg)
+    scheme, host, path = match.groups()
+    subpaths = tuple(filter(None, path.split("/"))) if path else ()
     if "." in subpaths or ".." in subpaths:
         return None
     tail = "/".join(subpaths) + "/" if subpaths else ""
-    return PageUrl(
-        raw=href, normalized=origin.normalized + tail, domain=origin.domain, subpaths=subpaths
-    )
+    if scheme is None:
+        return PageUrl(href, origin.normalized + tail, origin.domain, subpaths)
+    host = host.lower()
+    domain = domains.get(host)
+    if domain is None:
+        domain = domains[host] = registrable_domain(host, suffixes)
+    return PageUrl(href, f"{scheme}://{host}/{tail}", domain, subpaths)
 
 
 def partition_links(
@@ -176,6 +200,7 @@ def partition_links(
         probe = normalize("/", base=base, suffixes=suffixes)
     except MalformedUrl:
         probe = None
+    domains: dict[str, str] = {}
     seen: set[str] = set()
     internal: list[PageUrl] = []
     external: list[PageUrl] = []
@@ -184,7 +209,7 @@ def partition_links(
         href = href.strip()
         if not href or href.lower().startswith(_DISCARD_PREFIXES):
             continue
-        url = _resolve_plain_path(href, probe) if probe is not None else None
+        url = _resolve_plain(href, probe, domains, suffixes) if probe is not None else None
         if url is None:
             try:
                 url = normalize(href, base=base, suffixes=suffixes)

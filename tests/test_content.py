@@ -6,7 +6,7 @@ from html.parser import HTMLParser
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import topicpages.content as content_mod
 from topicpages import (
@@ -147,15 +147,100 @@ def oracle(parser_class, html):
     return parser.found
 
 
+# read_page's regex subset: ASCII tag names, attributes that are bare or quoted
+# (values hold no quote), character references, comments without "--", "<" or
+# ">", a doctype, script/style elements whose body holds no "<", and title-like
+# elements whose body holds no "<" or "&"
+SUBSET_NAMES = st.sampled_from(["a", "A", "p", "div", "link", "area", "my-el", "h1", "scripts"])
+SUBSET_SPACES = st.sampled_from([" ", "\n", "\t ", "\r\n"])
+SUBSET_VALUES = st.sampled_from([
+    "/sports/", "", "https://x.example/a&amp;b/", "&#x2f;world&#47;", "a>b", "a<b", "t&eacute;",
+    "caf\u00e9", " spaced ", "?a=1&b=2", "&lt;&gt;",
+])
+
+
+@st.composite
+def subset_attributes(draw):
+    name = draw(st.sampled_from(["href", "HREF", "Href", "class", "hreflang", "data-href", "x:y"]))
+    quote = draw(st.sampled_from(["", '"', "'"]))
+    if not quote:
+        return name
+    equals = draw(st.sampled_from(["=", " = ", "\n="]))
+    return f"{name}{equals}{quote}{draw(SUBSET_VALUES)}{quote}"
+
+
+@st.composite
+def subset_tags(draw):
+    attrs = "".join(space + attr for space, attr in draw(
+        st.lists(st.tuples(SUBSET_SPACES, subset_attributes()), max_size=3)))
+    kind = draw(st.sampled_from(["start", "end", "skip", "raw"]))
+    if kind == "end":
+        return f"</{draw(SUBSET_NAMES)}>"
+    if kind == "start":
+        return f"<{draw(SUBSET_NAMES)}{attrs}{draw(st.sampled_from(['>', ' >', '/>', ' />']))}"
+    if kind == "skip":
+        name = draw(st.sampled_from(["script", "style", "SCRIPT", "Style"]))
+        body = draw(st.sampled_from(["var a = 1;", "", "if (a > b) {}", "s = 'href=\"/in/\"'", "&amp;"]))
+    else:  # an element newer HTMLParsers read as raw text, with a body free of "<" and "&"
+        name = draw(st.sampled_from(["title", "TITLE", "textarea", "iframe", "noscript"]))
+        body = draw(st.sampled_from(["Daily news", "", "a > b", " x = 1; "]))
+    return f"<{name}{attrs}>{body}</{draw(st.sampled_from([name, name.lower(), name.upper()]))}>"
+
+
+SUBSET_MARKUP = st.sampled_from(
+    ["<!-- a -->", "<!---->", "<!-- a - b -->", "<!DOCTYPE html>", "<!doctype>"])
+SUBSET_TEXT = st.one_of(
+    st.sampled_from(["Caf&eacute; &amp; b", "&#65;&#x263a;", "&nbsp;x", "&bogus; y", "a > b",
+                     "x &", "\n  \t", "word", "&amp", "&#"]),
+    st.text(st.characters(blacklist_characters="<"), max_size=6),
+)
+
+
+@st.composite
+def subset_pages(draw):
+    return "".join(draw(st.lists(st.one_of(subset_tags(), SUBSET_MARKUP, SUBSET_TEXT), max_size=25)))
+
+
+def assert_read_page_matches_oracles(html):
+    event("regex scan" if content_mod._scan(html) is not None else "HTMLParser")
+    text = " ".join(" ".join(oracle(TextOracle, html)).split())
+    assert read_page(html) == (oracle(HrefOracle, html), text)
+    assert extract_text(html) == text
+
+
 class TestReadPage:
     @settings(max_examples=40, deadline=None)
     @example(html='<a href="/x/">go</a><script>no</script>t&amp;u<p class="open')
     @example(html='<link HREF="/a/"><a href="">x</a><a name=b><area href="/c/"><a href=/d/>')
     @given(html=pages())
     def test_one_parse_gives_the_hrefs_and_the_text(self, html):
-        text = " ".join(" ".join(oracle(TextOracle, html)).split())
-        assert read_page(html) == (oracle(HrefOracle, html), text)
-        assert extract_text(html) == text
+        assert_read_page_matches_oracles(html)
+
+    # generated pages inside the subset; the examples sit at its edge or just outside
+    @settings(max_examples=40, deadline=None)
+    @example(html="<p>a < b</p>")
+    @example(html="<p>fish &bogus chips</p>")
+    @example(html="<p>x<!-->y</p>")
+    @example(html="<p>x<!-- a --!>y</p><p>z</p>")
+    @example(html="<script>document.write('</p>')</script>after")
+    @example(html="<script>var a = 1;</SCRIPT >after")
+    @example(html='<a\x0chref="/f/">x</a>')
+    @example(html='<\u00e9 href="/e/">x</\u00e9>')
+    @example(html='<a href="/one/" href="/two/">x</a>')
+    @example(html='<a href="/a/?x=1&copy=2">x</a>')
+    @example(html="<title>Fish &amp; <b>chips</b></title><plaintext><p>x")
+    @given(html=subset_pages())
+    def test_the_regex_scan_gives_what_htmlparser_gives(self, html):
+        assert_read_page_matches_oracles(html)
+
+    def test_doctype_comment_and_charref_stay_on_the_fast_path(self, monkeypatch):
+        def refused():
+            raise AssertionError("the page went to HTMLParser")
+
+        monkeypatch.setattr(content_mod, "_PageParser", refused)
+        html = ('<!DOCTYPE html><html><head><style>p {}</style></head><body><!-- nav -->'
+                '<a class="nav" href="/menu?x=1&amp;y=2" hidden>Fish &amp; chips</a></body></html>')
+        assert read_page(html) == (["/menu?x=1&y=2"], "Fish & chips")
 
 
 class TestPreprocess:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ def test_demo_runs(script):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    # a demo's output is reproducible: no path under a fresh temporary directory
+    assert tempfile.gettempdir() not in done.stdout
 
 
 def readme_quick_start():

@@ -2,13 +2,13 @@ import dataclasses
 import inspect
 import json
 import os
-from html.parser import HTMLParser
 from pathlib import Path
 
 import pytest
 
 import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
+import topicpages.content as content_mod
 import topicpages.pipeline as pipeline_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
@@ -255,6 +255,22 @@ class TestRunnerDirect:
         assert "clusters-content" not in manifest["artifacts"]
         assert "clusters-tracking" not in manifest["artifacts"]
         assert "tracking-matrix" in manifest["artifacts"]
+
+    def test_interrupted_rerun_leaves_no_manifest(self, e2e_config, monkeypatch):
+        # the first run's manifest would list files the second run rewrites or
+        # never reaches, so the second run removes it before its first stage
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        manifest = Path(cfg.out_dir) / "manifest.json"
+        assert manifest.exists()
+
+        def interrupted(self, *args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Runner, "stage_filter", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(cfg)
+        assert not manifest.exists()
 
     @pytest.mark.parametrize(
         "key,stage", [("crawl_logs", "track"), ("disconnect", "track"), ("urls", "fetch")]
@@ -531,13 +547,14 @@ class TestEachFileParsedOnce:
 
     def test_run_parses_each_page_once_as_content_alone_does(self, e2e_config, monkeypatch):
         fed = []
-        feed = HTMLParser.feed
+        read_page = content_mod.read_page
 
-        def recording(parser, data):
-            fed.append(data)
-            return feed(parser, data)
+        def recording(html):
+            fed.append(html)
+            return read_page(html)
 
-        monkeypatch.setattr(HTMLParser, "feed", recording)
+        # every page parse, by the regex scan or by HTMLParser, goes through read_page
+        monkeypatch.setattr(content_mod, "read_page", recording)
         code, summary = run_pipeline(load_config(e2e_config, env={}))
         assert code == 0, summary["errors"]
         # the three homepages in extract, the selected section pages in content

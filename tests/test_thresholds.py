@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -57,6 +58,22 @@ class TestBuildHistogram:
     def test_bad_bucket_size(self):
         with pytest.raises(ValueError):
             build_histogram([1.0], 0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.integers(-30, 300), st.sampled_from([0.15, -0.0, 2.5, 7.0])),
+                        min_size=1, max_size=40),
+        bucket_size=st.sampled_from([1.0, 5.0, 0.05, 2.5]),
+    )
+    def test_same_buckets_in_the_same_order_as_one_value_at_a_time(self, values, bucket_size):
+        expected = {}
+        for v in values:
+            start = bucket_size * math.floor(v / bucket_size + 1e-9)
+            start = int(round(start)) if bucket_size.is_integer() else round(start, 10)
+            expected[start] = expected.get(start, 0) + 1
+        counts = build_histogram(values, bucket_size).counts
+        assert list(counts.items()) == list(expected.items())
+        assert [type(k) for k in counts] == [type(k) for k in expected]
 
 
 class TestFindBimodalThreshold:

@@ -1,8 +1,9 @@
 import html
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+import topicpages.urls as urls_mod
 from topicpages import normalize, partition_links, read_page, registrable_domain, url_metrics
 from topicpages.errors import MalformedRecord, MalformedUrl
 from topicpages.urls import PageUrl, read_url_file, write_url_file
@@ -159,6 +160,25 @@ SEGMENT = st.one_of(
     st.from_regex(r"[A-Za-z0-9_~.-]{1,8}", fullmatch=True),
     st.sampled_from([".", "..", "...", "", "a;b", "%41", "caf\u00e9", "a:b", "A-B"]),
 )
+TAIL = st.sampled_from(["", "?q=1", "#frag", "?", "#", "?a=1&b=2#f", "?x=/../", "#a b"])
+HOST = st.one_of(
+    st.lists(st.from_regex(r"[A-Za-z0-9-]{1,6}", fullmatch=True), min_size=1, max_size=3)
+    .map(".".join),
+    st.sampled_from([
+        "MySite.Example", "sub.mysite.example", "news.mysite.city.test", "mysite.example.",
+        "user@mysite.example", "10.0.0.1", "[::1]", "[2001:db8::1]", "caf\u00e9.example", "a..b",
+    ]),
+)
+# absolute hrefs: scheme and host case, ports, userinfo, IP and odd hosts, and
+# paths and tails the shortcut serves or leaves to normalize
+ABSOLUTE = st.tuples(
+    st.sampled_from(["http", "https", "HTTP", "Https"]),
+    HOST,
+    st.sampled_from(["", ":80", ":443", ":8080", ":"]),
+    st.lists(SEGMENT, max_size=3).map(lambda segs: "".join("/" + seg for seg in segs)),
+    st.sampled_from(["", "/"]),
+    TAIL,
+).map(lambda t: f"{t[0]}://{''.join(t[1:])}")
 HREF = st.one_of(
     st.lists(SEGMENT, max_size=4).map(lambda segs: "/" + "/".join(segs)),
     st.lists(SEGMENT, max_size=4).map(lambda segs: "/" + "/".join(segs) + "/"),
@@ -166,6 +186,9 @@ HREF = st.one_of(
         st.lists(SEGMENT, min_size=1, max_size=3).map("/".join),
         st.sampled_from(["?q=1", "#frag", "?", "#"]),
     ).map(lambda t: "/" + t[0] + t[1]),
+    st.tuples(st.lists(SEGMENT, max_size=3), TAIL).map(
+        lambda t: "/" + "".join(seg + "/" for seg in t[0]) + t[1]),
+    ABSOLUTE,
     st.lists(SEGMENT, min_size=1, max_size=3).map("/".join),  # path-relative
     st.sampled_from([
         "/", "//", "//other.example/x/", "///x", "/./x", "/x/../y", " /padded/ ", "/x//y",
@@ -194,10 +217,21 @@ BASE = st.one_of(
 SUFFIXES = st.sampled_from([None, frozenset({"city.test", "example"}), frozenset({"test"})])
 
 
+def served_by_shortcut(href, base, suffixes):
+    try:
+        origin = normalize("/", base=base, suffixes=suffixes)
+    except MalformedUrl:
+        return False
+    return urls_mod._resolve_plain(href.strip(), origin, {}, suffixes) is not None
+
+
 class TestExtractLinksMatchesNormalize:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(HREF, max_size=12), BASE, SUFFIXES)
     def test_every_href_as_normalize_resolves_it(self, hrefs, base, suffixes):
+        served = [served_by_shortcut(h, base, suffixes) for h in hrefs]
+        event("no hrefs" if not hrefs else "every href by the shortcut" if all(served)
+              else "some hrefs by the shortcut" if any(served) else "every href by normalize")
         page = "".join(f'<a href="{html.escape(h, quote=True)}">x</a>' for h in hrefs)
         part = partition_links(read_page(page)[0], base, suffixes)
         expected = reference_extract(hrefs, base, suffixes)

@@ -119,8 +119,8 @@ def _scan(html: str) -> tuple[list[str], str] | None:
     if "<" in text:
         return None
     hrefs = []
-    for quoted in _ATTRIBUTE.findall("".join(filter(None, pieces[3::4]))):
-        value = quoted[0] or quoted[1]
+    for double, single in _ATTRIBUTE.findall("".join(filter(None, pieces[3::4]))):
+        value = double or single
         if not value:
             continue
         if "&" in value:

@@ -19,7 +19,7 @@ URL is selected.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -211,11 +211,15 @@ def write_assignments(path: str | Path, assignments: Iterable[TopicAssignment]) 
 
 
 def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[TopicAssignment]:
+    """The assignments of a file; each URL's domain is the site its record names, the
+    registrable domain under the suffixes of the run that wrote it."""
+
     def assignment(obj: dict) -> TopicAssignment:
         if obj["method"] not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, got {obj['method']!r}")
+        url = normalize(checked(obj["url"], str, "url"))
         return TopicAssignment(
-            url=normalize(checked(obj["url"], str, "url")),
+            url=replace(url, domain=checked(obj["site"], str, "site")),
             topic=dictionary.topic_named(checked(obj["topic"], str, "topic")),
             method=obj["method"],
             score=float(checked(obj["score"], float, "score")),
@@ -225,15 +229,17 @@ def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[To
     return list(read_jsonl(path, assignment))
 
 
+def best_subpage_records(results: Iterable[BestSubpages]) -> list[dict]:
+    """The rows write_best_subpages writes, as read_best_subpages reads them back."""
+    return [
+        {"site": best.site, "topic": topic.name, "url": url.normalized}
+        for best in results
+        for topic, url in sorted(best.selections.items(), key=lambda kv: kv[0].name)
+    ]
+
+
 def write_best_subpages(path: str | Path, results: Iterable[BestSubpages]) -> None:
-    write_jsonl(
-        path,
-        (
-            {"site": best.site, "topic": topic.name, "url": url.normalized}
-            for best in results
-            for topic, url in sorted(best.selections.items(), key=lambda kv: kv[0].name)
-        ),
-    )
+    write_jsonl(path, best_subpage_records(results))
 
 
 def _best_row(obj: dict) -> dict:

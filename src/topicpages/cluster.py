@@ -174,7 +174,7 @@ def _means(X: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
     values = X.ravel()[np.argsort(keys, kind="stable")]
     starts = np.cumsum(counts) - counts
     means = np.empty(runs * k)
-    for size in np.unique(counts):
+    for size in sorted(set(counts.tolist())):
         chosen = np.flatnonzero(counts == size)
         means[chosen] = values[starts[chosen][:, None] + np.arange(size)].mean(axis=1)
     return means.reshape(runs, k, 1)
@@ -229,11 +229,20 @@ def _lloyd(data: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) ->
     return fits
 
 
+def _references(X: np.ndarray, seed: int, b_refs: int) -> list[np.ndarray]:
+    """The gap statistic's *b_refs* reference draws for X, which depend on no k: draw b
+    is uniform over X's bounding box, from the stream (seed, _GAP_STREAM, b)."""
+    lo, hi = X.min(axis=0), X.max(axis=0)
+    return [np.random.default_rng([seed, _GAP_STREAM, b]).uniform(lo, hi, size=X.shape)
+            for b in range(b_refs)]
+
+
 def _fits(
-    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int, b_refs: int = 0
+    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int,
+    b_refs: int = 0, refs: Sequence[np.ndarray] | None = None,
 ) -> list[KmeansResult]:
     """The fits of X and of its *b_refs* reference draws, as one batch of the Lloyd loop;
-    draw b is uniform over X's bounding box, from the stream (seed, _GAP_STREAM, b)."""
+    *refs*, when given, are those draws, _references(X, seed, b_refs)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or len(X) == 0:
         raise ValueError("X must be a non-empty 2-D matrix")
@@ -242,9 +251,8 @@ def _fits(
             raise ValueError(f"{name} must be positive")
     if k > len(X):
         raise KTooLarge(f"k={k} exceeds {len(X)} rows")
-    lo, hi = X.min(axis=0), X.max(axis=0)
-    refs = [np.random.default_rng([seed, _GAP_STREAM, b]).uniform(lo, hi, size=X.shape)
-            for b in range(b_refs)]
+    if refs is None:
+        refs = _references(X, seed, b_refs)
     return _lloyd(np.stack([X, *refs]), k, seed, restarts, max_iter)
 
 
@@ -265,7 +273,7 @@ def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> floa
     """Mean silhouette over all points; singleton-cluster points score 0."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(assignments)
-    uniq = np.unique(labels)
+    uniq = sorted(set(labels.tolist()))
     if len(uniq) < 2:
         raise SingleCluster("silhouette needs at least two clusters")
     diffs = X[:, None, :] - X[None, :, :]
@@ -309,18 +317,27 @@ def _gap(observed: KmeansResult, references: list[KmeansResult]) -> float:
     return float(np.mean(ref_logs) - math.log(max(observed.sse, tiny)))
 
 
+def _distinct_rows(X: np.ndarray) -> int:
+    """len(np.unique(X, axis=0)), rows compared by value as np.unique compares them
+    (-0.0 equals 0.0), without np.unique, whose first call imports numpy.ma."""
+    if X.size == 0:
+        return min(len(X), 1)
+    return len(set(map(tuple, X.reshape(len(X), -1).tolist())))
+
+
 def _score(
-    X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int
+    X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int,
+    refs: Sequence[np.ndarray] | None = None,
 ) -> tuple[KmeansResult, float | None, float]:
     """One batch of k-means fits, its silhouette (k >= 2) and its gap: one scored cell.
 
     k above the number of distinct rows is refused: k-means would split
     duplicate rows into zero-SSE clusters.
     """
-    distinct = len(np.unique(X, axis=0))
+    distinct = _distinct_rows(X)
     if k > distinct:
         raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
-    result, *references = _fits(X, k, seed, restarts, max_iter, b_refs)
+    result, *references = _fits(X, k, seed, restarts, max_iter, b_refs, refs)
     sil = silhouette(X, result.assignments) if k >= 2 else None
     return result, sil, _gap(result, references)
 
@@ -410,9 +427,10 @@ def model_select(
         except ValueError as exc:
             rows.extend(SweepRow(n, k, None, None, None, str(exc)) for k in ks)
             continue
+        refs = _references(reduced, seed, b_refs)  # one set of draws for every k
         for k in ks:
             try:
-                result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter)
+                result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter, refs)
                 rows.append(SweepRow(n, k, result.sse, sil, gap))
             except (KTooLarge, SingleCluster) as exc:
                 rows.append(SweepRow(n, k, None, None, None, str(exc)))

@@ -7,17 +7,18 @@ so terms present in every topic document weigh exactly zero.
 
 read_page parses a page once for both its hrefs and its visible text, so a
 run's homepages are parsed once; tfidf stems each distinct word once per
-corpus.  HTMLParser defines what read_page returns.  A page inside a
-well-formed subset of HTML is scanned with one compiled regex instead: start
-and end tags with ASCII names whose attributes are bare names or quoted
-values, script and style elements whose body holds no "<", a doctype, and
-comments whose body holds no "--", "<" or ">"; elements that newer
-HTMLParsers read as raw text (title, textarea, iframe and the like) only with
-a body free of "<" and "&".  On that subset HTMLParser
-ends every token where the regex does, on every supported Python, so the
-results are equal; a page with any "<" outside those constructs, or with an
-href whose named character reference is not a complete known name, goes to
-HTMLParser whole.
+corpus, and weigh_pages tokenizes each page once for both its language
+verdict and its topic's term counts.  HTMLParser defines what read_page
+returns.  A page inside a well-formed subset of HTML is scanned with one
+compiled regex instead: start and end tags with ASCII names whose attributes
+are bare names or quoted values, script and style elements whose body holds
+no "<", a doctype, and comments whose body holds no "--", "<" or ">";
+elements that newer HTMLParsers read as raw text (title, textarea, iframe
+and the like) only with a body free of "<" and "&".  On that subset
+HTMLParser ends every token where the regex does, on every supported Python,
+so the results are equal; a page with any "<" outside those constructs, or
+with an href whose named character reference is not a complete known name,
+goes to HTMLParser whole.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from html import unescape
 from html.entities import html5
 from html.parser import HTMLParser
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -226,6 +227,38 @@ class ContentMatrix:
         )
 
 
+def _count_stems(
+    tokens: list[str], stems: dict[str, str | None], stopwords: AbstractSet[str], counts: Counter
+) -> None:
+    """Add the stem of each token to *counts*, stemming only tokens *stems* lacks; a
+    stopword stem is counted under None."""
+    _learn_stems(tokens, stems, stopwords)
+    counts.update(map(stems.__getitem__, tokens))
+
+
+def _weigh(topics: tuple[str, ...], counts: list[Counter], min_df: int) -> ContentMatrix:
+    """The tf-idf matrix of documents with these stem counts, the None key dropped."""
+    if len(counts) == 0:
+        raise EmptyCorpus("no topic documents")
+    if min_df < 1:
+        raise ValueError("min_df must be at least 1")
+    for doc_counts in counts:
+        doc_counts.pop(None, None)
+    df = Counter(term for doc_counts in counts for term in doc_counts)
+    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
+    index = {t: j for j, t in enumerate(terms)}
+    n_docs = len(counts)
+    weights = np.zeros((n_docs, len(terms)), dtype=float)
+    for i, doc_counts in enumerate(counts):
+        total = sum(doc_counts.values())
+        for term, count in doc_counts.items():
+            j = index.get(term)
+            if j is None:
+                continue
+            weights[i, j] = (count / total) * math.log(n_docs / df[term])
+    return ContentMatrix(topics, terms, weights)
+
+
 def tfidf(
     docs: Sequence[TopicDocument],
     stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
@@ -236,32 +269,13 @@ def tfidf(
     min_df drops terms appearing in fewer than that many documents, which
     is the practical lever against one-off noise terms in big corpora.
     """
-    if len(docs) == 0:
-        raise EmptyCorpus("no topic documents")
-    if min_df < 1:
-        raise ValueError("min_df must be at least 1")
     # each word is stemmed once per corpus; a document's tokens are held only while it is counted
     stems: dict[str, str | None] = {}
     counts: list[Counter] = []
     for d in docs:
-        tokens = _tokens(d.text)
-        _learn_stems(tokens, stems, stopwords)
-        doc_counts = Counter(map(stems.__getitem__, tokens))
-        doc_counts.pop(None, None)
-        counts.append(doc_counts)
-    df = Counter(term for doc_counts in counts for term in doc_counts)
-    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
-    index = {t: j for j, t in enumerate(terms)}
-    n_docs = len(docs)
-    weights = np.zeros((n_docs, len(terms)), dtype=float)
-    for i, doc_counts in enumerate(counts):
-        total = sum(doc_counts.values())
-        for term, count in doc_counts.items():
-            j = index.get(term)
-            if j is None:
-                continue
-            weights[i, j] = (count / total) * math.log(n_docs / df[term])
-    return ContentMatrix(tuple(d.topic for d in docs), terms, weights)
+        counts.append(Counter())
+        _count_stems(_tokens(d.text), stems, stopwords, counts[-1])
+    return _weigh(tuple(d.topic for d in docs), counts, min_df)
 
 
 @dataclass(frozen=True)
@@ -281,6 +295,14 @@ def detect_english(
     tokens are English stopwords.  Texts shorter than
     min_confident_length characters yield a low-confidence verdict.
     """
+    return _english(text, None, stopwords, min_confident_length)
+
+
+def _english(
+    text: str, tokens: list[str] | None, stopwords: AbstractSet[str], min_confident_length: int = 40
+) -> EnglishVerdict:
+    """detect_english(text, stopwords, min_confident_length), given the tokens of
+    text.lower() when they are known."""
     confident = len(text) >= min_confident_length
     if text.isascii():
         if not _ASCII_LETTER_RE.search(text):
@@ -292,6 +314,33 @@ def detect_english(
         if not letters:
             return EnglishVerdict(False, confident)
         latin_share = latin / letters
-    tokens = _TOKEN_RE.findall(text.lower())
+    if tokens is None:
+        tokens = _TOKEN_RE.findall(text.lower())
     stop_share = (sum(map(stopwords.__contains__, tokens)) / len(tokens)) if tokens else 0.0
     return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)
+
+
+def weigh_pages(
+    pages: Iterable[tuple[str, str]],
+    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
+    min_df: int = 1,
+) -> tuple[ContentMatrix, list[EnglishVerdict]]:
+    """tfidf() of the documents that join each topic's page texts with " ", topics in
+    name order, and detect_english() of each (topic, text) page, in order.
+
+    The tokens of a " "-joined document are those of its pages in turn, so each page
+    is tokenized once, for its verdict and for its topic's stem counts, and neither
+    its text nor its tokens are held after it is counted.
+    """
+    stems: dict[str, str | None] = {}
+    counts: dict[str, Counter] = {}
+    verdicts: list[EnglishVerdict] = []
+    for topic, text in pages:
+        lowered = text.lower()
+        plain = _unaccent(lowered)
+        tokens = _TOKEN_RE.findall(plain)
+        # detect_english does not un-accent, so these are its tokens only where that changed nothing
+        verdicts.append(_english(text, tokens if plain == lowered else None, stopwords))
+        _count_stems(tokens, stems, stopwords, counts.setdefault(topic, Counter()))
+    topics = tuple(sorted(counts))
+    return _weigh(topics, [counts[t] for t in topics], min_df), verdicts

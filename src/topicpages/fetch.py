@@ -5,27 +5,27 @@ snapshot directory (content-addressed files plus an index), and every other
 stage reads snapshots, which keeps whole-pipeline runs reproducible.  Each
 body and the index are written whole or not at all.  The store also holds
 the embeddings parse cache under embeddings/ (see load_embeddings_file);
-its entries are safe to delete.
+its entries are safe to delete.  The HTTP client, the thread pool and the
+robots.txt parser are imported only when a URL is fetched, so a run that
+reuses every snapshot never loads them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import threading
-import urllib.error
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-from urllib import robotparser
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import MalformedRecord
 from .lines import checked, read_jsonl, read_text, write_jsonl, write_text
 from .urls import PageUrl
+
+if TYPE_CHECKING:
+    from urllib import robotparser
 
 # one fixed desktop browser identity for every request in a crawl
 DEFAULT_USER_AGENT = (
@@ -66,6 +66,8 @@ def _uri(url: str) -> str:
 
 
 def _fetch_once(url: str, timeout: float, user_agent: str) -> tuple[int, str]:
+    import urllib.request
+
     request = urllib.request.Request(_uri(url), headers={"User-Agent": user_agent})
     # urllib's default redirect handler follows up to 10 redirects
     with urllib.request.urlopen(request, timeout=timeout) as resp:
@@ -86,6 +88,9 @@ def fetch_one(
     error-populated results after the attempts are exhausted; a failed page
     never aborts a batch.
     """
+    import http.client
+    import urllib.error
+
     attempts = 1 + max(0, retries)
     error = "unknown error"
     for _ in range(attempts):
@@ -124,6 +129,8 @@ class _RobotsCache:
         return parser.can_fetch(self._user_agent, url)
 
     def _load(self, origin: str) -> robotparser.RobotFileParser | None:
+        from urllib import robotparser
+
         try:
             _, text = _fetch_once(f"{origin}/robots.txt", self._timeout, self._user_agent)
         except Exception:
@@ -150,6 +157,8 @@ def fetch_all(
         raise ValueError("parallelism must be positive")
     if timeout <= 0:
         raise ValueError("timeout must be positive")
+    from concurrent.futures import ThreadPoolExecutor
+
     robots = _RobotsCache(timeout, user_agent) if respect_robots else None
 
     def work(u: PageUrl) -> FetchResult:

@@ -74,7 +74,8 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
 
 def read_text(path: str | Path) -> str:
     """The text of a UTF-8 file read whole; a byte that is not UTF-8 is a MalformedDocument."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -85,8 +86,14 @@ def read_text(path: str | Path) -> str:
 def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
     """parse(the one JSON value a file holds); its faults are MalformedDocument errors."""
     text = read_text(path)
+    return parsed(text, lambda text: parse(json.loads(text)), path)
+
+
+def parsed(value, parse: Callable[[object], T], path: str | Path) -> T:
+    """parse(value), where *value* is what the file *path* holds; its faults are
+    MalformedDocument errors naming that file, as read_json's are."""
     try:
-        return parse(json.loads(text))
+        return parse(value)
     except _FAULTS as exc:
         raise _located(exc, str(path), MalformedDocument) from exc
 

@@ -7,14 +7,21 @@ two runs over the same inputs and seed produce byte-identical bundles.
 
 A Runner loads each run input when first used and keeps it for the run, and it
 loads the embeddings through the parse cache in the snapshot store.  It keeps
-what a later stage of the same run would otherwise parse again, and a full run
-lets go of each kept value after its last reader:
-- the rows of each URL file it writes that a stage reads, until the last
-  stage that takes them (fit-thresholds and filter for internal.jsonl,
-  classify for filtered.jsonl);
-- the site set of internal.jsonl, for the report, to the end of the run;
+what a later stage of the same run would otherwise parse again:
+- each file it writes that a later STAGES entry reads, as the value that file
+  parses to, keyed by the path written: the URL rows of internal.jsonl and
+  filtered.jsonl, thresholds.json, the histograms, assignments.jsonl,
+  best.jsonl, both matrices (their arrays read-only), tracking-report.json,
+  clusters-*.json and sweep-*.csv.  A reader takes the kept value when this
+  Runner wrote the path it reads, and otherwise parses the file, so a stage
+  run alone, or given --input, reads the file;
 - the visible text of each homepage, which extract parses for its links,
   until content, which takes it in place of a second parse.
+A full run lets go of each kept value once the last stage that reads it has
+run: filtered.jsonl and thresholds.json after classify, assignments.jsonl
+after best-subpages, each matrix after its sweep, and the rest after the
+report.  The report takes only the site set of internal.jsonl, so the rows of
+that file give way to their site set after filter, their last other reader.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import classify as classify_mod
 from . import cluster as cluster_mod
@@ -35,7 +42,7 @@ from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
-    file_sha256, read_json, read_lines, read_text, write_json, write_jsonl, write_text,
+    file_sha256, parsed, read_json, read_lines, read_text, write_json, write_jsonl, write_text,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
@@ -44,6 +51,7 @@ from .thresholds import (
     Thresholds,
     filter_subpages,
     fit_url_histograms,
+    histogram_rows,
     url_histograms,
     write_histogram_csv,
 )
@@ -52,6 +60,8 @@ from .urls import (
 )
 
 MANIFEST_NAME = "manifest.json"
+
+T = TypeVar("T")
 
 
 def read_homepage_list(path: str | Path) -> list[PageUrl]:
@@ -69,8 +79,9 @@ class Runner:
         self.config = config
         self.out_dir = Path(config.out_dir)
         self.artifacts: dict[str, Path] = {}
-        self._url_rows: dict[Path, tuple[tuple[PageUrl, str], ...]] = {}
-        self._url_sites: dict[Path, frozenset[str]] = {}
+        # each written file a later stage reads -> what it parses to, until its last reader
+        self._kept: dict[Path, object] = {}
+        self._read_later = {self.out_dir / name for name in LAST_READER}
         self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
 
     # --- run inputs, each loaded when first used and kept for the run ---------
@@ -106,33 +117,54 @@ class Runner:
         """The configured homepage list; none when `urls` is unset."""
         return read_homepage_list(self.config.urls) if self.config.urls else []
 
-    # --- URL files, each parsed at most once per run ---------------------------
+    # --- written files, each parsed at most once per run -----------------------
+
+    def load(self, path: str | Path, read: Callable[[Path], T]) -> T:
+        """What the file *path* parses to: the value kept when this Runner wrote that
+        path, or else read(path)."""
+        kept = self._kept.get(Path(path))
+        return read(path) if kept is None else kept
+
+    def _keep(self, path: Path, value) -> None:
+        """Keep *value*, what the file just written at *path* parses to, when a later
+        stage reads that file."""
+        if path in self._read_later:
+            self._kept[path] = value
+
+    def _keep_matrix(self, path: Path, matrix) -> None:
+        """Keep a matrix file as load_matrix_file gives it, its array read-only, so that
+        a reader that writes into it fails instead of changing what later readers get."""
+        labels, X = _labeled(matrix)
+        X.flags.writeable = False
+        self._keep(path, (labels, X))
+
+    def release(self, stage: Stage) -> None:
+        """Let go of the kept value of each file whose last reader is *stage*, and of the
+        rows of internal.jsonl for their site set, all that the report takes, once the
+        last other stage that reads them has run."""
+        for name in stage.reads:
+            path = self.out_dir / name
+            if LAST_READER[name] == stage.name:
+                self._kept.pop(path, None)
+            elif SITES_AFTER.get(name) == stage.name and path in self._kept:
+                self._kept[path] = frozenset(site for _, site in self._kept[path])
 
     def url_rows(self, path: str | Path) -> Sequence[tuple[PageUrl, str]]:
         """A URL file's (url, site) rows: those this Runner wrote there, or else the file's."""
-        kept = self._url_rows.get(Path(path))
-        return kept if kept is not None else read_url_file(path)
+        return self.load(path, read_url_file)
 
     def url_sites(self, path: str | Path) -> frozenset[str]:
-        """The sites of a URL file's rows: kept when this Runner wrote it, or else read."""
-        kept = self._url_sites.get(Path(path))
-        return kept if kept is not None else frozenset(site for _, site in read_url_file(path))
+        """The sites of a URL file's rows: the set kept in place of rows this Runner
+        wrote there, or else the sites of the rows."""
+        kept = self._kept.get(Path(path))
+        if isinstance(kept, frozenset):
+            return kept
+        return frozenset(site for _, site in self.url_rows(path))
 
     def _write_url_rows(self, path: Path, rows: Sequence[tuple[PageUrl, str]]) -> None:
-        """Write a URL file; keep its rows when a stage takes them, and its site set
-        when the report reads it."""
         rows = tuple(rows)
         write_url_file(path, rows)
-        if path.name in STAGE_NAMED["report"].reads:
-            self._url_sites[path] = frozenset(site for _, site in rows)
-        if path.name in LAST_ROW_READER:
-            self._url_rows[path] = rows
-
-    def release(self, stage: Stage) -> None:
-        """Let go of the kept rows of each URL file whose rows *stage* is the last to take."""
-        for name in stage.reads:
-            if LAST_ROW_READER.get(name) == stage.name:
-                self._url_rows.pop(self.out_dir / name, None)
+        self._keep(path, rows)
 
     # --- stages -------------------------------------------------------------
 
@@ -194,7 +226,7 @@ class Runner:
 
     def stage_fetch_sections(self, best: Path) -> dict:
         """Add the selected section pages to the snapshot store."""
-        rows = classify_mod.read_best_subpages(best)
+        rows = self.load(best, classify_mod.read_best_subpages)
         return self.stage_fetch([normalize(row["url"]) for row in rows])
 
     def stage_extract(self, internal_path: Path, external_path: Path) -> dict:
@@ -231,13 +263,15 @@ class Runner:
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
         write_json(thresholds, fitted.to_dict())
+        self._keep(thresholds, fitted)
         for path in histograms:
             write_histogram_csv(hists[path.stem], path)
+            self._keep(path, histogram_rows(hists[path.stem]))
         return fitted.to_dict()
 
     def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> dict:
         rows = self.url_rows(source)
-        fitted = read_json(thresholds, Thresholds.from_dict)
+        fitted = self.load(thresholds, _read_thresholds)
         kept_urls = set(
             u.normalized for u in filter_subpages([u for u, _ in rows], fitted)
         )
@@ -247,25 +281,30 @@ class Runner:
 
     def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> dict:
         rows = self.url_rows(source)
-        classifier = self.classifier(read_json(thresholds, Thresholds.from_dict).cosine_cutoff)
+        classifier = self.classifier(self.load(thresholds, _read_thresholds).cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
         classify_mod.write_assignments(out, assignments)
+        self._keep(out, assignments)
         methods = dict.fromkeys(classify_mod.METHODS, 0)
         for a in assignments:
             methods[a.method] += 1
         return {"classified": len(assignments), **methods}
 
     def stage_best_subpages(self, source: str | Path, out: Path) -> dict:
-        assignments = classify_mod.read_assignments(source, self.dictionary)
+        assignments = self.load(
+            source, lambda path: classify_mod.read_assignments(path, self.dictionary)
+        )
         results = self.classifier(self.config.cosine_cutoff).select_best_subpages(assignments)
-        classify_mod.write_best_subpages(out, results)
+        rows = classify_mod.best_subpage_records(results)
+        write_jsonl(out, rows)
+        self._keep(out, rows)
         return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
 
     def stage_track(self, best: Path, matrix_path: Path, report_path: Path) -> dict:
         cfg = self.config
-        best_rows = classify_mod.read_best_subpages(best)
+        best_rows = self.load(best, classify_mod.read_best_subpages)
         topic_names = {t.name for t in self.dictionary.topics()}
         topic_names.update(row["topic"] for row in best_rows)
         records = tracking_mod.read_crawl_log(cfg.crawl_logs, topics=topic_names)
@@ -275,6 +314,7 @@ class Runner:
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
         write_json(matrix_path, matrix.to_dict())
+        self._keep_matrix(matrix_path, matrix)
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -306,52 +346,43 @@ class Runner:
             "records": len(records),
         }
         write_json(report_path, report)
+        self._keep(report_path, report)
         return {"records": len(records), "third_parties": len(matrix.third_parties)}
 
     def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> dict:
         """Build per-topic documents from snapshots and weigh their terms; a homepage
         that extract parsed in this run is not parsed again."""
-        best_rows = classify_mod.read_best_subpages(best)
-
-        pages: list[tuple[str, str]] = []  # (topic, url) in deterministic order
-        for row in sorted(best_rows, key=lambda r: (r["topic"], r["url"])):
-            pages.append((row["topic"], row["url"]))
+        best_rows = self.load(best, classify_mod.read_best_subpages)
+        pages = sorted((row["topic"], row["url"]) for row in best_rows)  # deterministic order
         homepage_urls = [u.normalized for u in self.homepages]
         pages.extend((tracking_mod.HOMEPAGE_TOPIC, u) for u in sorted(homepage_urls))
 
         kept, self._homepage_texts = self._homepage_texts, {}  # content is their one reader
-        texts: dict[str, list[str]] = {}
-        languages: list[dict] = []
+        present: list[tuple[str, str]] = []
         missing: list[str] = []
         bodies = stored_bodies(self.snapshot_dir, [url for _, url in pages if url not in kept])
-        for topic, url in pages:
-            text = kept.get(url)
-            if text is None:
-                body = next(bodies)
-                if body is None:
-                    missing.append(url)
-                    continue
-                text = content_mod.extract_text(body)
-            verdict = content_mod.detect_english(text, self.stopwords)
-            languages.append(
-                {
-                    "url": url,
-                    "topic": topic,
-                    "is_english": verdict.is_english,
-                    "confident": verdict.confident,
-                }
-            )
-            texts.setdefault(topic, []).append(text)
 
-        docs = [
-            content_mod.TopicDocument(topic=t, text=" ".join(chunks))
-            for t, chunks in sorted(texts.items())
-        ]
-        matrix = content_mod.tfidf(docs, self.stopwords, min_df=self.config.min_df)
+        def texts() -> Iterable[tuple[str, str]]:
+            for topic, url in pages:
+                text = kept.get(url)
+                if text is None:
+                    body = next(bodies)
+                    if body is None:
+                        missing.append(url)
+                        continue
+                    text = content_mod.extract_text(body)
+                present.append((topic, url))
+                yield topic, text
+
+        matrix, verdicts = content_mod.weigh_pages(texts(), self.stopwords, self.config.min_df)
         write_json(matrix_path, matrix.to_dict())
-        write_jsonl(languages_path, languages)
+        self._keep_matrix(matrix_path, matrix)
+        write_jsonl(languages_path, (
+            {"url": url, "topic": topic, "is_english": v.is_english, "confident": v.confident}
+            for (topic, url), v in zip(present, verdicts)
+        ))
         return {
-            "documents": len(docs),
+            "documents": len(matrix.topics),
             "terms": len(matrix.terms),
             "missing_snapshots": missing,
         }
@@ -361,7 +392,7 @@ class Runner:
     def stage_cluster(self, matrix: str | Path, out: str | Path) -> dict:
         """Reduce a matrix file, cluster it, and write the labeled result."""
         cfg = self.config
-        labels, X = load_matrix_file(matrix)
+        labels, X = self.load(matrix, load_matrix_file)
         try:
             model, reduced = cluster_mod.pca_fit(X, cfg.pca_n)
         except ValueError as exc:
@@ -384,13 +415,14 @@ class Runner:
             "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
         }
         write_json(out, payload)
+        self._keep(Path(out), payload)
         shown = ("matrix", "k", "sse", "silhouette", "gap")
         return {"out": str(out), **{key: payload[key] for key in shown}}
 
     def stage_cluster_sweep(self, matrix: str | Path, out: str | Path) -> dict:
         """Score every (dimension, cluster count) cell of a matrix file as CSV."""
         cfg = self.config
-        _, X = load_matrix_file(matrix)
+        _, X = self.load(matrix, load_matrix_file)
         sweep = cluster_mod.model_select(
             X,
             parse_range(cfg.n_range),
@@ -399,7 +431,9 @@ class Runner:
             restarts=cfg.restarts,
             b_refs=cfg.b_refs,
         )
-        write_text(out, sweep.to_csv())
+        csv = sweep.to_csv()
+        write_text(out, csv)
+        self._keep(Path(out), csv)
         return {
             "matrix": Path(matrix).name,
             "out": str(out),
@@ -433,12 +467,12 @@ class Runner:
         histograms = sorted(path for path in (url_length, subpath_length, hyphens) if path)
         if histograms:
             rows = [f"{path.stem},{line}"
-                    for path in histograms for line in islice(read_lines(path, str), 1, None)]
+                    for path in histograms for line in self.load(path, _read_histogram_rows)]
             write_csv(histograms_csv, "parameter,bucket,count", rows)
 
         # topic coverage across sites
         if best:
-            chosen = classify_mod.read_best_subpages(best)
+            chosen = self.load(best, classify_mod.read_best_subpages)
             sites = self.url_sites(internal) if internal else {r["site"] for r in chosen}
             per_topic: dict[str, set[str]] = {}
             for r in chosen:
@@ -496,7 +530,7 @@ class Runner:
             )
 
         if tracking_report:
-            read_json(tracking_report, tracking_plots)
+            parsed(self.load(tracking_report, _read_document), tracking_plots, tracking_report)
 
         # cluster scatters and metric curves
         for clusters, sweep, scatter, curves in (
@@ -504,7 +538,7 @@ class Runner:
             (clusters_content, sweep_content, scatter_content, curves_content),
         ):
             if clusters:
-                read_json(clusters, lambda payload: write_csv(
+                parsed(self.load(clusters, _read_document), lambda payload: write_csv(
                     scatter,
                     "label,cluster," + ",".join(f"x{i}" for i in range(payload["n"])),
                     [
@@ -512,9 +546,9 @@ class Runner:
                         + ",".join(fmt(v) for v in coords)
                         for label, coords in sorted(payload["points"].items())
                     ],
-                ))
+                ), clusters)
             if sweep:
-                write_text(curves, read_text(sweep))
+                write_text(curves, self.load(sweep, read_text))
                 emitted.append(curves)
 
         write_text(
@@ -541,6 +575,20 @@ class Runner:
         return manifest_path
 
 
+def _read_thresholds(path: str | Path) -> Thresholds:
+    return read_json(path, Thresholds.from_dict)
+
+
+def _read_histogram_rows(path: str | Path) -> list[str]:
+    """A histogram file's lines below its header."""
+    return list(islice(read_lines(path, str), 1, None))
+
+
+def _read_document(path: str | Path):
+    """The JSON value a file holds, whatever its shape."""
+    return read_json(path, lambda value: value)
+
+
 def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
     """Load either matrix artifact as (row labels, float matrix).
 
@@ -552,9 +600,14 @@ def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
 
 def _labeled_matrix(obj: dict) -> tuple[tuple[str, ...], "np.ndarray"]:
     if "cells" in obj:
-        m = tracking_mod.TrackingMatrix.from_dict(obj)
+        return _labeled(tracking_mod.TrackingMatrix.from_dict(obj))
+    return _labeled(content_mod.ContentMatrix.from_dict(obj))
+
+
+def _labeled(m) -> tuple[tuple[str, ...], "np.ndarray"]:
+    """A tracking or content matrix as (row labels, float matrix)."""
+    if isinstance(m, tracking_mod.TrackingMatrix):
         return m.topics, m.cells.astype(float)
-    m = content_mod.ContentMatrix.from_dict(obj)
     return m.topics, m.weights
 
 
@@ -617,10 +670,12 @@ STAGES = (
 )
 STAGE_NAMED = {stage.name: stage for stage in STAGES}
 WRITER = {name: stage.name for stage in STAGES for name in stage.writes}
-# the last stage, in run order, that takes a file's rows; the report, the one optional
-# stage, takes only a URL file's site set
-LAST_ROW_READER = {name: stage.name for stage in STAGES if not stage.optional
-                   for name in stage.reads}
+# the last stage, in run order, that reads a file
+LAST_READER = {name: stage.name for stage in STAGES for name in stage.reads}
+# the report, the one optional stage, takes only the site set of internal.jsonl, so
+# that set is all that is kept of the file after the last other stage that reads it
+SITES_AFTER = {name: stage.name for stage in STAGES if not stage.optional
+               for name in stage.reads if name == "internal.jsonl"}
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:

@@ -97,12 +97,28 @@ class Summary:
         }
 
 
+def _quantile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(ordered, 100 * q) of a sorted, non-empty sample, by numpy's linear
+    method and in its arithmetic, but without np.percentile, whose first call imports
+    numpy.ma.  A sample that holds NaN, which sorts last, has NaN quantiles."""
+    last = len(ordered) - 1
+    if math.isnan(ordered[last]):
+        return math.nan
+    index = len(ordered) * q + (1 - q) - 1
+    # past the last index numpy interpolates the last value with itself, at index - (-1)
+    below, above = (last, last) if index >= last else (math.floor(index), math.floor(index) + 1)
+    t = index + 1 if index >= last else index - below
+    a, b = float(ordered[below]), float(ordered[above])
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def summary(values: Sequence[float]) -> Summary:
     """Order statistics of a sample; quartiles use linear interpolation."""
     if len(values) == 0:
         raise EmptyInput("no values to summarize")
     arr = np.asarray(values, dtype=float)
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    ordered = np.sort(arr)
+    q1, med, q3 = (_quantile(ordered, q) for q in (0.25, 0.5, 0.75))
     return Summary(
         median=float(med),
         mean=float(arr.mean()),

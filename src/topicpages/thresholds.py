@@ -278,7 +278,11 @@ def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
     return out
 
 
+def histogram_rows(h: Histogram) -> list[str]:
+    """The "bucket,count" lines of write_histogram_csv below its header."""
+    return [f"{start},{count}" for start, count in h.sorted_items()]
+
+
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:
     """Dump (bucket, count) rows so the fitted histograms can be replotted."""
-    rows = "".join(f"{start},{count}\n" for start, count in h.sorted_items())
-    write_text(path, "bucket,count\n" + rows)
+    write_text(path, "bucket,count\n" + "".join(row + "\n" for row in histogram_rows(h)))

@@ -108,6 +108,8 @@ def normalize(raw: str, base: PageUrl | None = None, suffixes: frozenset[str] | 
 
     Queries and fragments are dropped: section pages are path-addressed and
     tracking parameters would otherwise split one page into many identities.
+    Dot segments are removed from every path, so an absolute href and its
+    root-relative form give one URL.
 
     Raises MalformedUrl for anything that is not an absolute http(s) URL
     after resolution.
@@ -130,6 +132,8 @@ def normalize(raw: str, base: PageUrl | None = None, suffixes: frozenset[str] | 
     if port is not None and port != _DEFAULT_PORTS[parsed.scheme]:
         netloc = f"{host}:{port}"
     subpaths = tuple(seg for seg in parsed.path.split("/") if seg)
+    if "." in subpaths or ".." in subpaths:  # urljoin removes them from relative hrefs only
+        subpaths = _without_dot_segments(parsed.path)
     tail = "/".join(subpaths) + "/" if subpaths else ""
     return PageUrl(
         raw=raw,
@@ -137,6 +141,20 @@ def normalize(raw: str, base: PageUrl | None = None, suffixes: frozenset[str] | 
         domain=registrable_domain(host, suffixes),
         subpaths=subpaths,
     )
+
+
+def _without_dot_segments(path: str) -> tuple[str, ...]:
+    """The non-empty segments of an absolute *path* once its dot segments are removed as
+    RFC 3986 section 5.2.4 removes them, and as urljoin does for a relative href: "."
+    goes, and ".." goes with the segment before it, an empty one included."""
+    kept: list[str] = []
+    for seg in path.split("/")[1:]:
+        if seg == "..":
+            if kept:
+                kept.pop()
+        elif seg != ".":
+            kept.append(seg)
+    return tuple(filter(None, kept))
 
 
 def url_metrics(u: PageUrl) -> UrlMetrics:

@@ -521,3 +521,32 @@ class TestModelSelect:
         assert len(lines) == 3
         assert lines[2].startswith("1,20,,,")
         assert result.to_csv() == text  # stable across calls
+
+    def test_gap_references_drawn_once_per_dimension(self, monkeypatch):
+        shapes = []
+        references = cluster_mod._references
+
+        def recording(X, seed, b_refs):
+            shapes.append(X.shape)
+            return references(X, seed, b_refs)
+
+        monkeypatch.setattr(cluster_mod, "_references", recording)
+        X = three_blobs(points_per_blob=4)
+        result = model_select(X, [1, 2], [2, 3, 4], seed=5, restarts=2, b_refs=3)
+        assert shapes == [(12, 1), (12, 2)]
+        # each cell's gap is still the one its own draws give
+        for row in result.rows:
+            _, reduced = pca_fit(X, row.n)
+            assert row.gap == gap_statistic(reduced, row.k, seed=5, b_refs=3, restarts=2)
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0), (4,), (2, 2, 2)])
+    def test_counts_what_np_unique_counts(self, shape):
+        X = np.arange(int(np.prod(shape)), dtype=float).reshape(shape) % 3
+        assert cluster_mod._distinct_rows(X) == len(np.unique(X, axis=0))
+
+    def test_negative_zero_equals_zero(self):
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0]])
+        assert cluster_mod._distinct_rows(X) == len(np.unique(X, axis=0)) == 2
+

@@ -387,6 +387,60 @@ class TestTfidf:
             tfidf([TopicDocument("a", "x")], min_df=0)
 
 
+# characters whose lowercasing, un-accenting or tokenizing depends on their
+# neighbours or changes the length: sigma and final sigma, combining marks,
+# dotted and dotless I, a titlecase digraph, a ligature
+CONTEXT_TEXT = st.text(alphabet=st.sampled_from("Σσςİıǅﬁ\u0301\u0308\u0307 aZé.'-_"), max_size=10)
+
+
+class TestWeighPages:
+    @settings(max_examples=100, deadline=None)
+    @example(texts=["ΑΣ", "Σα"])
+    @example(texts=["a\u0301", "\u0301b"])
+    @given(texts=st.lists(CONTEXT_TEXT, max_size=4))
+    def test_tokens_of_a_joined_document_are_its_pages_tokens(self, texts):
+        tokens = content_mod._tokens
+        assert tokens(" ".join(texts)) == [t for text in texts for t in tokens(text)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pages=st.lists(
+            st.tuples(st.sampled_from(["b", "a", "c"]), st.one_of(CONTEXT_TEXT, corpus_texts())),
+            min_size=1, max_size=6,
+        ),
+        stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"news", "run", "σα"})]),
+        min_df=st.integers(1, 2),
+    )
+    def test_is_tfidf_of_joined_pages_and_detect_english_of_each(self, pages, stopwords, min_df):
+        joined: dict[str, list[str]] = {}
+        for topic, text in pages:
+            joined.setdefault(topic, []).append(text)
+        docs = [TopicDocument(t, " ".join(texts)) for t, texts in sorted(joined.items())]
+        matrix, verdicts = content_mod.weigh_pages(pages, stopwords, min_df)
+        assert matrix.topics == tuple(sorted(joined))
+        assert matrix.equals(tfidf(docs, stopwords, min_df))
+        assert verdicts == [detect_english(text, stopwords) for _, text in pages]
+
+    def test_an_unchanged_page_is_tokenized_once(self, monkeypatch):
+        calls = []
+        token_re = content_mod._TOKEN_RE
+
+        class Counting:
+            def findall(self, text):
+                calls.append(text)
+                return token_re.findall(text)
+
+        monkeypatch.setattr(content_mod, "_TOKEN_RE", Counting())
+        pages = [("a", "The cricket scores"), ("b", "Économie du jour"), ("a", "Ærø straße")]
+        content_mod.weigh_pages(pages)
+        # un-accenting changes only the second page, which detect_english tokenizes anew
+        assert calls == ["the cricket scores", "economie du jour", "économie du jour", "ærø straße"]
+
+    def test_no_page_is_an_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            content_mod.weigh_pages([])
+
+
 class TestContentMatrix:
     def test_round_trip(self):
         m = tfidf(

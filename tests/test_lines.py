@@ -37,6 +37,7 @@ def _document(obj):
 VISIT = {"page_url": "https://a.example/x/", "site": "a.example", "topic": "sports"}
 ASSIGNMENT = {
     "url": "https://a.example/sports/",
+    "site": "a.example",
     "topic": "sports",
     "method": "exact",
     "score": 1.0,
@@ -234,6 +235,7 @@ STRICT_FAULTS = {
     "matched-subpath-number": ("assignments.jsonl", {**ASSIGNMENT, "matched_subpath": 3}),
     "assignment-url-null": ("assignments.jsonl", {**ASSIGNMENT, "url": None}),
     "assignment-topic-list": ("assignments.jsonl", {**ASSIGNMENT, "topic": ["sports"]}),
+    "assignment-site-number": ("assignments.jsonl", {**ASSIGNMENT, "site": 1}),
     "best-site-number": ("best.jsonl", {**BEST, "site": 1}),
     "url-subpath-number": ("urls.jsonl", {**URL_ROW, "subpaths": ["sports", 2]}),
     "url-raw-null": ("urls.jsonl", {**URL_ROW, "raw": None}),

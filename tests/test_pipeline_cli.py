@@ -2,19 +2,24 @@ import dataclasses
 import inspect
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
 import topicpages.content as content_mod
+import topicpages.lines as lines_mod
 import topicpages.pipeline as pipeline_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage, PipelineError
-from topicpages.fetch import load_snapshot_index
+from topicpages.fetch import load_snapshot_index, save_snapshots
 from topicpages.lines import write_json
+from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
 from topicpages.urls import read_url_file, write_url_file
 from topicpages.pipeline import (
     STAGE_NAMED,
@@ -26,7 +31,7 @@ from topicpages.pipeline import (
     run_pipeline,
 )
 
-from conftest import build_e2e_workspace
+from conftest import build_e2e_workspace, snapshot_result
 
 EXPECTED_BEST = [
     {"site": "alpha-news.example", "topic": "politics", "url": "https://alpha-news.example/politics/"},
@@ -144,6 +149,36 @@ class TestStageIsolation:
         code, _, err = run_cli(capsys, "best-subpages", "--config", e2e_config)
         assert code == 1
         assert "assignments.jsonl is missing" in err
+
+    def test_best_subpages_groups_by_the_site_extract_recorded(self, e2e_config):
+        # github.io is a public suffix of the bundled list; a suffix file without it
+        # makes sports.github.io a part of the site github.io
+        ws = e2e_config.parent
+        home = "https://github.io/"
+        body = ('<html><body><a href="https://sports.github.io/cricket/">Cricket</a>'
+                '<a href="/politics/">Politics</a></body></html>')
+        sections = {"https://sports.github.io/cricket/": "<p>cricket scores</p>",
+                    "https://github.io/politics/": "<p>the vote</p>"}
+        save_snapshots([snapshot_result(home, body)]
+                       + [snapshot_result(url, page) for url, page in sections.items()],
+                       ws / "snapshots")
+        with open(ws / "urls.txt", "a", encoding="utf-8") as fh:
+            fh.write(home + "\n")
+        (ws / "suffixes.txt").write_text("io\nexample\n", "utf-8")
+        with open(e2e_config, "a", encoding="utf-8") as fh:
+            fh.write(f'suffixes = "{ws / "suffixes.txt"}"\n')
+        cfg = load_config(e2e_config, env={})
+        code, summary = run_pipeline(cfg)
+        assert code == 0, summary["errors"]
+        best = Path(cfg.out_dir) / "best.jsonl"
+        rows = [json.loads(line) for line in best.read_text("utf-8").splitlines()]
+        assert [row for row in rows if "github.io" in row["url"]] == [
+            {"site": "github.io", "topic": "politics", "url": "https://github.io/politics/"},
+            {"site": "github.io", "topic": "sports", "url": "https://sports.github.io/cricket/"},
+        ]
+        written = best.read_bytes()
+        Runner(cfg).run_stage(STAGE_NAMED["best-subpages"])
+        assert best.read_bytes() == written
 
     def test_stage_sequence_matches_full_run(self, e2e_config, capsys, tmp_path):
         # the same artifacts and summaries built one subcommand at a time
@@ -535,15 +570,41 @@ class TestEachFileParsedOnce:
         assert summary["report"]["missing"] == []
 
     def test_kept_rows_are_the_file_rows_and_only_of_read_files(self, e2e_config):
+        # every stage run on one Runner, which lets go of nothing: each kept value is
+        # what a stage run alone reads from the file, and only files a stage reads are kept
         runner = Runner(load_config(e2e_config, env={}))
-        for name in ("fetch", "extract", "fit-thresholds", "filter"):
-            runner.run_stage(STAGE_NAMED[name])
-        for name in ("internal.jsonl", "filtered.jsonl"):
-            kept = runner.url_rows(runner.out_dir / name)
-            assert isinstance(kept, tuple)
-            assert list(kept) == read_url_file(runner.out_dir / name)
-        assert set(runner._url_rows) == {runner.out_dir / "internal.jsonl",
-                                         runner.out_dir / "filtered.jsonl"}
+        for stage in STAGES:
+            runner.run_stage(stage)
+        document = pipeline_mod._read_document
+        readers = {
+            "internal.jsonl": read_url_file,
+            "filtered.jsonl": read_url_file,
+            "thresholds.json": pipeline_mod._read_thresholds,
+            "assignments.jsonl": lambda path: read_assignments(path, runner.dictionary),
+            "best.jsonl": read_best_subpages,
+            "tracking-matrix.json": pipeline_mod.load_matrix_file,
+            "content-matrix.json": pipeline_mod.load_matrix_file,
+            "tracking-report.json": document,
+            "clusters-tracking.json": document,
+            "clusters-content.json": document,
+            "sweep-tracking.csv": lambda path: path.read_text("utf-8"),
+            "sweep-content.csv": lambda path: path.read_text("utf-8"),
+            **{name: pipeline_mod._read_histogram_rows for name in pipeline_mod.HISTOGRAMS},
+        }
+        assert set(readers) == {name for stage in STAGES for name in stage.reads}
+        assert set(runner._kept) == {runner.out_dir / name for name in readers}
+
+        def comparable(name, value):
+            if name.endswith("matrix.json"):
+                return value[0], value[1].tolist()
+            if name == "assignments.jsonl":  # a kept URL keeps its href as raw
+                return [assignment_to_record(a) for a in value]
+            return list(value) if isinstance(value, tuple) else value
+
+        for name, read in readers.items():
+            path = runner.out_dir / name
+            assert comparable(name, runner._kept[path]) == comparable(name, read(path)), name
+        assert isinstance(runner.url_rows(runner.out_dir / "internal.jsonl"), tuple)
 
     def test_run_parses_each_page_once_as_content_alone_does(self, e2e_config, monkeypatch):
         fed = []
@@ -569,18 +630,40 @@ class TestEachFileParsedOnce:
     def test_run_lets_go_of_kept_values_after_their_last_reader(self, e2e_config, monkeypatch):
         kept = {}
 
+        sites = {}
+
         class Recording(Runner):
+            def record(self, name):
+                kept[name] = (sorted(path.relative_to(self.out_dir).as_posix()
+                                     for path in self._kept), len(self._homepage_texts))
+                internal = self._kept.get(self.out_dir / "internal.jsonl")
+                sites[name] = internal if isinstance(internal, frozenset) else None
+
             def run_stage(self, stage, **kwargs):
-                kept[stage.name] = (sorted(path.name for path in self._url_rows),
-                                    len(self._homepage_texts))
+                self.record(stage.name)
                 return super().run_stage(stage, **kwargs)
+
+            def write_manifest(self):
+                self.record("manifest")
+                return super().write_manifest()
 
         monkeypatch.setattr(pipeline_mod, "Runner", Recording)
         assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
+        histograms = list(pipeline_mod.HISTOGRAMS)
         assert kept["fit-thresholds"] == (["internal.jsonl"], 3)
-        assert kept["classify"] == (["filtered.jsonl"], 3)
-        assert kept["content"] == ([], 3)
-        assert kept["cluster-content"] == kept["report"] == ([], 0)
+        assert kept["classify"] == (
+            sorted(["filtered.jsonl", "internal.jsonl", "thresholds.json", *histograms]), 3)
+        # of internal.jsonl, only the site set the report takes outlives filter
+        assert sites["filter"] is None and sites["classify"] == sites["report"] == {
+            "alpha-news.example", "beta-daily.example", "gamma-post.example"}
+        tracking = ["tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
+        assert kept["content"] == (
+            sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking]), 3)
+        assert kept["sweep-content"] == (
+            sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking,
+                    "content-matrix.json", "clusters-content.json"]), 0)
+        assert kept["report"] == (sorted(STAGE_NAMED["report"].reads), 0)
+        assert kept["manifest"] == ([], 0)
 
     def test_given_source_is_read_not_rows_kept_from_another_path(
         self, e2e_config, tmp_path, capsys
@@ -613,6 +696,61 @@ class TestEachFileParsedOnce:
         code, _, err = run_cli(capsys, "report", "--config", e2e_config)
         assert code == 1
         assert err.startswith(f"error: {internal}:2: ")
+
+    def test_run_opens_no_file_it_wrote_but_to_hash_it(self, e2e_config, monkeypatch):
+        out = (e2e_config.parent / "out").resolve()
+        opened: list[str] = []
+        hashing: list[bool] = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if "r" in mode and not hashing and Path(path).resolve().is_relative_to(out):
+                opened.append(Path(path).resolve().relative_to(out).as_posix())
+            return open(path, mode, *args, **kwargs)
+
+        write_manifest = Runner.write_manifest
+
+        def hashed(self):
+            hashing.append(True)
+            return write_manifest(self)
+
+        # every reader of the line and JSON files opens them through lines.open
+        monkeypatch.setattr(lines_mod, "open", recording_open, raising=False)
+        monkeypatch.setattr(Runner, "write_manifest", hashed)
+        code, summary = run_pipeline(load_config(e2e_config, env={}))
+        assert code == 0, summary["errors"]
+        assert summary["report"]["missing"] == []
+        assert opened == []
+        # a stage run alone reads the files
+        hashing.clear()
+        Runner(load_config(e2e_config, env={})).run_stage(STAGE_NAMED["report"])
+        assert set(opened) == set(STAGE_NAMED["report"].reads)
+
+    def test_a_reader_that_writes_into_a_kept_matrix_raises(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        for stage in STAGES:
+            if stage.name == "cluster-content":
+                break
+            runner.run_stage(stage)
+        for name in ("tracking-matrix.json", "content-matrix.json"):
+            labels, X = runner.load(runner.out_dir / name, pipeline_mod.load_matrix_file)
+            with pytest.raises(ValueError, match="read-only"):
+                X[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                X -= X.mean(axis=0)
+
+    def test_each_stage_rerun_alone_rewrites_its_files_byte_for_byte(self, e2e_config):
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+
+        def bundle():
+            return {path.relative_to(out).as_posix(): path.read_bytes()
+                    for path in out.rglob("*") if path.is_file() and path.name != "manifest.json"}
+
+        written = bundle()
+        for stage in STAGES:
+            Runner(cfg).run_stage(stage)
+            assert bundle() == written, stage.name
 
 
 class TestStageTable:
@@ -993,3 +1131,37 @@ class TestOtherCommands:
         # fetch now reports against the overridden run directory, whose
         # snapshot store is the configured (already warm) one
         assert not (e2e_config.parent / "out" / "internal.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def fresh_interpreter(tmp_path_factory):
+    """The modules loaded by importing topicpages.pipeline in a new interpreter, and then
+    by a full run of the end-to-end workspace there."""
+    config = build_e2e_workspace(tmp_path_factory.mktemp("fresh") / "ws")
+    script = (
+        "import json, sys\n"
+        "import topicpages.pipeline as pipeline\n"
+        "from topicpages.config import load_config\n"
+        "imported = sorted(sys.modules)\n"
+        f"code, summary = pipeline.run_pipeline(load_config({str(config)!r}, env={{}}))\n"
+        "print(json.dumps({'code': code, 'imported': imported, 'ran': sorted(sys.modules)}))\n"
+    )
+    src = Path(pipeline_mod.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestFreshInterpreter:
+    def test_import_leaves_the_http_client_unloaded(self, fresh_interpreter):
+        for name in ("http.client", "urllib.request", "concurrent.futures", "urllib.robotparser"):
+            assert name not in fresh_interpreter["imported"], name
+
+    def test_run_that_fetches_nothing_never_loads_numpy_ma_or_the_http_client(
+        self, fresh_interpreter
+    ):
+        assert fresh_interpreter["code"] == 0
+        assert "numpy.ma" not in fresh_interpreter["ran"]
+        assert "http.client" not in fresh_interpreter["ran"]
+

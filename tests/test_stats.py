@@ -177,3 +177,16 @@ class TestSummary:
         s = summary(values)
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
         assert s.min - 1e-9 <= s.mean <= s.max + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.one_of(st.integers(-5, 5), st.floats(allow_nan=True), st.sampled_from([0.1, 1 / 3])),
+        min_size=1, max_size=12,
+    ))
+    def test_quartiles_are_numpy_percentiles(self, values):
+        with np.errstate(all="ignore"):  # the mean of such values may overflow
+            s = summary(values)
+            expected = np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])
+        # equal as floats: numpy's partition puts 0.0 and -0.0 in either order
+        for got, want in zip((s.q1, s.median, s.q3), expected.tolist()):
+            assert got == want or math.isnan(got) and math.isnan(want), (got, want)

@@ -64,6 +64,22 @@ class TestNormalize:
             == "https://cdn.other.example/lib/"
         )
 
+    def test_dot_segments_of_an_absolute_href_are_removed(self):
+        u = normalize("http://h.example/a/../b/")
+        assert (u.normalized, u.subpaths) == ("http://h.example/b/", ("b",))
+        assert normalize("http://h.example/./a/b/..").subpaths == ("a",)
+        assert normalize("http://h.example/../../a").subpaths == ("a",)
+
+    @settings(max_examples=40, deadline=None)
+    @given(segments=st.lists(st.sampled_from(["a", "b", "", ".", ".."]), min_size=1, max_size=6))
+    def test_absolute_href_gives_the_url_of_its_root_relative_form(self, segments):
+        path = "/" + "/".join(segments)
+        if path.startswith("//"):  # a network-path reference names another host
+            path = "/a" + path
+        relative = normalize(path, base=normalize("http://h.example/"))
+        absolute = normalize("http://h.example" + path)
+        assert (absolute.normalized, absolute.subpaths) == (relative.normalized, relative.subpaths)
+
     @pytest.mark.parametrize(
         "bad", ["", "   ", "ftp://site.example/x", "mailto:a@b.c", "http://", "not a url"]
     )

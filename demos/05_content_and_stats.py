@@ -1,12 +1,11 @@
-"""Turn section-page text into a tf-idf matrix, then compare topic profiles
-with the bundled statistics helpers: Cohen's kappa for label agreement and a
-two-sample KS test for distribution shift.
+"""Turn section-page text into a tf-idf matrix and a language verdict per page,
+then compare topic profiles with the bundled statistics helpers: Cohen's kappa
+for label agreement and a two-sample KS test for distribution shift.
 
 Run with:  python3 demos/05_content_and_stats.py
 """
 
-from topicpages import cohens_kappa, cosine, extract_text, ks_two_sample, tfidf
-from topicpages.content import TopicDocument
+from topicpages import cohens_kappa, cosine, extract_text, ks_two_sample, weigh_pages
 
 PAGES = {
     "sports": "<html><body><h1>Sports</h1><p>Cricket scores, match reports and "
@@ -19,14 +18,18 @@ PAGES = {
 
 
 def main() -> None:
-    docs = [TopicDocument(topic=t, text=extract_text(html)) for t, html in PAGES.items()]
-    matrix = tfidf(docs)
+    # one page per topic here; pages that share a topic are weighed as one document
+    matrix, verdicts = weigh_pages((t, extract_text(html)) for t, html in PAGES.items())
     print(f"tf-idf matrix: {len(matrix.topics)} topics x {len(matrix.terms)} terms")
 
     for topic, row in zip(matrix.topics, matrix.weights):
         ranked = sorted(zip(matrix.terms, row), key=lambda p: -p[1])[:3]
         terms = ", ".join(f"{t} ({w:.3f})" for t, w in ranked if w > 0)
         print(f"  {topic:10} top terms: {terms}")
+
+    print("\nlanguage verdict per page:")
+    for topic, verdict in zip(PAGES, verdicts):
+        print(f"  {topic:10} english={verdict.is_english} confident={verdict.confident}")
 
     print("\npairwise topic similarity (cosine of tf-idf rows):")
     for i, a in enumerate(matrix.topics):

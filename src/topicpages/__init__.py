@@ -22,15 +22,7 @@ from .cluster import (
     silhouette,
 )
 from .config import PipelineConfig, load_config
-from .content import (
-    ContentMatrix,
-    TopicDocument,
-    detect_english,
-    extract_text,
-    preprocess,
-    read_page,
-    tfidf,
-)
+from .content import ContentMatrix, extract_text, read_page, weigh_pages
 from .dictionary import Topic, TopicalDictionary, bundled_dictionary, load_dictionary_file
 from .embeddings import (
     EmbeddingModel,
@@ -90,7 +82,6 @@ __all__ = [
     "Topic",
     "TopicAssignment",
     "TopicClassifier",
-    "TopicDocument",
     "TopicalDictionary",
     "TrackingMatrix",
     "build_histogram",
@@ -103,7 +94,6 @@ __all__ = [
     "combined_embedding",
     "cookie_stats_by_topic",
     "cosine",
-    "detect_english",
     "dictionary_assist",
     "extract_text",
     "fetch_all",
@@ -126,7 +116,6 @@ __all__ = [
     "pca_fit",
     "percent_diff_vs_homepage",
     "preferential_attachment",
-    "preprocess",
     "read_crawl_log",
     "read_page",
     "registrable_domain",
@@ -135,9 +124,9 @@ __all__ = [
     "silhouette",
     "stem",
     "summary",
-    "tfidf",
     "tokenize_subpath",
     "top_tp_coverage",
     "url_histograms",
     "url_metrics",
+    "weigh_pages",
 ]

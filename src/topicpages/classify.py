@@ -230,7 +230,8 @@ def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[To
 
 
 def best_subpage_records(results: Iterable[BestSubpages]) -> list[dict]:
-    """The rows write_best_subpages writes, as read_best_subpages reads them back."""
+    """The rows of best.jsonl, as read_best_subpages reads them back: one per (site,
+    topic) selection, each site's in topic-name order."""
     return [
         {"site": best.site, "topic": topic.name, "url": url.normalized}
         for best in results
@@ -238,14 +239,14 @@ def best_subpage_records(results: Iterable[BestSubpages]) -> list[dict]:
     ]
 
 
-def write_best_subpages(path: str | Path, results: Iterable[BestSubpages]) -> None:
-    write_jsonl(path, best_subpage_records(results))
-
-
 def _best_row(obj: dict) -> dict:
-    return {key: checked(obj[key], str, key) for key in ("site", "topic", "url")}
+    row = {key: checked(obj[key], str, key) for key in ("site", "topic", "url")}
+    # a URL that cannot be fetched is a fault of its line
+    row["url"] = normalize(row["url"]).normalized
+    return row
 
 
 def read_best_subpages(path: str | Path) -> list[dict]:
-    """Rows of {"site", "topic", "url"} in file order."""
+    """Rows of {"site", "topic", "url"} in file order, each url normalized, as
+    fetch-sections stores its page."""
     return list(read_jsonl(path, _best_row))

@@ -146,7 +146,8 @@ def _kmeans_pp_init(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarr
     own: dict[int, np.random.Generator] = {}
     d2 = ((X - X[each, picks[:, 0]][:, None]) ** 2).sum(axis=2)
     for c in range(1, k):
-        total = d2.sum(axis=1)
+        with np.errstate(over="ignore"):  # an overflowed total is refused just below
+            total = d2.sum(axis=1)
         if not np.isfinite(total).all():
             raise ValueError("k-means++ distances are not finite")
         for r in np.flatnonzero(total <= 0.0):

@@ -1,14 +1,20 @@
-"""Page-text extraction, preprocessing, tf-idf weighting, language checks.
+"""Page-text extraction, tf-idf weighting and language checks.
 
 Topic documents are the concatenated visible text of every page assigned to
-a topic.  The term matrix weights each (topic, term) cell by
+a topic.  weigh_pages weighs them and judges each page's language in one
+pass.  Text is lowercased, un-accented and split on non-alphanumeric runs;
+each token is stemmed, and stopword stems are dropped.  Digits are kept:
+numeric tokens such as era or disease names carry topical signal.  The term
+matrix weights each (topic, term) cell by
 (term count / document length) * ln(number of docs / docs containing term),
-so terms present in every topic document weigh exactly zero.
+so terms present in every topic document weigh exactly zero.  A page is
+English iff at least 90% of its letters are Basic Latin and at least 3% of
+the tokens of its lowercased, still accented text are English stopwords; a
+page shorter than MIN_CONFIDENT_LENGTH characters gets a low-confidence
+verdict.
 
 read_page parses a page once for both its hrefs and its visible text, so a
-run's homepages are parsed once; tfidf stems each distinct word once per
-corpus, and weigh_pages tokenizes each page once for both its language
-verdict and its topic's term counts.  HTMLParser defines what read_page
+run's homepages are parsed once.  HTMLParser defines what read_page
 returns.  A page inside a well-formed subset of HTML is scanned with one
 compiled regex instead: start and end tags with ASCII names whose attributes
 are bare names or quoted values, script and style elements whose body holds
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from html import unescape
 from html.entities import html5
 from html.parser import HTMLParser
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Iterable
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+MIN_CONFIDENT_LENGTH = 40  # characters below which a language verdict is low-confidence
 # the ASCII characters str.isalpha accepts are exactly these
 _ASCII_LETTER_RE = re.compile(r"[A-Za-z]")
 _ASCII_RUN_RE = re.compile(r"[\x00-\x7f]+")
@@ -155,41 +162,6 @@ def _unaccent(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-def _learn_stems(
-    tokens: list[str], stems: dict[str, str | None], stopwords: AbstractSet[str]
-) -> None:
-    """Add to *stems* each token it lacks, mapped to its stem, or to None when the stem
-    is a stopword."""
-    for token in set(tokens).difference(stems):
-        s = stem(token)
-        stems[token] = None if s in stopwords else s
-
-
-def _tokens(text: str) -> list[str]:
-    """Lowercase, un-accent and split on non-alphanumeric runs."""
-    return _TOKEN_RE.findall(_unaccent(text.lower()))
-
-
-def preprocess(text: str, stopwords: AbstractSet[str] = DEFAULT_STOPWORDS) -> list[str]:
-    """Normalize running text to stemmed tokens.
-
-    Order: lowercase, un-accent, split on non-alphanumeric runs, stem,
-    then drop stopwords.  Digits are kept: numeric tokens such as era or
-    disease names carry topical signal.  Each distinct token is stemmed
-    once per call.
-    """
-    tokens = _tokens(text)
-    stems: dict[str, str | None] = {}
-    _learn_stems(tokens, stems, stopwords)
-    return [s for t in tokens if (s := stems[t]) is not None]
-
-
-@dataclass(frozen=True)
-class TopicDocument:
-    topic: str
-    text: str
-
-
 @dataclass(frozen=True, eq=False)
 class ContentMatrix:
     """tf-idf weights, one row per topic document, one column per term."""
@@ -227,83 +199,15 @@ class ContentMatrix:
         )
 
 
-def _count_stems(
-    tokens: list[str], stems: dict[str, str | None], stopwords: AbstractSet[str], counts: Counter
-) -> None:
-    """Add the stem of each token to *counts*, stemming only tokens *stems* lacks; a
-    stopword stem is counted under None."""
-    _learn_stems(tokens, stems, stopwords)
-    counts.update(map(stems.__getitem__, tokens))
-
-
-def _weigh(topics: tuple[str, ...], counts: list[Counter], min_df: int) -> ContentMatrix:
-    """The tf-idf matrix of documents with these stem counts, the None key dropped."""
-    if len(counts) == 0:
-        raise EmptyCorpus("no topic documents")
-    if min_df < 1:
-        raise ValueError("min_df must be at least 1")
-    for doc_counts in counts:
-        doc_counts.pop(None, None)
-    df = Counter(term for doc_counts in counts for term in doc_counts)
-    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
-    index = {t: j for j, t in enumerate(terms)}
-    n_docs = len(counts)
-    weights = np.zeros((n_docs, len(terms)), dtype=float)
-    for i, doc_counts in enumerate(counts):
-        total = sum(doc_counts.values())
-        for term, count in doc_counts.items():
-            j = index.get(term)
-            if j is None:
-                continue
-            weights[i, j] = (count / total) * math.log(n_docs / df[term])
-    return ContentMatrix(topics, terms, weights)
-
-
-def tfidf(
-    docs: Sequence[TopicDocument],
-    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
-    min_df: int = 1,
-) -> ContentMatrix:
-    """Build the topic-term weight matrix from raw topic documents.
-
-    min_df drops terms appearing in fewer than that many documents, which
-    is the practical lever against one-off noise terms in big corpora.
-    """
-    # each word is stemmed once per corpus; a document's tokens are held only while it is counted
-    stems: dict[str, str | None] = {}
-    counts: list[Counter] = []
-    for d in docs:
-        counts.append(Counter())
-        _count_stems(_tokens(d.text), stems, stopwords, counts[-1])
-    return _weigh(tuple(d.topic for d in docs), counts, min_df)
-
-
 @dataclass(frozen=True)
 class EnglishVerdict:
     is_english: bool
     confident: bool
 
 
-def detect_english(
-    text: str,
-    stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
-    min_confident_length: int = 40,
-) -> EnglishVerdict:
-    """Cheap script-and-stopword English check.
-
-    English iff at least 90% of letters are Basic Latin and at least 3% of
-    tokens are English stopwords.  Texts shorter than
-    min_confident_length characters yield a low-confidence verdict.
-    """
-    return _english(text, None, stopwords, min_confident_length)
-
-
-def _english(
-    text: str, tokens: list[str] | None, stopwords: AbstractSet[str], min_confident_length: int = 40
-) -> EnglishVerdict:
-    """detect_english(text, stopwords, min_confident_length), given the tokens of
-    text.lower() when they are known."""
-    confident = len(text) >= min_confident_length
+def _english(text: str, tokens: list[str], stopwords: AbstractSet[str]) -> EnglishVerdict:
+    """The verdict on a page's text, given the tokens of text.lower()."""
+    confident = len(text) >= MIN_CONFIDENT_LENGTH
     if text.isascii():
         if not _ASCII_LETTER_RE.search(text):
             return EnglishVerdict(False, confident)
@@ -314,8 +218,6 @@ def _english(
         if not letters:
             return EnglishVerdict(False, confident)
         latin_share = latin / letters
-    if tokens is None:
-        tokens = _TOKEN_RE.findall(text.lower())
     stop_share = (sum(map(stopwords.__contains__, tokens)) / len(tokens)) if tokens else 0.0
     return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)
 
@@ -325,22 +227,45 @@ def weigh_pages(
     stopwords: AbstractSet[str] = DEFAULT_STOPWORDS,
     min_df: int = 1,
 ) -> tuple[ContentMatrix, list[EnglishVerdict]]:
-    """tfidf() of the documents that join each topic's page texts with " ", topics in
-    name order, and detect_english() of each (topic, text) page, in order.
+    """The tf-idf matrix of the documents that join each topic's page texts with " ",
+    topics in name order, and the language verdict on each (topic, text) page, in order.
 
-    The tokens of a " "-joined document are those of its pages in turn, so each page
-    is tokenized once, for its verdict and for its topic's stem counts, and neither
-    its text nor its tokens are held after it is counted.
+    min_df drops terms appearing in fewer than that many documents, which is the
+    practical lever against one-off noise terms in big corpora.  The tokens of a
+    " "-joined document are those of its pages in turn, so each page is tokenized
+    once, for its verdict and for its topic's stem counts, and neither its text nor
+    its tokens are held after it is counted; each word is stemmed once per corpus.
     """
-    stems: dict[str, str | None] = {}
+    stems: dict[str, str | None] = {}  # token -> its stem, or None for a stopword stem
     counts: dict[str, Counter] = {}
     verdicts: list[EnglishVerdict] = []
     for topic, text in pages:
         lowered = text.lower()
         plain = _unaccent(lowered)
         tokens = _TOKEN_RE.findall(plain)
-        # detect_english does not un-accent, so these are its tokens only where that changed nothing
-        verdicts.append(_english(text, tokens if plain == lowered else None, stopwords))
-        _count_stems(tokens, stems, stopwords, counts.setdefault(topic, Counter()))
+        # the verdict is on the accented tokens, which differ only where un-accenting changed text
+        accented = tokens if plain == lowered else _TOKEN_RE.findall(lowered)
+        verdicts.append(_english(text, accented, stopwords))
+        for token in set(tokens).difference(stems):
+            s = stem(token)
+            stems[token] = None if s in stopwords else s
+        counts.setdefault(topic, Counter()).update(map(stems.__getitem__, tokens))
+    if not counts:
+        raise EmptyCorpus("no topic documents")
+    if min_df < 1:
+        raise ValueError("min_df must be at least 1")
     topics = tuple(sorted(counts))
-    return _weigh(topics, [counts[t] for t in topics], min_df), verdicts
+    for doc_counts in counts.values():
+        doc_counts.pop(None, None)
+    df = Counter(term for doc_counts in counts.values() for term in doc_counts)
+    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
+    index = {t: j for j, t in enumerate(terms)}
+    weights = np.zeros((len(topics), len(terms)), dtype=float)
+    for i, topic in enumerate(topics):
+        total = sum(counts[topic].values())
+        for term, count in counts[topic].items():
+            j = index.get(term)
+            if j is None:
+                continue
+            weights[i, j] = (count / total) * math.log(len(topics) / df[term])
+    return ContentMatrix(topics, terms, weights), verdicts

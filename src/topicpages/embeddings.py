@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import os
-import re
 import shutil
 import sys
 from itertools import islice
@@ -22,10 +21,10 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .content import _TOKEN_RE
 from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
 from .lines import decoded_lines, file_sha256, write_bytes
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
 _CHUNK_LINES = 4096  # vector lines per bulk parse
 _ENTRY_DTYPE = np.dtype("<f8")  # cache entries hold little-endian float64 rows

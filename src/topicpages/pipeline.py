@@ -42,7 +42,8 @@ from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
-    file_sha256, parsed, read_json, read_lines, read_text, write_json, write_jsonl, write_text,
+    _located, file_sha256, parsed, read_json, read_lines, read_text, write_json, write_jsonl,
+    write_text,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
@@ -64,10 +65,11 @@ MANIFEST_NAME = "manifest.json"
 T = TypeVar("T")
 
 
-def read_homepage_list(path: str | Path) -> list[PageUrl]:
-    """One homepage URL per line; blank lines, # comments and repeats of a URL are skipped."""
+def read_homepage_list(path: str | Path, suffixes: frozenset[str] | None = None) -> list[PageUrl]:
+    """One homepage URL per line, its domain the registrable domain under *suffixes*;
+    blank lines, # comments and repeats of a URL are skipped."""
     first: dict[str, PageUrl] = {}
-    for url in read_lines(path, normalize):
+    for url in read_lines(path, lambda line: normalize(line, suffixes=suffixes)):
         first.setdefault(url.normalized, url)
     return list(first.values())
 
@@ -115,7 +117,7 @@ class Runner:
     @cached_property
     def homepages(self) -> list[PageUrl]:
         """The configured homepage list; none when `urls` is unset."""
-        return read_homepage_list(self.config.urls) if self.config.urls else []
+        return read_homepage_list(self.config.urls, self.suffixes) if self.config.urls else []
 
     # --- written files, each parsed at most once per run -----------------------
 
@@ -395,12 +397,11 @@ class Runner:
         labels, X = self.load(matrix, load_matrix_file)
         try:
             model, reduced = cluster_mod.pca_fit(X, cfg.pca_n)
-        except ValueError as exc:
-            # infeasible n for this matrix is a data condition, not a crash
-            raise PipelineError(f"{Path(matrix).name}: {exc}") from exc
-        report = cluster_mod.cluster_report(
-            reduced, labels, cfg.k, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
-        )
+            report = cluster_mod.cluster_report(
+                reduced, labels, cfg.k, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
+            )
+        except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
+            raise _located(exc, Path(matrix).name, PipelineError) from exc
         payload = {
             "matrix": Path(matrix).name,
             "n": cfg.pca_n,
@@ -423,14 +424,13 @@ class Runner:
         """Score every (dimension, cluster count) cell of a matrix file as CSV."""
         cfg = self.config
         _, X = self.load(matrix, load_matrix_file)
-        sweep = cluster_mod.model_select(
-            X,
-            parse_range(cfg.n_range),
-            parse_range(cfg.k_range),
-            seed=cfg.seed,
-            restarts=cfg.restarts,
-            b_refs=cfg.b_refs,
-        )
+        n_range, k_range = parse_range(cfg.n_range), parse_range(cfg.k_range)
+        try:
+            sweep = cluster_mod.model_select(
+                X, n_range, k_range, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
+            )
+        except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
+            raise _located(exc, Path(matrix).name, PipelineError) from exc
         csv = sweep.to_csv()
         write_text(out, csv)
         self._keep(Path(out), csv)

@@ -1,7 +1,9 @@
 """The bundled English stopword list.
 
-A fixed 179-word list shared by URL tokenization, page-text preprocessing,
-and language detection, so results do not drift with external resources.
+A fixed 179-word list shared by URL tokenization and content.weigh_pages,
+which drops stopword stems from the term counts and judges each page's
+language by its share of stopwords, so results do not drift with external
+resources.
 Callers needing another language can pass their own set anywhere a stopword
 set is accepted.
 """

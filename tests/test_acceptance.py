@@ -455,13 +455,10 @@ class TestTrackingAnalytics:
 
 class TestTermWeights:
     def test_everywhere_terms_zero_and_hand_weight(self):
-        from topicpages.content import TopicDocument, tfidf
+        from topicpages.content import weigh_pages
 
-        docs = [
-            TopicDocument(topic="a", text="cricket cricket bat sun"),
-            TopicDocument(topic="b", text="minister sun"),
-        ]
-        matrix = tfidf(docs, stopwords=frozenset())
+        pages = [("a", "cricket cricket bat sun"), ("b", "minister sun")]
+        matrix = weigh_pages(pages, stopwords=frozenset())[0]
         weights = {t: dict(zip(matrix.terms, row)) for t, row in zip(matrix.topics, matrix.weights)}
         assert weights["a"]["sun"] == 0.0  # present in every document
         assert weights["b"]["sun"] == 0.0

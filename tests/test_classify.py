@@ -12,13 +12,14 @@ from topicpages.classify import (
     METHOD_EMBEDDING,
     METHOD_EXACT,
     METHOD_OTHER,
+    best_subpage_records,
     read_assignments,
     read_best_subpages,
     write_assignments,
-    write_best_subpages,
 )
 from topicpages.embeddings import EmbeddingModel
-from topicpages.errors import EmptyCandidates, MalformedRecord, NoSubpaths
+from topicpages.errors import EmptyCandidates, MalformedRecord, MalformedUrl, NoSubpaths
+from topicpages.lines import write_jsonl
 from topicpages.stopwords import DEFAULT_STOPWORDS
 
 from conftest import text_file
@@ -308,7 +309,7 @@ class TestAssignmentFiles:
         clf = TopicClassifier(toy_dictionary, toy_model)
         results = classify_and_select(clf, [u("/sports/"), u("/politics/")])
         path = tmp_path / "best.jsonl"
-        write_best_subpages(path, results)
+        write_jsonl(path, best_subpage_records(results))
         rows = read_best_subpages(path)
         assert rows == [
             {
@@ -322,6 +323,16 @@ class TestAssignmentFiles:
                 "url": u("/sports/").normalized,
             },
         ]
+
+    def test_best_subpages_url_normalized_or_refused_at_its_line(self, tmp_path):
+        row = {"site": "news-site.example", "topic": "sports", "url": "HTTPS://News-Site.example/sports"}
+        path = tmp_path / "best.jsonl"
+        write_jsonl(path, [row])
+        assert read_best_subpages(path) == [{**row, "url": u("/sports/").normalized}]
+        write_jsonl(path, [row, {**row, "url": "x"}])
+        with pytest.raises(MalformedUrl) as err:
+            read_best_subpages(path)
+        assert str(err.value).startswith(f"{path}:2: ")
 
 
 def test_default_stopword_list():

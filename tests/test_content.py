@@ -9,15 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import topicpages.content as content_mod
-from topicpages import (
-    ContentMatrix,
-    TopicDocument,
-    detect_english,
-    extract_text,
-    preprocess,
-    read_page,
-    tfidf,
-)
+from topicpages import ContentMatrix, extract_text, read_page, weigh_pages
 from topicpages.content import EnglishVerdict
 from topicpages.errors import EmptyCorpus
 from topicpages.stemmer import stem
@@ -45,17 +37,20 @@ def edge_texts(draw):
     return "".join(part + draw(SEPARATORS) for part in parts)
 
 
-def reference_preprocess(text, stopwords=DEFAULT_STOPWORDS):
-    """NFD without combining marks on every text, then one stem call per token."""
+def reference_tokens(text):
+    """NFD without combining marks on every lowercased text, then split."""
     decomposed = unicodedata.normalize("NFD", text.lower())
-    unaccented = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    stems = (stem(t) for t in TOKEN_RE.findall(unaccented))
-    return [t for t in stems if t not in stopwords]
+    return TOKEN_RE.findall("".join(ch for ch in decomposed if not unicodedata.combining(ch)))
 
 
-def reference_detect_english(text, stopwords=DEFAULT_STOPWORDS, min_confident_length=40):
-    """The letter shares taken from a list of every letter."""
-    confident = len(text) >= min_confident_length
+def reference_preprocess(text, stopwords=DEFAULT_STOPWORDS):
+    """One stem call per token, then stopword stems dropped."""
+    return [t for t in map(stem, reference_tokens(text)) if t not in stopwords]
+
+
+def reference_detect_english(text, stopwords=DEFAULT_STOPWORDS):
+    """The letter shares taken from a list of every letter; confident from 40 characters."""
+    confident = len(text) >= 40
     letters = [ch for ch in text if ch.isalpha()]
     if not letters:
         return EnglishVerdict(False, confident)
@@ -63,6 +58,19 @@ def reference_detect_english(text, stopwords=DEFAULT_STOPWORDS, min_confident_le
     tokens = TOKEN_RE.findall(text.lower())
     stop_share = (sum(t in stopwords for t in tokens) / len(tokens)) if tokens else 0.0
     return EnglishVerdict(latin_share >= 0.90 and stop_share >= 0.03, confident)
+
+
+def reference_tfidf(texts, stopwords=DEFAULT_STOPWORDS, min_df=1):
+    """Terms and weights from each document's reference_preprocess tokens."""
+    token_lists = [reference_preprocess(text, stopwords) for text in texts]
+    df = Counter(term for tokens in token_lists for term in set(tokens))
+    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
+    weights = np.zeros((len(texts), len(terms)))
+    for i, tokens in enumerate(token_lists):
+        for j, term in enumerate(terms):
+            if term in tokens:
+                weights[i, j] = tokens.count(term) / len(tokens) * math.log(len(texts) / df[term])
+    return terms, weights
 
 
 class TestExtractText:
@@ -243,27 +251,29 @@ class TestReadPage:
         assert read_page(html) == (["/menu?x=1&y=2"], "Fish & chips")
 
 
+def stems_of(text, stopwords=DEFAULT_STOPWORDS):
+    """The sorted distinct stems weigh_pages counts on a one-page corpus."""
+    return list(weigh_pages([("t", text)], stopwords)[0].terms)
+
+
 class TestPreprocess:
     def test_accents_folded_before_stemming(self):
-        assert preprocess("Économie") == ["economi"]
+        assert stems_of("Économie") == ["economi"]
 
     def test_stopwords_dropped_after_stemming(self):
-        assert preprocess("The THE the") == []
+        assert stems_of("The THE the") == []
 
     def test_mixed_sentence(self):
-        assert preprocess("The cricket matches were exciting!") == [
-            "cricket",
-            "match",
-            "excit",
-        ]
+        assert stems_of("The cricket matches were exciting!") == ["cricket", "excit", "match"]
 
     def test_digits_kept(self):
-        assert "2024" in preprocess("budget 2024 review")
+        assert "2024" in stems_of("budget 2024 review")
 
     def test_custom_stopwords(self):
-        assert preprocess("cricket bat", stopwords={"cricket"}) == ["bat"]
+        assert stems_of("cricket bat", stopwords={"cricket"}) == ["bat"]
 
-
+    # beside an empty second document each weight is count / length * ln 2, so the
+    # weights hold the share of each stem among the page's counted tokens
     @settings(max_examples=200, deadline=None)
     @example(text="Caf\u00e9 cafe\u0301 NAI\u0308VE the running", stopwords=DEFAULT_STOPWORDS)
     @given(
@@ -271,7 +281,10 @@ class TestPreprocess:
         stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"news", "run", "cafe"})]),
     )
     def test_matches_per_token_stemming(self, text, stopwords):
-        assert preprocess(text, stopwords) == reference_preprocess(text, stopwords)
+        m = weigh_pages([("a", text), ("b", "")], stopwords)[0]
+        terms, weights = reference_tfidf([text, ""], stopwords)
+        assert m.terms == terms
+        assert m.weights.tolist() == weights.tolist()
 
     def test_each_distinct_token_stemmed_once(self, monkeypatch):
         calls = []
@@ -281,21 +294,8 @@ class TestPreprocess:
             return stem(word)
 
         monkeypatch.setattr(content_mod, "stem", counting)
-        assert preprocess("Running runs RUNNING run the The") == ["run", "run", "run", "run"]
+        assert stems_of("Running runs RUNNING run the The") == ["run"]
         assert sorted(calls) == ["run", "running", "runs", "the"]
-
-
-def reference_tfidf(docs, stopwords=DEFAULT_STOPWORDS, min_df=1):
-    """Terms and weights from each document's reference_preprocess tokens."""
-    token_lists = [reference_preprocess(d.text, stopwords) for d in docs]
-    df = Counter(term for tokens in token_lists for term in set(tokens))
-    terms = tuple(sorted(t for t, n in df.items() if n >= min_df))
-    weights = np.zeros((len(docs), len(terms)))
-    for i, tokens in enumerate(token_lists):
-        for j, term in enumerate(terms):
-            if term in tokens:
-                weights[i, j] = tokens.count(term) / len(tokens) * math.log(len(docs) / df[term])
-    return terms, weights
 
 
 ACCENTED_WORDS = st.sampled_from(
@@ -318,9 +318,9 @@ class TestTfidf:
         min_df=st.integers(1, 2),
     )
     def test_matches_per_document_preprocessing(self, texts, stopwords, min_df):
-        docs = [TopicDocument(f"t{i}", text) for i, text in enumerate(texts)]
-        m = tfidf(docs, stopwords, min_df)
-        terms, weights = reference_tfidf(docs, stopwords, min_df)
+        m = weigh_pages([(f"t{i}", text) for i, text in enumerate(texts)], stopwords, min_df)[0]
+        terms, weights = reference_tfidf(texts, stopwords, min_df)
+        assert m.topics == tuple(f"t{i}" for i in range(len(texts)))
         assert m.terms == terms
         assert m.weights.tolist() == weights.tolist()
 
@@ -332,59 +332,46 @@ class TestTfidf:
             return stem(word)
 
         monkeypatch.setattr(content_mod, "stem", counting)
-        tfidf([TopicDocument("a", "Running runs the"), TopicDocument("b", "RUNNING vote runs")])
+        weigh_pages([("a", "Running runs the"), ("b", "RUNNING vote runs")])
         assert sorted(calls) == ["running", "runs", "the", "vote"]
 
     def test_hand_computed_matrix(self):
-        docs = [
-            TopicDocument("sports", "cricket cricket bat"),
-            TopicDocument("politics", "election vote"),
-        ]
-        m = tfidf(docs)
-        assert m.topics == ("sports", "politics")
+        m = weigh_pages([("sports", "cricket cricket bat"), ("politics", "election vote")])[0]
+        assert m.topics == ("politics", "sports")
         assert m.terms == ("bat", "cricket", "elect", "vote")
         ln2 = math.log(2)
         expected = np.array(
             [
-                [ln2 / 3, 2 * ln2 / 3, 0.0, 0.0],
                 [0.0, 0.0, ln2 / 2, ln2 / 2],
+                [ln2 / 3, 2 * ln2 / 3, 0.0, 0.0],
             ]
         )
         assert np.allclose(m.weights, expected, atol=1e-12)
 
     def test_term_in_every_document_weighs_exactly_zero(self):
-        docs = [
-            TopicDocument("a", "cricket shared"),
-            TopicDocument("b", "vote shared"),
-        ]
-        m = tfidf(docs)
+        m = weigh_pages([("a", "cricket shared"), ("b", "vote shared")])[0]
         j = m.terms.index("share")
         assert m.weights[0, j] == 0.0
         assert m.weights[1, j] == 0.0
 
     def test_min_df_drops_rare_terms(self):
-        docs = [
-            TopicDocument("a", "alpha shared"),
-            TopicDocument("b", "beta shared"),
-            TopicDocument("c", "gamma unique"),
-        ]
-        m = tfidf(docs, min_df=2)
+        pages = [("a", "alpha shared"), ("b", "beta shared"), ("c", "gamma unique")]
+        m = weigh_pages(pages, min_df=2)[0]
         assert m.terms == ("share",)
         assert m.weights[0, 0] == pytest.approx(math.log(3 / 2) / 2, abs=1e-12)
         assert m.weights[2, 0] == 0.0
 
     def test_empty_document_row_is_zero(self):
-        docs = [TopicDocument("a", "cricket"), TopicDocument("b", "")]
-        m = tfidf(docs)
+        m = weigh_pages([("a", "cricket"), ("b", "")])[0]
         assert np.all(m.weights[1] == 0.0)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
-            tfidf([])
+            weigh_pages([])
 
     def test_bad_min_df(self):
         with pytest.raises(ValueError):
-            tfidf([TopicDocument("a", "x")], min_df=0)
+            weigh_pages([("a", "x")], min_df=0)
 
 
 # characters whose lowercasing, un-accenting or tokenizing depends on their
@@ -399,8 +386,9 @@ class TestWeighPages:
     @example(texts=["a\u0301", "\u0301b"])
     @given(texts=st.lists(CONTEXT_TEXT, max_size=4))
     def test_tokens_of_a_joined_document_are_its_pages_tokens(self, texts):
-        tokens = content_mod._tokens
-        assert tokens(" ".join(texts)) == [t for text in texts for t in tokens(text)]
+        # what lets weigh_pages count each page on its own
+        joined = reference_tokens(" ".join(texts))
+        assert joined == [t for text in texts for t in reference_tokens(text)]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -411,15 +399,17 @@ class TestWeighPages:
         stopwords=st.sampled_from([DEFAULT_STOPWORDS, frozenset({"news", "run", "σα"})]),
         min_df=st.integers(1, 2),
     )
-    def test_is_tfidf_of_joined_pages_and_detect_english_of_each(self, pages, stopwords, min_df):
+    def test_is_tfidf_of_joined_pages_and_a_verdict_on_each(self, pages, stopwords, min_df):
         joined: dict[str, list[str]] = {}
         for topic, text in pages:
             joined.setdefault(topic, []).append(text)
-        docs = [TopicDocument(t, " ".join(texts)) for t, texts in sorted(joined.items())]
-        matrix, verdicts = content_mod.weigh_pages(pages, stopwords, min_df)
+        matrix, verdicts = weigh_pages(pages, stopwords, min_df)
+        terms, weights = reference_tfidf(
+            [" ".join(texts) for _, texts in sorted(joined.items())], stopwords, min_df)
         assert matrix.topics == tuple(sorted(joined))
-        assert matrix.equals(tfidf(docs, stopwords, min_df))
-        assert verdicts == [detect_english(text, stopwords) for _, text in pages]
+        assert matrix.terms == terms
+        assert matrix.weights.tolist() == weights.tolist()
+        assert verdicts == [reference_detect_english(text, stopwords) for _, text in pages]
 
     def test_an_unchanged_page_is_tokenized_once(self, monkeypatch):
         calls = []
@@ -432,20 +422,14 @@ class TestWeighPages:
 
         monkeypatch.setattr(content_mod, "_TOKEN_RE", Counting())
         pages = [("a", "The cricket scores"), ("b", "Économie du jour"), ("a", "Ærø straße")]
-        content_mod.weigh_pages(pages)
-        # un-accenting changes only the second page, which detect_english tokenizes anew
+        weigh_pages(pages)
+        # un-accenting changes only the second page, whose verdict tokenizes it anew
         assert calls == ["the cricket scores", "economie du jour", "économie du jour", "ærø straße"]
-
-    def test_no_page_is_an_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
-            content_mod.weigh_pages([])
 
 
 class TestContentMatrix:
     def test_round_trip(self):
-        m = tfidf(
-            [TopicDocument("a", "cricket bat"), TopicDocument("b", "vote election")]
-        )
+        m = weigh_pages([("a", "cricket bat"), ("b", "vote election")])[0]
         again = ContentMatrix.from_dict(m.to_dict())
         assert again.equals(m)
 
@@ -456,50 +440,49 @@ class TestContentMatrix:
             )
 
 
+def verdict(text, stopwords=DEFAULT_STOPWORDS):
+    """The language verdict weigh_pages gives the one page of a corpus."""
+    return weigh_pages([("t", text)], stopwords)[1][0]
+
+
 class TestDetectEnglish:
     def test_english_paragraph(self):
-        v = detect_english(
-            "The quick brown fox jumps over the lazy dog near the river today."
-        )
+        v = verdict("The quick brown fox jumps over the lazy dog near the river today.")
         assert v.is_english and v.confident
 
     def test_devanagari_paragraph(self):
-        v = detect_english(
-            "यह एक समाचार वेबसाइट है जो राजनीति और खेल की ख़बरें प्रकाशित करती है।"
-        )
+        v = verdict("यह एक समाचार वेबसाइट है जो राजनीति और खेल की ख़बरें प्रकाशित करती है।")
         assert not v.is_english
         assert v.confident
 
     def test_cyrillic_paragraph(self):
-        v = detect_english(
-            "Это новости на русском языке о политике и спорте в стране сегодня."
-        )
+        v = verdict("Это новости на русском языке о политике и спорте в стране сегодня.")
         assert not v.is_english and v.confident
 
     def test_latin_without_english_stopwords(self):
-        v = detect_english(
-            "bonjour académie française journaux quotidiens partout aujourd'hui"
-        )
+        v = verdict("bonjour académie française journaux quotidiens partout aujourd'hui")
         assert not v.is_english
 
     def test_short_text_is_low_confidence(self):
-        v = detect_english("Hello the world")
+        v = verdict("Hello the world")
         assert v.is_english
         assert not v.confident
 
+    def test_confident_from_forty_characters(self):
+        assert [verdict("x" * n).confident for n in (39, 40)] == [False, True]
+
     def test_empty_text(self):
-        v = detect_english("")
+        v = verdict("")
         assert not v.is_english and not v.confident
 
     def test_numbers_only(self):
-        assert not detect_english("12345 67890").is_english
+        assert not verdict("12345 67890").is_english
 
     @settings(max_examples=200, deadline=None)
-    @example(text="the abcdef \u00e9", min_length=40)  # 9 of 10 letters Basic Latin: 0.9
-    @example(text="the abcde \u00e9", min_length=40)
-    @example(text="the news \u00aa\u02b0 x_y 42", min_length=40)
-    @given(text=st.one_of(edge_texts(), st.text()), min_length=st.integers(0, 60))
-    def test_matches_letter_list(self, text, min_length):
-        assert detect_english(text, min_confident_length=min_length) == reference_detect_english(
-            text, min_confident_length=min_length
-        )
+    @example(text="the abcdef \u00e9")  # 9 of 10 letters Basic Latin: 0.9
+    @example(text="the abcde \u00e9")
+    @example(text="the news \u00aa\u02b0 x_y 42")
+    @example(text="the quick brown fox and the lazy dog ran")  # 40 characters: confident
+    @given(text=st.one_of(edge_texts(), st.text()))
+    def test_matches_letter_list(self, text):
+        assert verdict(text) == reference_detect_english(text)

@@ -180,6 +180,35 @@ class TestStageIsolation:
         Runner(cfg).run_stage(STAGE_NAMED["best-subpages"])
         assert best.read_bytes() == written
 
+    def test_homepage_site_follows_the_suffix_file(self, e2e_config):
+        # with news.example a public suffix, city.news.example is a site of its own,
+        # so its root-relative /sport/ is internal and metro.news.example external
+        ws = e2e_config.parent
+        home = "http://city.news.example/"
+        body = ('<html><body><a href="/sport/">Sport</a>'
+                '<a href="http://metro.news.example/politics/">Politics</a></body></html>')
+        save_snapshots([snapshot_result(home, body),
+                        snapshot_result(home + "sport/", "<p>cricket scores</p>")],
+                       ws / "snapshots")
+        with open(ws / "urls.txt", "a", encoding="utf-8") as fh:
+            fh.write(home + "\n")
+        (ws / "suffixes.txt").write_text("news.example\n", "utf-8")
+        with open(e2e_config, "a", encoding="utf-8") as fh:
+            fh.write(f'suffixes = "{ws / "suffixes.txt"}"\n')
+        cfg = load_config(e2e_config, env={})
+        code, summary = run_pipeline(cfg)
+        assert code == 0, summary["errors"]
+        out = Path(cfg.out_dir)
+
+        def city_rows(name):
+            return [(u.normalized, site) for u, site in read_url_file(out / name)
+                    if ".news.example/" in u.normalized]
+
+        assert city_rows("internal.jsonl") == [("http://city.news.example/sport/",
+                                                 "city.news.example")]
+        assert city_rows("external.jsonl") == [("http://metro.news.example/politics/",
+                                                 "city.news.example")]
+
     def test_stage_sequence_matches_full_run(self, e2e_config, capsys, tmp_path):
         # the same artifacts and summaries built one subcommand at a time
         _, out, _ = run_cli(capsys, "run", "--config", e2e_config)
@@ -407,10 +436,22 @@ class TestRunnerDirect:
         write_json(out / "tracking-matrix.json", matrix)
         cfg = PipelineConfig(out_dir=str(out), k=3, restarts=2, b_refs=2)
         runner = Runner(cfg)
-        with pytest.raises(KTooLarge, match=r"^k=3 exceeds 2 distinct rows$"):
+        with pytest.raises(KTooLarge, match=r"^tracking-matrix\.json: k=3 exceeds 2 distinct rows$"):
             runner.run_stage(STAGE_NAMED["cluster-tracking"])
         assert not (out / "clusters-tracking.json").exists()
         assert runner.artifacts == {}
+
+    @pytest.mark.parametrize("name", ["cluster-content", "sweep-content"])
+    def test_cluster_stage_names_a_matrix_it_cannot_cluster(self, e2e_config, name):
+        # a weight whose squared distances overflow when k-means++ sums them
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        path = Path(cfg.out_dir) / "content-matrix.json"
+        matrix = json.loads(path.read_text("utf-8"))
+        matrix["weights"][0][0] = 1e154
+        write_json(path, matrix)
+        with pytest.raises(PipelineError, match=r"^content-matrix\.json: .*not finite"):
+            Runner(cfg).run_stage(STAGE_NAMED[name])
 
     def test_failed_fit_leaves_its_histograms_missing_for_report(self, tmp_path):
         out = tmp_path / "out"

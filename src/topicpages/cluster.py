@@ -21,6 +21,7 @@ from .errors import KTooLarge, SingleCluster
 _GAP_STREAM = 9001  # keeps reference-set draws off the k-means seed streams
 _SIGN_TOL = 1e-12
 _BATCH_TERMS = 1 << 20  # (point, center, coordinate) terms per batched distance step
+_GRAM_SAFE = 2.0 ** 64  # largest centred magnitude pca_fit multiplies unscaled
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,20 @@ def pca_fit(X: Sequence[Sequence[float]], n: int) -> tuple[PcaModel, np.ndarray]
         raise ValueError(f"n must lie in [1, {min(rows - 1, cols)}], got {n}")
     mean = X.mean(axis=0)
     C = X - mean
+    # Past _GRAM_SAFE, the products below could overflow, so they take the data
+    # scaled by a power of two, which is exact: the eigenvalues scale by its square
+    # and leave only as ratios, the axes are the same, and ordinary data keeps every bit.
+    largest = max(float(C.max()), -float(C.min()))  # no |C| temporary as large as C
+    S = C * 2.0 ** -math.frexp(largest)[1] if largest > _GRAM_SAFE else C
 
     if cols <= rows:
-        cov = C.T @ C / (rows - 1)
+        cov = S.T @ S / (rows - 1)
         eigval, eigvec = np.linalg.eigh(cov)
         order = np.argsort(-eigval, kind="stable")
         eigval = eigval[order]
         axes = eigvec[:, order].T
     else:
-        gram = C @ C.T / (rows - 1)
+        gram = S @ S.T / (rows - 1)
         eigval, eigvec = np.linalg.eigh(gram)
         order = np.argsort(-eigval, kind="stable")
         eigval = eigval[order]
@@ -82,7 +88,7 @@ def pca_fit(X: Sequence[Sequence[float]], n: int) -> tuple[PcaModel, np.ndarray]
         axes = np.zeros((len(eigval), cols))
         for i, lam in enumerate(eigval):
             if lam > 0:
-                axes[i] = C.T @ u[:, i] / math.sqrt(lam * (rows - 1))
+                axes[i] = S.T @ u[:, i] / math.sqrt(lam * (rows - 1))
 
     eigval = np.clip(eigval, 0.0, None)
     total = float(eigval.sum())
@@ -137,6 +143,12 @@ def _kmeans_pp_init(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarr
     replays its own stream to that center and reads it alone from there.
     """
     runs, rows, _ = X.shape
+    # every distance total below is at most rows times the squared diagonal of the
+    # run's bounding box, so the verdict on overflow does not depend on the draw
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = rows * ((X.max(axis=1) - X.min(axis=1)) ** 2).sum(axis=1)
+    if not np.isfinite(bound).all():
+        raise ValueError("k-means++ distances are not finite")
     each = np.arange(runs)
     restart = each % restarts
     streams = [np.random.default_rng([seed, r]) for r in range(restarts)]
@@ -146,10 +158,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, seed: int, restarts: int) -> np.ndarr
     own: dict[int, np.random.Generator] = {}
     d2 = ((X - X[each, picks[:, 0]][:, None]) ** 2).sum(axis=2)
     for c in range(1, k):
-        with np.errstate(over="ignore"):  # an overflowed total is refused just below
-            total = d2.sum(axis=1)
-        if not np.isfinite(total).all():
-            raise ValueError("k-means++ distances are not finite")
+        total = d2.sum(axis=1)
         for r in np.flatnonzero(total <= 0.0):
             if r not in own:
                 own[r] = np.random.default_rng([seed, restart[r]])

@@ -174,7 +174,7 @@ class ContentMatrix:
         return {
             "topics": list(self.topics),
             "terms": list(self.terms),
-            "weights": [[float(w) for w in row] for row in self.weights],
+            "weights": np.asarray(self.weights, dtype=float).tolist(),
         }
 
     @classmethod

@@ -30,6 +30,7 @@ _FAULTS = (LookupError, TypeError, ValueError, ArithmeticError, AttributeError, 
 
 _ROW = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False)
 _DOCUMENT = json.JSONEncoder(ensure_ascii=False, sort_keys=True, allow_nan=False, indent=2)
+_STRING = json.encoder.encode_basestring  # what _DOCUMENT writes for a str
 
 
 def _located(exc: Exception, location: str, error: type[PipelineError]) -> PipelineError:
@@ -166,16 +167,22 @@ def write_bytes(path: str | Path, chunks: Iterable) -> None:
 
 def _document(obj, indent: str) -> str:
     """_DOCUMENT.encode(obj) with *indent* after each newline: the same text, but
-    a list of plain numbers is joined at once rather than by json's pure-Python
-    encoder, which indent=2 selects.  A value of any other kind, or a dict with a
-    key that is not a str, goes through _DOCUMENT, so its bytes and errors stay."""
+    a list of plain numbers or of plain strings is joined at once rather than by
+    json's pure-Python encoder, which indent=2 selects.  A value of any other kind,
+    or a dict with a key that is not a str, goes through _DOCUMENT, so its bytes and
+    errors stay."""
     inner = indent + "  "
     if isinstance(obj, dict) and obj and all(type(key) is str for key in obj):
         items = (f"{_DOCUMENT.encode(key)}: {_document(value, inner)}"
                  for key, value in sorted(obj.items()))
         brackets = "{}"
     elif isinstance(obj, (list, tuple)) and obj:
-        items = map(repr, obj) if _numbers(obj) else (_document(v, inner) for v in obj)
+        if _numbers(obj):
+            items = map(repr, obj)
+        elif set(map(type, obj)) == {str}:
+            items = map(_STRING, obj)
+        else:
+            items = (_document(v, inner) for v in obj)
         brackets = "[]"
     elif _numbers((obj,)):
         return repr(obj)

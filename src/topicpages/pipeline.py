@@ -22,6 +22,18 @@ run: filtered.jsonl and thresholds.json after classify, assignments.jsonl
 after best-subpages, each matrix after its sweep, and the rest after the
 report.  The report takes only the site set of internal.jsonl, so the rows of
 that file give way to their site set after filter, their last other reader.
+
+The analytics run in two halves that read only best.jsonl and their own files:
+the tracking half (BRANCH: track, cluster-tracking, sweep-tracking) and the
+content half (fetch-sections, content, cluster-content, sweep-content).  Once
+best-subpages has run, a full run forks one worker, which runs the tracking half
+on its copy of the Runner while the run goes on with the content half.  Before
+the report, the run joins the worker: it reads from a pipe one pickle of the
+worker's stage outcomes, the files it registered and the kept values that the
+report still reads (tracking-report.json, clusters-tracking.json and
+sweep-tracking.csv), and takes them as its own, so from the join on its summary,
+errors, manifest and kept values are those of a run in STAGES order.  Where a
+fork is not safe the tracking half runs in order at the same point.
 """
 
 from __future__ import annotations
@@ -676,6 +688,128 @@ LAST_READER = {name: stage.name for stage in STAGES for name in stage.reads}
 # that set is all that is kept of the file after the last other stage that reads it
 SITES_AFTER = {name: stage.name for stage in STAGES if not stage.optional
                for name in stage.reads if name == "internal.jsonl"}
+# the tracking half of the analytics, which a full run hands to one forked worker
+# once the last stage whose file it reads has run, and joins before the first
+# other stage that reads a file it writes
+BRANCH = ("track", "cluster-tracking", "sweep-tracking")
+
+
+def _branch_points() -> tuple[int, int]:
+    """(fork, join): the STAGES indices, with the branch left out, after which a full
+    run starts the branch and before which it has the branch's result."""
+    rest = [stage.name for stage in STAGES if stage.name not in BRANCH]
+    writes = {name for name in WRITER if WRITER[name] in BRANCH}
+    fork = 1 + max(rest.index(WRITER[name]) for branch in BRANCH
+                   for name in STAGE_NAMED[branch].reads if WRITER[name] not in BRANCH)
+    join = min(i for i, name in enumerate(rest) if writes.intersection(STAGE_NAMED[name].reads))
+    return fork, join
+
+
+def _run_stages(runner: Runner, stages: Iterable[Stage], succeeded: set[str]) -> dict[str, dict]:
+    """Run *stages* in order on *runner*, adding each that succeeds to *succeeded*;
+    returns each run stage's summary, a failed one's being {"error": its message}.
+    A stage that Runner.inputs refuses is skipped."""
+    outcomes: dict[str, dict] = {}
+    for stage in stages:
+        try:
+            outcomes[stage.name] = runner.run_stage(stage, ran=succeeded)
+            succeeded.add(stage.name)
+        except MissingStage:
+            pass
+        except PipelineError as exc:
+            outcomes[stage.name] = {"error": str(exc)}
+        runner.release(stage)
+    return outcomes
+
+
+def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: int) -> None:
+    """The forked worker: run *stages* on this copy of the Runner, write to the pipe
+    *fd* one pickle of what the parent needs to go on as if it had run them, and exit
+    without returning.  An unexpected exception is sent instead, and the exit is 1."""
+    import os
+    import pickle
+    import traceback
+
+    code = 0
+    try:
+        runner.artifacts = {}  # from here on, only what the branch writes
+        ran = set(succeeded)
+        outcomes = _run_stages(runner, stages, ran)
+        written = {runner.out_dir / name for stage in stages for name in stage.writes}
+        data = pickle.dumps(("done", outcomes, ran - succeeded, runner.artifacts,
+                             {path: v for path, v in runner._kept.items() if path in written}))
+    except BaseException as exc:  # a bug: the parent raises it after the join
+        code = 1
+        tb = traceback.format_exc()
+        try:
+            data = pickle.dumps(("raised", exc, tb))
+        except Exception:  # an exception that cannot be pickled goes as its text
+            data = pickle.dumps(("raised", RuntimeError(f"{type(exc).__name__}: {exc}"), tb))
+    finally:
+        try:
+            with os.fdopen(fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(code)
+
+
+def _aside(runner: Runner, stages: Sequence[Stage],
+           succeeded: set[str]) -> Callable[..., dict[str, dict]]:
+    """Start *stages* in one forked worker, which runs them on its copy of *runner*,
+    and return the join: join() waits for the worker and returns the stages'
+    outcomes, having added to *runner* and *succeeded* what running them here would
+    have added; join(kill=True) kills and reaps the worker unless it was joined.  Where
+    a fork is not safe (no os.fork, macOS, or another thread running) the stages run
+    here and now, and the join only returns their outcomes."""
+    import os
+    import sys
+    import threading
+
+    if not hasattr(os, "fork") or sys.platform == "darwin" or threading.active_count() != 1:
+        outcomes = _run_stages(runner, stages, succeeded)
+        return lambda kill=False: outcomes
+    import pickle
+    import signal
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_end)
+        _worker(runner, stages, succeeded, write_end)
+    os.close(write_end)
+    pipe = os.fdopen(read_end, "rb")
+    reaped = False
+
+    def join(kill: bool = False) -> dict[str, dict]:
+        nonlocal reaped
+        if reaped:
+            return {}
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        data = b"" if kill else pipe.read()  # all of it first: it may outgrow the pipe's buffer
+        pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if kill:
+            return {}
+        names = ", ".join(stage.name for stage in stages)
+        if not data or status not in (0, 1):  # died before, or while, sending its result
+            ended = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
+            return {stages[0].name: {"error": f"the worker running {names} {ended} "
+                                              "without a result"}}
+        kind, *result = pickle.loads(data)
+        if kind == "raised":
+            exc, tb = result
+            raise exc from RuntimeError(f"in the worker running {names}:\n{tb}")
+        outcomes, ran, artifacts, kept = result
+        succeeded.update(ran)
+        runner.artifacts.update(artifacts)
+        runner._kept.update(kept)
+        for stage in stages:
+            runner.release(stage)
+        return outcomes
+
+    return join
 
 
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
@@ -684,26 +818,31 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     The config is validated first, with the first stage's keys required.
     Stage failures are collected rather than raised; a stage that Runner.inputs
     refuses is skipped, so one that reads a failed stage's file is, and the
-    report reads only this run's files.  The exit code is 0 only when nothing failed.
+    report reads only this run's files.  The BRANCH stages run beside the rest
+    (see _aside); the summary and errors list the stages in STAGES order.  The exit
+    code is 0 only when nothing failed.
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
     # a manifest left by an earlier run must not vouch for a run that stops part way
     (runner.out_dir / MANIFEST_NAME).unlink(missing_ok=True)
-    summary: dict[str, object] = {}
-    errors: list[str] = []
     succeeded: set[str] = set()
-    for stage in STAGES:
-        try:
-            summary[stage.name] = runner.run_stage(stage, ran=succeeded)
-            succeeded.add(stage.name)
-        except MissingStage:
-            pass
-        except PipelineError as exc:
-            errors.append(f"{stage.name}: {exc}")
-            summary[stage.name] = {"error": str(exc)}
-        runner.release(stage)
+    rest = [stage for stage in STAGES if stage.name not in BRANCH]
+    fork, join_at = _branch_points()
+    outcomes = _run_stages(runner, rest[:fork], succeeded)
+    join = _aside(runner, [STAGE_NAMED[name] for name in BRANCH], succeeded)
+    try:
+        outcomes.update(_run_stages(runner, rest[fork:join_at], succeeded))
+        outcomes.update(join())
+    finally:  # a worker outlives no run, whatever raised, KeyboardInterrupt included
+        join(kill=True)
+    outcomes.update(_run_stages(runner, rest[join_at:], succeeded))
     runner.write_manifest()
+    summary: dict[str, object] = {
+        stage.name: outcomes[stage.name] for stage in STAGES if stage.name in outcomes
+    }
+    errors = [f"{name}: {outcome['error']}"
+              for name, outcome in summary.items() if name not in succeeded]
     summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
     summary["errors"] = errors
     return (0 if not errors else 1), summary

@@ -71,6 +71,8 @@ _STEP4 = (
     "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
     "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
 )
+_STEP2_ENDS = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_ENDS = tuple(suffix for suffix, _ in _STEP3)
 
 
 def stem(word: str) -> str:
@@ -112,31 +114,32 @@ def stem(word: str) -> str:
     if word.endswith("y") and _contains_vowel(word[:-1]):
         word = word[:-1] + "i"
 
-    # step 2
-    for suffix, replacement in _STEP2:
-        if word.endswith(suffix):
-            base = word[: len(word) - len(suffix)]
-            if _measure(base) > 0:
-                word = base + replacement
-            break
-
-    # step 3
-    for suffix, replacement in _STEP3:
-        if word.endswith(suffix):
-            base = word[: len(word) - len(suffix)]
-            if _measure(base) > 0:
-                word = base + replacement
-            break
-
-    # step 4
-    for suffix in _STEP4:
-        if word.endswith(suffix):
-            base = word[: len(word) - len(suffix)]
-            if suffix == "ion" and not base.endswith(("s", "t")):
+    # steps 2-4, each a table looked through only when the word ends in one of its suffixes
+    if word.endswith(_STEP2_ENDS):
+        for suffix, replacement in _STEP2:
+            if word.endswith(suffix):
+                base = word[: len(word) - len(suffix)]
+                if _measure(base) > 0:
+                    word = base + replacement
                 break
-            if _measure(base) > 1:
-                word = base
-            break
+
+    if word.endswith(_STEP3_ENDS):
+        for suffix, replacement in _STEP3:
+            if word.endswith(suffix):
+                base = word[: len(word) - len(suffix)]
+                if _measure(base) > 0:
+                    word = base + replacement
+                break
+
+    if word.endswith(_STEP4):
+        for suffix in _STEP4:
+            if word.endswith(suffix):
+                base = word[: len(word) - len(suffix)]
+                if suffix == "ion" and not base.endswith(("s", "t")):
+                    break
+                if _measure(base) > 1:
+                    word = base
+                break
 
     # step 5a: drop a final e
     if word.endswith("e"):

@@ -53,11 +53,17 @@ def _registrable(cleaned: str) -> str:
     return registrable_domain(cleaned)
 
 
+@lru_cache(maxsize=4096)
+def _resolved(raw: str) -> str:
+    """The registrable domain of a logged domain string, as spelled in the log."""
+    return _registrable(_clean_domain(raw))
+
+
 def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
-    site = _registrable(_clean_domain(checked(obj["site"], str, "site")))
+    site = _resolved(checked(obj["site"], str, "site"))
     if not site:
         raise ValueError("empty site")
     cookies = [c["cookie_domain"] for c in obj.get("cookies", [])]
@@ -108,8 +114,7 @@ def record_third_parties(
     """
 
     def third(domains: Iterable[str]) -> list[str]:
-        regs = (_registrable(_clean_domain(d)) for d in domains)
-        return [reg for reg in regs if reg != site]
+        return [reg for reg in map(_resolved, domains) if reg != site]
 
     tp_cookies = tuple(third(cookie_domains))
     return tp_cookies, frozenset(tp_cookies).union(third(request_domains))
@@ -232,7 +237,7 @@ class TrackingMatrix:
         return {
             "topics": list(self.topics),
             "third_parties": list(self.third_parties),
-            "cells": [[int(c) for c in row] for row in self.cells],
+            "cells": np.asarray(self.cells, dtype=int).tolist(),
         }
 
     @classmethod

@@ -92,6 +92,16 @@ class TestPca:
         assert model.components.shape == (1, 2)
         assert reduced.shape == (4, 1)
 
+    @pytest.mark.parametrize("shape", [(4, 10), (16, 5)])  # through the Gram, the covariance
+    def test_huge_data_is_ordinary_data_scaled(self, shape):
+        # a power of two scales every product exactly, so scaled data keeps every bit
+        X = np.random.default_rng(13).normal(0, 1, shape)
+        model, reduced = pca_fit(X, 3)
+        huge, huge_reduced = pca_fit(X * 2.0 ** 600, 3)
+        assert huge.components.tobytes() == model.components.tobytes()
+        assert huge.explained_variance_ratio.tobytes() == model.explained_variance_ratio.tobytes()
+        assert (huge_reduced * 2.0 ** -600).tobytes() == reduced.tobytes()
+
     @pytest.mark.parametrize(
         "X,n",
         [

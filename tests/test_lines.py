@@ -16,6 +16,7 @@ from topicpages.dictionary import load_dictionary_file
 from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
+import topicpages.lines as lines_mod
 from topicpages.lines import _DOCUMENT, read_json, write_json, write_jsonl
 from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
@@ -273,8 +274,9 @@ NUMBER_LISTS = st.lists(
     st.one_of(st.integers(-(10**6), 10**6), FINITE, st.sampled_from([10**400, -(10**309)])),
     min_size=1, max_size=6,
 )
+STRING_LISTS = st.lists(st.text(max_size=6), min_size=1, max_size=6)
 VALUES = st.recursive(
-    st.one_of(SCALARS, NUMBER_LISTS),
+    st.one_of(SCALARS, NUMBER_LISTS, STRING_LISTS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -301,6 +303,34 @@ def test_document_bytes_are_json_encoders(doc_path, obj):
         return
     write_json(doc_path, obj)
     assert doc_path.read_bytes() == expected.encode("utf-8")
+
+
+class Label(str):
+    """A str subclass: json writes its value, but it is no plain string."""
+
+
+# non-ASCII, a quote, a backslash, control characters and an empty string
+ODD_STRINGS = ["é日本", 'say "hi"', "back\\slash", "\x00\x1f\x7f\u2028\n\t", "", "plain"]
+
+
+@pytest.mark.parametrize("obj", [
+    ODD_STRINGS, [""], ("a", "b"), {"terms": ODD_STRINGS, "topics": [["x", "y"], ["z"]]},
+    [Label("é"), "x"], [Label("")], ["x", 1], ["x", None],
+])
+def test_string_list_bytes_are_json_encoders(doc_path, obj):
+    write_json(doc_path, obj)
+    assert doc_path.read_bytes() == (_DOCUMENT.encode(obj) + "\n").encode("utf-8")
+
+
+def test_only_a_list_of_plain_strings_is_joined_at_once(doc_path, monkeypatch):
+    joined = []
+    encode = lines_mod._STRING
+    monkeypatch.setattr(lines_mod, "_STRING", lambda text: joined.append(text) or encode(text))
+    for obj in ([Label("a"), "b"], [Label("a")], ["a", 1]):
+        write_json(doc_path, obj)
+    assert joined == []
+    write_json(doc_path, ["a", "b"])
+    assert joined == ["a", "b"]
 
 
 @pytest.mark.parametrize(

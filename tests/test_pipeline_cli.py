@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from topicpages.lines import write_json
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
 from topicpages.urls import read_url_file, write_url_file
 from topicpages.pipeline import (
+    BRANCH,
     STAGE_NAMED,
     STAGES,
     WRITER,
@@ -42,6 +44,11 @@ EXPECTED_BEST = [
     {"site": "gamma-post.example", "topic": "business", "url": "https://gamma-post.example/economy/"},
     {"site": "gamma-post.example", "topic": "sports", "url": "https://gamma-post.example/football/"},
 ]
+
+
+# where os.fork may be used, run_pipeline runs BRANCH in a forked worker
+FORKS = hasattr(os, "fork") and sys.platform != "darwin"
+needs_fork = pytest.mark.skipif(not FORKS, reason="the branch runs in order without os.fork")
 
 
 def run_cli(capsys, *argv):
@@ -443,15 +450,19 @@ class TestRunnerDirect:
 
     @pytest.mark.parametrize("name", ["cluster-content", "sweep-content"])
     def test_cluster_stage_names_a_matrix_it_cannot_cluster(self, e2e_config, name):
-        # a weight whose squared distances overflow when k-means++ sums them
+        # a weight whose squared distances overflow when k-means++ sums them, planted in
+        # each row in turn: wherever it is and wherever k-means++ starts, the verdict holds
         cfg = load_config(e2e_config, env={})
         assert run_pipeline(cfg)[0] == 0
         path = Path(cfg.out_dir) / "content-matrix.json"
         matrix = json.loads(path.read_text("utf-8"))
-        matrix["weights"][0][0] = 1e154
-        write_json(path, matrix)
-        with pytest.raises(PipelineError, match=r"^content-matrix\.json: .*not finite"):
-            Runner(cfg).run_stage(STAGE_NAMED[name])
+        for row in range(len(matrix["topics"])):
+            planted = json.loads(json.dumps(matrix))
+            planted["weights"][row][0] = 1e154
+            write_json(path, planted)
+            with pytest.raises(PipelineError) as raised:
+                Runner(cfg).run_stage(STAGE_NAMED[name])
+            assert str(raised.value) == "content-matrix.json: k-means++ distances are not finite"
 
     def test_failed_fit_leaves_its_histograms_missing_for_report(self, tmp_path):
         out = tmp_path / "out"
@@ -668,6 +679,7 @@ class TestEachFileParsedOnce:
         Runner(load_config(e2e_config, env={})).run_stage(STAGE_NAMED["content"])
         assert {name: (out / name).read_bytes() for name in written} == written
 
+    @needs_fork
     def test_run_lets_go_of_kept_values_after_their_last_reader(self, e2e_config, monkeypatch):
         kept = {}
 
@@ -697,11 +709,10 @@ class TestEachFileParsedOnce:
         # of internal.jsonl, only the site set the report takes outlives filter
         assert sites["filter"] is None and sites["classify"] == sites["report"] == {
             "alpha-news.example", "beta-daily.example", "gamma-post.example"}
-        tracking = ["tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
-        assert kept["content"] == (
-            sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking]), 3)
+        # the tracking branch runs in a forked worker, whose kept values arrive at the join
+        assert kept["content"] == (sorted(["best.jsonl", "internal.jsonl", *histograms]), 3)
         assert kept["sweep-content"] == (
-            sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking,
+            sorted(["best.jsonl", "internal.jsonl", *histograms,
                     "content-matrix.json", "clusters-content.json"]), 0)
         assert kept["report"] == (sorted(STAGE_NAMED["report"].reads), 0)
         assert kept["manifest"] == ([], 0)
@@ -879,6 +890,126 @@ class TestStageTable:
             assert listing[name]["path"] == filename, name
         assert artifact_name("histograms/hyphens.csv") == "histogram-hyphens"
         assert artifact_name("plots/notes.txt") == "plots/notes.txt"
+
+
+def _bundle(out: Path) -> dict[str, bytes]:
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+class TestBranch:
+    def test_branch_reads_what_is_written_before_the_fork_or_by_itself(self):
+        fork, join = pipeline_mod._branch_points()
+        rest = [stage for stage in STAGES if stage.name not in BRANCH]
+        assert (rest[fork - 1].name, rest[fork].name) == ("best-subpages", "fetch-sections")
+        before_fork = {name for stage in rest[:fork] for name in stage.writes}
+        by_branch: set[str] = set()
+        for name in BRANCH:
+            for read in STAGE_NAMED[name].reads:
+                assert read in before_fork or read in by_branch, (name, read)
+            by_branch.update(STAGE_NAMED[name].writes)
+
+    def test_no_stage_reads_a_branch_write_before_the_report(self):
+        _, join = pipeline_mod._branch_points()
+        rest = [stage for stage in STAGES if stage.name not in BRANCH]
+        assert rest[join].name == "report"
+        branch_writes = {name for name in WRITER if WRITER[name] in BRANCH}
+        for stage in rest[:join]:
+            assert not branch_writes.intersection(stage.reads), stage.name
+
+    def test_branch_succeeds_with_an_empty_snapshot_directory(self, e2e_config, tmp_path):
+        # the branch runs while fetch-sections fills the store, so it must not read it
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        writes = [name for branch in BRANCH for name in STAGE_NAMED[branch].writes]
+        written = {name: (out / name).read_bytes() for name in writes}
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        runner = Runner(dataclasses.replace(cfg, snapshots=str(empty)))
+        for name in BRANCH:
+            runner.run_stage(STAGE_NAMED[name])
+        assert {name: (out / name).read_bytes() for name in writes} == written
+        assert list(empty.iterdir()) == []
+
+    @needs_fork
+    def test_run_equals_the_in_order_run(self, e2e_config, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(True) or fork())
+        cfg = load_config(e2e_config, env={})
+        out = Path(cfg.out_dir)
+        forked = run_pipeline(cfg)
+        forked_bundle = _bundle(out)
+        assert forks == [True]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        monkeypatch.delattr(os, "fork")
+        in_order = run_pipeline(cfg)
+        assert forked == in_order
+        assert forked[0] == 0
+        assert list(forked[1]) == list(in_order[1]) == [*STAGE_NAMED, "manifest", "errors"]
+        assert forked_bundle == _bundle(out)
+
+    @needs_fork
+    def test_malformed_crawl_log_fails_as_in_order(self, e2e_config, monkeypatch):
+        cfg = load_config(e2e_config, env={})
+        with open(cfg.crawl_logs, "a", encoding="utf-8") as fh:
+            fh.write("{not json\n")
+        forked = run_pipeline(cfg)
+        monkeypatch.delattr(os, "fork")
+        in_order = run_pipeline(cfg)
+        assert forked == in_order
+        code, summary = forked
+        assert code == 1
+        assert [error.split(": ")[:2] for error in summary["errors"]] == [
+            ["track", f"{cfg.crawl_logs}:{len(Path(cfg.crawl_logs).read_text().splitlines())}"]]
+        assert "cluster-tracking" not in summary and "sweep-tracking" not in summary
+
+    @needs_fork
+    @pytest.mark.parametrize("method,error", [
+        ("stage_track", ZeroDivisionError), ("stage_content", ZeroDivisionError),
+        ("stage_content", KeyboardInterrupt),
+    ])
+    def test_a_bug_in_either_half_propagates_and_leaves_no_worker(
+        self, e2e_config, monkeypatch, method, error
+    ):
+        def buggy(self, *paths):
+            raise error("planted")
+
+        monkeypatch.setattr(Runner, method, buggy)
+        with pytest.raises(error) as raised:
+            run_pipeline(load_config(e2e_config, env={}))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if method == "stage_track":  # the worker's traceback is the cause
+            assert "in buggy" in str(raised.value.__cause__)
+
+    @needs_fork
+    @pytest.mark.parametrize("death,ended", [
+        (lambda: os._exit(3), "exited 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+    ], ids=["exit", "sigkill"])
+    def test_a_worker_that_dies_without_a_result_is_an_error(
+        self, e2e_config, monkeypatch, death, ended
+    ):
+        parent = os.getpid()
+
+        def dies(self, *paths):
+            assert os.getpid() != parent, "track ran in the parent"
+            death()
+
+        monkeypatch.setattr(Runner, "stage_track", dies)
+        cfg = load_config(e2e_config, env={})
+        code, summary = run_pipeline(cfg)
+        assert code == 1
+        assert summary["errors"] == [
+            f"track: the worker running {', '.join(BRANCH)} {ended} without a result"]
+        assert "cluster-tracking" not in summary and "sweep-tracking" not in summary
+        assert summary["report"]["missing"] == [
+            "tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 COMMANDS = (

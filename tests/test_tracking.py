@@ -175,6 +175,7 @@ class TestIngest:
             return registrable_domain(host)
 
         tracking_mod._registrable.cache_clear()
+        tracking_mod._resolved.cache_clear()
         monkeypatch.setattr(tracking_mod, "registrable_domain", counting)
         visit = {
             "page_url": "https://www.site.example/sports/",
@@ -438,6 +439,23 @@ def reference_visits(lines):
 
 
 class TestOracle:
+    def test_one_domain_in_many_spellings_is_one_third_party(self, tmp_path):
+        # each spelling is resolved on its own; all must give the one registrable domain
+        spellings = ("pixel.co.uk", "PIXEL.CO.UK", ".pixel.co.uk", "..Pixel.Co.Uk",
+                     " .TRK.pixel.co.uk", "pixel.co.uk")
+        lines = [json.dumps({
+            "page_url": f"https://{site}/", "site": site.upper() if i else "." + site,
+            "topic": "homepage",
+            "cookies": [{"cookie_domain": d} for d in spellings[i:]],
+            "requests": [{"request_domain": d} for d in spellings[:i]],
+        }) for i, site in enumerate(("alpha-news.example", "beta.co.uk", "alpha-news.example"))]
+        records = read_crawl_log(text_file(tmp_path, "\n".join(lines)))
+        expect = reference_visits(lines)
+        assert [(r.site, r.topic, list(r.tp_cookies), set(r.third_parties)) for r in records] \
+            == [(site, topic, cookies, tps) for site, topic, cookies, tps in expect]
+        assert {r.third_parties for r in records} == {frozenset({"pixel.co.uk"})}
+        assert [len(r.tp_cookies) for r in records] == [6, 5, 4]
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(crawl_line, min_size=1, max_size=12), st.integers(1, 10))
     def test_analyses_match_brute_force(self, lines, k):

@@ -33,7 +33,8 @@ worker's stage outcomes, the files it registered and the kept values that the
 report still reads (tracking-report.json, clusters-tracking.json and
 sweep-tracking.csv), and takes them as its own, so from the join on its summary,
 errors, manifest and kept values are those of a run in STAGES order.  Where a
-fork is not safe the tracking half runs in order at the same point.
+fork would not pay (a crawl log and tracker list under BRANCH_MIN_BYTES) or is
+not safe, the tracking half runs in order at the same point.
 """
 
 from __future__ import annotations
@@ -692,6 +693,11 @@ SITES_AFTER = {name: stage.name for stage in STAGES if not stage.optional
 # once the last stage whose file it reads has run, and joins before the first
 # other stage that reads a file it writes
 BRANCH = ("track", "cluster-tracking", "sweep-tracking")
+# a branch whose configured input files (crawl log, tracker list) hold fewer bytes runs
+# in order: below it the branch takes about as long as forking, the pages both processes
+# then copy and the reaping (the links workload's 38 KB take the branch about 14 ms; a
+# fork costs 8-25 ms, growing with the process)
+BRANCH_MIN_BYTES = 64 * 1024
 
 
 def _branch_points() -> tuple[int, int]:
@@ -703,6 +709,18 @@ def _branch_points() -> tuple[int, int]:
                    for name in STAGE_NAMED[branch].reads if WRITER[name] not in BRANCH)
     join = min(i for i, name in enumerate(rest) if writes.intersection(STAGE_NAMED[name].reads))
     return fork, join
+
+
+def _input_bytes(config: PipelineConfig, stages: Iterable[Stage]) -> int:
+    """The size of the files that *stages* take from *config*; one that is missing
+    or unset counts 0."""
+    total = 0
+    for key in {key for stage in stages for key in stage.requires}:
+        try:
+            total += Path(getattr(config, key)).stat().st_size
+        except (OSError, TypeError):
+            pass
+    return total
 
 
 def _run_stages(runner: Runner, stages: Iterable[Stage], succeeded: set[str]) -> dict[str, dict]:
@@ -759,20 +777,38 @@ def _aside(runner: Runner, stages: Sequence[Stage],
     and return the join: join() waits for the worker and returns the stages'
     outcomes, having added to *runner* and *succeeded* what running them here would
     have added; join(kill=True) kills and reaps the worker unless it was joined.  Where
-    a fork is not safe (no os.fork, macOS, or another thread running) the stages run
-    here and now, and the join only returns their outcomes."""
+    a fork does not pay (input files under BRANCH_MIN_BYTES), is not safe (no os.fork,
+    macOS, or another Python thread running) or fails (no pipe or process to be had),
+    the stages run here and now, and the join only returns their outcomes.
+
+    The thread check sees Python threads only.  The worker runs LAPACK (pca_fit's
+    eigh), so it assumes that the BLAS numpy links is safe to use after a fork; that
+    holds for OpenBLAS built on pthreads, which resets its pool in the child, and was
+    verified with OpenBLAS 0.3.31 on Python 3.11 only.  A worker that hangs there would
+    hang the join, which does not time out."""
     import os
     import sys
     import threading
 
-    if not hasattr(os, "fork") or sys.platform == "darwin" or threading.active_count() != 1:
+    def in_order() -> Callable[..., dict[str, dict]]:
         outcomes = _run_stages(runner, stages, succeeded)
         return lambda kill=False: outcomes
+
+    if (_input_bytes(runner.config, stages) < BRANCH_MIN_BYTES or not hasattr(os, "fork")
+            or sys.platform == "darwin" or threading.active_count() != 1):
+        return in_order()
     import pickle
     import signal
 
-    read_end, write_end = os.pipe()
-    pid = os.fork()
+    ends: tuple[int, ...] = ()
+    try:
+        ends = os.pipe()
+        pid = os.fork()
+    except OSError:  # EMFILE, EAGAIN, ENOMEM: the run goes on without a worker
+        for end in ends:
+            os.close(end)
+        return in_order()
+    read_end, write_end = ends
     if pid == 0:
         os.close(read_end)
         _worker(runner, stages, succeeded, write_end)

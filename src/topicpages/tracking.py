@@ -48,22 +48,19 @@ def _clean_domain(domain: str) -> str:
 
 
 @lru_cache(maxsize=4096)
-def _registrable(cleaned: str) -> str:
-    """registrable_domain of a cleaned domain; a crawl log names few domains many times."""
-    return registrable_domain(cleaned)
-
-
-@lru_cache(maxsize=4096)
-def _resolved(raw: str) -> str:
-    """The registrable domain of a logged domain string, as spelled in the log."""
-    return _registrable(_clean_domain(raw))
+def _registrable(domain: str) -> str:
+    """registrable_domain of a domain as a crawl log spells it; a log names few domains
+    many times, in few spellings, so each spelling is cleaned once and each cleaned
+    domain resolved once."""
+    cleaned = _clean_domain(domain)
+    return registrable_domain(domain) if cleaned == domain else _registrable(cleaned)
 
 
 def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("record must be an object")
-    site = _resolved(checked(obj["site"], str, "site"))
+    site = _registrable(checked(obj["site"], str, "site"))
     if not site:
         raise ValueError("empty site")
     cookies = [c["cookie_domain"] for c in obj.get("cookies", [])]
@@ -114,7 +111,7 @@ def record_third_parties(
     """
 
     def third(domains: Iterable[str]) -> list[str]:
-        return [reg for reg in map(_resolved, domains) if reg != site]
+        return [reg for reg in map(_registrable, domains) if reg != site]
 
     tp_cookies = tuple(third(cookie_domains))
     return tp_cookies, frozenset(tp_cookies).union(third(request_domains))

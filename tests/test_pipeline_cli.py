@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -46,9 +47,16 @@ EXPECTED_BEST = [
 ]
 
 
-# where os.fork may be used, run_pipeline runs BRANCH in a forked worker
+# where os.fork may be used, run_pipeline runs BRANCH in a forked worker once its input
+# files reach BRANCH_MIN_BYTES
 FORKS = hasattr(os, "fork") and sys.platform != "darwin"
 needs_fork = pytest.mark.skipif(not FORKS, reason="the branch runs in order without os.fork")
+
+
+@pytest.fixture()
+def forking(monkeypatch):
+    """Fork for the BRANCH stages whatever the size of their input files."""
+    monkeypatch.setattr(pipeline_mod, "BRANCH_MIN_BYTES", 0)
 
 
 def run_cli(capsys, *argv):
@@ -679,7 +687,6 @@ class TestEachFileParsedOnce:
         Runner(load_config(e2e_config, env={})).run_stage(STAGE_NAMED["content"])
         assert {name: (out / name).read_bytes() for name in written} == written
 
-    @needs_fork
     def test_run_lets_go_of_kept_values_after_their_last_reader(self, e2e_config, monkeypatch):
         kept = {}
 
@@ -701,21 +708,30 @@ class TestEachFileParsedOnce:
                 return super().write_manifest()
 
         monkeypatch.setattr(pipeline_mod, "Runner", Recording)
-        assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
-        histograms = list(pipeline_mod.HISTOGRAMS)
-        assert kept["fit-thresholds"] == (["internal.jsonl"], 3)
-        assert kept["classify"] == (
-            sorted(["filtered.jsonl", "internal.jsonl", "thresholds.json", *histograms]), 3)
-        # of internal.jsonl, only the site set the report takes outlives filter
-        assert sites["filter"] is None and sites["classify"] == sites["report"] == {
-            "alpha-news.example", "beta-daily.example", "gamma-post.example"}
-        # the tracking branch runs in a forked worker, whose kept values arrive at the join
-        assert kept["content"] == (sorted(["best.jsonl", "internal.jsonl", *histograms]), 3)
-        assert kept["sweep-content"] == (
-            sorted(["best.jsonl", "internal.jsonl", *histograms,
-                    "content-matrix.json", "clusters-content.json"]), 0)
-        assert kept["report"] == (sorted(STAGE_NAMED["report"].reads), 0)
-        assert kept["manifest"] == ([], 0)
+        # the e2e fixture's crawl log is too small to fork for; then the branch is made to fork
+        for forks in (False, True) if FORKS else (False,):
+            if forks:
+                monkeypatch.setattr(pipeline_mod, "BRANCH_MIN_BYTES", 0)
+            kept.clear()
+            sites.clear()
+            assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
+            histograms = list(pipeline_mod.HISTOGRAMS)
+            assert kept["fit-thresholds"] == (["internal.jsonl"], 3)
+            assert kept["classify"] == (
+                sorted(["filtered.jsonl", "internal.jsonl", "thresholds.json", *histograms]), 3)
+            # of internal.jsonl, only the site set the report takes outlives filter
+            assert sites["filter"] is None and sites["classify"] == sites["report"] == {
+                "alpha-news.example", "beta-daily.example", "gamma-post.example"}
+            # a forked worker's kept values arrive at the join; in order, track's are kept on
+            tracking = [] if forks else [
+                "tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
+            assert kept["content"] == (
+                sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking]), 3)
+            assert kept["sweep-content"] == (
+                sorted(["best.jsonl", "internal.jsonl", *histograms, *tracking,
+                        "content-matrix.json", "clusters-content.json"]), 0)
+            assert kept["report"] == (sorted(STAGE_NAMED["report"].reads), 0)
+            assert kept["manifest"] == ([], 0)
 
     def test_given_source_is_read_not_rows_kept_from_another_path(
         self, e2e_config, tmp_path, capsys
@@ -933,6 +949,7 @@ class TestBranch:
         assert list(empty.iterdir()) == []
 
     @needs_fork
+    @pytest.mark.usefixtures("forking")
     def test_run_equals_the_in_order_run(self, e2e_config, monkeypatch):
         forks = []
         fork = os.fork
@@ -952,6 +969,49 @@ class TestBranch:
         assert forked_bundle == _bundle(out)
 
     @needs_fork
+    def test_branch_forks_once_its_input_files_reach_the_bound(self, e2e_config, monkeypatch):
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(True) or fork())
+        cfg = load_config(e2e_config, env={})
+        inputs = [Path(cfg.crawl_logs), Path(cfg.disconnect)]
+        assert sum(path.stat().st_size for path in inputs) < pipeline_mod.BRANCH_MIN_BYTES
+        code, summary = run_pipeline(cfg)
+        assert forks == []
+        # blank lines, which the crawl-log reader skips, up to the bound
+        short = pipeline_mod.BRANCH_MIN_BYTES - sum(path.stat().st_size for path in inputs)
+        with open(cfg.crawl_logs, "a", encoding="utf-8") as fh:
+            fh.write("\n" * short)
+        assert run_pipeline(cfg) == (code, summary)
+        assert forks == [True]
+
+    @pytest.mark.usefixtures("forking")
+    def test_a_fork_that_fails_runs_the_branch_in_order(self, e2e_config, monkeypatch):
+        cfg = load_config(e2e_config, env={})
+        out = Path(cfg.out_dir)
+        monkeypatch.delattr(os, "fork", raising=False)
+        in_order = run_pipeline(cfg)
+        in_order_bundle = _bundle(out)
+        ends = []
+        pipe = os.pipe
+
+        def piping():
+            ends.extend(pipe())
+            return tuple(ends[-2:])
+
+        def fails():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", piping)
+        monkeypatch.setattr(os, "fork", fails, raising=False)
+        assert run_pipeline(cfg) == in_order
+        assert _bundle(out) == in_order_bundle
+        for end in ends:  # the pipe made for the worker is closed again
+            with pytest.raises(OSError):
+                os.fstat(end)
+
+    @needs_fork
+    @pytest.mark.usefixtures("forking")
     def test_malformed_crawl_log_fails_as_in_order(self, e2e_config, monkeypatch):
         cfg = load_config(e2e_config, env={})
         with open(cfg.crawl_logs, "a", encoding="utf-8") as fh:
@@ -967,6 +1027,7 @@ class TestBranch:
         assert "cluster-tracking" not in summary and "sweep-tracking" not in summary
 
     @needs_fork
+    @pytest.mark.usefixtures("forking")
     @pytest.mark.parametrize("method,error", [
         ("stage_track", ZeroDivisionError), ("stage_content", ZeroDivisionError),
         ("stage_content", KeyboardInterrupt),
@@ -986,6 +1047,7 @@ class TestBranch:
             assert "in buggy" in str(raised.value.__cause__)
 
     @needs_fork
+    @pytest.mark.usefixtures("forking")
     @pytest.mark.parametrize("death,ended", [
         (lambda: os._exit(3), "exited 3"),
         (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),

@@ -175,7 +175,6 @@ class TestIngest:
             return registrable_domain(host)
 
         tracking_mod._registrable.cache_clear()
-        tracking_mod._resolved.cache_clear()
         monkeypatch.setattr(tracking_mod, "registrable_domain", counting)
         visit = {
             "page_url": "https://www.site.example/sports/",

@@ -191,13 +191,6 @@ class ContentMatrix:
             raise ValueError("weights shape does not match labels")
         return cls(topics, terms, weights)
 
-    def equals(self, other: "ContentMatrix") -> bool:
-        return (
-            self.topics == other.topics
-            and self.terms == other.terms
-            and np.array_equal(self.weights, other.weights)
-        )
-
 
 @dataclass(frozen=True)
 class EnglishVerdict:

@@ -196,8 +196,9 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
     """Store fetched bodies under *directory* and update its index.
 
     Files are named by body hash, so identical bodies share one file and
-    re-running a fetch leaves existing bytes untouched.  Returns the index
-    path.
+    re-running a fetch leaves existing bytes untouched.  A failed fetch does not
+    replace a row that has a body, so a failed refresh keeps the good snapshot.
+    Returns the index path.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -209,6 +210,8 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
             target = directory / path
             if not target.exists():
                 write_text(target, result.body)
+        elif rows.get(result.url.normalized, {}).get("path"):
+            continue
         rows[result.url.normalized] = {
             "url": result.url.normalized,
             "path": path,

@@ -11,10 +11,11 @@ what a later stage of the same run would otherwise parse again:
 - each file it writes that a later STAGES entry reads, as the value that file
   parses to, keyed by the path written: the URL rows of internal.jsonl and
   filtered.jsonl, thresholds.json, the histograms, assignments.jsonl,
-  best.jsonl, both matrices (their arrays read-only), tracking-report.json,
-  clusters-*.json and sweep-*.csv.  A reader takes the kept value when this
-  Runner wrote the path it reads, and otherwise parses the file, so a stage
-  run alone, or given --input, reads the file;
+  best.jsonl, both matrices, tracking-report.json, clusters-*.json and
+  sweep-*.csv.  A reader takes the kept value when this Runner wrote the path it
+  reads, and otherwise parses the file, so a stage run alone, or given --input,
+  reads the file.  A matrix's array is read-only on both paths, so a reader that
+  writes into it fails instead of changing what later readers get;
 - the visible text of each homepage, which extract parses for its links,
   until content, which takes it in place of a second parse.
 A full run lets go of each kept value once the last stage that reads it has
@@ -29,9 +30,10 @@ content half (fetch-sections, content, cluster-content, sweep-content).  Once
 best-subpages has run, a full run forks one worker, which runs the tracking half
 on its copy of the Runner while the run goes on with the content half.  Before
 the report, the run joins the worker: it reads from a pipe one pickle of the
-worker's stage outcomes, the files it registered and the kept values that the
+worker's stage outcomes, the stages that succeeded and the kept values that the
 report still reads (tracking-report.json, clusters-tracking.json and
-sweep-tracking.csv), and takes them as its own, so from the join on its summary,
+sweep-tracking.csv), and takes them as its own, registering the files of the
+stages that succeeded from the stage table, so from the join on its summary,
 errors, manifest and kept values are those of a run in STAGES order.  Where a
 fork would not pay (a crawl log and tracker list under BRANCH_MIN_BYTES) or is
 not safe, the tracking half runs in order at the same point.
@@ -146,13 +148,6 @@ class Runner:
         if path in self._read_later:
             self._kept[path] = value
 
-    def _keep_matrix(self, path: Path, matrix) -> None:
-        """Keep a matrix file as load_matrix_file gives it, its array read-only, so that
-        a reader that writes into it fails instead of changing what later readers get."""
-        labels, X = _labeled(matrix)
-        X.flags.writeable = False
-        self._keep(path, (labels, X))
-
     def release(self, stage: Stage) -> None:
         """Let go of the kept value of each file whose last reader is *stage*, and of the
         rows of internal.jsonl for their site set, all that the report takes, once the
@@ -216,8 +211,12 @@ class Runner:
             if stage.optional:
                 path.unlink(missing_ok=True)
         summary = getattr(self, stage.method)(*reads, *writes)
-        self.artifacts.update(zip(map(artifact_name, stage.writes), writes))
+        self.register(stage)
         return summary
+
+    def register(self, stage: Stage) -> None:
+        """List each file a table entry writes among the artifacts the manifest covers."""
+        self.artifacts.update((artifact_name(name), self.out_dir / name) for name in stage.writes)
 
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
         """Make the snapshot store cover the homepage list (or given URLs)."""
@@ -329,7 +328,7 @@ class Runner:
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
         write_json(matrix_path, matrix.to_dict())
-        self._keep_matrix(matrix_path, matrix)
+        self._keep(matrix_path, _labeled(matrix))
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -391,7 +390,7 @@ class Runner:
 
         matrix, verdicts = content_mod.weigh_pages(texts(), self.stopwords, self.config.min_df)
         write_json(matrix_path, matrix.to_dict())
-        self._keep_matrix(matrix_path, matrix)
+        self._keep(matrix_path, _labeled(matrix))
         write_jsonl(languages_path, (
             {"url": url, "topic": topic, "is_english": v.is_english, "confident": v.confident}
             for (topic, url), v in zip(present, verdicts)
@@ -444,6 +443,10 @@ class Runner:
             )
         except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
             raise _located(exc, Path(matrix).name, PipelineError) from exc
+        if all(row.error for row in sweep.rows):
+            first = sweep.rows[0]
+            raise PipelineError(f"{Path(matrix).name}: no cell of the sweep could be scored; "
+                                f"n={first.n}, k={first.k}: {first.error}")
         csv = sweep.to_csv()
         write_text(out, csv)
         self._keep(Path(out), csv)
@@ -618,10 +621,11 @@ def _labeled_matrix(obj: dict) -> tuple[tuple[str, ...], "np.ndarray"]:
 
 
 def _labeled(m) -> tuple[tuple[str, ...], "np.ndarray"]:
-    """A tracking or content matrix as (row labels, float matrix)."""
-    if isinstance(m, tracking_mod.TrackingMatrix):
-        return m.topics, m.cells.astype(float)
-    return m.topics, m.weights
+    """A tracking or content matrix as (row labels, float matrix), the array read-only,
+    so that a reader that writes into it fails instead of changing what others get."""
+    X = m.cells.astype(float) if isinstance(m, tracking_mod.TrackingMatrix) else m.weights
+    X.flags.writeable = False
+    return m.topics, X
 
 
 @dataclass(frozen=True)
@@ -750,11 +754,10 @@ def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: in
 
     code = 0
     try:
-        runner.artifacts = {}  # from here on, only what the branch writes
         ran = set(succeeded)
         outcomes = _run_stages(runner, stages, ran)
         written = {runner.out_dir / name for stage in stages for name in stage.writes}
-        data = pickle.dumps(("done", outcomes, ran - succeeded, runner.artifacts,
+        data = pickle.dumps(("done", outcomes, ran - succeeded,
                              {path: v for path, v in runner._kept.items() if path in written}))
     except BaseException as exc:  # a bug: the parent raises it after the join
         code = 1
@@ -787,45 +790,39 @@ def _aside(runner: Runner, stages: Sequence[Stage],
     verified with OpenBLAS 0.3.31 on Python 3.11 only.  A worker that hangs there would
     hang the join, which does not time out."""
     import os
+    import pickle
+    import signal
     import sys
     import threading
 
-    def in_order() -> Callable[..., dict[str, dict]]:
+    pid = None
+    if (_input_bytes(runner.config, stages) >= BRANCH_MIN_BYTES and hasattr(os, "fork")
+            and sys.platform != "darwin" and threading.active_count() == 1):
+        ends: tuple[int, ...] = ()
+        try:
+            ends = os.pipe()
+            pid = os.fork()
+        except OSError:  # EMFILE, EAGAIN, ENOMEM: the run goes on without a worker
+            for end in ends:
+                os.close(end)
+    if pid is None:
         outcomes = _run_stages(runner, stages, succeeded)
         return lambda kill=False: outcomes
-
-    if (_input_bytes(runner.config, stages) < BRANCH_MIN_BYTES or not hasattr(os, "fork")
-            or sys.platform == "darwin" or threading.active_count() != 1):
-        return in_order()
-    import pickle
-    import signal
-
-    ends: tuple[int, ...] = ()
-    try:
-        ends = os.pipe()
-        pid = os.fork()
-    except OSError:  # EMFILE, EAGAIN, ENOMEM: the run goes on without a worker
-        for end in ends:
-            os.close(end)
-        return in_order()
     read_end, write_end = ends
     if pid == 0:
         os.close(read_end)
         _worker(runner, stages, succeeded, write_end)
     os.close(write_end)
     pipe = os.fdopen(read_end, "rb")
-    reaped = False
 
     def join(kill: bool = False) -> dict[str, dict]:
-        nonlocal reaped
-        if reaped:
+        if pipe.closed:  # joined or killed before
             return {}
         if kill:
             os.kill(pid, signal.SIGKILL)
         data = b"" if kill else pipe.read()  # all of it first: it may outgrow the pipe's buffer
-        pipe.close()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
+        pipe.close()  # only once reaped, so that join(kill=True) reaps a worker still unreaped
         if kill:
             return {}
         names = ", ".join(stage.name for stage in stages)
@@ -837,11 +834,12 @@ def _aside(runner: Runner, stages: Sequence[Stage],
         if kind == "raised":
             exc, tb = result
             raise exc from RuntimeError(f"in the worker running {names}:\n{tb}")
-        outcomes, ran, artifacts, kept = result
+        outcomes, ran, kept = result
         succeeded.update(ran)
-        runner.artifacts.update(artifacts)
         runner._kept.update(kept)
         for stage in stages:
+            if stage.name in ran:
+                runner.register(stage)
             runner.release(stage)
         return outcomes
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,15 +86,7 @@ class Summary:
     count: int
 
     def to_dict(self) -> dict:
-        return {
-            "median": self.median,
-            "mean": self.mean,
-            "max": self.max,
-            "min": self.min,
-            "q1": self.q1,
-            "q3": self.q3,
-            "count": self.count,
-        }
+        return asdict(self)
 
 
 def _quantile(ordered: np.ndarray, q: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,12 +52,7 @@ class Thresholds:
             raise ValueError("cosine_cutoff must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "max_url_length": self.max_url_length,
-            "max_subpath_length": self.max_subpath_length,
-            "max_hyphens": self.max_hyphens,
-            "cosine_cutoff": self.cosine_cutoff,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Thresholds":
@@ -78,9 +73,6 @@ class Histogram:
 
     bucket_size: float
     counts: dict
-
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return sorted(self.counts.items())
 
 
 def _bucket_start(index: int, bucket_size: float):
@@ -280,7 +272,7 @@ def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
 
 def histogram_rows(h: Histogram) -> list[str]:
     """The "bucket,count" lines of write_histogram_csv below its header."""
-    return [f"{start},{count}" for start, count in h.sorted_items()]
+    return [f"{start},{count}" for start, count in sorted(h.counts.items())]
 
 
 def write_histogram_csv(h: Histogram, path: str | Path) -> None:

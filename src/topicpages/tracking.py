@@ -127,13 +127,6 @@ def cookie_stats_by_topic(records: Sequence[CrawlRecord]) -> dict[str, Summary]:
 
 # --- tracker categorization --------------------------------------------------
 
-@dataclass(frozen=True)
-class DisconnectList:
-    """Registrable tracker domain -> category."""
-
-    entries: Mapping[str, str]
-
-
 def _disconnect_entry(line: str) -> tuple[str, str]:
     parts = line.split("\t")
     if len(parts) != 2:
@@ -144,21 +137,22 @@ def _disconnect_entry(line: str) -> tuple[str, str]:
     return domain, category
 
 
-def load_disconnect_file(path: str | Path) -> DisconnectList:
-    """Read the canonical two-column (domain, category) TSV; the first entry for a domain wins."""
+def load_disconnect_file(path: str | Path) -> dict[str, str]:
+    """Read the canonical two-column (domain, category) TSV as {tracker domain: category};
+    the first entry for a domain wins."""
     out: dict[str, str] = {}
     for domain, category in read_lines(path, _disconnect_entry):
         out.setdefault(domain, category)
-    return DisconnectList(out)
+    return out
 
 
-def categorize(tp_domain: str, dl: DisconnectList) -> str:
+def categorize(tp_domain: str, dl: Mapping[str, str]) -> str:
     """Category of a third-party domain; subdomains inherit parent entries."""
     host = _clean_domain(tp_domain)
     reg = _registrable(host)
     probe = host
     while True:
-        category = dl.entries.get(probe)
+        category = dl.get(probe)
         if category is not None:
             return category
         if probe == reg or "." not in probe:
@@ -168,7 +162,7 @@ def categorize(tp_domain: str, dl: DisconnectList) -> str:
 
 def category_breakdown(
     records: Sequence[CrawlRecord],
-    dl: DisconnectList,
+    dl: Mapping[str, str],
     sites: Collection[str] | None = None,
 ) -> dict[str, dict[str, int]]:
     """Distinct third parties per category for each topic.
@@ -251,13 +245,6 @@ class TrackingMatrix:
         if (cells < 0).any():
             raise ValueError("cells must be non-negative")
         return cls(topics, tps, cells)
-
-    def equals(self, other: "TrackingMatrix") -> bool:
-        return (
-            self.topics == other.topics
-            and self.third_parties == other.third_parties
-            and np.array_equal(self.cells, other.cells)
-        )
 
 
 def build_tracking_matrix(

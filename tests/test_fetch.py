@@ -354,3 +354,12 @@ class TestFetchMissing:
         urls = [u(base, "/ok/")]
         fetch_missing(urls, tmp_path, timeout=5.0)
         assert fetch_missing(urls, tmp_path, live=True, timeout=5.0) == (1, 0)
+
+    def test_failed_live_refetch_keeps_the_good_snapshot(self, base, tmp_path):
+        url = u(base, "/missing/")
+        save_snapshots([ok_result(url, BODY_OK)], tmp_path)
+        good = load_snapshot_index(tmp_path)[url.normalized]
+        assert fetch_missing([url], tmp_path, live=True, timeout=5.0, retries=0) == (1, 0)
+        row = load_snapshot_index(tmp_path)[url.normalized]
+        assert row == good
+        assert read_snapshot(tmp_path, row) == BODY_OK

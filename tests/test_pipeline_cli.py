@@ -805,6 +805,11 @@ class TestEachFileParsedOnce:
                 X[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 X -= X.mean(axis=0)
+        fresh = Runner(runner.config)  # keeps nothing, so it parses each file
+        for name in ("tracking-matrix.json", "content-matrix.json"):
+            _, X = fresh.load(fresh.out_dir / name, pipeline_mod.load_matrix_file)
+            with pytest.raises(ValueError, match="read-only"):
+                X[0, 0] = 1.0
 
     def test_each_stage_rerun_alone_rewrites_its_files_byte_for_byte(self, e2e_config):
         cfg = load_config(e2e_config, env={})
@@ -1017,9 +1022,11 @@ class TestBranch:
         with open(cfg.crawl_logs, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
         forked = run_pipeline(cfg)
+        written = _bundle(Path(cfg.out_dir))
         monkeypatch.delattr(os, "fork")
         in_order = run_pipeline(cfg)
         assert forked == in_order
+        assert _bundle(Path(cfg.out_dir)) == written
         code, summary = forked
         assert code == 1
         assert [error.split(": ")[:2] for error in summary["errors"]] == [
@@ -1316,6 +1323,31 @@ class TestOtherCommands:
         assert code == 1
         assert err.startswith("error:")
         assert "tracking-matrix.json" in err
+
+    def test_cluster_sweep_in_which_every_cell_failed_fails(
+        self, e2e_config, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "run", "--config", e2e_config)
+        matrix = e2e_config.parent / "out" / "tracking-matrix.json"
+        fast = ("--restarts", "2", "--b-refs", "2")
+        target = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "cluster-sweep", "--matrix", matrix, "--out", target,
+            "--n-range", "2..3", "--k-range", "20..21", *fast,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: tracking-matrix.json: no cell of the sweep could be scored")
+        assert "n=2, k=20: k=20 exceeds" in err
+        assert not target.exists()
+        # a sweep with a scored cell stands, even when no cell has a silhouette
+        code, out, err = run_cli(
+            capsys, "cluster-sweep", "--matrix", matrix, "--out", target,
+            "--n-range", "2", "--k-range", "1", *fast,
+        )
+        assert code == 0, err
+        assert json.loads(out)["best"] is None
+        assert target.read_text("utf-8").splitlines()[1].startswith("2,1,")
 
     def test_report_strict_fails_on_empty_bundle(self, tmp_path, capsys):
         code, _, err = run_cli(

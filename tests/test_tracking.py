@@ -214,13 +214,13 @@ class TestCookieStats:
 
 class TestDisconnectList:
     def test_tsv_fixture(self, disconnect):
-        assert disconnect.entries["ad-serve.example"] == "Advertising"
-        assert disconnect.entries["cdn-static.example"] == "Content & Social"
-        assert len(disconnect.entries) == 5
+        assert disconnect["ad-serve.example"] == "Advertising"
+        assert disconnect["cdn-static.example"] == "Content & Social"
+        assert len(disconnect) == 5
 
     def test_tsv_first_entry_wins(self, tmp_path):
         p = text_file(tmp_path, "a.example\tAdvertising\na.example\tAnalytics\n")
-        assert load_disconnect_file(p).entries["a.example"] == "Advertising"
+        assert load_disconnect_file(p)["a.example"] == "Advertising"
 
     def test_tsv_bad_category(self, tmp_path):
         p = text_file(tmp_path, "a.example\tAdTech\n")
@@ -313,7 +313,7 @@ class TestTrackingMatrix:
 
     def test_round_trip(self, records):
         m = build_tracking_matrix(records)
-        assert TrackingMatrix.from_dict(m.to_dict()).equals(m)
+        assert TrackingMatrix.from_dict(m.to_dict()).to_dict() == m.to_dict()
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -99,7 +99,8 @@ def parsed(value, parse: Callable[[object], T], path: str | Path) -> T:
         raise _located(exc, str(path), MalformedDocument) from exc
 
 
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list"}
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list",
+               dict: "a mapping"}
 
 
 def _numbers(items) -> bool:
@@ -153,9 +154,10 @@ def _replacing(path: str | Path, binary: bool = False) -> Iterator:
         tmp.unlink(missing_ok=True)
 
 
-def write_text(path: str | Path, text: str) -> None:
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """*text*, or each string of an iterable of them in turn, as the file's text."""
     with _replacing(path) as fh:
-        fh.write(text)
+        fh.writelines((text,) if isinstance(text, str) else text)
 
 
 def write_bytes(path: str | Path, chunks: Iterable) -> None:

@@ -16,13 +16,16 @@ what a later stage of the same run would otherwise parse again:
   reads, and otherwise parses the file, so a stage run alone, or given --input,
   reads the file.  A matrix's array is read-only on both paths, so a reader that
   writes into it fails instead of changing what later readers get;
+- the URL metrics of internal.jsonl's rows, measured by fit-thresholds, beside
+  the rows until filter, which takes them in place of measuring again;
 - the visible text of each homepage, which extract parses for its links,
   until content, which takes it in place of a second parse.
 A full run lets go of each kept value once the last stage that reads it has
 run: filtered.jsonl and thresholds.json after classify, assignments.jsonl
 after best-subpages, each matrix after its sweep, and the rest after the
 report.  The report takes only the site set of internal.jsonl, so the rows of
-that file give way to their site set after filter, their last other reader.
+that file and their metrics give way to their site set after filter, their
+last other reader.
 
 The analytics run in two halves that read only best.jsonl and their own files:
 the tracking half (BRANCH: track, cluster-tracking, sweep-tracking) and the
@@ -57,22 +60,22 @@ from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
-    _located, file_sha256, parsed, read_json, read_lines, read_text, write_json, write_jsonl,
-    write_text,
+    _located, checked, file_sha256, parsed, read_json, read_lines, read_text, write_json,
+    write_jsonl, write_text,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
     URL_SERIES,
     Thresholds,
-    filter_subpages,
     fit_url_histograms,
     histogram_rows,
-    url_histograms,
+    histograms_of,
+    measure,
     write_histogram_csv,
 )
 from .urls import (
-    PageUrl, load_suffixes, normalize, partition_links, read_url_file, write_url_file,
+    PageUrl, UrlMetrics, load_suffixes, normalize, partition_links, read_url_file, write_url_file,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -99,6 +102,7 @@ class Runner:
         # each written file a later stage reads -> what it parses to, until its last reader
         self._kept: dict[Path, object] = {}
         self._read_later = {self.out_dir / name for name in LAST_READER}
+        self._measured: dict[Path, tuple] = {}  # a URL file -> (its rows, their url_metrics)
         self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
 
     # --- run inputs, each loaded when first used and kept for the run ---------
@@ -151,17 +155,25 @@ class Runner:
     def release(self, stage: Stage) -> None:
         """Let go of the kept value of each file whose last reader is *stage*, and of the
         rows of internal.jsonl for their site set, all that the report takes, once the
-        last other stage that reads them has run."""
+        last other stage that reads them has run; metrics go with the rows they measure."""
         for name in stage.reads:
             path = self.out_dir / name
             if LAST_READER[name] == stage.name:
                 self._kept.pop(path, None)
             elif SITES_AFTER.get(name) == stage.name and path in self._kept:
                 self._kept[path] = frozenset(site for _, site in self._kept[path])
+        self._measured = {p: m for p, m in self._measured.items() if self._kept.get(p) is m[0]}
 
     def url_rows(self, path: str | Path) -> Sequence[tuple[PageUrl, str]]:
         """A URL file's (url, site) rows: those this Runner wrote there, or else the file's."""
         return self.load(path, read_url_file)
+
+    def measured_rows(self, path: str | Path) -> tuple[Sequence, list[UrlMetrics]]:
+        """A URL file's url_rows and each row's url_metrics, measured once per rows read."""
+        rows = self.url_rows(path)
+        if self._measured.get(Path(path), (None,))[0] is not rows:
+            self._measured[Path(path)] = rows, measure(u for u, _ in rows)
+        return self._measured[Path(path)]
 
     def url_sites(self, path: str | Path) -> frozenset[str]:
         """The sites of a URL file's rows: the set kept in place of rows this Runner
@@ -272,7 +284,7 @@ class Runner:
     def stage_fit_thresholds(self, source: str | Path, thresholds: Path, *histograms: Path) -> dict:
         """Fit the URL-shape cutoffs; each histogram is written to the file named after it."""
         cfg = self.config
-        hists = url_histograms([u for u, _ in self.url_rows(source)], DEFAULT_BUCKET_SIZES)
+        hists = histograms_of(self.measured_rows(source)[1], DEFAULT_BUCKET_SIZES)
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
@@ -284,11 +296,9 @@ class Runner:
         return fitted.to_dict()
 
     def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> dict:
-        rows = self.url_rows(source)
+        rows, metrics = self.measured_rows(source)
         fitted = self.load(thresholds, _read_thresholds)
-        kept_urls = set(
-            u.normalized for u in filter_subpages([u for u, _ in rows], fitted)
-        )
+        kept_urls = {u.normalized for (u, _), m in zip(rows, metrics) if fitted.admits(m)}
         kept = [(u, site) for u, site in rows if u.normalized in kept_urls]
         self._write_url_rows(filtered, kept)
         return {"kept": len(kept), "dropped": len(rows) - len(kept)}
@@ -413,7 +423,7 @@ class Runner:
                 reduced, labels, cfg.k, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
             )
         except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
-            raise _located(exc, Path(matrix).name, PipelineError) from exc
+            raise _located(exc, str(matrix), PipelineError) from exc
         payload = {
             "matrix": Path(matrix).name,
             "n": cfg.pca_n,
@@ -442,10 +452,10 @@ class Runner:
                 X, n_range, k_range, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
             )
         except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
-            raise _located(exc, Path(matrix).name, PipelineError) from exc
+            raise _located(exc, str(matrix), PipelineError) from exc
         if all(row.error for row in sweep.rows):
             first = sweep.rows[0]
-            raise PipelineError(f"{Path(matrix).name}: no cell of the sweep could be scored; "
+            raise PipelineError(f"{matrix}: no cell of the sweep could be scored; "
                                 f"n={first.n}, k={first.k}: {first.error}")
         csv = sweep.to_csv()
         write_text(out, csv)
@@ -506,22 +516,24 @@ class Runner:
 
         # tracking analytics; a fault in the report's shape is a fault of its file
         def tracking_plots(report: dict) -> None:
+            checked(report, dict, "the report")
             write_csv(
                 cookies_csv,
                 "topic,min,q1,median,mean,q3,max,count",
                 [
                     f"{t},{fmt(s['min'])},{fmt(s['q1'])},{fmt(s['median'])},"
                     f"{fmt(s['mean'])},{fmt(s['q3'])},{fmt(s['max'])},{s['count']}"
-                    for t, s in sorted(report["cookie_stats"].items())
+                    for t, s in _items(report["cookie_stats"], "cookie_stats")
                 ],
             )
             rows = []
+            breakdowns = checked(report["category_breakdown"], dict, "category_breakdown")
             for scope in ("all", "top_sites"):
-                breakdown = report["category_breakdown"].get(scope)
+                breakdown = breakdowns.get(scope)
                 if breakdown is None:
                     continue
-                for topic, counts in sorted(breakdown.items()):
-                    for category, count in sorted(counts.items()):
+                for topic, counts in _items(breakdown, f"category_breakdown.{scope}"):
+                    for category, count in _items(counts, f"category_breakdown.{scope}.{topic}"):
                         rows.append(f"{scope},{topic},{category},{count}")
             write_csv(breakdown_csv, "scope,topic,category,distinct_third_parties", rows)
             diff = report.get("percent_diff_vs_homepage")
@@ -531,8 +543,8 @@ class Runner:
                     "topic,category,percent_or_new",
                     [
                         f"{topic},{category},{value if isinstance(value, str) else fmt(value)}"
-                        for topic, row in sorted(diff.items())
-                        for category, value in sorted(row.items())
+                        for topic, row in _items(diff, "percent_diff_vs_homepage")
+                        for category, value in _items(row, f"percent_diff_vs_homepage.{topic}")
                     ],
                 )
             write_csv(
@@ -541,7 +553,7 @@ class Runner:
                 [
                     f"{entry['third_party']},{topic},{fmt(pct)}"
                     for entry in report["top_tp_coverage"]
-                    for topic, pct in sorted(entry["coverage"].items())
+                    for topic, pct in _items(entry["coverage"], "coverage")
                 ],
             )
 
@@ -560,7 +572,7 @@ class Runner:
                     [
                         f"{label},{payload['assignments'][label]},"
                         + ",".join(fmt(v) for v in coords)
-                        for label, coords in sorted(payload["points"].items())
+                        for label, coords in _items(payload["points"], "points")
                     ],
                 ), clusters)
             if sweep:
@@ -598,6 +610,11 @@ def _read_thresholds(path: str | Path) -> Thresholds:
 def _read_histogram_rows(path: str | Path) -> list[str]:
     """A histogram file's lines below its header."""
     return list(islice(read_lines(path, str), 1, None))
+
+
+def _items(value, what: str) -> list[tuple]:
+    """The sorted items of the JSON object *value*; else a ValueError naming *what*."""
+    return sorted(checked(value, dict, what).items())
 
 
 def _read_document(path: str | Path):
@@ -858,6 +875,8 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
+    for name in (MANIFEST_NAME, *WRITER):  # the temporary files of a killed run's writes
+        (runner.out_dir / f"{name}.tmp").unlink(missing_ok=True)
     # a manifest left by an earlier run must not vouch for a run that stops part way
     (runner.out_dir / MANIFEST_NAME).unlink(missing_ok=True)
     succeeded: set[str] = set()

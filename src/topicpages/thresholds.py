@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .classify import COSINE_CUTOFF
 from .errors import EmptyInput, NotBimodal
 from .lines import checked, write_text
-from .urls import PageUrl, url_metrics
+from .urls import PageUrl, UrlMetrics, url_metrics
 
 # the three URL-shape series: histogram name and UrlMetrics field, in the
 # order of the bucket sizes and of the Thresholds fields
@@ -50,6 +50,12 @@ class Thresholds:
             raise ValueError("thresholds must be non-negative")
         if not 0.0 <= self.cosine_cutoff <= 1.0:
             raise ValueError("cosine_cutoff must lie in [0, 1]")
+
+    def admits(self, m: UrlMetrics) -> bool:
+        """True when the URL metrics *m* sit at or below every bound."""
+        return (m.url_length <= self.max_url_length
+                and m.max_subpath_length <= self.max_subpath_length
+                and m.max_hyphens <= self.max_hyphens)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -104,13 +110,22 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
     return Histogram(bucket_size=float(bucket_size), counts=counts)
 
 
+def measure(urls: Iterable[PageUrl]) -> list[UrlMetrics]:
+    """The url_metrics of each URL, in order."""
+    return list(map(url_metrics, urls))
+
+
 def url_histograms(urls: Sequence[PageUrl], buckets: Sequence[float]) -> dict[str, Histogram]:
     """The histogram of each URL-shape series of a training set, keyed by series name."""
-    if len(urls) == 0:
+    return histograms_of(measure(urls), buckets)
+
+
+def histograms_of(metrics: Sequence[UrlMetrics], buckets: Sequence[float]) -> dict[str, Histogram]:
+    """url_histograms of the training URLs whose measure() is *metrics*."""
+    if len(metrics) == 0:
         raise EmptyInput("no training URLs")
     if len(buckets) != 3:
         raise ValueError("buckets must give three sizes")
-    metrics = [url_metrics(u) for u in urls]
     return {
         name: build_histogram([getattr(m, field) for m in metrics], bucket)
         for (name, field), bucket in zip(URL_SERIES, buckets)
@@ -258,16 +273,8 @@ def fit_url_histograms(
 
 def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
     """Keep URLs whose metrics sit at or below every threshold."""
-    out = []
-    for u in urls:
-        m = url_metrics(u)
-        if (
-            m.url_length <= t.max_url_length
-            and m.max_subpath_length <= t.max_subpath_length
-            and m.max_hyphens <= t.max_hyphens
-        ):
-            out.append(u)
-    return out
+    urls = list(urls)
+    return [u for u, m in zip(urls, measure(urls)) if t.admits(m)]
 
 
 def histogram_rows(h: Histogram) -> list[str]:

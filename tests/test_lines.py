@@ -264,6 +264,39 @@ def test_value_of_a_wrong_type_is_an_error_naming_the_file(tmp_path, name):
     assert str(err.value).startswith(f"{path}:"), str(err.value)
 
 
+def _report(**changed):
+    return {**REPORT, **changed}
+
+
+# a mapping the report iterates replaced by another JSON value, and what the error says
+REPORT_SHAPES = {
+    "cookie-stats-number": (_report(cookie_stats=1.5), "cookie_stats must be a mapping, got 1.5"),
+    "breakdown-list": (_report(category_breakdown=[]),
+                       "category_breakdown must be a mapping, got []"),
+    "breakdown-scope-string": (_report(category_breakdown={"all": "x"}),
+                               "category_breakdown.all must be a mapping, got 'x'"),
+    "breakdown-topic-number": (_report(category_breakdown={"all": {"sports": 2}}),
+                               "category_breakdown.all.sports must be a mapping, got 2"),
+    "diff-list": (_report(percent_diff_vs_homepage=[1]),
+                  "percent_diff_vs_homepage must be a mapping, got [1]"),
+    "diff-topic-number": (_report(percent_diff_vs_homepage={"sports": 1.5}),
+                          "percent_diff_vs_homepage.sports must be a mapping, got 1.5"),
+    "coverage-null": (_report(top_tp_coverage=[{"third_party": "a.example", "coverage": None}]),
+                      "coverage must be a mapping, got None"),
+    "report-list": ([1], "the report must be a mapping, got [1]"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SHAPES))
+def test_report_of_a_wrong_shape_says_what_was_expected(tmp_path, name):
+    report, message = REPORT_SHAPES[name]
+    path = tmp_path / "tracking-report.json"
+    write_json(path, report)
+    with pytest.raises(PipelineError) as err:
+        _plots(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 SCALARS = st.one_of(
     st.integers(-(10**20), 10**20), st.booleans(), st.none(), FINITE,

@@ -351,6 +351,34 @@ class TestRunnerDirect:
             run_pipeline(cfg)
         assert not manifest.exists()
 
+    def test_rerun_removes_the_temporary_files_a_killed_run_left(self, e2e_config, monkeypatch):
+        # a kill between a write's open and its rename leaves <file>.tmp; the next run
+        # removes each such file before its first stage, and touches no other file
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        out = Path(cfg.out_dir)
+        clean = _bundle(out)
+        planted = [out / "internal.jsonl.tmp", out / "histograms" / "url_length.csv.tmp",
+                   out / "manifest.json.tmp"]
+        for path in planted:
+            path.write_text('{"half a row', "utf-8")
+        other = out / "notes.tmp"
+        other.write_text("not ours", "utf-8")
+        at_first_stage = []
+        fetch = Runner.stage_fetch
+
+        def first_stage(self, *args):
+            at_first_stage.extend(path.name for path in planted if path.exists())
+            return fetch(self, *args)
+
+        monkeypatch.setattr(Runner, "stage_fetch", first_stage)
+        assert run_pipeline(cfg)[0] == 0
+        assert at_first_stage == []
+        assert [path.name for path in planted if path.exists()] == []
+        assert other.read_text("utf-8") == "not ours"
+        other.unlink()
+        assert _bundle(out) == clean
+
     @pytest.mark.parametrize(
         "key,stage", [("crawl_logs", "track"), ("disconnect", "track"), ("urls", "fetch")]
     )
@@ -451,8 +479,9 @@ class TestRunnerDirect:
         write_json(out / "tracking-matrix.json", matrix)
         cfg = PipelineConfig(out_dir=str(out), k=3, restarts=2, b_refs=2)
         runner = Runner(cfg)
-        with pytest.raises(KTooLarge, match=r"^tracking-matrix\.json: k=3 exceeds 2 distinct rows$"):
+        with pytest.raises(KTooLarge) as raised:
             runner.run_stage(STAGE_NAMED["cluster-tracking"])
+        assert str(raised.value) == f"{out / 'tracking-matrix.json'}: k=3 exceeds 2 distinct rows"
         assert not (out / "clusters-tracking.json").exists()
         assert runner.artifacts == {}
 
@@ -470,7 +499,7 @@ class TestRunnerDirect:
             write_json(path, planted)
             with pytest.raises(PipelineError) as raised:
                 Runner(cfg).run_stage(STAGE_NAMED[name])
-            assert str(raised.value) == "content-matrix.json: k-means++ distances are not finite"
+            assert str(raised.value) == f"{path}: k-means++ distances are not finite"
 
     def test_failed_fit_leaves_its_histograms_missing_for_report(self, tmp_path):
         out = tmp_path / "out"
@@ -732,6 +761,32 @@ class TestEachFileParsedOnce:
                         "content-matrix.json", "clusters-content.json"]), 0)
             assert kept["report"] == (sorted(STAGE_NAMED["report"].reads), 0)
             assert kept["manifest"] == ([], 0)
+
+    def test_url_metrics_are_kept_beside_their_rows_until_filter(self, e2e_config, monkeypatch):
+        measured = {}
+
+        class Recording(Runner):
+            def run_stage(self, stage, **kwargs):
+                measured[stage.name] = sorted(path.name for path in self._measured)
+                return super().run_stage(stage, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "Runner", Recording)
+        assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
+        assert measured["fit-thresholds"] == []
+        assert measured["filter"] == ["internal.jsonl"]
+        assert measured["classify"] == []
+
+    def test_rows_written_again_are_measured_again(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        runner.run_stage(STAGE_NAMED["fetch"])
+        runner.run_stage(STAGE_NAMED["extract"])
+        internal = runner.out_dir / "internal.jsonl"
+        rows, metrics = runner.measured_rows(internal)
+        assert runner.measured_rows(internal)[1] is metrics
+        runner.run_stage(STAGE_NAMED["extract"])
+        again, remeasured = runner.measured_rows(internal)
+        assert again is not rows and remeasured is not metrics
+        assert remeasured == metrics
 
     def test_given_source_is_read_not_rows_kept_from_another_path(
         self, e2e_config, tmp_path, capsys
@@ -1337,7 +1392,7 @@ class TestOtherCommands:
             "--n-range", "2..3", "--k-range", "20..21", *fast,
         )
         assert code == 1 and out == ""
-        assert err.startswith("error: tracking-matrix.json: no cell of the sweep could be scored")
+        assert err.startswith(f"error: {matrix}: no cell of the sweep could be scored")
         assert "n=2, k=20: k=20 exceeds" in err
         assert not target.exists()
         # a sweep with a scored cell stands, even when no cell has a silhouette

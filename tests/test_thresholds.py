@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from topicpages import (
 from topicpages import thresholds as thresholds_mod
 from topicpages.config import PipelineConfig, load_config
 from topicpages.errors import EmptyInput, MalformedDocument, NotBimodal
-from topicpages.pipeline import STAGE_NAMED, Runner
+from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
 from topicpages.thresholds import (
     DEFAULT_BUCKET_SIZES,
     fit_url_histograms,
     url_histograms,
     write_histogram_csv,
 )
-from topicpages.urls import write_url_file
+from topicpages.urls import read_url_file, write_url_file
 
 from conftest import DATA, build_e2e_workspace
 
@@ -221,6 +222,21 @@ class TestFitUrlHistograms:
         monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
         Runner(cfg).run_stage(STAGE_NAMED["fit-thresholds"], source)
         assert sorted(calls) == sorted(u.normalized for u in urls)
+
+    def test_full_run_measures_each_internal_url_once(self, e2e_config, monkeypatch):
+        # fit-thresholds measures the rows extract kept, and filter reuses the measures
+        calls = []
+
+        def counting(u):
+            calls.append(u.normalized)
+            return url_metrics(u)
+
+        monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        internal = read_url_file(Path(cfg.out_dir) / "internal.jsonl")
+        assert internal
+        assert sorted(calls) == sorted(u.normalized for u, _ in internal)
 
 
 class TestFilterSubpages:

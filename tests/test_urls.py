@@ -6,7 +6,8 @@ from hypothesis import event, given, settings, strategies as st
 import topicpages.urls as urls_mod
 from topicpages import normalize, partition_links, read_page, registrable_domain, url_metrics
 from topicpages.errors import MalformedRecord, MalformedUrl
-from topicpages.urls import PageUrl, read_url_file, write_url_file
+from topicpages.lines import _ROW
+from topicpages.urls import PageUrl, _url_lines, read_url_file, url_to_record, write_url_file
 
 
 class TestRegistrableDomain:
@@ -292,3 +293,34 @@ class TestUrlFiles:
         with pytest.raises(MalformedRecord) as err:
             read_url_file(path)
         assert str(err.value).startswith(f"{path}:1: ")
+
+
+class Label(str):
+    """A str subclass: json writes its value, but it is no plain string."""
+
+
+# any code point, lone surrogates included, and text dense in what JSON escapes
+TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfffé日 -'), max_size=6),
+)
+TEXT = st.one_of(TEXT, TEXT.map(Label))
+URLS = st.builds(PageUrl, TEXT, TEXT, TEXT, st.lists(TEXT, max_size=3).map(tuple))
+
+
+class TestUrlLines:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(URLS, TEXT), max_size=3))
+    def test_lines_are_the_row_encoders(self, rows):
+        expected = "".join(_ROW.encode(url_to_record(u, site)) + "\n" for u, site in rows)
+        assert "".join(_url_lines(rows)) == expected
+
+    def test_rows_past_a_chunk_are_written_in_order(self, tmp_path):
+        rows = [(PageUrl(f"/s{i}/x-{i}", f"https://a.example/s{i}/x-{i}/", "a.example",
+                         (f"s{i}", f"x-{i}")), "a.example") for i in range(2500)]
+        assert len(list(_url_lines(rows))) == 3
+        path = tmp_path / "urls.jsonl"
+        write_url_file(path, iter(rows))
+        expected = "".join(_ROW.encode(url_to_record(u, site)) + "\n" for u, site in rows)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert read_url_file(path) == rows

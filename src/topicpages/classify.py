@@ -26,7 +26,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
 from .errors import EmptyCandidates, NoSubpaths
-from .lines import checked, read_jsonl, write_jsonl
+from .lines import checked, read_jsonl
 from .stopwords import DEFAULT_STOPWORDS
 from .urls import PageUrl, normalize
 
@@ -204,10 +204,6 @@ def assignment_to_record(a: TopicAssignment) -> dict:
         "score": a.score,
         "matched_subpath": a.matched_subpath,
     }
-
-
-def write_assignments(path: str | Path, assignments: Iterable[TopicAssignment]) -> None:
-    write_jsonl(path, map(assignment_to_record, assignments))
 
 
 def read_assignments(path: str | Path, dictionary: TopicalDictionary) -> list[TopicAssignment]:

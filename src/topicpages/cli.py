@@ -115,10 +115,12 @@ def main(argv=None) -> int:
         if stage is not None:
             cfg = _config_from(args, require=stage.requires)
             _emit(Runner(cfg).run_stage(stage, *given, strict=getattr(args, "strict", False)))
-        elif args.command == "cluster":
-            _emit(Runner(_config_from(args)).stage_cluster(args.matrix, args.out))
-        elif args.command == "cluster-sweep":
-            _emit(Runner(_config_from(args)).stage_cluster_sweep(args.matrix, args.out))
+        elif args.command in ("cluster", "cluster-sweep"):
+            runner = Runner(_config_from(args))
+            method = getattr(runner, "stage_" + args.command.replace("-", "_"))
+            summary, outputs = method(args.matrix, args.out)
+            runner.save(outputs)
+            _emit(summary)
         elif args.command == "assist-dictionary":
             runner = Runner(_config_from(args))
             [source] = runner.inputs(_ASSIST, given)

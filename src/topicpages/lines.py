@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -139,32 +138,39 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-@contextmanager
-def _replacing(path: str | Path, binary: bool = False) -> Iterator:
-    """A text (or binary) file that replaces *path* only when the block completes."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def _utf8(path: str | Path, text: str | Iterable[str]) -> Iterator[bytes]:
+    """The UTF-8 bytes of *text*, or of each string of an iterable of them, made as
+    they are taken; a value with no such text (NaN or an infinity in JSON, a lone
+    surrogate) is a PipelineError naming the file *path*."""
     try:
-        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="")) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except ValueError as exc:  # NaN or an infinity
-        raise PipelineError(f"{path.name}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
+        for chunk in (text,) if isinstance(text, str) else text:
+            yield chunk.encode("utf-8")
+    except ValueError as exc:
+        raise PipelineError(f"{Path(path).name}: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """*text*, or each string of an iterable of them in turn, as the file's text."""
-    with _replacing(path) as fh:
-        fh.writelines((text,) if isinstance(text, str) else text)
+def encoded(path: str | Path, text: str | Iterable[str]) -> bytes:
+    """The bytes that write_text(path, text) writes, or its error, without writing."""
+    return b"".join(_utf8(path, text))
+
+
+def write_text(path: str | Path, text: str | bytes | Iterable[str]) -> None:
+    """*text*, or each string of an iterable of them in turn, as the file's UTF-8 text;
+    bytes are that text encoded already."""
+    write_bytes(path, (text,) if isinstance(text, bytes) else _utf8(path, text))
 
 
 def write_bytes(path: str | Path, chunks: Iterable) -> None:
-    """Each buffer of *chunks* in turn, as the file's bytes."""
-    with _replacing(path, binary=True) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+    """Each buffer of *chunks* in turn, as the file's bytes, which replace *path* only
+    once all are written."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _document(obj, indent: str) -> str:
@@ -193,19 +199,25 @@ def _document(obj, indent: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
+def json_text(obj) -> Iterator[str]:
+    """*obj* as an indented JSON document, made when first taken, so that a value it
+    refuses is a fault of the write."""
+    try:
+        text = _document(obj, "")
+    except RecursionError:  # a cycle, or nesting past the stack: json's own verdict
+        text = _DOCUMENT.encode(obj)
+    yield text + "\n"
+
+
+def jsonl_text(rows: Iterable) -> Iterator[str]:
+    """Each row as one line of JSON, made as it is taken."""
+    for row in rows:
+        yield _ROW.encode(row) + "\n"
+
+
 def write_json(path: str | Path, obj) -> None:
-    """*obj* as an indented JSON document."""
-    with _replacing(path) as fh:
-        try:
-            text = _document(obj, "")
-        except RecursionError:  # a cycle, or nesting past the stack: json's own verdict
-            text = _DOCUMENT.encode(obj)
-        fh.write(text + "\n")
+    write_text(path, json_text(obj))
 
 
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
-    """Each row as one line of JSON, streamed to the file."""
-    with _replacing(path) as fh:
-        for row in rows:
-            fh.write(_ROW.encode(row))
-            fh.write("\n")
+    write_text(path, jsonl_text(rows))

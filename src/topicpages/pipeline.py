@@ -5,38 +5,35 @@ so any stage can be re-run in isolation.  A full run finishes by writing
 manifest.json, the content-hash inventory of every artifact it produced;
 two runs over the same inputs and seed produce byte-identical bundles.
 
-A Runner loads each run input when first used and keeps it for the run, and it
-loads the embeddings through the parse cache in the snapshot store.  It keeps
-what a later stage of the same run would otherwise parse again:
-- each file it writes that a later STAGES entry reads, as the value that file
-  parses to, keyed by the path written: the URL rows of internal.jsonl and
-  filtered.jsonl, thresholds.json, the histograms, assignments.jsonl,
-  best.jsonl, both matrices, tracking-report.json, clusters-*.json and
-  sweep-*.csv.  A reader takes the kept value when this Runner wrote the path it
-  reads, and otherwise parses the file, so a stage run alone, or given --input,
-  reads the file.  A matrix's array is read-only on both paths, so a reader that
-  writes into it fails instead of changing what later readers get;
-- the URL metrics of internal.jsonl's rows, measured by fit-thresholds, beside
-  the rows until filter, which takes them in place of measuring again;
-- the visible text of each homepage, which extract parses for its links,
-  until content, which takes it in place of a second parse.
-A full run lets go of each kept value once the last stage that reads it has
-run: filtered.jsonl and thresholds.json after classify, assignments.jsonl
-after best-subpages, each matrix after its sweep, and the rest after the
-report.  The report takes only the site set of internal.jsonl, so the rows of
-that file and their metrics give way to their site set after filter, their
-last other reader.
+A stage method writes nothing.  It returns its summary and, for each of its
+write paths, the file's text and the value that file parses to.  Runner.run_stage
+hands both to Runner.save, the one write path, which writes each text in one
+step and keeps the value of each file a later STAGES entry reads.  A reader
+takes the kept value when this Runner wrote the path it reads, and otherwise
+parses the file, so a stage run alone, or given --input, reads the file.  A
+matrix's array is read-only either way, so a reader that writes into it fails
+instead of changing what later readers get.  A full run lets go of each kept
+value once the last stage that reads it has run; the report takes only the
+site set of internal.jsonl, so the file's rows give way to that set after
+filter, their last other reader.
+
+A Runner also loads each run input when first used and keeps it for the run,
+the embeddings through the parse cache in the snapshot store, and keeps two
+values that no file holds: the URL metrics of internal.jsonl's rows, measured
+by fit-thresholds, beside the rows until filter, which takes them in place of
+measuring again; and the visible text of each homepage, which extract parses
+for its links, until content, which takes it in place of a second parse.
 
 The analytics run in two halves that read only best.jsonl and their own files:
 the tracking half (BRANCH: track, cluster-tracking, sweep-tracking) and the
 content half (fetch-sections, content, cluster-content, sweep-content).  Once
 best-subpages has run, a full run forks one worker, which runs the tracking half
-on its copy of the Runner while the run goes on with the content half.  Before
-the report, the run joins the worker: it reads from a pipe one pickle of the
-worker's stage outcomes, the stages that succeeded and the kept values that the
-report still reads (tracking-report.json, clusters-tracking.json and
-sweep-tracking.csv), and takes them as its own, registering the files of the
-stages that succeeded from the stage table, so from the join on its summary,
+on its copy of the Runner while the run goes on with the content half.  The
+worker writes no file: its Runner.save encodes each text and holds the bytes.
+Before the report, the run joins the worker.  It reads from a pipe one pickle of
+the worker's stage outcomes, the stages that succeeded, and each held file with
+the value still kept of it; it saves those files and registers the stages that
+succeeded as an in-order run would, so from the join on its files, summary,
 errors, manifest and kept values are those of a run in STAGES order.  Where a
 fork would not pay (a crawl log and tracker list under BRANCH_MIN_BYTES) or is
 not safe, the tracking half runs in order at the same point.
@@ -60,8 +57,8 @@ from .embeddings import EmbeddingModel, load_embeddings_file
 from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
-    _located, checked, file_sha256, parsed, read_json, read_lines, read_text, write_json,
-    write_jsonl, write_text,
+    _located, checked, encoded, file_sha256, json_text, jsonl_text, parsed, read_json,
+    read_lines, read_text, write_json, write_text,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
@@ -69,18 +66,22 @@ from .thresholds import (
     URL_SERIES,
     Thresholds,
     fit_url_histograms,
+    histogram_csv,
     histogram_rows,
     histograms_of,
     measure,
-    write_histogram_csv,
 )
 from .urls import (
-    PageUrl, UrlMetrics, load_suffixes, normalize, partition_links, read_url_file, write_url_file,
+    PageUrl, UrlMetrics, load_suffixes, normalize, partition_links, read_url_file, url_lines,
 )
 
 MANIFEST_NAME = "manifest.json"
 
 T = TypeVar("T")
+# for each write path of a stage, the file's text (a str, bytes or an iterable of
+# str) and what the file parses to; a stage method returns its summary and these
+Outputs = dict[Path, tuple]
+StageResult = tuple[dict, Outputs]
 
 
 def read_homepage_list(path: str | Path, suffixes: frozenset[str] | None = None) -> list[PageUrl]:
@@ -104,6 +105,7 @@ class Runner:
         self._read_later = {self.out_dir / name for name in LAST_READER}
         self._measured: dict[Path, tuple] = {}  # a URL file -> (its rows, their url_metrics)
         self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
+        self._held: dict[Path, bytes] | None = None  # in a forked worker: the files it saved
 
     # --- run inputs, each loaded when first used and kept for the run ---------
 
@@ -146,11 +148,17 @@ class Runner:
         kept = self._kept.get(Path(path))
         return read(path) if kept is None else kept
 
-    def _keep(self, path: Path, value) -> None:
-        """Keep *value*, what the file just written at *path* parses to, when a later
-        stage reads that file."""
-        if path in self._read_later:
-            self._kept[path] = value
+    def save(self, outputs: Outputs) -> None:
+        """Write each file's text in one step, and keep its value when a later stage
+        reads the file.  In a forked worker the file's bytes are held instead, for the
+        parent to save; a text that cannot be written fails here either way."""
+        for path, (text, value) in outputs.items():
+            if self._held is None:
+                write_text(path, text)
+            else:
+                self._held[path] = encoded(path, text)
+            if value is not None and path in self._read_later:
+                self._kept[path] = value
 
     def release(self, stage: Stage) -> None:
         """Let go of the kept value of each file whose last reader is *stage*, and of the
@@ -183,11 +191,6 @@ class Runner:
             return kept
         return frozenset(site for _, site in self.url_rows(path))
 
-    def _write_url_rows(self, path: Path, rows: Sequence[tuple[PageUrl, str]]) -> None:
-        rows = tuple(rows)
-        write_url_file(path, rows)
-        self._keep(path, rows)
-
     # --- stages -------------------------------------------------------------
 
     def inputs(self, stage: Stage, given: Sequence = (), strict: bool = False,
@@ -214,15 +217,17 @@ class Runner:
     def run_stage(self, stage: Stage, *given, strict: bool = False,
                   ran: set[str] | None = None) -> dict:
         """Call a table entry's method (looked up at call time) on its inputs(), then on
-        its write paths, whose directories it creates, and register the writes.  An
-        optional stage, which writes what its reads allow, first loses its old writes."""
+        its write paths, whose directories it creates, save what it returns and register
+        the writes.  An optional stage, which writes what its reads allow, first loses its
+        old writes."""
         reads = self.inputs(stage, given, strict, ran)
         writes = [self.out_dir / name for name in stage.writes]
         for path in writes:
             path.parent.mkdir(parents=True, exist_ok=True)
             if stage.optional:
                 path.unlink(missing_ok=True)
-        summary = getattr(self, stage.method)(*reads, *writes)
+        summary, outputs = getattr(self, stage.method)(*reads, *writes)
+        self.save(outputs)
         self.register(stage)
         return summary
 
@@ -230,7 +235,7 @@ class Runner:
         """List each file a table entry writes among the artifacts the manifest covers."""
         self.artifacts.update((artifact_name(name), self.out_dir / name) for name in stage.writes)
 
-    def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> dict:
+    def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> StageResult:
         """Make the snapshot store cover the homepage list (or given URLs)."""
         cfg = self.config
         urls = urls if urls is not None else self.homepages
@@ -248,14 +253,14 @@ class Runner:
             respect_robots=cfg.respect_robots,
         )
         self.artifacts["snapshot-index"] = self.snapshot_dir / INDEX_NAME
-        return {"fetched": fetched, "reused": reused}
+        return {"fetched": fetched, "reused": reused}, {}
 
-    def stage_fetch_sections(self, best: Path) -> dict:
+    def stage_fetch_sections(self, best: Path) -> StageResult:
         """Add the selected section pages to the snapshot store."""
         rows = self.load(best, classify_mod.read_best_subpages)
         return self.stage_fetch([normalize(row["url"]) for row in rows])
 
-    def stage_extract(self, internal_path: Path, external_path: Path) -> dict:
+    def stage_extract(self, internal_path: Path, external_path: Path) -> StageResult:
         """Partition every homepage's links into internal / external files, and keep
         each homepage's text, from the same parse, for content."""
         internal: list[tuple[PageUrl, str]] = []
@@ -272,61 +277,58 @@ class Runner:
             internal.extend((u, homepage.domain) for u in partition.internal)
             external.extend((u, homepage.domain) for u in partition.external)
             skipped += partition.skipped
-        self._write_url_rows(internal_path, internal)
-        self._write_url_rows(external_path, external)
-        return {
+        summary = {
             "internal": len(internal),
             "external": len(external),
             "skipped_hrefs": skipped,
             "missing_snapshots": missing,
         }
+        return summary, {path: (url_lines(rows), rows) for path, rows in (
+            (internal_path, tuple(internal)), (external_path, tuple(external)))}
 
-    def stage_fit_thresholds(self, source: str | Path, thresholds: Path, *histograms: Path) -> dict:
+    def stage_fit_thresholds(self, source: str | Path, thresholds: Path,
+                             *histograms: Path) -> StageResult:
         """Fit the URL-shape cutoffs; each histogram is written to the file named after it."""
         cfg = self.config
         hists = histograms_of(self.measured_rows(source)[1], DEFAULT_BUCKET_SIZES)
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
-        write_json(thresholds, fitted.to_dict())
-        self._keep(thresholds, fitted)
+        outputs = {thresholds: (json_text(fitted.to_dict()), fitted)}
         for path in histograms:
-            write_histogram_csv(hists[path.stem], path)
-            self._keep(path, histogram_rows(hists[path.stem]))
-        return fitted.to_dict()
+            outputs[path] = histogram_csv(hists[path.stem]), histogram_rows(hists[path.stem])
+        return fitted.to_dict(), outputs
 
-    def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> dict:
+    def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> StageResult:
         rows, metrics = self.measured_rows(source)
         fitted = self.load(thresholds, _read_thresholds)
         kept_urls = {u.normalized for (u, _), m in zip(rows, metrics) if fitted.admits(m)}
-        kept = [(u, site) for u, site in rows if u.normalized in kept_urls]
-        self._write_url_rows(filtered, kept)
-        return {"kept": len(kept), "dropped": len(rows) - len(kept)}
+        kept = tuple((u, site) for u, site in rows if u.normalized in kept_urls)
+        summary = {"kept": len(kept), "dropped": len(rows) - len(kept)}
+        return summary, {filtered: (url_lines(kept), kept)}
 
-    def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> dict:
+    def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> StageResult:
         rows = self.url_rows(source)
         classifier = self.classifier(self.load(thresholds, _read_thresholds).cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
         ]
-        classify_mod.write_assignments(out, assignments)
-        self._keep(out, assignments)
         methods = dict.fromkeys(classify_mod.METHODS, 0)
         for a in assignments:
             methods[a.method] += 1
-        return {"classified": len(assignments), **methods}
+        text = jsonl_text(map(classify_mod.assignment_to_record, assignments))
+        return {"classified": len(assignments), **methods}, {out: (text, assignments)}
 
-    def stage_best_subpages(self, source: str | Path, out: Path) -> dict:
+    def stage_best_subpages(self, source: str | Path, out: Path) -> StageResult:
         assignments = self.load(
             source, lambda path: classify_mod.read_assignments(path, self.dictionary)
         )
         results = self.classifier(self.config.cosine_cutoff).select_best_subpages(assignments)
         rows = classify_mod.best_subpage_records(results)
-        write_jsonl(out, rows)
-        self._keep(out, rows)
-        return {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
+        summary = {"sites": len(results), "selections": sum(len(r.selections) for r in results)}
+        return summary, {out: (jsonl_text(rows), rows)}
 
-    def stage_track(self, best: Path, matrix_path: Path, report_path: Path) -> dict:
+    def stage_track(self, best: Path, matrix_path: Path, report_path: Path) -> StageResult:
         cfg = self.config
         best_rows = self.load(best, classify_mod.read_best_subpages)
         topic_names = {t.name for t in self.dictionary.topics()}
@@ -337,8 +339,6 @@ class Runner:
         matrix_topics = {row["topic"] for row in best_rows}
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
-        write_json(matrix_path, matrix.to_dict())
-        self._keep(matrix_path, _labeled(matrix))
 
         breakdown = tracking_mod.category_breakdown(records, dl)
         top_sites = cfg.top_sites_set()
@@ -369,11 +369,12 @@ class Runner:
             ],
             "records": len(records),
         }
-        write_json(report_path, report)
-        self._keep(report_path, report)
-        return {"records": len(records), "third_parties": len(matrix.third_parties)}
+        return {"records": len(records), "third_parties": len(matrix.third_parties)}, {
+            matrix_path: (json_text(matrix.to_dict()), _labeled(matrix)),
+            report_path: (json_text(report), report),
+        }
 
-    def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> dict:
+    def stage_content(self, best: Path, matrix_path: Path, languages_path: Path) -> StageResult:
         """Build per-topic documents from snapshots and weigh their terms; a homepage
         that extract parsed in this run is not parsed again."""
         best_rows = self.load(best, classify_mod.read_best_subpages)
@@ -399,21 +400,23 @@ class Runner:
                 yield topic, text
 
         matrix, verdicts = content_mod.weigh_pages(texts(), self.stopwords, self.config.min_df)
-        write_json(matrix_path, matrix.to_dict())
-        self._keep(matrix_path, _labeled(matrix))
-        write_jsonl(languages_path, (
+        languages = jsonl_text(
             {"url": url, "topic": topic, "is_english": v.is_english, "confident": v.confident}
             for (topic, url), v in zip(present, verdicts)
-        ))
-        return {
+        )
+        summary = {
             "documents": len(matrix.topics),
             "terms": len(matrix.terms),
             "missing_snapshots": missing,
         }
+        return summary, {
+            matrix_path: (json_text(matrix.to_dict()), _labeled(matrix)),
+            languages_path: (languages, None),
+        }
 
     # --- clustering over either matrix file -----------------------------------
 
-    def stage_cluster(self, matrix: str | Path, out: str | Path) -> dict:
+    def stage_cluster(self, matrix: str | Path, out: str | Path) -> StageResult:
         """Reduce a matrix file, cluster it, and write the labeled result."""
         cfg = self.config
         labels, X = self.load(matrix, load_matrix_file)
@@ -437,12 +440,11 @@ class Runner:
             "assignments": report.assignments,
             "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
         }
-        write_json(out, payload)
-        self._keep(Path(out), payload)
         shown = ("matrix", "k", "sse", "silhouette", "gap")
-        return {"out": str(out), **{key: payload[key] for key in shown}}
+        summary = {"out": str(out), **{key: payload[key] for key in shown}}
+        return summary, {Path(out): (json_text(payload), payload)}
 
-    def stage_cluster_sweep(self, matrix: str | Path, out: str | Path) -> dict:
+    def stage_cluster_sweep(self, matrix: str | Path, out: str | Path) -> StageResult:
         """Score every (dimension, cluster count) cell of a matrix file as CSV."""
         cfg = self.config
         _, X = self.load(matrix, load_matrix_file)
@@ -457,15 +459,14 @@ class Runner:
             first = sweep.rows[0]
             raise PipelineError(f"{matrix}: no cell of the sweep could be scored; "
                                 f"n={first.n}, k={first.k}: {first.error}")
-        csv = sweep.to_csv()
-        write_text(out, csv)
-        self._keep(Path(out), csv)
-        return {
+        summary = {
             "matrix": Path(matrix).name,
             "out": str(out),
             "cells": len(sweep.rows),
             "best": sweep.best,
         }
+        csv = sweep.to_csv()
+        return summary, {Path(out): (csv, csv)}
 
     # --- plot data ------------------------------------------------------------
 
@@ -474,27 +475,20 @@ class Runner:
         clusters_tracking, sweep_tracking, clusters_content, sweep_content,
         histograms_csv, coverage_csv, cookies_csv, breakdown_csv, percent_diff_csv,
         heatmap_csv, scatter_tracking, curves_tracking, scatter_content, curves_content, notes,
-    ) -> dict:
-        """Write plot-ready CSVs from whichever reads the bundle holds, an absent read
-        being None, and list the absent ones in notes.txt."""
+    ) -> StageResult:
+        """Plot-ready CSVs from whichever reads the bundle holds, an absent read being
+        None, and notes.txt listing the absent ones."""
         reads = (url_length, subpath_length, hyphens, internal, best, tracking_report,
                  clusters_tracking, sweep_tracking, clusters_content, sweep_content)
         missing = [name for name, path in zip(STAGE_NAMED["report"].reads, reads) if path is None]
-        emitted: list[Path] = []
-
-        def write_csv(path: Path, header: str, rows: Iterable[str]) -> None:
-            write_text(path, header + "\n" + "".join(r + "\n" for r in rows))
-            emitted.append(path)
-
-        def fmt(x: float) -> str:
-            return f"{x:.12g}"
+        plots: dict[Path, str] = {}
 
         # threshold histograms, each file's header line skipped
         histograms = sorted(path for path in (url_length, subpath_length, hyphens) if path)
         if histograms:
-            rows = [f"{path.stem},{line}"
-                    for path in histograms for line in self.load(path, _read_histogram_rows)]
-            write_csv(histograms_csv, "parameter,bucket,count", rows)
+            plots[histograms_csv] = _csv("parameter,bucket,count", [
+                f"{path.stem},{line}"
+                for path in histograms for line in self.load(path, _read_histogram_rows)])
 
         # topic coverage across sites
         if best:
@@ -503,29 +497,20 @@ class Runner:
             per_topic: dict[str, set[str]] = {}
             for r in chosen:
                 per_topic.setdefault(r["topic"], set()).add(r["site"])
-            write_csv(
-                coverage_csv,
-                "topic,percent_of_sites",
-                [
-                    f"{topic},{fmt(100.0 * len(covered) / len(sites))}"
-                    for topic, covered in sorted(per_topic.items())
-                ]
-                if sites
-                else [],
-            )
+            plots[coverage_csv] = _csv("topic,percent_of_sites", [
+                f"{topic},{100.0 * len(covered) / len(sites):.12g}"
+                for topic, covered in sorted(per_topic.items())
+            ] if sites else [])
 
         # tracking analytics; a fault in the report's shape is a fault of its file
-        def tracking_plots(report: dict) -> None:
+        def tracking_plots(report: dict) -> dict[Path, str]:
             checked(report, dict, "the report")
-            write_csv(
-                cookies_csv,
-                "topic,min,q1,median,mean,q3,max,count",
-                [
-                    f"{t},{fmt(s['min'])},{fmt(s['q1'])},{fmt(s['median'])},"
-                    f"{fmt(s['mean'])},{fmt(s['q3'])},{fmt(s['max'])},{s['count']}"
-                    for t, s in _items(report["cookie_stats"], "cookie_stats")
-                ],
-            )
+            stats = []
+            for topic, s in _items(report["cookie_stats"], "cookie_stats"):
+                s = checked(s, dict, f"cookie_stats.{topic}")
+                numbers = ",".join(_number(s[key], f"cookie_stats.{topic}.{key}")
+                                   for key in ("min", "q1", "median", "mean", "q3", "max"))
+                stats.append(f"{topic},{numbers},{s['count']}")
             rows = []
             breakdowns = checked(report["category_breakdown"], dict, "category_breakdown")
             for scope in ("all", "top_sites"):
@@ -535,55 +520,49 @@ class Runner:
                 for topic, counts in _items(breakdown, f"category_breakdown.{scope}"):
                     for category, count in _items(counts, f"category_breakdown.{scope}.{topic}"):
                         rows.append(f"{scope},{topic},{category},{count}")
-            write_csv(breakdown_csv, "scope,topic,category,distinct_third_parties", rows)
+            plots = {cookies_csv: _csv("topic,min,q1,median,mean,q3,max,count", stats),
+                     breakdown_csv: _csv("scope,topic,category,distinct_third_parties", rows)}
             diff = report.get("percent_diff_vs_homepage")
             if diff:
-                write_csv(
-                    percent_diff_csv,
-                    "topic,category,percent_or_new",
-                    [
-                        f"{topic},{category},{value if isinstance(value, str) else fmt(value)}"
-                        for topic, row in _items(diff, "percent_diff_vs_homepage")
-                        for category, value in _items(row, f"percent_diff_vs_homepage.{topic}")
-                    ],
-                )
-            write_csv(
-                heatmap_csv,
-                "third_party,topic,percent_of_pages",
-                [
-                    f"{entry['third_party']},{topic},{fmt(pct)}"
-                    for entry in report["top_tp_coverage"]
-                    for topic, pct in _items(entry["coverage"], "coverage")
-                ],
-            )
+                plots[percent_diff_csv] = _csv("topic,category,percent_or_new", [
+                    f"{topic},{category},"
+                    + (value if isinstance(value, str) else _number(value, f"{what}.{category}"))
+                    for topic, row in _items(diff, "percent_diff_vs_homepage")
+                    for what in [f"percent_diff_vs_homepage.{topic}"]
+                    for category, value in _items(row, what)])
+            plots[heatmap_csv] = _csv("third_party,topic,percent_of_pages", [
+                f"{entry['third_party']},{topic},{_number(pct, f'coverage.{topic}')}"
+                for entry in checked(report["top_tp_coverage"], dict, "top_tp_coverage", each=True)
+                for topic, pct in _items(entry["coverage"], "coverage")])
+            return plots
 
         if tracking_report:
-            parsed(self.load(tracking_report, _read_document), tracking_plots, tracking_report)
+            plots.update(parsed(self.load(tracking_report, _read_document), tracking_plots,
+                                tracking_report))
 
         # cluster scatters and metric curves
+        def scatter_plot(payload: dict) -> str:
+            checked(payload, dict, "the clusters file")
+            assignments = checked(payload["assignments"], dict, "assignments")
+            columns = ",".join(f"x{i}" for i in range(checked(payload["n"], int, "n")))
+            return _csv("label,cluster," + columns, [
+                f"{label},{assignments[label]},"
+                + ",".join(_number(v, f"points.{label}")
+                           for v in checked(coords, list, f"points.{label}"))
+                for label, coords in _items(payload["points"], "points")])
+
         for clusters, sweep, scatter, curves in (
             (clusters_tracking, sweep_tracking, scatter_tracking, curves_tracking),
             (clusters_content, sweep_content, scatter_content, curves_content),
         ):
             if clusters:
-                parsed(self.load(clusters, _read_document), lambda payload: write_csv(
-                    scatter,
-                    "label,cluster," + ",".join(f"x{i}" for i in range(payload["n"])),
-                    [
-                        f"{label},{payload['assignments'][label]},"
-                        + ",".join(fmt(v) for v in coords)
-                        for label, coords in _items(payload["points"], "points")
-                    ],
-                ), clusters)
+                plots[scatter] = parsed(self.load(clusters, _read_document), scatter_plot, clusters)
             if sweep:
-                write_text(curves, self.load(sweep, read_text))
-                emitted.append(curves)
+                plots[curves] = self.load(sweep, read_text)
 
-        write_text(
-            notes, "".join(f"missing: {name}\n" for name in missing) if missing else "complete\n"
-        )
-        emitted.append(notes)
-        return {"emitted": [p.name for p in emitted], "missing": missing}
+        plots[notes] = "".join(f"missing: {name}\n" for name in missing) or "complete\n"
+        summary = {"emitted": [path.name for path in plots], "missing": missing}
+        return summary, {path: (text, None) for path, text in plots.items()}
 
     # --- manifest ---------------------------------------------------------------
 
@@ -610,6 +589,15 @@ def _read_thresholds(path: str | Path) -> Thresholds:
 def _read_histogram_rows(path: str | Path) -> list[str]:
     """A histogram file's lines below its header."""
     return list(islice(read_lines(path, str), 1, None))
+
+
+def _csv(header: str, rows: Iterable[str]) -> str:
+    return header + "\n" + "".join(row + "\n" for row in rows)
+
+
+def _number(value, what: str) -> str:
+    """*value*, a finite JSON number, as a plot writes it; else a ValueError naming *what*."""
+    return f"{checked(value, float, what):.12g}"
 
 
 def _items(value, what: str) -> list[tuple]:
@@ -762,8 +750,9 @@ def _run_stages(runner: Runner, stages: Iterable[Stage], succeeded: set[str]) ->
 
 
 def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: int) -> None:
-    """The forked worker: run *stages* on this copy of the Runner, write to the pipe
-    *fd* one pickle of what the parent needs to go on as if it had run them, and exit
+    """The forked worker: run *stages* on this copy of the Runner, which holds the
+    files they save rather than write them, send down the pipe *fd* one pickle of what
+    the parent needs to go on as if it had run them, those files included, and exit
     without returning.  An unexpected exception is sent instead, and the exit is 1."""
     import os
     import pickle
@@ -771,11 +760,11 @@ def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: in
 
     code = 0
     try:
+        runner._held = {}
         ran = set(succeeded)
         outcomes = _run_stages(runner, stages, ran)
-        written = {runner.out_dir / name for stage in stages for name in stage.writes}
-        data = pickle.dumps(("done", outcomes, ran - succeeded,
-                             {path: v for path, v in runner._kept.items() if path in written}))
+        saved = {path: (held, runner._kept.get(path)) for path, held in runner._held.items()}
+        data = pickle.dumps(("done", outcomes, ran - succeeded, saved))
     except BaseException as exc:  # a bug: the parent raises it after the join
         code = 1
         tb = traceback.format_exc()
@@ -851,9 +840,9 @@ def _aside(runner: Runner, stages: Sequence[Stage],
         if kind == "raised":
             exc, tb = result
             raise exc from RuntimeError(f"in the worker running {names}:\n{tb}")
-        outcomes, ran, kept = result
+        outcomes, ran, saved = result
         succeeded.update(ran)
-        runner._kept.update(kept)
+        runner.save(saved)
         for stage in stages:
             if stage.name in ran:
                 runner.register(stage)

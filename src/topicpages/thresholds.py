@@ -10,12 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, replace
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .classify import COSINE_CUTOFF
 from .errors import EmptyInput, NotBimodal
-from .lines import checked, write_text
+from .lines import checked
 from .urls import PageUrl, UrlMetrics, url_metrics
 
 # the three URL-shape series: histogram name and UrlMetrics field, in the
@@ -278,10 +277,10 @@ def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
 
 
 def histogram_rows(h: Histogram) -> list[str]:
-    """The "bucket,count" lines of write_histogram_csv below its header."""
+    """The "bucket,count" lines of histogram_csv below its header."""
     return [f"{start},{count}" for start, count in sorted(h.counts.items())]
 
 
-def write_histogram_csv(h: Histogram, path: str | Path) -> None:
-    """Dump (bucket, count) rows so the fitted histograms can be replotted."""
-    write_text(path, "bucket,count\n" + "".join(row + "\n" for row in histogram_rows(h)))
+def histogram_csv(h: Histogram) -> str:
+    """The (bucket, count) rows of a fitted histogram as CSV text, for replotting."""
+    return "bucket,count\n" + "".join(row + "\n" for row in histogram_rows(h))

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlparse
 
 from .errors import MalformedUrl
-from .lines import _STRING, checked, read_jsonl, read_lines, write_text
+from .lines import _STRING, checked, read_jsonl, read_lines
 
 # hrefs with these prefixes are navigation chrome, not pages
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
@@ -263,9 +263,10 @@ def url_from_record(obj: dict) -> tuple[PageUrl, str]:
     return PageUrl(raw, normalized, domain, subpaths), site
 
 
-def _url_lines(rows: Iterable[tuple[PageUrl, str]]) -> Iterator[str]:
-    """write_url_file's lines, joined 1,024 at a time: each is lines._ROW's text of
-    url_to_record(u, site) and "\\n", built in sorted key order by json's string encoder."""
+def url_lines(rows: Iterable[tuple[PageUrl, str]]) -> Iterator[str]:
+    """The text of a URL file of (url, site) rows, whose fields are strings, joined
+    1,024 lines at a time: each line is lines._ROW's text of url_to_record(u, site) and
+    "\\n", built in sorted key order by json's string encoder."""
     s = _STRING
     rows = iter(rows)
     while chunk := list(islice(rows, 1024)):
@@ -273,11 +274,6 @@ def _url_lines(rows: Iterable[tuple[PageUrl, str]]) -> Iterator[str]:
             f'{{"domain": {s(u.domain)}, "normalized": {s(u.normalized)}, "raw": {s(u.raw)}, '
             f'"site": {s(site)}, "subpaths": [{", ".join(map(s, u.subpaths))}]}}\n'
             for u, site in chunk)
-
-
-def write_url_file(path: str | Path, rows: Iterable[tuple[PageUrl, str]]) -> None:
-    """Write (url, site) pairs, whose fields are strings, as one JSON object per line."""
-    write_text(path, _url_lines(rows))
 
 
 def read_url_file(path: str | Path) -> list[tuple[PageUrl, str]]:

@@ -12,10 +12,10 @@ from topicpages.classify import (
     METHOD_EMBEDDING,
     METHOD_EXACT,
     METHOD_OTHER,
+    assignment_to_record,
     best_subpage_records,
     read_assignments,
     read_best_subpages,
-    write_assignments,
 )
 from topicpages.embeddings import EmbeddingModel
 from topicpages.errors import EmptyCandidates, MalformedRecord, MalformedUrl, NoSubpaths
@@ -294,7 +294,7 @@ class TestAssignmentFiles:
         clf = TopicClassifier(toy_dictionary, toy_model)
         original = [clf.classify(u(p)) for p in ["/sports/", "/football/", "/quiz/"]]
         path = tmp_path / "assignments.jsonl"
-        write_assignments(path, original)
+        write_jsonl(path, map(assignment_to_record, original))
         loaded = read_assignments(path, toy_dictionary)
         assert loaded == original
 

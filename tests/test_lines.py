@@ -284,13 +284,39 @@ REPORT_SHAPES = {
     "coverage-null": (_report(top_tp_coverage=[{"third_party": "a.example", "coverage": None}]),
                       "coverage must be a mapping, got None"),
     "report-list": ([1], "the report must be a mapping, got [1]"),
+    "cookie-topic-number": (_report(cookie_stats={"sports": 1.5}),
+                            "cookie_stats.sports must be a mapping, got 1.5"),
+    "cookie-min-string": (
+        _report(cookie_stats={"sports": {**REPORT["cookie_stats"]["sports"], "min": "0"}}),
+        "cookie_stats.sports.min must be a number, got '0'"),
+    "coverage-number": (_report(top_tp_coverage=1.5), "top_tp_coverage must be a list, got 1.5"),
+    "coverage-entry-number": (_report(top_tp_coverage=[1.5]),
+                              "top_tp_coverage must hold a mapping each, got 1.5"),
+    "coverage-percent-string": (
+        _report(top_tp_coverage=[{"third_party": "a.example", "coverage": {"sports": "50"}}]),
+        "coverage.sports must be a number, got '50'"),
+    "diff-percent-list": (_report(percent_diff_vs_homepage={"sports": {"Advertising": [1]}}),
+                          "percent_diff_vs_homepage.sports.Advertising must be a number, got [1]"),
+}
+# the same for a clusters file, whose scatter plot the report writes
+CLUSTERS_SHAPES = {
+    "clusters-list": ([1], "the clusters file must be a mapping, got [1]"),
+    "clusters-assignments-number": ({**CLUSTERS, "assignments": 1.5},
+                                    "assignments must be a mapping, got 1.5"),
+    "clusters-n-number": ({**CLUSTERS, "n": 1.5}, "n must be an integer, got 1.5"),
+    "clusters-n-string": ({**CLUSTERS, "n": "1"}, "n must be an integer, got '1'"),
+    "clusters-point-number": ({**CLUSTERS, "points": {"a": 0.5, "b": [-0.5]}},
+                              "points.a must be a list, got 0.5"),
+    "clusters-coordinate-string": ({**CLUSTERS, "points": {"a": ["0.5"], "b": [-0.5]}},
+                                   "points.a must be a number, got '0.5'"),
 }
 
 
-@pytest.mark.parametrize("name", list(REPORT_SHAPES))
+@pytest.mark.parametrize("name", [*REPORT_SHAPES, *CLUSTERS_SHAPES])
 def test_report_of_a_wrong_shape_says_what_was_expected(tmp_path, name):
-    report, message = REPORT_SHAPES[name]
-    path = tmp_path / "tracking-report.json"
+    report, message = {**REPORT_SHAPES, **CLUSTERS_SHAPES}[name]
+    path = tmp_path / ("clusters-tracking.json" if name in CLUSTERS_SHAPES
+                       else "tracking-report.json")
     write_json(path, report)
     with pytest.raises(PipelineError) as err:
         _plots(path)

@@ -2,7 +2,10 @@ import dataclasses
 import errno
 import inspect
 import json
+import math
 import os
+import select
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,13 +19,14 @@ import topicpages.cluster as cluster_mod
 import topicpages.content as content_mod
 import topicpages.lines as lines_mod
 import topicpages.pipeline as pipeline_mod
+import topicpages.tracking as tracking_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index, save_snapshots
-from topicpages.lines import write_json
+from topicpages.lines import write_json, write_text
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
-from topicpages.urls import read_url_file, write_url_file
+from topicpages.urls import read_url_file, url_lines
 from topicpages.pipeline import (
     BRANCH,
     STAGE_NAMED,
@@ -795,7 +799,7 @@ class TestEachFileParsedOnce:
         runner.run_stage(STAGE_NAMED["fetch"])
         runner.run_stage(STAGE_NAMED["extract"])
         given = tmp_path / "given.jsonl"
-        write_url_file(given, runner.url_rows(runner.out_dir / "internal.jsonl")[:1])
+        write_text(given, url_lines(runner.url_rows(runner.out_dir / "internal.jsonl")[:1]))
 
         def counted_rows(out_dir):
             lines = (out_dir / "histograms" / "url_length.csv").read_text("utf-8").splitlines()
@@ -904,9 +908,7 @@ class TestStageTable:
                         break
                 if stage.name in failing:
                     raise PipelineError("planted")
-                for path in writes:
-                    path.touch()
-                return {}
+                return {}, dict.fromkeys(writes, ("", None))
             return stage_method
 
         for method in {stage.method for stage in STAGES}:
@@ -1134,6 +1136,104 @@ class TestBranch:
             "tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @needs_fork
+    @pytest.mark.usefixtures("forking")
+    def test_a_refused_value_fails_its_branch_stage_as_in_order(self, e2e_config, monkeypatch):
+        cfg = load_config(e2e_config, env={})
+        out = Path(cfg.out_dir)
+        clean = run_pipeline(cfg)[1]
+        monkeypatch.setattr(tracking_mod, "top_tp_coverage",
+                            lambda records, k: [("x.example", {"sports": math.nan})])
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(True) or fork())
+        runs = []
+        for forked in (True, False):
+            if not forked:
+                monkeypatch.delattr(os, "fork")
+            shutil.rmtree(out)
+            runs.append((run_pipeline(cfg), _bundle(out)))
+            assert not (out / "tracking-report.json").exists()
+            assert not (out / "tracking-report.json.tmp").exists()
+        assert forks == [True]
+        assert runs[0] == runs[1]
+        (code, summary), bundle = runs[0]
+        assert code == 1
+        [error] = summary["errors"]
+        assert error.startswith("track: tracking-report.json: Out of range float values")
+        assert "tracking-matrix.json" in bundle  # written before the refused file, as in order
+        tracking = {"track", "cluster-tracking", "sweep-tracking", "report"}
+        assert {name: summary.get(name) for name in STAGE_NAMED if name not in tracking} == {
+            name: clean.get(name) for name in STAGE_NAMED if name not in tracking}
+        assert summary["report"]["missing"] == [
+            "tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
+
+    @needs_fork
+    @pytest.mark.usefixtures("forking")
+    def test_a_worker_whose_run_was_killed_writes_nothing(self, e2e_config, monkeypatch):
+        # the run's process is killed while its worker is inside track; the worker, let
+        # go on, ends its stages and exits, and no file in out_dir changes after the kill
+        cfg = load_config(e2e_config, env={})
+        out = Path(cfg.out_dir)
+        said_r, said_w = os.pipe()  # the worker -> this test: its pid, then "out"
+        go_r, go_w = os.pipe()  # this test -> the worker: go on with track
+        track = Runner.stage_track
+
+        def slowed(self, *paths):
+            if os.getpid() != run_pid:
+                os.write(said_w, f"{os.getpid()}\n".encode())
+                os.read(go_r, 1)
+                result = track(self, *paths)
+                os.write(said_w, b"out")
+                return result
+            return track(self, *paths)
+
+        monkeypatch.setattr(Runner, "stage_track", slowed)
+        run_pid = os.fork()
+        if run_pid == 0:
+            run_pid = os.getpid()
+            try:
+                os.close(said_r)
+                os.close(go_w)
+                run_pipeline(cfg)
+            finally:
+                os._exit(0)
+        os.close(said_w)
+        os.close(go_r)
+        worker, ended = None, False
+
+        def said(timeout=10.0):
+            assert select.select([said_r], [], [], timeout)[0], "the worker said nothing"
+            return os.read(said_r, 64)
+
+        def files():
+            return {path: (path.stat().st_mtime_ns, path.read_bytes())
+                    for path in out.rglob("*") if path.is_file()}
+
+        try:
+            try:
+                worker = int(said())
+            finally:  # the run's process is killed and reaped whatever its worker said
+                os.kill(run_pid, signal.SIGKILL)
+                os.waitpid(run_pid, 0)
+            at_kill = files()
+            os.write(go_w, b"g")
+            told = b""
+            while chunk := said():  # until the worker's end of the pipe closes at its exit
+                told += chunk
+            ended = True
+            assert told == b"out"
+            assert files() == at_kill
+            assert not any(path.name.startswith("tracking") for path in at_kill)
+        finally:
+            os.close(go_w)
+            os.close(said_r)
+            if worker is not None and not ended:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 COMMANDS = (

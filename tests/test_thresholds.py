@@ -23,10 +23,11 @@ from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
 from topicpages.thresholds import (
     DEFAULT_BUCKET_SIZES,
     fit_url_histograms,
+    histogram_csv,
     url_histograms,
-    write_histogram_csv,
 )
-from topicpages.urls import read_url_file, write_url_file
+from topicpages.lines import write_text
+from topicpages.urls import read_url_file, url_lines
 
 from conftest import DATA, build_e2e_workspace
 
@@ -212,7 +213,7 @@ class TestFitUrlHistograms:
         cfg = load_config(config_path, env={}, overrides={"fallback_defaults": True})
         urls = planted_urls(seed=3, n_side=40)
         source = tmp_path / "internal.jsonl"
-        write_url_file(source, [(u, "site.example") for u in urls])
+        write_text(source, url_lines([(u, "site.example") for u in urls]))
         calls = []
 
         def counting(u):
@@ -326,7 +327,7 @@ class TestThresholdsObject:
         thresholds = out / "thresholds.json"
         thresholds.write_text(json.dumps({**DEFAULT_THRESHOLDS.to_dict(), key: value}), "utf-8")
         source = tmp_path / "urls.jsonl"
-        write_url_file(source, [(normalize("https://a.example/sports/"), "a.example")])
+        write_text(source, url_lines([(normalize("https://a.example/sports/"), "a.example")]))
         cfg = PipelineConfig(out_dir=str(out), embeddings=str(DATA / "toy_vectors.txt"))
         with pytest.raises(MalformedDocument, match=f"^{re.escape(f'{thresholds}: {fault}')}$"):
             Runner(cfg).run_stage(STAGE_NAMED[stage], source)
@@ -334,5 +335,5 @@ class TestThresholdsObject:
 
 def test_histogram_csv(tmp_path):
     path = tmp_path / "h.csv"
-    write_histogram_csv(build_histogram([1, 1, 7, 3], 1.0), path)
+    write_text(path, histogram_csv(build_histogram([1, 1, 7, 3], 1.0)))
     assert path.read_text("utf-8") == "bucket,count\n1,2\n3,1\n7,1\n"

@@ -6,8 +6,8 @@ from hypothesis import event, given, settings, strategies as st
 import topicpages.urls as urls_mod
 from topicpages import normalize, partition_links, read_page, registrable_domain, url_metrics
 from topicpages.errors import MalformedRecord, MalformedUrl
-from topicpages.lines import _ROW
-from topicpages.urls import PageUrl, _url_lines, read_url_file, url_to_record, write_url_file
+from topicpages.lines import _ROW, write_text
+from topicpages.urls import PageUrl, read_url_file, url_lines, url_to_record
 
 
 class TestRegistrableDomain:
@@ -273,7 +273,7 @@ class TestUrlFiles:
             (normalize("https://b.example/y/z/"), "b.example"),
         ]
         path = tmp_path / "urls.jsonl"
-        write_url_file(path, rows)
+        write_text(path, url_lines(rows))
         back = read_url_file(path)
         assert [(u.normalized, site) for u, site in back] == [
             (u.normalized, site) for u, site in rows
@@ -313,14 +313,14 @@ class TestUrlLines:
     @given(rows=st.lists(st.tuples(URLS, TEXT), max_size=3))
     def test_lines_are_the_row_encoders(self, rows):
         expected = "".join(_ROW.encode(url_to_record(u, site)) + "\n" for u, site in rows)
-        assert "".join(_url_lines(rows)) == expected
+        assert "".join(url_lines(rows)) == expected
 
     def test_rows_past_a_chunk_are_written_in_order(self, tmp_path):
         rows = [(PageUrl(f"/s{i}/x-{i}", f"https://a.example/s{i}/x-{i}/", "a.example",
                          (f"s{i}", f"x-{i}")), "a.example") for i in range(2500)]
-        assert len(list(_url_lines(rows))) == 3
+        assert len(list(url_lines(rows))) == 3
         path = tmp_path / "urls.jsonl"
-        write_url_file(path, iter(rows))
+        write_text(path, url_lines(iter(rows)))
         expected = "".join(_ROW.encode(url_to_record(u, site)) + "\n" for u, site in rows)
         assert path.read_bytes() == expected.encode("utf-8")
         assert read_url_file(path) == rows

@@ -25,7 +25,7 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
-from .errors import EmptyCandidates, NoSubpaths
+from .errors import PipelineError
 from .lines import checked, read_jsonl
 from .stopwords import DEFAULT_STOPWORDS
 from .urls import PageUrl, normalize
@@ -104,7 +104,7 @@ class TopicClassifier:
 
     def classify(self, url: PageUrl) -> TopicAssignment:
         if not url.subpaths:
-            raise NoSubpaths(f"{url.normalized} has no path segments")
+            raise PipelineError(f"{url.normalized} has no path segments")
         for subpath in url.subpaths:
             lowered = subpath.lower()
             if self.dictionary.is_generic(lowered):
@@ -132,7 +132,7 @@ class TopicClassifier:
 
     def select_best_subpage(self, candidates: Sequence[TopicAssignment]) -> PageUrl:
         if not candidates:
-            raise EmptyCandidates("no candidate URLs for this topic")
+            raise PipelineError("no candidate URLs for this topic")
         topic = candidates[0].topic
         if topic.is_other:
             raise ValueError("cannot select a best page for the Other topic")

@@ -41,7 +41,7 @@ from typing import AbstractSet, Iterable
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .errors import PipelineError
 from .lines import checked
 from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
@@ -244,7 +244,7 @@ def weigh_pages(
             stems[token] = None if s in stopwords else s
         counts.setdefault(topic, Counter()).update(map(stems.__getitem__, tokens))
     if not counts:
-        raise EmptyCorpus("no topic documents")
+        raise PipelineError("no topic documents")
     if min_df < 1:
         raise ValueError("min_df must be at least 1")
     topics = tuple(sorted(counts))

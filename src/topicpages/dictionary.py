@@ -13,7 +13,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DuplicateKeyword, EmptyTopicSet, MalformedDocument
+from .errors import PipelineError
 from .lines import read_json
 
 
@@ -38,7 +38,7 @@ class TopicalDictionary:
     ) -> None:
         others = [t for t in entries if t.is_other]
         if len(others) > 1:
-            raise MalformedDocument("more than one Other topic")
+            raise PipelineError("more than one Other topic")
         ordered: dict[Topic, tuple[str, ...]] = {}
         keyword_owner: dict[str, Topic] = {}
         for topic, keywords in entries.items():
@@ -46,29 +46,29 @@ class TopicalDictionary:
             for kw in keywords:
                 kw = kw.lower()
                 if not _valid_keyword(kw):
-                    raise MalformedDocument(f"keyword {kw!r} is not a lowercase slug")
+                    raise PipelineError(f"keyword {kw!r} is not a lowercase slug")
                 if kw in keyword_owner:
-                    raise DuplicateKeyword(
+                    raise PipelineError(
                         f"keyword {kw!r} appears under both "
                         f"{keyword_owner[kw].name!r} and {topic.name!r}"
                     )
                 keyword_owner[kw] = topic
                 kws.append(kw)
             if topic.is_other and kws:
-                raise MalformedDocument("the Other topic must not carry keywords")
+                raise PipelineError("the Other topic must not carry keywords")
             ordered[topic] = tuple(kws)
         if not any(not t.is_other for t in ordered):
-            raise EmptyTopicSet("a dictionary needs at least one named topic")
+            raise PipelineError("a dictionary needs at least one named topic")
         if not others:
             other = Topic(other_name, is_other=True)
             if any(t.name == other_name for t in ordered):
-                raise MalformedDocument(f"topic name {other_name!r} clashes with the Other topic")
+                raise PipelineError(f"topic name {other_name!r} clashes with the Other topic")
             ordered[other] = ()
         self._entries = ordered
         self._keyword_owner = keyword_owner
         self._by_name = {t.name: t for t in ordered}
         if len(self._by_name) != len(ordered):
-            raise MalformedDocument("duplicate topic names")
+            raise PipelineError("duplicate topic names")
         self._generic = frozenset(g.lower() for g in generic_subpaths)
 
     # --- lookups ---------------------------------------------------------
@@ -104,19 +104,19 @@ class TopicalDictionary:
 
 def _dictionary_of(data: object) -> TopicalDictionary:
     if not isinstance(data, dict) or not isinstance(data.get("topics"), dict):
-        raise MalformedDocument('expected an object with a "topics" mapping')
+        raise PipelineError('expected an object with a "topics" mapping')
     if not data["topics"]:
-        raise EmptyTopicSet("no topics declared")
+        raise PipelineError("no topics declared")
     other_name = data.get("other_name", "other")
     if not isinstance(other_name, str) or not other_name:
-        raise MalformedDocument('"other_name" must be a non-empty string')
+        raise PipelineError('"other_name" must be a non-empty string')
     generic = data.get("generic_subpaths", [])
     if not isinstance(generic, list) or not all(isinstance(g, str) for g in generic):
-        raise MalformedDocument('"generic_subpaths" must be a list of strings')
+        raise PipelineError('"generic_subpaths" must be a list of strings')
     entries: dict[Topic, Sequence[str]] = {}
     for name, keywords in data["topics"].items():
         if not isinstance(keywords, list) or not all(isinstance(k, str) for k in keywords):
-            raise MalformedDocument(f"topic {name!r}: keywords must be a list of strings")
+            raise PipelineError(f"topic {name!r}: keywords must be a list of strings")
         entries[Topic(name)] = keywords
     return TopicalDictionary(entries, generic_subpaths=generic, other_name=other_name)
 

@@ -22,7 +22,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 import numpy as np
 
 from .content import _TOKEN_RE
-from .errors import DimensionMismatch, MalformedDocument, MalformedHeader
+from .errors import PipelineError
 from .lines import decoded_lines, file_sha256, write_bytes
 
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
@@ -50,7 +50,7 @@ class EmbeddingModel:
         for row, (token, vec) in enumerate(vectors.items()):
             arr = np.asarray(vec, dtype=float)
             if arr.shape != (self.dimension,):
-                raise DimensionMismatch(f"token {token!r}: expected {self.dimension} values")
+                raise PipelineError(f"token {token!r}: expected {self.dimension} values")
             self._matrix[row] = arr
             self._rows[token] = row
 
@@ -81,13 +81,13 @@ class EmbeddingModel:
 def _dimension(header: str) -> int:
     fields = header.split()
     if len(fields) != 2:
-        raise MalformedHeader(f"expected 'count dimension', got {header!r}")
+        raise PipelineError(f"expected 'count dimension', got {header!r}")
     try:
         _, dim = int(fields[0]), int(fields[1])
     except ValueError as exc:
-        raise MalformedHeader(f"non-integer header: {header!r}") from exc
+        raise PipelineError(f"non-integer header: {header!r}") from exc
     if dim < 1:
-        raise MalformedHeader("dimension must be positive")
+        raise PipelineError("dimension must be positive")
     return dim
 
 
@@ -132,7 +132,7 @@ def _parse_rows(
                     "non-numeric coordinate" if width == dim
                     else f"expected {dim} values, got {width}"
                 )
-                raise DimensionMismatch(f"{path}:{lineno}: {fault}")
+                raise PipelineError(f"{path}:{lineno}: {fault}")
     kept = []
     for i, token in enumerate(tokens):
         if token not in rows:
@@ -149,7 +149,7 @@ def load_embeddings_file(path: str | Path, cache: str | Path | None = None) -> E
     Tokens and values are split on any other whitespace, and a value is a
     number as numpy's loadtxt reads one.  The declared vocabulary count is
     not enforced (files are routinely truncated for experiments); the
-    dimension is.  Every fault in the file is a MalformedDocument whose
+    dimension is.  Every fault in the file is a PipelineError whose
     message starts with "<path>:<line>: ", bytes that are not UTF-8 included.
 
     When *cache* is an existing directory, the parse is served from its entry
@@ -170,14 +170,14 @@ def load_embeddings_file(path: str | Path, cache: str | Path | None = None) -> E
 
 
 def _parse_file(path: str | Path) -> EmbeddingModel:
-    lines = decoded_lines(path, MalformedDocument)
+    lines = decoded_lines(path)
     header = next(lines, None)
     try:
         if header is None:
-            raise MalformedHeader("empty document")
+            raise PipelineError("empty document")
         dim = _dimension(header.removesuffix("\n"))
-    except MalformedHeader as exc:
-        raise MalformedHeader(f"{path}:1: {exc}") from exc
+    except PipelineError as exc:
+        raise PipelineError(f"{path}:1: {exc}") from exc
     rows: dict[str, int] = {}
     blocks = []
     lineno = 2

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from urllib.parse import quote, urlsplit, urlunsplit
 
-from .errors import MalformedRecord
+from .errors import PipelineError
 from .lines import checked, read_jsonl, read_text, write_jsonl, write_text
 from .urls import PageUrl
 
@@ -226,7 +226,7 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
 
 def read_snapshot(directory: str | Path, row: dict) -> str:
     if not row.get("path"):
-        raise MalformedRecord(f"no snapshot body for {row.get('url')!r}")
+        raise PipelineError(f"no snapshot body for {row.get('url')!r}")
     return read_text(Path(directory) / row["path"])
 
 

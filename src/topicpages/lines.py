@@ -19,7 +19,7 @@ import os
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import MalformedDocument, MalformedRecord, PipelineError
+from .errors import PipelineError
 
 T = TypeVar("T")
 
@@ -36,12 +36,12 @@ def _located(exc: Exception, location: str, error: type[PipelineError]) -> Pipel
     """*exc* as an error at *location*; a PipelineError keeps its class."""
     if isinstance(exc, PipelineError):
         return type(exc)(f"{location}: {exc}")
-    if isinstance(exc, json.JSONDecodeError):
-        return error(f"{location}: not JSON: {exc}")
-    return error(f"{location}: {exc}")
+    said = ("not JSON: " if isinstance(exc, json.JSONDecodeError)
+            else "missing key " if isinstance(exc, KeyError) else "")
+    return error(f"{location}: {said}{exc}")
 
 
-def decoded_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]:
+def decoded_lines(path: str | Path, error: type[PipelineError] = PipelineError) -> Iterator[str]:
     """The lines of a UTF-8 file, each with its "\\n" end; a bad byte is an *error*."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):  # binary files split on b"\n" only
@@ -53,7 +53,7 @@ def decoded_lines(path: str | Path, error: type[PipelineError]) -> Iterator[str]
 
 
 def read_lines(
-    path: str | Path, parse: Callable[[str], T], error: type[PipelineError] = MalformedRecord
+    path: str | Path, parse: Callable[[str], T], error: type[PipelineError] = PipelineError
 ) -> Iterator[T]:
     """parse(line) for each stripped line of a file that is not skipped."""
     for lineno, line in enumerate(decoded_lines(path, error), start=1):
@@ -73,29 +73,29 @@ def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file read whole; a byte that is not UTF-8 is a MalformedDocument."""
+    """The text of a UTF-8 file read whole; a byte that is not UTF-8 is an error."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise MalformedDocument(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
+        raise PipelineError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
 
 
 def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """parse(the one JSON value a file holds); its faults are MalformedDocument errors."""
+    """parse(the one JSON value a file holds); its faults are errors naming the file."""
     text = read_text(path)
     return parsed(text, lambda text: parse(json.loads(text)), path)
 
 
 def parsed(value, parse: Callable[[object], T], path: str | Path) -> T:
     """parse(value), where *value* is what the file *path* holds; its faults are
-    MalformedDocument errors naming that file, as read_json's are."""
+    errors naming that file, as read_json's are."""
     try:
         return parse(value)
     except _FAULTS as exc:
-        raise _located(exc, str(path), MalformedDocument) from exc
+        raise _located(exc, str(path), PipelineError) from exc
 
 
 _KIND_NAMES = {str: "a string", int: "an integer", float: "a number", list: "a list",

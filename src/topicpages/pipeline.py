@@ -302,8 +302,7 @@ class Runner:
     def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> StageResult:
         rows, metrics = self.measured_rows(source)
         fitted = self.load(thresholds, _read_thresholds)
-        kept_urls = {u.normalized for (u, _), m in zip(rows, metrics) if fitted.admits(m)}
-        kept = tuple((u, site) for u, site in rows if u.normalized in kept_urls)
+        kept = tuple(row for row, m in zip(rows, metrics) if fitted.admits(m))
         summary = {"kept": len(kept), "dropped": len(rows) - len(kept)}
         return summary, {filtered: (url_lines(kept), kept)}
 
@@ -749,17 +748,27 @@ def _run_stages(runner: Runner, stages: Iterable[Stage], succeeded: set[str]) ->
     return outcomes
 
 
-def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: int) -> None:
-    """The forked worker: run *stages* on this copy of the Runner, which holds the
-    files they save rather than write them, send down the pipe *fd* one pickle of what
-    the parent needs to go on as if it had run them, those files included, and exit
-    without returning.  An unexpected exception is sent instead, and the exit is 1."""
+def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: int,
+            run: int) -> None:
+    """The forked worker of the run whose pid is *run*, which on Linux it dies with: run
+    *stages* on this copy of the Runner, which holds the files they save rather than
+    write them, send down the pipe *fd* one pickle of what the parent needs to go on as
+    if it had run them, those files included, and exit without returning.  An
+    unexpected exception is sent instead, and the exit is 1."""
     import os
     import pickle
+    import sys
     import traceback
 
     code = 0
     try:
+        if sys.platform == "linux":
+            import ctypes
+            prctl = ctypes.CDLL(None).prctl
+            prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL: the kernel kills this worker with the run
+            if os.getppid() != run:  # the run died before the call
+                os._exit(1)
         runner._held = {}
         ran = set(succeeded)
         outcomes = _run_stages(runner, stages, ran)
@@ -801,7 +810,7 @@ def _aside(runner: Runner, stages: Sequence[Stage],
     import sys
     import threading
 
-    pid = None
+    pid, run = None, os.getpid()
     if (_input_bytes(runner.config, stages) >= BRANCH_MIN_BYTES and hasattr(os, "fork")
             and sys.platform != "darwin" and threading.active_count() == 1):
         ends: tuple[int, ...] = ()
@@ -817,7 +826,7 @@ def _aside(runner: Runner, stages: Sequence[Stage],
     read_end, write_end = ends
     if pid == 0:
         os.close(read_end)
-        _worker(runner, stages, succeeded, write_end)
+        _worker(runner, stages, succeeded, write_end, run)
     os.close(write_end)
     pipe = os.fdopen(read_end, "rb")
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyInput, EmptySample, LengthMismatch
+from .errors import PipelineError
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _kolmogorov_sf(lam: float) -> float:
 def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     """Two-sample KS test: D = sup |ECDF_a - ECDF_b| plus asymptotic p-value."""
     if len(a) == 0 or len(b) == 0:
-        raise EmptySample("both samples must be non-empty")
+        raise PipelineError("both samples must be non-empty")
     x = np.sort(np.asarray(a, dtype=float))
     y = np.sort(np.asarray(b, dtype=float))
     merged = np.concatenate([x, y])
@@ -62,9 +62,9 @@ def cohens_kappa(labels_a: Sequence, labels_b: Sequence) -> float:
     otherwise rather than dividing by zero.
     """
     if len(labels_a) != len(labels_b):
-        raise LengthMismatch(f"{len(labels_a)} vs {len(labels_b)} labels")
+        raise PipelineError(f"{len(labels_a)} vs {len(labels_b)} labels")
     if len(labels_a) == 0:
-        raise EmptyInput("no labels")
+        raise PipelineError("no labels")
     n = len(labels_a)
     p_o = sum(x == y for x, y in zip(labels_a, labels_b)) / n
     count_a = Counter(labels_a)
@@ -107,7 +107,7 @@ def _quantile(ordered: np.ndarray, q: float) -> float:
 def summary(values: Sequence[float]) -> Summary:
     """Order statistics of a sample; quartiles use linear interpolation."""
     if len(values) == 0:
-        raise EmptyInput("no values to summarize")
+        raise PipelineError("no values to summarize")
     arr = np.asarray(values, dtype=float)
     ordered = np.sort(arr)
     q1, med, q3 = (_quantile(ordered, q) for q in (0.25, 0.5, 0.75))

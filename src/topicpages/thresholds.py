@@ -13,7 +13,7 @@ from dataclasses import asdict, astuple, dataclass, replace
 from typing import Iterable, Sequence
 
 from .classify import COSINE_CUTOFF
-from .errors import EmptyInput, NotBimodal
+from .errors import NotBimodal, PipelineError
 from .lines import checked
 from .urls import PageUrl, UrlMetrics, url_metrics
 
@@ -101,7 +101,7 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
     if bucket_size <= 0:
         raise ValueError("bucket_size must be positive")
     if len(values) == 0:
-        raise EmptyInput("cannot build a histogram from no values")
+        raise PipelineError("cannot build a histogram from no values")
     counts: dict = {}
     for v, n in Counter(values).items():
         start = _bucket_start(_bucket_index(v, bucket_size), bucket_size)
@@ -122,7 +122,7 @@ def url_histograms(urls: Sequence[PageUrl], buckets: Sequence[float]) -> dict[st
 def histograms_of(metrics: Sequence[UrlMetrics], buckets: Sequence[float]) -> dict[str, Histogram]:
     """url_histograms of the training URLs whose measure() is *metrics*."""
     if len(metrics) == 0:
-        raise EmptyInput("no training URLs")
+        raise PipelineError("no training URLs")
     if len(buckets) != 3:
         raise ValueError("buckets must give three sizes")
     return {
@@ -194,7 +194,7 @@ def find_bimodal_threshold(h: Histogram) -> float:
     bucket leaves at least 5% of the samples on each side of the valley.
     """
     if not h.counts:
-        raise EmptyInput("empty histogram")
+        raise PipelineError("empty histogram")
     bs = h.bucket_size
     indices = sorted(_bucket_index(start, bs) for start in h.counts)
     lo, hi = indices[0], indices[-1]

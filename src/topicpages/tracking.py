@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import MalformedRecord, MalformedUrl, UnknownTopic
+from .errors import PipelineError
 from .lines import checked, read_lines
 from .stats import Summary, summary
 from .urls import PageUrl, normalize, registrable_domain
@@ -73,13 +73,10 @@ def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
     redirects = checked(obj.get("redirects", 0), int, "redirects")
     if redirects < 0:
         raise ValueError("redirects must be non-negative")
-    try:
-        page_url = normalize(checked(obj["page_url"], str, "page_url"))
-    except MalformedUrl as exc:
-        raise MalformedRecord(str(exc)) from exc
+    page_url = normalize(checked(obj["page_url"], str, "page_url"))
     topic = checked(obj["topic"], str, "topic")
     if topics is not None and topic != HOMEPAGE_TOPIC and topic not in topics:
-        raise UnknownTopic(f"topic {topic!r} is not configured")
+        raise PipelineError(f"topic {topic!r} is not configured")
     return CrawlRecord(
         page_url=page_url,
         site=site,
@@ -95,7 +92,7 @@ def read_crawl_log(path: str | Path, topics: Collection[str] | None = None) -> l
     """Read a crawl log into records.
 
     When *topics* is given, any record whose topic is neither in the set
-    nor "homepage" raises UnknownTopic.  is_third_party flags in the input
+    nor "homepage" is an error.  is_third_party flags in the input
     are ignored: third parties are resolved against the record's site.
     """
     return list(read_lines(path, partial(_parse_record, topics=topics)))
@@ -130,10 +127,10 @@ def cookie_stats_by_topic(records: Sequence[CrawlRecord]) -> dict[str, Summary]:
 def _disconnect_entry(line: str) -> tuple[str, str]:
     parts = line.split("\t")
     if len(parts) != 2:
-        raise MalformedRecord("expected 'domain<TAB>category'")
+        raise PipelineError("expected 'domain<TAB>category'")
     domain, category = _clean_domain(parts[0]), parts[1].strip()
     if category not in CATEGORIES:
-        raise MalformedRecord(f"unknown category {category!r}")
+        raise PipelineError(f"unknown category {category!r}")
     return domain, category
 
 

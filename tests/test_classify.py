@@ -18,7 +18,7 @@ from topicpages.classify import (
     read_best_subpages,
 )
 from topicpages.embeddings import EmbeddingModel
-from topicpages.errors import EmptyCandidates, MalformedRecord, MalformedUrl, NoSubpaths
+from topicpages.errors import MalformedUrl, PipelineError
 from topicpages.lines import write_jsonl
 from topicpages.stopwords import DEFAULT_STOPWORDS
 
@@ -89,7 +89,9 @@ class TestClassify:
         assert a.topic.name == "sports"
 
     def test_homepage_rejected(self, toy_dictionary, toy_model):
-        with pytest.raises(NoSubpaths):
+        with pytest.raises(
+            PipelineError, match="^https://news-site.example/ has no path segments$"
+        ):
             TopicClassifier(toy_dictionary, toy_model).classify(u("/"))
 
     def test_scores_invariant_under_model_scaling(self, toy_dictionary, toy_model):
@@ -213,7 +215,7 @@ class TestSelectBestSubpage:
 
     def test_empty_candidates(self, selection_dictionary, selection_model):
         clf = TopicClassifier(selection_dictionary, selection_model)
-        with pytest.raises(EmptyCandidates):
+        with pytest.raises(PipelineError, match="^no candidate URLs for this topic$"):
             clf.select_best_subpage([])
 
     def test_mixed_topics_rejected(self, toy_dictionary, toy_model):
@@ -301,7 +303,7 @@ class TestAssignmentFiles:
     def test_malformed_line_number(self, tmp_path, toy_dictionary):
         path = tmp_path / "assignments.jsonl"
         path.write_text('{"url": "https://a.example/x/"}\n', "utf-8")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(PipelineError, match="missing key 'method'$") as err:
             read_assignments(path, toy_dictionary)
         assert str(err.value).startswith(f"{path}:1: ")
 

@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import topicpages.content as content_mod
 from topicpages import ContentMatrix, extract_text, read_page, weigh_pages
 from topicpages.content import EnglishVerdict
-from topicpages.errors import EmptyCorpus
+from topicpages.errors import PipelineError
 from topicpages.stemmer import stem
 from topicpages.stopwords import DEFAULT_STOPWORDS
 
@@ -366,7 +366,7 @@ class TestTfidf:
         assert np.all(m.weights[1] == 0.0)
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(PipelineError, match="^no topic documents$"):
             weigh_pages([])
 
     def test_bad_min_df(self):

@@ -17,7 +17,7 @@ from topicpages import (
 )
 from topicpages import embeddings as embeddings_mod
 from topicpages import lines as lines_mod
-from topicpages.errors import DimensionMismatch, MalformedDocument, MalformedHeader
+from topicpages.errors import PipelineError
 from topicpages.stopwords import load_stopwords
 
 from conftest import never_parse, text_file
@@ -59,6 +59,15 @@ def at(path, lineno):
     return re.escape(f"{path}:{lineno}: ")
 
 
+# a header that is not "count dimension", and the fault its error names
+BAD_HEADERS = [
+    ("3", "expected 'count dimension', got '3'"),
+    ("a b", "non-integer header: 'a b'"),
+    ("3 2 1", "expected 'count dimension', got '3 2 1'"),
+    ("3 0", "dimension must be positive"),
+]
+
+
 class TestLoadEmbeddings:
     def test_basic(self, vectors):
         m = load_embeddings_file(vectors(W2V))
@@ -82,23 +91,23 @@ class TestLoadEmbeddings:
 
     def test_empty_document(self, vectors):
         p = vectors("")
-        with pytest.raises(MalformedHeader, match=f"^{at(p, 1)}empty document$"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 1)}empty document$"):
             load_embeddings_file(p)
 
-    @pytest.mark.parametrize("header", ["3", "a b", "3 2 1", "3 0"])
-    def test_bad_headers(self, vectors, header):
+    @pytest.mark.parametrize("header,fault", BAD_HEADERS, ids=[h for h, _ in BAD_HEADERS])
+    def test_bad_headers(self, vectors, header, fault):
         p = vectors(header + "\na 1.0 2.0\n")
-        with pytest.raises(MalformedHeader, match=f"^{at(p, 1)}"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 1)}{re.escape(fault)}$"):
             load_embeddings_file(p)
 
     def test_wrong_width_reports_line_number(self, vectors):
         p = vectors("2 2\na 1.0 2.0\nb 1.0\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 3)}expected 2 values, got 1$"):
             load_embeddings_file(p)
 
     def test_non_numeric_reports_line_number(self, vectors):
         p = vectors("1 2\na 1.0 oops\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 2)}"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 2)}non-numeric coordinate$"):
             load_embeddings_file(p)
 
     def test_file_loader(self, vectors):
@@ -107,18 +116,18 @@ class TestLoadEmbeddings:
     def test_bad_value_in_duplicate_row_rejected(self, vectors):
         # the first row of a token wins, but every row's values must parse
         p = vectors("2 1\na 1.0\nA oops\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}non-numeric coordinate$"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 3)}non-numeric coordinate$"):
             load_embeddings_file(p)
 
     def test_width_of_duplicate_row_checked(self, vectors):
         p = vectors("2 1\na 1.0\nA 1.0 2.0\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}expected 1 values, got 2$"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 3)}expected 1 values, got 2$"):
             load_embeddings_file(p)
 
     def test_values_python_accepts_and_numpy_does_not(self, vectors):
         for value in ["1_0", "\u0661"]:
             p = vectors(f"2 2\na 1 2\nb {value} -0.0\n")
-            with pytest.raises(DimensionMismatch, match=f"^{at(p, 3)}non-numeric coordinate$"):
+            with pytest.raises(PipelineError, match=f"^{at(p, 3)}non-numeric coordinate$"):
                 load_embeddings_file(p)
 
     def test_only_newline_ends_a_row(self, vectors):
@@ -126,13 +135,13 @@ class TestLoadEmbeddings:
         m = load_embeddings_file(vectors("1 2\na 1\r2\x85\u2028\r\t\n"))
         assert m.vector("a").tolist() == [1.0, 2.0]
         p = vectors("2 1\na 1\rb 2\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 2)}expected 1 values, got 3$"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 2)}expected 1 values, got 3$"):
             load_embeddings_file(p)
 
     def test_error_line_number_past_a_chunk(self, vectors, monkeypatch):
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 2)
         p = vectors("5 1\na 1\n\nb 2\nc 3\nd x\n")
-        with pytest.raises(DimensionMismatch, match=f"^{at(p, 6)}non-numeric coordinate$"):
+        with pytest.raises(PipelineError, match=f"^{at(p, 6)}non-numeric coordinate$"):
             load_embeddings_file(p)
 
     def test_malformed_row_before_bad_utf8_reports_the_row(self, tmp_path, monkeypatch):
@@ -141,13 +150,13 @@ class TestLoadEmbeddings:
         monkeypatch.setattr(embeddings_mod, "_CHUNK_LINES", 1)
         p = tmp_path / "v.txt"
         p.write_bytes(b"2 1\na oops\n" + b"b 1.0\n" * 10000 + b"c \xff\n")
-        with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(p))}:2: non-numeric"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(p))}:2: non-numeric"):
             load_embeddings_file(p)
 
     def test_bad_utf8_names_file_and_line(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_bytes(b"1 1\na \xff\n")
-        with pytest.raises(MalformedDocument, match=f"^{re.escape(str(p))}:2: not UTF-8: "):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(p))}:2: not UTF-8: "):
             load_embeddings_file(p)
 
     @pytest.mark.parametrize(
@@ -162,7 +171,7 @@ class TestLoadEmbeddings:
     def test_undecodable_line_number(self, tmp_path, data, lineno):
         p = tmp_path / "v.txt"
         p.write_bytes(data)
-        with pytest.raises(MalformedDocument, match=f"^{re.escape(str(p))}:{lineno}: not UTF-8"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(str(p))}:{lineno}: not UTF-8"):
             load_embeddings_file(p)
 
 
@@ -179,33 +188,33 @@ def reference_load(document, path):
     header_at = at(1)
     lines = document.split("\n") if document else []
     if not lines:
-        raise MalformedHeader(f"{header_at}empty document")
+        raise PipelineError(f"{header_at}empty document")
     header = lines[0].split()
     if len(header) != 2:
-        raise MalformedHeader(f"{header_at}expected 'count dimension', got {lines[0]!r}")
+        raise PipelineError(f"{header_at}expected 'count dimension', got {lines[0]!r}")
     try:
         _, dim = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise MalformedHeader(f"{header_at}non-integer header: {lines[0]!r}") from exc
+        raise PipelineError(f"{header_at}non-integer header: {lines[0]!r}") from exc
     if dim < 1:
-        raise MalformedHeader(f"{header_at}dimension must be positive")
+        raise PipelineError(f"{header_at}dimension must be positive")
     vectors = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != dim + 1:
-            raise DimensionMismatch(
+            raise PipelineError(
                 f"{at(lineno)}expected {dim} values, got {len(parts) - 1}"
             )
         token = parts[0].lower()
         # numpy reads what float() reads, but for "_" and non-ASCII digits
         if not all(p.isascii() and "_" not in p for p in parts[1:]):
-            raise DimensionMismatch(f"{at(lineno)}non-numeric coordinate")
+            raise PipelineError(f"{at(lineno)}non-numeric coordinate")
         try:
             vector = np.array([float(p) for p in parts[1:]], dtype=float)
         except ValueError as exc:
-            raise DimensionMismatch(f"{at(lineno)}non-numeric coordinate") from exc
+            raise PipelineError(f"{at(lineno)}non-numeric coordinate") from exc
         vectors.setdefault(token, vector)
     return dim, vectors
 
@@ -214,7 +223,7 @@ def outcome(load, arg):
     """(dimension, [(token, vector bytes)]) or (error type, message)."""
     try:
         model = load(arg)
-    except (MalformedHeader, DimensionMismatch) as exc:
+    except PipelineError as exc:
         return type(exc), str(exc)
     return model.dimension, [(t, v.tobytes()) for t, v in model.items()]
 
@@ -222,7 +231,7 @@ def outcome(load, arg):
 def reference_outcome(document, path):
     try:
         dim, vectors = reference_load(document, path)
-    except (MalformedHeader, DimensionMismatch) as exc:
+    except PipelineError as exc:
         return type(exc), str(exc)
     return dim, [(t, v.tobytes()) for t, v in vectors.items()]
 
@@ -276,8 +285,10 @@ class TestBulkLoaderMatchesReference:
             numpy_reads = True
         except ValueError:
             numpy_reads = False
-        expected = 1 if numpy_reads else DimensionMismatch  # the dimension, or the error
-        assert reference_outcome(f"1 1\na {value}\n", "v.txt")[0] == expected
+        dim_or_error = reference_outcome(f"1 1\na {value}\n", "v.txt")
+        expected = 1 if numpy_reads else PipelineError  # the dimension, or the error
+        assert dim_or_error[0] == expected
+        assert numpy_reads or dim_or_error[1] == "v.txt:2: non-numeric coordinate"
 
     def test_default_chunk_sizes_on_a_long_file(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -429,7 +440,7 @@ class TestParseCache:
 
 class TestEmbeddingModel:
     def test_direct_construction_checks_shape(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PipelineError, match="^token 'a': expected 3 values$"):
             EmbeddingModel(3, {"a": [1.0, 2.0]})
 
     def test_direct_construction_keeps_order_and_values(self):

@@ -9,7 +9,7 @@ import pytest
 from topicpages import fetch_all, fetch_missing, fetch_one, normalize, save_snapshots
 from topicpages import lines as lines_mod
 from topicpages.cli import main
-from topicpages.errors import MalformedRecord
+from topicpages.errors import PipelineError
 from topicpages.fetch import (
     FetchResult,
     _snapshot_name,
@@ -291,7 +291,7 @@ class TestSnapshotStore:
     def test_read_snapshot_without_body(self, tmp_path):
         save_snapshots([err_result(normalize("https://a.example/z/"), "HTTP 500")], tmp_path)
         (row,) = load_snapshot_index(tmp_path).values()
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(PipelineError, match="^no snapshot body for 'https://a.example/z/'$"):
             read_snapshot(tmp_path, row)
 
     def test_resave_merges_and_sorts(self, tmp_path):
@@ -336,7 +336,7 @@ class TestSnapshotStore:
 
     def test_corrupt_index_line_reported(self, tmp_path):
         (tmp_path / "index.jsonl").write_text('{"url": "https://a.example/"}\nnot json\n')
-        with pytest.raises(MalformedRecord, match=":2:"):
+        with pytest.raises(PipelineError, match=":2: not JSON: "):
             load_snapshot_index(tmp_path)
 
 

@@ -240,9 +240,12 @@ STRICT_FAULTS = {
     "best-site-number": ("best.jsonl", {**BEST, "site": 1}),
     "url-subpath-number": ("urls.jsonl", {**URL_ROW, "subpaths": ["sports", 2]}),
     "url-raw-null": ("urls.jsonl", {**URL_ROW, "raw": None}),
+    "url-site-missing": ("urls.jsonl", {k: v for k, v in URL_ROW.items() if k != "site"}),
     "index-path-number": ("index.jsonl", {"url": "https://a.example/", "path": 1}),
     "index-url-null": ("index.jsonl", {"url": None, "path": None}),
 }
+# the whole message where the fault is a missing key, which the message names
+STRICT_MESSAGES = {"url-site-missing": "missing key 'site'"}
 STRICT_READERS = {
     "tracking-matrix.json": load_matrix_file,
     "content-matrix.json": load_matrix_file,
@@ -262,6 +265,8 @@ def test_value_of_a_wrong_type_is_an_error_naming_the_file(tmp_path, name):
     with pytest.raises(PipelineError) as err:
         STRICT_READERS[filename](path)
     assert str(err.value).startswith(f"{path}:"), str(err.value)
+    if name in STRICT_MESSAGES:
+        assert str(err.value) == f"{path}:1: {STRICT_MESSAGES[name]}"
 
 
 def _report(**changed):
@@ -297,6 +302,10 @@ REPORT_SHAPES = {
         "coverage.sports must be a number, got '50'"),
     "diff-percent-list": (_report(percent_diff_vs_homepage={"sports": {"Advertising": [1]}}),
                           "percent_diff_vs_homepage.sports.Advertising must be a number, got [1]"),
+    "cookie-count-missing": (
+        _report(cookie_stats={"sports": {k: v for k, v in REPORT["cookie_stats"]["sports"].items()
+                                         if k != "count"}}),
+        "missing key 'count'"),
 }
 # the same for a clusters file, whose scatter plot the report writes
 CLUSTERS_SHAPES = {
@@ -309,6 +318,7 @@ CLUSTERS_SHAPES = {
                               "points.a must be a list, got 0.5"),
     "clusters-coordinate-string": ({**CLUSTERS, "points": {"a": ["0.5"], "b": [-0.5]}},
                                    "points.a must be a number, got '0.5'"),
+    "clusters-label-missing": ({**CLUSTERS, "assignments": {"a": 0}}, "missing key 'b'"),
 }
 
 

@@ -22,7 +22,7 @@ import topicpages.pipeline as pipeline_mod
 import topicpages.tracking as tracking_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
-from topicpages.errors import ConfigError, EmptyInput, KTooLarge, MissingStage, PipelineError
+from topicpages.errors import ConfigError, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index, save_snapshots
 from topicpages.lines import write_json, write_text
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
@@ -510,7 +510,7 @@ class TestRunnerDirect:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", "utf-8")
         runner = Runner(PipelineConfig(out_dir=str(out)))
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="^no training URLs$"):
             runner.run_stage(STAGE_NAMED["fit-thresholds"], empty)
         assert (out / "histograms").is_dir()  # made when the stage started
         assert runner.artifacts == {}
@@ -1170,14 +1170,15 @@ class TestBranch:
             "tracking-report.json", "clusters-tracking.json", "sweep-tracking.csv"]
 
     @needs_fork
+    @pytest.mark.skipif(sys.platform != "linux", reason="a worker dies with its run on Linux")
     @pytest.mark.usefixtures("forking")
     def test_a_worker_whose_run_was_killed_writes_nothing(self, e2e_config, monkeypatch):
-        # the run's process is killed while its worker is inside track; the worker, let
-        # go on, ends its stages and exits, and no file in out_dir changes after the kill
+        # the run's process is killed while its worker waits inside track; the worker
+        # dies with it, before it ends track, and no file in out_dir changes after the kill
         cfg = load_config(e2e_config, env={})
         out = Path(cfg.out_dir)
         said_r, said_w = os.pipe()  # the worker -> this test: its pid, then "out"
-        go_r, go_w = os.pipe()  # this test -> the worker: go on with track
+        go_r, go_w = os.pipe()  # this test -> the worker: go on with track (never sent)
         track = Runner.stage_track
 
         def slowed(self, *paths):
@@ -1203,8 +1204,8 @@ class TestBranch:
         os.close(go_r)
         worker, ended = None, False
 
-        def said(timeout=10.0):
-            assert select.select([said_r], [], [], timeout)[0], "the worker said nothing"
+        def said(timeout=10.0, silent="the worker said nothing"):
+            assert select.select([said_r], [], [], timeout)[0], silent
             return os.read(said_r, 64)
 
         def files():
@@ -1218,23 +1219,22 @@ class TestBranch:
                 os.kill(run_pid, signal.SIGKILL)
                 os.waitpid(run_pid, 0)
             at_kill = files()
-            os.write(go_w, b"g")
             told = b""
-            while chunk := said():  # until the worker's end of the pipe closes at its exit
+            # until the worker's end of the pipe closes at its exit
+            while chunk := said(timeout=5.0, silent="the worker outlived its run"):
                 told += chunk
             ended = True
-            assert told == b"out"
+            assert told == b""
             assert files() == at_kill
             assert not any(path.name.startswith("tracking") for path in at_kill)
         finally:
-            os.close(go_w)
-            os.close(said_r)
             if worker is not None and not ended:
                 try:
                     os.kill(worker, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
-
+            os.close(go_w)
+            os.close(said_r)
 
 COMMANDS = (
     "fetch", "extract", "fit-thresholds", "filter", "classify", "best-subpages", "track",

@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from topicpages import cohens_kappa, ks_two_sample, summary
-from topicpages.errors import EmptyInput, EmptySample, LengthMismatch
+from topicpages.errors import PipelineError
 
 
 def ecdf_scan_d(a, b):
@@ -93,9 +93,9 @@ class TestKsTwoSample:
             )
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(PipelineError, match="^both samples must be non-empty$"):
             ks_two_sample([], [1.0])
-        with pytest.raises(EmptySample):
+        with pytest.raises(PipelineError, match="^both samples must be non-empty$"):
             ks_two_sample([1.0], [])
 
 
@@ -126,11 +126,11 @@ class TestCohensKappa:
         assert cohens_kappa(["x", "y"], ["y", "x"]) == -1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(PipelineError, match="^1 vs 2 labels$"):
             cohens_kappa(["x"], ["x", "y"])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="^no labels$"):
             cohens_kappa([], [])
 
     @settings(max_examples=80)
@@ -168,7 +168,7 @@ class TestSummary:
         assert sorted(d) == ["count", "max", "mean", "median", "min", "q1", "q3"]
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="^no values to summarize$"):
             summary([])
 
     @settings(max_examples=60)

@@ -18,7 +18,7 @@ from topicpages import (
 )
 from topicpages import thresholds as thresholds_mod
 from topicpages.config import PipelineConfig, load_config
-from topicpages.errors import EmptyInput, MalformedDocument, NotBimodal
+from topicpages.errors import NotBimodal, PipelineError
 from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
 from topicpages.thresholds import (
     DEFAULT_BUCKET_SIZES,
@@ -27,7 +27,7 @@ from topicpages.thresholds import (
     url_histograms,
 )
 from topicpages.lines import write_text
-from topicpages.urls import read_url_file, url_lines
+from topicpages.urls import read_url_file, url_lines, url_to_record
 
 from conftest import DATA, build_e2e_workspace
 
@@ -54,7 +54,7 @@ class TestBuildHistogram:
         assert h.counts == {0.15: 1}
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="^cannot build a histogram from no values$"):
             build_histogram([], 1.0)
 
     def test_bad_bucket_size(self):
@@ -203,7 +203,7 @@ class TestFitThresholds:
         ) == (80, 30, 4, 0.6)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(PipelineError, match="^no training URLs$"):
             fit([])
 
 
@@ -269,6 +269,20 @@ class TestFilterSubpages:
         urls = [normalize(f"https://x.example/s{i}/") for i in (3, 1, 2)]
         assert filter_subpages(urls, DEFAULT_THRESHOLDS) == urls
 
+    def test_stage_keeps_each_row_by_its_own_metrics(self, tmp_path):
+        # a hand-edited file whose two rows for one URL differ in subpaths: the stage,
+        # as filter_subpages, keeps the row that passes and drops the one that does not
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "thresholds.json").write_text(json.dumps(DEFAULT_THRESHOLDS.to_dict()), "utf-8")
+        good = url_to_record(normalize("https://a.example/sports/"), "a.example")
+        long = {**good, "subpaths": ["x" * (DEFAULT_THRESHOLDS.max_subpath_length + 1)]}
+        source = tmp_path / "internal.jsonl"
+        source.write_text(f"{json.dumps(long)}\n{json.dumps(good)}\n", "utf-8")
+        summary = Runner(PipelineConfig(out_dir=str(out))).run_stage(STAGE_NAMED["filter"], source)
+        assert summary == {"kept": 1, "dropped": 1}
+        assert read_url_file(out / "filtered.jsonl") == read_url_file(source)[1:]
+
 
 subpath_st = st.from_regex(r"[a-z0-9]([a-z0-9-]{0,18}[a-z0-9])?", fullmatch=True)
 url_st = st.lists(subpath_st, min_size=0, max_size=5).map(
@@ -329,7 +343,7 @@ class TestThresholdsObject:
         source = tmp_path / "urls.jsonl"
         write_text(source, url_lines([(normalize("https://a.example/sports/"), "a.example")]))
         cfg = PipelineConfig(out_dir=str(out), embeddings=str(DATA / "toy_vectors.txt"))
-        with pytest.raises(MalformedDocument, match=f"^{re.escape(f'{thresholds}: {fault}')}$"):
+        with pytest.raises(PipelineError, match=f"^{re.escape(f'{thresholds}: {fault}')}$"):
             Runner(cfg).run_stage(STAGE_NAMED[stage], source)
 
 

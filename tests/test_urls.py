@@ -5,7 +5,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import topicpages.urls as urls_mod
 from topicpages import normalize, partition_links, read_page, registrable_domain, url_metrics
-from topicpages.errors import MalformedRecord, MalformedUrl
+from topicpages.errors import MalformedUrl, PipelineError
 from topicpages.lines import _ROW, write_text
 from topicpages.urls import PageUrl, read_url_file, url_lines, url_to_record
 
@@ -283,14 +283,14 @@ class TestUrlFiles:
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "urls.jsonl"
         path.write_text('{"raw": "x"}\n', "utf-8")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(PipelineError, match="missing key 'normalized'$") as err:
             read_url_file(path)
         assert str(err.value).startswith(f"{path}:1: ")
 
     def test_not_json_reports_number(self, tmp_path):
         path = tmp_path / "urls.jsonl"
         path.write_text("{}\nnot json\n", "utf-8")
-        with pytest.raises(MalformedRecord) as err:
+        with pytest.raises(PipelineError, match="missing key 'raw'$") as err:
             read_url_file(path)
         assert str(err.value).startswith(f"{path}:1: ")
 

@@ -246,12 +246,14 @@ def fetch_missing(
 ) -> tuple[int, int]:
     """Ensure the snapshot store covers *urls*; returns (fetched, reused).
 
-    Only URLs absent from the index are fetched unless *live* forces a
-    refresh of everything, so downstream stages can be re-run offline.
+    A URL whose index row holds a body is reused unless *live* forces a
+    refresh of everything, so downstream stages can be re-run offline.  Every
+    other URL, one absent from the index or one whose last fetch failed, is
+    fetched, so a transient failure is tried again on the next run.
     """
     directory = Path(directory)
     index = load_snapshot_index(directory)
-    todo = [u for u in urls if live or u.normalized not in index]
+    todo = [u for u in urls if live or not index.get(u.normalized, {}).get("path")]
     if todo:
         save_snapshots(fetch_all(todo, **fetch_kwargs), directory)
     return len(todo), len(urls) - len(todo)

@@ -83,8 +83,9 @@ def read_text(path: str | Path) -> str:
         raise PipelineError(f"{path}:{lineno}: not UTF-8: {exc.reason}") from exc
 
 
-def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
-    """parse(the one JSON value a file holds); its faults are errors naming the file."""
+def read_json(path: str | Path, parse: Callable[[object], T] = lambda value: value) -> T:
+    """parse(the one JSON value a file holds), by default that value whatever its
+    shape; its faults are errors naming the file."""
     text = read_text(path)
     return parsed(text, lambda text: parse(json.loads(text)), path)
 

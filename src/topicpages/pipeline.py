@@ -6,23 +6,22 @@ manifest.json, the content-hash inventory of every artifact it produced;
 two runs over the same inputs and seed produce byte-identical bundles.
 
 A stage method writes nothing.  It returns its summary and, for each of its
-write paths, the file's text and the value that file parses to.  Runner.run_stage
-hands both to Runner.save, the one write path, which writes each text in one
-step and keeps the value of each file a later STAGES entry reads.  A reader
+write paths, the file's text and, when a later STAGES entry reads the file, the
+value that file parses to.  Runner.run_stage hands both to Runner.save, the one
+write path, which writes each text in one step and keeps each value.  A reader
 takes the kept value when this Runner wrote the path it reads, and otherwise
-parses the file, so a stage run alone, or given --input, reads the file.  A
-matrix's array is read-only either way, so a reader that writes into it fails
-instead of changing what later readers get.  A full run lets go of each kept
-value once the last stage that reads it has run; the report takes only the
-site set of internal.jsonl, so the file's rows give way to that set after
-filter, their last other reader.
+parses the file, so a stage run alone, or given --input, reads the file; either
+way it gets a value of one type.  A matrix's array is read-only either way, so
+a reader that writes into it fails instead of changing what later readers get.
+A full run lets go of each kept value once the last stage that reads it has run.
+The rows of internal.jsonl (a urls.UrlRows) carry the URL metrics that
+fit-thresholds measures and filter takes, and the report takes only their site
+set, so after filter, their last other reader, the rows give way to that set.
 
 A Runner also loads each run input when first used and keeps it for the run,
-the embeddings through the parse cache in the snapshot store, and keeps two
-values that no file holds: the URL metrics of internal.jsonl's rows, measured
-by fit-thresholds, beside the rows until filter, which takes them in place of
-measuring again; and the visible text of each homepage, which extract parses
-for its links, until content, which takes it in place of a second parse.
+the embeddings through the parse cache in the snapshot store, and keeps one
+value that no file holds: the visible text of each homepage, which extract
+parses for its links, until content, which takes it in place of a second parse.
 
 The analytics run in two halves that read only best.jsonl and their own files:
 the tracking half (BRANCH: track, cluster-tracking, sweep-tracking) and the
@@ -41,7 +40,7 @@ not safe, the tracking half runs in order at the same point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -58,7 +57,7 @@ from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
     _located, checked, encoded, file_sha256, json_text, jsonl_text, parsed, read_json,
-    read_lines, read_text, write_json, write_text,
+    read_lines, read_text, write_text,
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
@@ -69,17 +68,17 @@ from .thresholds import (
     histogram_csv,
     histogram_rows,
     histograms_of,
-    measure,
 )
 from .urls import (
-    PageUrl, UrlMetrics, load_suffixes, normalize, partition_links, read_url_file, url_lines,
+    PageUrl, UrlRows, load_suffixes, normalize, partition_links, read_url_file, url_lines,
 )
 
 MANIFEST_NAME = "manifest.json"
 
 T = TypeVar("T")
 # for each write path of a stage, the file's text (a str, bytes or an iterable of
-# str) and what the file parses to; a stage method returns its summary and these
+# str) and what the file parses to, None unless a later stage reads the file; a
+# stage method returns its summary and these
 Outputs = dict[Path, tuple]
 StageResult = tuple[dict, Outputs]
 
@@ -102,8 +101,6 @@ class Runner:
         self.artifacts: dict[str, Path] = {}
         # each written file a later stage reads -> what it parses to, until its last reader
         self._kept: dict[Path, object] = {}
-        self._read_later = {self.out_dir / name for name in LAST_READER}
-        self._measured: dict[Path, tuple] = {}  # a URL file -> (its rows, their url_metrics)
         self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
         self._held: dict[Path, bytes] | None = None  # in a forked worker: the files it saved
 
@@ -149,47 +146,27 @@ class Runner:
         return read(path) if kept is None else kept
 
     def save(self, outputs: Outputs) -> None:
-        """Write each file's text in one step, and keep its value when a later stage
-        reads the file.  In a forked worker the file's bytes are held instead, for the
-        parent to save; a text that cannot be written fails here either way."""
+        """Write each file's text in one step, and keep each value that is not None.
+        In a forked worker the file's bytes are held instead, for the parent to save;
+        a text that cannot be written fails here either way."""
         for path, (text, value) in outputs.items():
             if self._held is None:
                 write_text(path, text)
             else:
                 self._held[path] = encoded(path, text)
-            if value is not None and path in self._read_later:
+            if value is not None:
                 self._kept[path] = value
 
     def release(self, stage: Stage) -> None:
-        """Let go of the kept value of each file whose last reader is *stage*, and of the
-        rows of internal.jsonl for their site set, all that the report takes, once the
-        last other stage that reads them has run; metrics go with the rows they measure."""
+        """Let go of the kept value of each file whose last reader is *stage*.  After
+        the last other stage that reads internal.jsonl, its kept rows, with the metrics
+        they carry, give way to their site set, all that the report takes."""
         for name in stage.reads:
             path = self.out_dir / name
             if LAST_READER[name] == stage.name:
                 self._kept.pop(path, None)
             elif SITES_AFTER.get(name) == stage.name and path in self._kept:
-                self._kept[path] = frozenset(site for _, site in self._kept[path])
-        self._measured = {p: m for p, m in self._measured.items() if self._kept.get(p) is m[0]}
-
-    def url_rows(self, path: str | Path) -> Sequence[tuple[PageUrl, str]]:
-        """A URL file's (url, site) rows: those this Runner wrote there, or else the file's."""
-        return self.load(path, read_url_file)
-
-    def measured_rows(self, path: str | Path) -> tuple[Sequence, list[UrlMetrics]]:
-        """A URL file's url_rows and each row's url_metrics, measured once per rows read."""
-        rows = self.url_rows(path)
-        if self._measured.get(Path(path), (None,))[0] is not rows:
-            self._measured[Path(path)] = rows, measure(u for u, _ in rows)
-        return self._measured[Path(path)]
-
-    def url_sites(self, path: str | Path) -> frozenset[str]:
-        """The sites of a URL file's rows: the set kept in place of rows this Runner
-        wrote there, or else the sites of the rows."""
-        kept = self._kept.get(Path(path))
-        if isinstance(kept, frozenset):
-            return kept
-        return frozenset(site for _, site in self.url_rows(path))
+                self._kept[path] = self._kept[path].sites
 
     # --- stages -------------------------------------------------------------
 
@@ -283,14 +260,14 @@ class Runner:
             "skipped_hrefs": skipped,
             "missing_snapshots": missing,
         }
-        return summary, {path: (url_lines(rows), rows) for path, rows in (
-            (internal_path, tuple(internal)), (external_path, tuple(external)))}
+        return summary, {internal_path: (url_lines(internal), UrlRows(internal)),
+                         external_path: (url_lines(external), None)}
 
     def stage_fit_thresholds(self, source: str | Path, thresholds: Path,
                              *histograms: Path) -> StageResult:
         """Fit the URL-shape cutoffs; each histogram is written to the file named after it."""
         cfg = self.config
-        hists = histograms_of(self.measured_rows(source)[1], DEFAULT_BUCKET_SIZES)
+        hists = histograms_of(self.load(source, read_url_file).metrics, DEFAULT_BUCKET_SIZES)
         fitted = fit_url_histograms(
             hists, cosine_cutoff=cfg.cosine_cutoff, fallback_defaults=cfg.fallback_defaults
         )
@@ -300,14 +277,14 @@ class Runner:
         return fitted.to_dict(), outputs
 
     def stage_filter(self, source: str | Path, thresholds: Path, filtered: Path) -> StageResult:
-        rows, metrics = self.measured_rows(source)
+        rows = self.load(source, read_url_file)
         fitted = self.load(thresholds, _read_thresholds)
-        kept = tuple(row for row, m in zip(rows, metrics) if fitted.admits(m))
+        kept = UrlRows(row for row, m in zip(rows, rows.metrics) if fitted.admits(m))
         summary = {"kept": len(kept), "dropped": len(rows) - len(kept)}
         return summary, {filtered: (url_lines(kept), kept)}
 
     def stage_classify(self, source: str | Path, thresholds: Path, out: Path) -> StageResult:
-        rows = self.url_rows(source)
+        rows = self.load(source, read_url_file)
         classifier = self.classifier(self.load(thresholds, _read_thresholds).cosine_cutoff)
         assignments = [
             classifier.classify(u) for u, _ in rows if u.subpaths
@@ -427,16 +404,11 @@ class Runner:
         except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
             raise _located(exc, str(matrix), PipelineError) from exc
         payload = {
+            **asdict(report),
             "matrix": Path(matrix).name,
             "n": cfg.pca_n,
-            "k": report.k,
-            "seed": report.seed,
-            "sse": report.sse,
-            "silhouette": report.silhouette,
-            "gap": report.gap,
             "rank_deficient": model.rank_deficient,
             "explained_variance_ratio": [float(r) for r in model.explained_variance_ratio],
-            "assignments": report.assignments,
             "points": {label: [float(v) for v in row] for label, row in zip(labels, reduced)},
         }
         shown = ("matrix", "k", "sse", "silhouette", "gap")
@@ -492,7 +464,8 @@ class Runner:
         # topic coverage across sites
         if best:
             chosen = self.load(best, classify_mod.read_best_subpages)
-            sites = self.url_sites(internal) if internal else {r["site"] for r in chosen}
+            sites = (self.load(internal, lambda path: read_url_file(path).sites) if internal
+                     else {r["site"] for r in chosen})
             per_topic: dict[str, set[str]] = {}
             for r in chosen:
                 per_topic.setdefault(r["topic"], set()).add(r["site"])
@@ -536,7 +509,7 @@ class Runner:
             return plots
 
         if tracking_report:
-            plots.update(parsed(self.load(tracking_report, _read_document), tracking_plots,
+            plots.update(parsed(self.load(tracking_report, read_json), tracking_plots,
                                 tracking_report))
 
         # cluster scatters and metric curves
@@ -555,7 +528,7 @@ class Runner:
             (clusters_content, sweep_content, scatter_content, curves_content),
         ):
             if clusters:
-                plots[scatter] = parsed(self.load(clusters, _read_document), scatter_plot, clusters)
+                plots[scatter] = parsed(self.load(clusters, read_json), scatter_plot, clusters)
             if sweep:
                 plots[curves] = self.load(sweep, read_text)
 
@@ -577,7 +550,7 @@ class Runner:
             listing[name] = {"path": rel, "sha256": file_sha256(path)}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out_dir / MANIFEST_NAME
-        write_json(manifest_path, {"artifacts": listing})
+        self.save({manifest_path: (json_text({"artifacts": listing}), None)})
         return manifest_path
 
 
@@ -604,24 +577,15 @@ def _items(value, what: str) -> list[tuple]:
     return sorted(checked(value, dict, what).items())
 
 
-def _read_document(path: str | Path):
-    """The JSON value a file holds, whatever its shape."""
-    return read_json(path, lambda value: value)
-
-
 def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:
     """Load either matrix artifact as (row labels, float matrix).
 
     The two formats are told apart by their payload key: presence matrices
     carry integer "cells", term-weight matrices carry "weights".
     """
-    return read_json(path, _labeled_matrix)
-
-
-def _labeled_matrix(obj: dict) -> tuple[tuple[str, ...], "np.ndarray"]:
-    if "cells" in obj:
-        return _labeled(tracking_mod.TrackingMatrix.from_dict(obj))
-    return _labeled(content_mod.ContentMatrix.from_dict(obj))
+    return read_json(path, lambda obj: _labeled((
+        tracking_mod.TrackingMatrix if "cells" in obj else content_mod.ContentMatrix
+    ).from_dict(obj)))
 
 
 def _labeled(m) -> tuple[tuple[str, ...], "np.ndarray"]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
@@ -276,5 +276,20 @@ def url_lines(rows: Iterable[tuple[PageUrl, str]]) -> Iterator[str]:
             for u, site in chunk)
 
 
-def read_url_file(path: str | Path) -> list[tuple[PageUrl, str]]:
-    return list(read_jsonl(path, url_from_record))
+class UrlRows(tuple):
+    """The (url, site) rows of a URL file: those extract or filter made, or those read
+    from the file, alike.  Each property is computed when first taken and kept with
+    the rows, so rows kept for a run are measured once however many stages read them."""
+
+    @cached_property
+    def metrics(self) -> list[UrlMetrics]:
+        """Each row's url_metrics, in order."""
+        return [url_metrics(u) for u, _ in self]
+
+    @cached_property
+    def sites(self) -> frozenset[str]:
+        return frozenset(site for _, site in self)
+
+
+def read_url_file(path: str | Path) -> UrlRows:
+    return UrlRows(read_jsonl(path, url_from_record))

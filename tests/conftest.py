@@ -29,6 +29,12 @@ def never_parse(path):
     raise AssertionError(f"{path} was parsed, not served from the cache")
 
 
+@pytest.fixture()
+def forking(monkeypatch):
+    """Fork for the BRANCH stages whatever the size of their input files."""
+    monkeypatch.setattr("topicpages.pipeline.BRANCH_MIN_BYTES", 0)
+
+
 @pytest.fixture(scope="session")
 def toy_dictionary():
     return load_dictionary_file(DATA / "toy_dictionary.json")

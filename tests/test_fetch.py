@@ -56,12 +56,12 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/slow/":
             time.sleep(srv.slow_seconds)
             self._send(200, "finally")
-        elif path == "/flaky/":
+        elif path == "/flaky/" or path == "/busy/":
             with srv.lock:
                 srv.flaky_hits += 1
                 attempt = srv.flaky_hits
             if attempt == 1:
-                self._send(500, "try again")
+                self._send(500 if path == "/flaky/" else 503, "try again")
             else:
                 self._send(200, "recovered")
         elif path.startswith("/track/"):
@@ -349,6 +349,17 @@ class TestFetchMissing:
         assert fetch_missing(more, tmp_path, parallelism=2, timeout=5.0) == (1, 2)
         index = load_snapshot_index(tmp_path)
         assert len(index) == 3
+
+    def test_failed_url_is_fetched_again_on_the_next_run(self, base, server, tmp_path):
+        url = u(base, "/busy/")
+        assert fetch_missing([url], tmp_path, timeout=5.0, retries=0) == (1, 0)
+        assert load_snapshot_index(tmp_path)[url.normalized]["error"] == "HTTP 503"
+        assert fetch_missing([url], tmp_path, timeout=5.0, retries=0) == (1, 0)
+        row = load_snapshot_index(tmp_path)[url.normalized]
+        assert (row["status"], row["error"]) == (200, None)
+        assert read_snapshot(tmp_path, row) == "recovered"
+        assert fetch_missing([url], tmp_path, timeout=5.0, retries=0) == (0, 1)
+        assert server.flaky_hits == 2
 
     def test_live_refetches_everything(self, base, tmp_path):
         urls = [u(base, "/ok/")]

@@ -20,13 +20,14 @@ import topicpages.content as content_mod
 import topicpages.lines as lines_mod
 import topicpages.pipeline as pipeline_mod
 import topicpages.tracking as tracking_mod
+import topicpages.urls as urls_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index, save_snapshots
 from topicpages.lines import write_json, write_text
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
-from topicpages.urls import read_url_file, url_lines
+from topicpages.urls import UrlRows, read_url_file, url_lines
 from topicpages.pipeline import (
     BRANCH,
     STAGE_NAMED,
@@ -55,12 +56,6 @@ EXPECTED_BEST = [
 # files reach BRANCH_MIN_BYTES
 FORKS = hasattr(os, "fork") and sys.platform != "darwin"
 needs_fork = pytest.mark.skipif(not FORKS, reason="the branch runs in order without os.fork")
-
-
-@pytest.fixture()
-def forking(monkeypatch):
-    """Fork for the BRANCH stages whatever the size of their input files."""
-    monkeypatch.setattr(pipeline_mod, "BRANCH_MIN_BYTES", 0)
 
 
 def run_cli(capsys, *argv):
@@ -668,7 +663,7 @@ class TestEachFileParsedOnce:
         runner = Runner(load_config(e2e_config, env={}))
         for stage in STAGES:
             runner.run_stage(stage)
-        document = pipeline_mod._read_document
+        document = lines_mod.read_json
         readers = {
             "internal.jsonl": read_url_file,
             "filtered.jsonl": read_url_file,
@@ -692,12 +687,13 @@ class TestEachFileParsedOnce:
                 return value[0], value[1].tolist()
             if name == "assignments.jsonl":  # a kept URL keeps its href as raw
                 return [assignment_to_record(a) for a in value]
-            return list(value) if isinstance(value, tuple) else value
+            return value
 
         for name, read in readers.items():
             path = runner.out_dir / name
-            assert comparable(name, runner._kept[path]) == comparable(name, read(path)), name
-        assert isinstance(runner.url_rows(runner.out_dir / "internal.jsonl"), tuple)
+            kept, fresh = runner._kept[path], read(path)
+            assert type(kept) is type(fresh), name
+            assert comparable(name, kept) == comparable(name, fresh), name
 
     def test_run_parses_each_page_once_as_content_alone_does(self, e2e_config, monkeypatch):
         fed = []
@@ -767,30 +763,53 @@ class TestEachFileParsedOnce:
             assert kept["manifest"] == ([], 0)
 
     def test_url_metrics_are_kept_beside_their_rows_until_filter(self, e2e_config, monkeypatch):
+        # before each stage: the metrics the kept internal.jsonl rows carry, and the
+        # url_metrics calls so far
         measured = {}
+        calls = []
+        url_metrics = urls_mod.url_metrics
+
+        def counting(u):
+            calls.append(u)
+            return url_metrics(u)
 
         class Recording(Runner):
             def run_stage(self, stage, **kwargs):
-                measured[stage.name] = sorted(path.name for path in self._measured)
+                rows = self._kept.get(self.out_dir / "internal.jsonl")
+                metrics = vars(rows).get("metrics") if isinstance(rows, UrlRows) else None
+                measured[stage.name] = metrics, len(calls)
                 return super().run_stage(stage, **kwargs)
 
+        monkeypatch.setattr(urls_mod, "url_metrics", counting)
         monkeypatch.setattr(pipeline_mod, "Runner", Recording)
         assert run_pipeline(load_config(e2e_config, env={}))[0] == 0
-        assert measured["fit-thresholds"] == []
-        assert measured["filter"] == ["internal.jsonl"]
-        assert measured["classify"] == []
+        assert measured["fit-thresholds"] == (None, 0)
+        metrics, n = measured["filter"]
+        assert n == len(calls) == len(metrics) > 0
+        assert measured["classify"] == (None, n)
 
-    def test_rows_written_again_are_measured_again(self, e2e_config):
+    def test_rows_written_again_are_measured_again(self, e2e_config, monkeypatch):
+        calls = []
+        url_metrics = urls_mod.url_metrics
+
+        def counting(u):
+            calls.append(u)
+            return url_metrics(u)
+
+        monkeypatch.setattr(urls_mod, "url_metrics", counting)
         runner = Runner(load_config(e2e_config, env={}))
         runner.run_stage(STAGE_NAMED["fetch"])
         runner.run_stage(STAGE_NAMED["extract"])
         internal = runner.out_dir / "internal.jsonl"
-        rows, metrics = runner.measured_rows(internal)
-        assert runner.measured_rows(internal)[1] is metrics
+        rows = runner.load(internal, read_url_file)
+        metrics = rows.metrics
+        assert runner.load(internal, read_url_file).metrics is metrics
+        assert len(calls) == len(rows) > 0
         runner.run_stage(STAGE_NAMED["extract"])
-        again, remeasured = runner.measured_rows(internal)
-        assert again is not rows and remeasured is not metrics
-        assert remeasured == metrics
+        again = runner.load(internal, read_url_file)
+        assert again is not rows and again.metrics is not metrics
+        assert again.metrics == metrics
+        assert len(calls) == 2 * len(rows)
 
     def test_given_source_is_read_not_rows_kept_from_another_path(
         self, e2e_config, tmp_path, capsys
@@ -799,7 +818,8 @@ class TestEachFileParsedOnce:
         runner.run_stage(STAGE_NAMED["fetch"])
         runner.run_stage(STAGE_NAMED["extract"])
         given = tmp_path / "given.jsonl"
-        write_text(given, url_lines(runner.url_rows(runner.out_dir / "internal.jsonl")[:1]))
+        write_text(given, url_lines(runner.load(runner.out_dir / "internal.jsonl",
+                                                read_url_file)[:1]))
 
         def counted_rows(out_dir):
             lines = (out_dir / "histograms" / "url_length.csv").read_text("utf-8").splitlines()

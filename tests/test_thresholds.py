@@ -16,7 +16,7 @@ from topicpages import (
     normalize,
     url_metrics,
 )
-from topicpages import thresholds as thresholds_mod
+from topicpages import urls as urls_mod
 from topicpages.config import PipelineConfig, load_config
 from topicpages.errors import NotBimodal, PipelineError
 from topicpages.pipeline import STAGE_NAMED, Runner, run_pipeline
@@ -220,24 +220,29 @@ class TestFitUrlHistograms:
             calls.append(u.normalized)
             return url_metrics(u)
 
-        monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
+        monkeypatch.setattr(urls_mod, "url_metrics", counting)
         Runner(cfg).run_stage(STAGE_NAMED["fit-thresholds"], source)
         assert sorted(calls) == sorted(u.normalized for u in urls)
 
-    def test_full_run_measures_each_internal_url_once(self, e2e_config, monkeypatch):
-        # fit-thresholds measures the rows extract kept, and filter reuses the measures
+    def test_full_run_measures_each_internal_url_once(self, e2e_config, monkeypatch, request):
+        # fit-thresholds measures the rows extract kept, and filter reuses the measures,
+        # with the tracking half in order (the e2e fixture is too small to fork for) or forked
         calls = []
 
         def counting(u):
             calls.append(u.normalized)
             return url_metrics(u)
 
-        monkeypatch.setattr(thresholds_mod, "url_metrics", counting)
+        monkeypatch.setattr(urls_mod, "url_metrics", counting)
         cfg = load_config(e2e_config, env={})
-        assert run_pipeline(cfg)[0] == 0
-        internal = read_url_file(Path(cfg.out_dir) / "internal.jsonl")
-        assert internal
-        assert sorted(calls) == sorted(u.normalized for u, _ in internal)
+        for forks in (False, True):
+            if forks:
+                request.getfixturevalue("forking")
+            calls.clear()
+            assert run_pipeline(cfg)[0] == 0
+            internal = read_url_file(Path(cfg.out_dir) / "internal.jsonl")
+            assert internal
+            assert sorted(calls) == sorted(u.normalized for u, _ in internal)
 
 
 class TestFilterSubpages:

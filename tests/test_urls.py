@@ -289,10 +289,11 @@ class TestUrlFiles:
 
     def test_not_json_reports_number(self, tmp_path):
         path = tmp_path / "urls.jsonl"
-        path.write_text("{}\nnot json\n", "utf-8")
-        with pytest.raises(PipelineError, match="missing key 'raw'$") as err:
+        write_text(path, [*url_lines([(normalize("https://a.example/x/"), "a.example")]),
+                          "not json\n"])
+        with pytest.raises(PipelineError) as err:
             read_url_file(path)
-        assert str(err.value).startswith(f"{path}:1: ")
+        assert str(err.value).startswith(f"{path}:2: not JSON: ")
 
 
 class Label(str):
@@ -323,4 +324,4 @@ class TestUrlLines:
         write_text(path, url_lines(iter(rows)))
         expected = "".join(_ROW.encode(url_to_record(u, site)) + "\n" for u, site in rows)
         assert path.read_bytes() == expected.encode("utf-8")
-        assert read_url_file(path) == rows
+        assert list(read_url_file(path)) == rows

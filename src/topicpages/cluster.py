@@ -5,7 +5,11 @@ restarts iterates as one set of runs, so a scored cell fits its data and its
 gap references in one call.  Given (data, seed) all is deterministic: restart
 r draws from the RNG stream (seed, r) in any batch, through the package's own
 k-means++ draw (_pp_draw), and PCA component signs follow a fixed convention,
-so repeated sweeps are byte-identical.
+so repeated sweeps are byte-identical.  A restart reads its stream in the
+same order for any k, so the first k centers of a larger seeding are the k
+seeding, and a sweep seeds each PCA dimension once, at its largest fitted k.
+The silhouette takes its mean distances cluster by cluster, as row means of
+C-contiguous gathers, which sum in the order a point-by-point loop does.
 """
 
 from __future__ import annotations
@@ -190,17 +194,22 @@ def _means(X: np.ndarray, assignments: np.ndarray, k: int) -> np.ndarray:
     return means.reshape(runs, k, 1)
 
 
-def _lloyd(data: np.ndarray, k: int, seed: int, restarts: int, max_iter: int) -> list[KmeansResult]:
+def _lloyd(
+    data: np.ndarray, k: int, seed: int, restarts: int, max_iter: int,
+    centers: np.ndarray | None = None,
+) -> list[KmeansResult]:
     """The best-of-*restarts* k-means fit of each dataset in a (datasets, rows, dim) stack.
 
     Restart r of every dataset seeds from the stream (seed, r), then all runs
     iterate together, each on its own dataset, until its assignments stop
     changing.  Each dataset keeps its lowest-SSE run, ties to the earliest
-    restart, so each fit equals the one its dataset gets alone.
+    restart, so each fit equals the one its dataset gets alone.  *centers*,
+    when given, are that seeding, which the loop then overwrites.
     """
     X = np.repeat(data, restarts, axis=0)  # run r fits dataset r // restarts
     runs, rows, dim = X.shape
-    centers = _kmeans_pp_init(X, k, seed, restarts)
+    if centers is None:
+        centers = _kmeans_pp_init(X, k, seed, restarts)
     assignments = np.zeros((runs, rows), dtype=np.intp)
     histories: list[list[float]] = [[] for _ in range(runs)]
     active = np.arange(runs)
@@ -247,13 +256,12 @@ def _references(X: np.ndarray, seed: int, b_refs: int) -> list[np.ndarray]:
             for b in range(b_refs)]
 
 
-def _fits(
-    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int,
-    b_refs: int = 0, refs: Sequence[np.ndarray] | None = None,
-) -> list[KmeansResult]:
-    """The fits of X and of its *b_refs* reference draws, as one batch of the Lloyd loop;
-    *refs*, when given, are those draws, _references(X, seed, b_refs)."""
-    X = np.asarray(X, dtype=float)
+def _check(X: np.ndarray, k: int, restarts: int, max_iter: int, distinct: int | None = None) -> None:
+    """Refuse a fit of k clusters to X, in this order: k above *distinct* rows (a scored
+    fit gives that count: k-means would split duplicate rows into zero-SSE clusters),
+    X not a non-empty 2-D matrix, k, restarts or max_iter below 1, k above the rows."""
+    if distinct is not None and k > distinct:
+        raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
     if X.ndim != 2 or len(X) == 0:
         raise ValueError("X must be a non-empty 2-D matrix")
     for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
@@ -261,9 +269,17 @@ def _fits(
             raise ValueError(f"{name} must be positive")
     if k > len(X):
         raise KTooLarge(f"k={k} exceeds {len(X)} rows")
-    if refs is None:
-        refs = _references(X, seed, b_refs)
-    return _lloyd(np.stack([X, *refs]), k, seed, restarts, max_iter)
+
+
+def _fits(
+    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int,
+    b_refs: int = 0, distinct: int | None = None,
+) -> list[KmeansResult]:
+    """The fits of X and of its *b_refs* reference draws, as one batch of the Lloyd loop,
+    once _check(X, k, restarts, max_iter, distinct) has passed."""
+    X = np.asarray(X, dtype=float)
+    _check(X, k, restarts, max_iter, distinct)
+    return _lloyd(np.stack([X, *_references(X, seed, b_refs)]), k, seed, restarts, max_iter)
 
 
 def kmeans(
@@ -280,7 +296,11 @@ def kmeans(
 
 
 def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> float:
-    """Mean silhouette over all points; singleton-cluster points score 0."""
+    """Mean silhouette over all points; singleton-cluster points score 0.
+
+    Each row mean below is of a C-contiguous gather, which sums in the order
+    one point's own gather would; the F-ordered dist[:, members] would not.
+    """
     X = np.asarray(X, dtype=float)
     labels = np.asarray(assignments)
     uniq = sorted(set(labels.tolist()))
@@ -288,16 +308,29 @@ def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> floa
         raise SingleCluster("silhouette needs at least two clusters")
     diffs = X[:, None, :] - X[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
+    every = np.arange(len(X))
+    a = np.zeros(len(X))  # mean distance inside each point's own cluster
+    b = np.zeros(len(X))  # lowest mean distance to another cluster, the first one's at first
+    seen = np.zeros(len(X), dtype=bool)  # points with a b from some other cluster
+    shared = np.zeros(len(X), dtype=bool)  # points of a cluster of two or more
+    for c in uniq:
+        inside = labels == c
+        members = np.flatnonzero(inside)
+        to_c = dist[every[:, None], members].mean(axis=1)
+        # min() over the other clusters in turn: the first mean, then any lower one
+        lower = ~inside & (~seen | (to_c < b))
+        b[lower] = to_c[lower]
+        seen |= ~inside
+        s = len(members)
+        if s > 1:
+            # row i: the positions in members of every member but the i-th
+            others = np.arange(s - 1) + (np.arange(s - 1) >= np.arange(s)[:, None])
+            a[members] = dist[members[:, None], members[others]].mean(axis=1)
+            shared[members] = True
+    denom = np.where(b > a, b, a)  # max(a, b)
+    scored = shared & (denom > 0)
     scores = np.zeros(len(X))
-    for i in range(len(X)):
-        own = labels[i]
-        same = (labels == own) & (np.arange(len(X)) != i)
-        if not same.any():
-            continue  # singleton cluster contributes 0
-        a = float(dist[i, same].mean())
-        b = min(float(dist[i, labels == other].mean()) for other in uniq if other != own)
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    scores[scored] = (b[scored] - a[scored]) / denom[scored]
     return float(scores.mean())
 
 
@@ -335,19 +368,10 @@ def _distinct_rows(X: np.ndarray) -> int:
     return len(set(map(tuple, X.reshape(len(X), -1).tolist())))
 
 
-def _score(
-    X: np.ndarray, k: int, seed: int, b_refs: int, restarts: int, max_iter: int,
-    refs: Sequence[np.ndarray] | None = None,
-) -> tuple[KmeansResult, float | None, float]:
-    """One batch of k-means fits, its silhouette (k >= 2) and its gap: one scored cell.
-
-    k above the number of distinct rows is refused: k-means would split
-    duplicate rows into zero-SSE clusters.
-    """
-    distinct = _distinct_rows(X)
-    if k > distinct:
-        raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
-    result, *references = _fits(X, k, seed, restarts, max_iter, b_refs, refs)
+def _score(X: np.ndarray, k: int, fits: list[KmeansResult]) -> tuple[KmeansResult, float | None, float]:
+    """A scored cell: the fit of X among *fits* (X's, then its references'), its
+    silhouette (k >= 2) and its gap."""
+    result, *references = fits
     sil = silhouette(X, result.assignments) if k >= 2 else None
     return result, sil, _gap(result, references)
 
@@ -377,7 +401,8 @@ def cluster_report(
     X = np.asarray(X, dtype=float)
     if len(row_labels) != len(X):
         raise ValueError("one label per row required")
-    result, sil, gap = _score(X, k, seed, b_refs, restarts, max_iter)
+    fits = _fits(X, k, seed, restarts, max_iter, b_refs, _distinct_rows(X))
+    result, sil, gap = _score(X, k, fits)
     return ClusterReport(
         k=k,
         assignments={label: int(c) for label, c in zip(row_labels, result.assignments)},
@@ -427,6 +452,10 @@ def model_select(
     Infeasible cells (k above the number of distinct rows, n above the rank
     limit) are recorded with their error and the sweep continues; the best
     cell is the highest silhouette, ties to the smaller (n, k).
+
+    Each dimension draws its gap references and seeds k-means++ once, so every
+    cell equals what cluster_report gives its reduced data; a cell's ValueError
+    is raised once the cells before it are scored, as cell-by-cell fits would.
     """
     X = np.asarray(X, dtype=float)
     rows: list[SweepRow] = []
@@ -437,13 +466,34 @@ def model_select(
         except ValueError as exc:
             rows.extend(SweepRow(n, k, None, None, None, str(exc)) for k in ks)
             continue
-        refs = _references(reduced, seed, b_refs)  # one set of draws for every k
+        distinct = _distinct_rows(reduced)
+        cells: list[tuple[int, Exception | None]] = []  # each k before a raising one, its refusal
+        refusal: ValueError | None = None
         for k in ks:
             try:
-                result, sil, gap = _score(reduced, k, seed, b_refs, restarts, max_iter, refs)
-                rows.append(SweepRow(n, k, result.sse, sil, gap))
-            except (KTooLarge, SingleCluster) as exc:
-                rows.append(SweepRow(n, k, None, None, None, str(exc)))
+                _check(reduced, k, restarts, max_iter, distinct)
+                cells.append((k, None))
+            except KTooLarge as exc:
+                cells.append((k, exc))
+            except ValueError as exc:
+                refusal = exc
+                break
+        data = np.stack([reduced, *_references(reduced, seed, b_refs)])
+        fitted = [k for k, refused in cells if refused is None]
+        if fitted:
+            seeds = _kmeans_pp_init(np.repeat(data, restarts, axis=0), max(fitted), seed, restarts)
+        for k, refused in cells:
+            if refused is None:
+                try:
+                    fits = _lloyd(data, k, seed, restarts, max_iter, seeds[:, :k].copy())
+                    result, sil, gap = _score(reduced, k, fits)
+                    rows.append(SweepRow(n, k, result.sse, sil, gap))
+                    continue
+                except SingleCluster as exc:
+                    refused = exc
+            rows.append(SweepRow(n, k, None, None, None, str(refused)))
+        if refusal is not None:
+            raise refusal
     scored = [r for r in rows if r.error is None and r.silhouette is not None]
     top = max(scored, key=lambda r: (r.silhouette, -r.n, -r.k), default=None)
     return SweepResult(tuple(rows), (top.n, top.k) if top else None)

@@ -2,7 +2,9 @@
 
 Topic documents are the concatenated visible text of every page assigned to
 a topic.  weigh_pages weighs them and judges each page's language in one
-pass.  Text is lowercased, un-accented and split on non-alphanumeric runs;
+pass.  Text is lowercased, un-accented and split on non-alphanumeric runs
+(_tokens, which splits ASCII text with str.translate and split, other text
+with _TOKEN_RE, the same runs either way; URL subpaths are split by it too);
 each token is stemmed, and stopword stems are dropped.  Digits are kept:
 numeric tokens such as era or disease names carry topical signal.  The term
 matrix weights each (topic, term) cell by
@@ -47,6 +49,8 @@ from .stemmer import stem
 from .stopwords import DEFAULT_STOPWORDS
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# every ASCII character but a letter or digit, the ones _TOKEN_RE matches, to a space
+_ASCII_SPACES = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 MIN_CONFIDENT_LENGTH = 40  # characters below which a language verdict is low-confidence
 # the ASCII characters str.isalpha accepts are exactly these
 _ASCII_LETTER_RE = re.compile(r"[A-Za-z]")
@@ -155,6 +159,14 @@ def extract_text(html: str) -> str:
     return read_page(html)[1]
 
 
+def _tokens(text: str) -> list[str]:
+    """_TOKEN_RE.findall(text): the runs of letters and digits.  ASCII text takes
+    str.translate and split, which do the same at C speed."""
+    if text.isascii():
+        return text.translate(_ASCII_SPACES).split()
+    return _TOKEN_RE.findall(text)
+
+
 def _unaccent(text: str) -> str:
     if text.isascii():
         return text  # NFD leaves ASCII as it is
@@ -235,9 +247,9 @@ def weigh_pages(
     for topic, text in pages:
         lowered = text.lower()
         plain = _unaccent(lowered)
-        tokens = _TOKEN_RE.findall(plain)
+        tokens = _tokens(plain)
         # the verdict is on the accented tokens, which differ only where un-accenting changed text
-        accented = tokens if plain == lowered else _TOKEN_RE.findall(lowered)
+        accented = tokens if plain == lowered else _tokens(lowered)
         verdicts.append(_english(text, accented, stopwords))
         for token in set(tokens).difference(stems):
             s = stem(token)

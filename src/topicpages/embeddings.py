@@ -21,7 +21,7 @@ from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .content import _TOKEN_RE
+from .content import _tokens
 from .errors import PipelineError
 from .lines import decoded_lines, file_sha256, write_bytes
 
@@ -32,7 +32,7 @@ _ENTRY_DTYPE = np.dtype("<f8")  # cache entries hold little-endian float64 rows
 
 def tokenize_subpath(subpath: str, stopwords: AbstractSet[str] = frozenset()) -> list[str]:
     """Lowercase a URL path segment and split it on any non-alphanumeric run."""
-    return [t for t in _TOKEN_RE.findall(subpath.lower()) if t not in stopwords]
+    return [t for t in _tokens(subpath.lower()) if t not in stopwords]
 
 
 class EmbeddingModel:

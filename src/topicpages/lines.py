@@ -216,9 +216,5 @@ def jsonl_text(rows: Iterable) -> Iterator[str]:
         yield _ROW.encode(row) + "\n"
 
 
-def write_json(path: str | Path, obj) -> None:
-    write_text(path, json_text(obj))
-
-
 def write_jsonl(path: str | Path, rows: Iterable) -> None:
     write_text(path, jsonl_text(rows))

@@ -220,6 +220,26 @@ def reference_kmeans(X, k, seed, restarts, max_iter):
     return best
 
 
+def reference_silhouette(X, assignments):
+    """The mean silhouette one point at a time: what the per-cluster means must
+    reproduce bit for bit."""
+    X = np.asarray(X, dtype=float)
+    labels = np.asarray(assignments)
+    uniq = sorted(set(labels.tolist()))
+    dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    scores = np.zeros(len(X))
+    for i in range(len(X)):
+        own = labels[i]
+        same = (labels == own) & (np.arange(len(X)) != i)
+        if not same.any():
+            continue  # singleton cluster contributes 0
+        a = float(dist[i, same].mean())
+        b = min(float(dist[i, labels == other].mean()) for other in uniq if other != own)
+        denom = max(a, b)
+        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    return float(scores.mean())
+
+
 def fields(result):
     """A k-means result as comparable bytes, field by field."""
     return (
@@ -379,13 +399,59 @@ class TestPpDraw:
                 picks = hand_pp_picks(x, k, np.random.default_rng([seed, r]))
                 assert centers[run * restarts + r].tolist() == [x[p] for p in picks]
 
+    @settings(max_examples=25, deadline=None)
+    @example(  # distances all reach 0 from the third center on, in some runs only
+        case=(np.array([[[0, 0], [0, 0], [5, 5], [5, 5]], [[0, 0], [1, 0], [0, 3], [7, 7]]],
+                       dtype=float), 4),
+        seed=1, restarts=3, k=1,
+    )
+    @given(
+        case=kmeans_stacks(),
+        seed=st.integers(0, 2**16),
+        restarts=st.integers(1, 4),
+        k=st.integers(1, 12),
+    )
+    def test_first_centers_of_a_larger_seeding_are_the_seeding(self, case, seed, restarts, k):
+        data, k_max = case
+        k = min(k, k_max)
+        X = np.repeat(data, restarts, axis=0)
+        larger = cluster_mod._kmeans_pp_init(X, k_max, seed, restarts)
+        assert larger[:, :k].tobytes() == cluster_mod._kmeans_pp_init(X, k, seed, restarts).tobytes()
+
     def test_non_finite_distances_are_refused(self):
         X = np.array([[[0.0], [1e200], [2e200]]])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
             cluster_mod._kmeans_pp_init(X, 2, 0, 1)
 
 
+@st.composite
+def labelled_rows(draw):
+    """(X, labels): rows drawn from a few distinct ones, some of them 1-column, and
+    labels from a few arbitrary values, at least two of them used."""
+    dim = draw(st.integers(1, 3))
+    distinct = draw(st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    X = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=40))
+    values = draw(st.lists(st.integers(-2, 9), min_size=2, max_size=5, unique=True))
+    labels = draw(st.lists(st.sampled_from(values), min_size=len(X), max_size=len(X)))
+    first, second = draw(st.permutations(range(len(X))))[:2]
+    labels[first], labels[second] = values[0], values[1]
+    return np.array(X), np.array(labels)
+
+
 class TestSilhouette:
+    @settings(max_examples=40, deadline=None)
+    @example(case=(np.array([[0.0], [0.0], [1.0], [5.0]]), np.array([3, 7, 7, 3])))
+    @example(case=(np.array([[1.0, 2.0]] * 3 + [[4.0, 0.0]]), np.array([7, 7, 3, 3])))
+    @example(case=(np.array([[0.0], [1.0], [2.0]]), np.array([3, 7, 9])))  # every cluster a singleton
+    @example(  # clusters long enough for pairwise sums in blocks
+        case=(np.random.default_rng(2).normal(size=(300, 2)) * 1e3,
+              np.random.default_rng(3).integers(0, 3, 300) * 4 + 3),
+    )
+    @given(case=labelled_rows())
+    def test_matches_one_point_at_a_time(self, case):
+        X, labels = case
+        assert silhouette(X, labels) == reference_silhouette(X, labels)
+
     def test_hand_computed_pairs(self):
         s = silhouette([[0.0], [0.1], [10.0], [10.1]], [0, 0, 1, 1])
         assert s == pytest.approx((9.95 / 10.05 + 9.85 / 9.95) / 2, abs=1e-12)
@@ -472,6 +538,29 @@ class TestSharedScorer:
         model_select(three_blobs(points_per_blob=4), [1, 2], [2, 3], seed=42, restarts=2, b_refs=3)
         assert batches == [(2, 4), (3, 4), (2, 4), (3, 4)]
 
+    @pytest.fixture
+    def seedings(self, monkeypatch):
+        """(runs, k) of every k-means++ seeding."""
+        calls = []
+        init = cluster_mod._kmeans_pp_init
+
+        def counting(X, k, *args):
+            calls.append((len(X), k))
+            return init(X, k, *args)
+
+        monkeypatch.setattr(cluster_mod, "_kmeans_pp_init", counting)
+        return calls
+
+    def test_one_seeding_per_sweep_dimension_at_its_largest_fitted_k(self, seedings):
+        # 12 rows: k = 20 is refused, so each dimension seeds its 4 datasets x 2 restarts at k = 3
+        model_select(three_blobs(points_per_blob=4), [1, 2], [2, 20, 3], seed=42, restarts=2, b_refs=3)
+        assert seedings == [(8, 3), (8, 3)]
+
+    def test_a_dimension_with_no_fitted_cell_seeds_nothing(self, seedings):
+        result = model_select(three_blobs(points_per_blob=4), [1, 9], [20], restarts=2, b_refs=3)
+        assert [row.error is not None for row in result.rows] == [True, True]
+        assert seedings == []
+
     def test_one_batch_per_report_holding_its_references(self, batches):
         X = three_blobs(points_per_blob=4)
         cluster_report(X, [str(i) for i in range(len(X))], 3, seed=1, restarts=2, b_refs=3)
@@ -493,7 +582,58 @@ class TestSharedScorer:
             assert row.gap == gap_statistic(reduced, row.k, seed=5, b_refs=4, restarts=3)
 
 
+def reference_sweep(X, ns, ks, seed, restarts, b_refs, max_iter):
+    """model_select's rows cell by cell, each cell cluster_report's fit of its reduced
+    rows, or the type and message of the first error it raises."""
+    rows = []
+    try:
+        for n in ns:
+            try:
+                _, reduced = pca_fit(X, n)
+            except ValueError as exc:
+                rows.extend(cluster_mod.SweepRow(n, k, None, None, None, str(exc)) for k in ks)
+                continue
+            labels = [str(i) for i in range(len(reduced))]
+            for k in ks:
+                try:
+                    rep = cluster_report(reduced, labels, k, seed, restarts, max_iter, b_refs)
+                    rows.append(cluster_mod.SweepRow(n, k, rep.sse, rep.silhouette, rep.gap))
+                except (KTooLarge, SingleCluster) as exc:
+                    rows.append(cluster_mod.SweepRow(n, k, None, None, None, str(exc)))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(rows)
+
+
 class TestModelSelect:
+    @settings(max_examples=25, deadline=None)
+    @example(X=three_blobs(2).tolist(), ns=[1], ks=[2, 0, 3], restarts=2, max_iter=300, b_refs=1)
+    @example(X=three_blobs(2).tolist(), ns=[2], ks=[9, 2], restarts=0, max_iter=300, b_refs=1)
+    @example(X=three_blobs(2).tolist(), ns=[1], ks=[7, 2], restarts=1, max_iter=0, b_refs=1)
+    @example(X=three_blobs(2).tolist(), ns=[1, 2], ks=[2, 3], restarts=2, max_iter=300, b_refs=0)
+    @example(X=[[0.0, 0.0]] * 3 + [[1.0, 1.0]] * 3, ns=[1], ks=[3, 2, 7], restarts=2, max_iter=300,
+             b_refs=1)
+    @example(X=[[0.0], [1e200], [2e200]], ns=[1], ks=[9, 2], restarts=1, max_iter=300, b_refs=1)
+    @example(X=[[0.0], [1e200], [2e200]], ns=[1], ks=[2, 0], restarts=1, max_iter=300, b_refs=1)
+    @given(
+        X=st.integers(1, 3).flatmap(
+            lambda dim: st.lists(st.lists(COORD, min_size=dim, max_size=dim), min_size=2, max_size=10)
+        ),
+        ns=st.lists(st.integers(0, 3), min_size=1, max_size=2),
+        ks=st.lists(st.integers(-1, 6), min_size=1, max_size=4),
+        restarts=st.integers(0, 3),
+        max_iter=st.sampled_from([0, 1, 300]),
+        b_refs=st.integers(0, 2),
+    )
+    def test_equals_cell_by_cell_fits(self, X, ns, ks, restarts, max_iter, b_refs):
+        # rows bit for bit, or the same exception type and message
+        expected = reference_sweep(X, ns, ks, 7, restarts, b_refs, max_iter)
+        try:
+            got = model_select(X, ns, ks, 7, restarts, b_refs, max_iter).rows
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == expected
+
     def test_sweep_shape_and_best(self):
         X = three_blobs(points_per_blob=4)  # 12 rows, 2 cols
         result = model_select(X, [1, 2], [2, 3], seed=42, restarts=3, b_refs=3)

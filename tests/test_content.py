@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import topicpages.content as content_mod
+import topicpages.embeddings as embeddings_mod
 from topicpages import ContentMatrix, extract_text, read_page, weigh_pages
 from topicpages.content import EnglishVerdict
 from topicpages.errors import PipelineError
@@ -380,6 +381,31 @@ class TestTfidf:
 CONTEXT_TEXT = st.text(alphabet=st.sampled_from("Σσςİıǅﬁ\u0301\u0308\u0307 aZé.'-_"), max_size=10)
 
 
+# every ASCII code point, "_" and digits among them, and non-ASCII letters and marks
+TOKENIZER_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from("_0123456789"),
+        st.sampled_from("éÆßİıΣ\u0301\u00a0\u2028\u0661\U0001d518"),
+    ),
+)
+
+
+class TestTokens:
+    @settings(max_examples=60, deadline=None)
+    @example(text="")
+    @example(text="".join(map(chr, range(128))))
+    @example(text="a_b 4th\x1c\x1fx\x0b")  # separators str.split alone would keep or cut
+    @example(text="caf\u00e9_bar")
+    @given(text=st.one_of(TOKENIZER_TEXT, st.text()))
+    def test_matches_the_token_regex(self, text):
+        assert content_mod._tokens(text) == content_mod._TOKEN_RE.findall(text)
+
+    def test_subpaths_and_pages_share_the_tokenizer(self):
+        assert embeddings_mod._tokens is content_mod._tokens
+        assert embeddings_mod.tokenize_subpath("Sport_News-2024", {"news"}) == ["sport", "2024"]
+
+
 class TestWeighPages:
     @settings(max_examples=100, deadline=None)
     @example(texts=["ΑΣ", "Σα"])
@@ -413,14 +439,13 @@ class TestWeighPages:
 
     def test_an_unchanged_page_is_tokenized_once(self, monkeypatch):
         calls = []
-        token_re = content_mod._TOKEN_RE
+        tokens = content_mod._tokens
 
-        class Counting:
-            def findall(self, text):
-                calls.append(text)
-                return token_re.findall(text)
+        def counting(text):
+            calls.append(text)
+            return tokens(text)
 
-        monkeypatch.setattr(content_mod, "_TOKEN_RE", Counting())
+        monkeypatch.setattr(content_mod, "_tokens", counting)
         pages = [("a", "The cricket scores"), ("b", "Économie du jour"), ("a", "Ærø straße")]
         weigh_pages(pages)
         # un-accenting changes only the second page, whose verdict tokenizes it anew

@@ -17,7 +17,7 @@ from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
 import topicpages.lines as lines_mod
-from topicpages.lines import _DOCUMENT, read_json, write_json, write_jsonl
+from topicpages.lines import _DOCUMENT, json_text, read_json, write_jsonl, write_text
 from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
 from topicpages.stopwords import load_stopwords
 from topicpages.thresholds import Thresholds
@@ -191,7 +191,7 @@ def test_crlf_line_ends_read_like_lf(tmp_path, name):
     "write,bad",
     [
         (write_jsonl, [{"a": 1}, {"a": math.nan}]),
-        (write_json, {"a": [1.0, math.inf]}),
+        (lambda path, obj: write_text(path, json_text(obj)), {"a": [1.0, math.inf]}),
     ],
     ids=["jsonl", "json"],
 )
@@ -327,7 +327,7 @@ def test_report_of_a_wrong_shape_says_what_was_expected(tmp_path, name):
     report, message = {**REPORT_SHAPES, **CLUSTERS_SHAPES}[name]
     path = tmp_path / ("clusters-tracking.json" if name in CLUSTERS_SHAPES
                        else "tracking-report.json")
-    write_json(path, report)
+    write_text(path, json_text(report))
     with pytest.raises(PipelineError) as err:
         _plots(path)
     assert str(err.value) == f"{path}: {message}"
@@ -368,9 +368,9 @@ def test_document_bytes_are_json_encoders(doc_path, obj):
         expected = _DOCUMENT.encode(obj) + "\n"
     except TypeError as exc:  # keys of mixed types do not sort
         with pytest.raises(TypeError, match=re.escape(str(exc))):
-            write_json(doc_path, obj)
+            write_text(doc_path, json_text(obj))
         return
-    write_json(doc_path, obj)
+    write_text(doc_path, json_text(obj))
     assert doc_path.read_bytes() == expected.encode("utf-8")
 
 
@@ -387,7 +387,7 @@ ODD_STRINGS = ["é日本", 'say "hi"', "back\\slash", "\x00\x1f\x7f\u2028\n\t", 
     [Label("é"), "x"], [Label("")], ["x", 1], ["x", None],
 ])
 def test_string_list_bytes_are_json_encoders(doc_path, obj):
-    write_json(doc_path, obj)
+    write_text(doc_path, json_text(obj))
     assert doc_path.read_bytes() == (_DOCUMENT.encode(obj) + "\n").encode("utf-8")
 
 
@@ -396,9 +396,9 @@ def test_only_a_list_of_plain_strings_is_joined_at_once(doc_path, monkeypatch):
     encode = lines_mod._STRING
     monkeypatch.setattr(lines_mod, "_STRING", lambda text: joined.append(text) or encode(text))
     for obj in ([Label("a"), "b"], [Label("a")], ["a", 1]):
-        write_json(doc_path, obj)
+        write_text(doc_path, json_text(obj))
     assert joined == []
-    write_json(doc_path, ["a", "b"])
+    write_text(doc_path, json_text(["a", "b"]))
     assert joined == ["a", "b"]
 
 
@@ -413,5 +413,5 @@ def test_only_a_list_of_plain_strings_is_joined_at_once(doc_path, monkeypatch):
 )
 def test_non_finite_number_fails_naming_the_file(tmp_path, bad):
     with pytest.raises(PipelineError, match="^doc.json: Out of range float"):
-        write_json(tmp_path / "doc.json", bad)
+        write_text(tmp_path / "doc.json", json_text(bad))
     assert list(tmp_path.iterdir()) == []

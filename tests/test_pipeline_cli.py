@@ -25,7 +25,7 @@ from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, KTooLarge, MissingStage, PipelineError
 from topicpages.fetch import load_snapshot_index, save_snapshots
-from topicpages.lines import write_json, write_text
+from topicpages.lines import json_text, write_text
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
 from topicpages.urls import UrlRows, read_url_file, url_lines
 from topicpages.pipeline import (
@@ -475,7 +475,7 @@ class TestRunnerDirect:
         out.mkdir()
         matrix = {"topics": ["a", "b", "c", "d"], "third_parties": ["x", "y", "z"],
                   "cells": [[1, 0, 0], [1, 0, 0], [0, 1, 1], [0, 1, 1]]}
-        write_json(out / "tracking-matrix.json", matrix)
+        write_text(out / "tracking-matrix.json", json_text(matrix))
         cfg = PipelineConfig(out_dir=str(out), k=3, restarts=2, b_refs=2)
         runner = Runner(cfg)
         with pytest.raises(KTooLarge) as raised:
@@ -495,7 +495,7 @@ class TestRunnerDirect:
         for row in range(len(matrix["topics"])):
             planted = json.loads(json.dumps(matrix))
             planted["weights"][row][0] = 1e154
-            write_json(path, planted)
+            write_text(path, json_text(planted))
             with pytest.raises(PipelineError) as raised:
                 Runner(cfg).run_stage(STAGE_NAMED[name])
             assert str(raised.value) == f"{path}: k-means++ distances are not finite"

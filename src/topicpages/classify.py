@@ -23,8 +23,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .dictionary import Topic, TopicalDictionary
-from .embeddings import EmbeddingModel, combined_embedding, cosine, tokenize_subpath
+from .embeddings import EmbeddingModel, combined_embedding, cosine_with_norms, tokenize_subpath
 from .errors import PipelineError
 from .lines import checked, read_jsonl
 from .stopwords import DEFAULT_STOPWORDS
@@ -59,9 +61,9 @@ class BestSubpages:
 class TopicClassifier:
     """Reusable classifier holding precomputed topic keyword embeddings.
 
-    Building the per-topic combined embeddings once up front means
-    exact-match classifications never touch the embedding model at all,
-    and each distinct subpath is scored against the topics only once.
+    Building the per-topic combined embeddings and their norms once up front
+    means exact-match classifications never touch the embedding model at
+    all, and each distinct subpath is scored against the topics only once.
     """
 
     def __init__(
@@ -78,9 +80,11 @@ class TopicClassifier:
         self.cutoff = float(cutoff)
         self.stopwords = frozenset(stopwords)
         self._ranked_topics = sorted(dictionary.non_other_topics(), key=lambda t: t.name)
-        self._topic_embeddings = {
-            t: combined_embedding(self._keyword_tokens(t), model) for t in self._ranked_topics
-        }
+        # topic -> (its combined keyword embedding, that embedding's norm)
+        self._topic_embeddings: dict[Topic, tuple[np.ndarray, float]] = {}
+        for topic in self._ranked_topics:
+            emb = combined_embedding(self._keyword_tokens(topic), model)
+            self._topic_embeddings[topic] = (emb, float(np.linalg.norm(emb)))
         # lowered subpath -> _best_topic() of it: tokenizing lowers, so every
         # casing of a subpath scores the same
         self._best_topics: dict[str, tuple[Topic | None, float]] = {}
@@ -94,10 +98,11 @@ class TopicClassifier:
     def _best_topic(self, subpath: str) -> tuple[Topic | None, float]:
         """The first topic of highest cosine to the subpath's embedding, and that cosine."""
         emb = combined_embedding(tokenize_subpath(subpath, self.stopwords), self.model)
+        norm = float(np.linalg.norm(emb))
         best_topic = None
         best_score = float("-inf")
         for candidate in self._ranked_topics:
-            score = cosine(emb, self._topic_embeddings[candidate])
+            score = cosine_with_norms(emb, norm, *self._topic_embeddings[candidate])
             if score > best_score:
                 best_topic, best_score = candidate, score
         return best_topic, best_score
@@ -128,7 +133,8 @@ class TopicClassifier:
         if not tokens:
             return 0.0
         emb = combined_embedding(tokens, self.model)
-        return cosine(emb, self._topic_embeddings[topic]) / len(tokens)
+        norm = float(np.linalg.norm(emb))
+        return cosine_with_norms(emb, norm, *self._topic_embeddings[topic]) / len(tokens)
 
     def select_best_subpage(self, candidates: Sequence[TopicAssignment]) -> PageUrl:
         if not candidates:

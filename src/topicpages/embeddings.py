@@ -4,7 +4,8 @@ The model file is the plain word2vec text format: a "count dimension"
 header, then one token and its coordinates per line.  Multi-token phrases
 are represented by summing their token vectors; out-of-vocabulary tokens
 contribute nothing.  A parsed file can be kept in a cache directory, so a
-later load of the same bytes skips the parse.
+later load of the same bytes skips the parse, and a later load of the same
+unchanged file skips reading it.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import mmap
 import os
+import re
 import shutil
 import sys
+import zlib
 from itertools import islice
 from pathlib import Path
+from time import time_ns
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +33,9 @@ from .lines import decoded_lines, file_sha256, write_bytes
 _SMALL_NORM = 1e-150  # below this, squared components reach the subnormal range
 _CHUNK_LINES = 4096  # vector lines per bulk parse
 _ENTRY_DTYPE = np.dtype("<f8")  # cache entries hold little-endian float64 rows
+_IDENTITY = "identity.json"  # the index of vectors files by identity, in a code folder
+_RACY_NS = 2_000_000_000  # an identity recorded sooner after a change is not trusted
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 def tokenize_subpath(subpath: str, stopwords: AbstractSet[str] = frozenset()) -> list[str]:
@@ -154,18 +162,27 @@ def load_embeddings_file(path: str | Path, cache: str | Path | None = None) -> E
 
     When *cache* is an existing directory, the parse is served from its entry
     cache/embeddings/<_code_folder()>/<sha256 of the file>.bin, or made and
-    then saved there.  An entry that fails its checks is parsed anew and
-    replaced; a save that fails leaves the load as it was.
+    then saved there.  The sha256 is taken from the folder's identity index
+    without reading the file when the file's identity (device, inode, size,
+    mtime and ctime) is the one recorded, at least two seconds after the file
+    last changed; otherwise the file is hashed, and its identity recorded if
+    it did not change while it was read.  An entry is checked by its length
+    and CRC-32 and mapped copy-on-write, not copied, so the model's matrix
+    is writable and a write never reaches the entry.  An entry or index that
+    fails its checks costs a hash or a parse, and is replaced; a save that
+    fails leaves the load as it was.
     """
-    entry = None
-    if cache is not None and Path(cache).is_dir():
-        entry = Path(cache) / "embeddings" / _code_folder() / f"{file_sha256(path)}.bin"
-        model = _read_entry(entry)
-        if model is not None:
-            return model
+    if cache is None or not Path(cache).is_dir():
+        return _parse_file(path)
+    folder = Path(cache) / "embeddings" / _code_folder()
+    known = _known_digest(folder, path)
+    if known is not None and (model := _read_entry(folder / f"{known}.bin")) is not None:
+        return model
+    digest = _digest(folder, path)
+    if digest != known and (model := _read_entry(folder / f"{digest}.bin")) is not None:
+        return model
     model = _parse_file(path)
-    if entry is not None:
-        _write_entry(entry, model)
+    _write_entry(folder / f"{digest}.bin", model)
     return model
 
 
@@ -191,9 +208,21 @@ def _parse_file(path: str | Path) -> EmbeddingModel:
 # --- the parse cache -----------------------------------------------------------
 #
 # An entry is one file: a JSON header line {"dimension", "rows", "tokens" (the
-# byte length of the token list), "sha256" (of everything after the line)},
-# then the matrix as little-endian float64 rows, then the tokens in row order,
-# UTF-8, joined by "\n", which no token holds.
+# byte length of the token list), "crc32" (of everything after the line)},
+# padded with spaces so that the line, "\n" included, is a multiple of 8 bytes
+# long; then the matrix as little-endian float64 rows, which so start 8-byte
+# aligned; then the tokens in row order, UTF-8, joined by "\n", which no token
+# holds.  The CRC finds a damaged or torn entry, not a forged one: whoever can
+# write an entry can write its check too.  A reader maps the entry, so it is
+# only ever replaced by a rename, never rewritten in place: truncating a mapped
+# file would fault the reader on its next touch of the lost pages.
+#
+# Beside the entries, identity.json maps each vectors file's absolute path to
+# {"identity": [st_dev, st_ino, st_size, st_mtime_ns, st_ctime_ns], "sha256",
+# "recorded_ns" (time.time_ns() when recorded)}.  Like git's index, it is
+# trusted only for a record made at least _RACY_NS after the file's last mtime
+# or ctime: a file rewritten within one tick of the timestamp clock after the
+# record could keep its identity.
 
 
 @functools.cache
@@ -209,32 +238,72 @@ def _code_folder() -> str:
     return hashlib.sha256("\n".join(_code_digests()).encode()).hexdigest()
 
 
+def _identity(path: str | Path) -> list[int]:
+    st = os.stat(path)
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _known_digest(folder: Path, path: str | Path) -> str | None:
+    """The sha256 of *path* that the identity index holds, or None when it holds
+    none, the file's identity is not the one recorded, or the record is racy."""
+    try:
+        row = json.loads((folder / _IDENTITY).read_bytes())[os.path.abspath(path)]
+        identity = _identity(path)
+        if row["identity"] != identity or row["recorded_ns"] - max(identity[3:]) < _RACY_NS:
+            return None
+        digest = row["sha256"]
+        return digest if type(digest) is str and _SHA256.fullmatch(digest) else None
+    except (OSError, ValueError, LookupError, TypeError, RecursionError):
+        return None
+
+
+def _digest(folder: Path, path: str | Path) -> str:
+    """The sha256 of *path*'s bytes, recorded in the identity index when the
+    file's identity did not change while it was read."""
+    before = _identity(path)
+    digest = file_sha256(path)
+    if _identity(path) != before:
+        return digest
+    index = folder / _IDENTITY
+    try:
+        rows = json.loads(index.read_bytes())
+    except (OSError, ValueError, RecursionError):
+        rows = None
+    rows = rows if type(rows) is dict else {}
+    rows[os.path.abspath(path)] = {"identity": before, "recorded_ns": time_ns(), "sha256": digest}
+    try:
+        folder.mkdir(parents=True, exist_ok=True)
+        write_bytes(index, (json.dumps(rows, sort_keys=True).encode(),))
+    except OSError:
+        pass
+    return digest
+
+
 def _read_entry(entry: Path) -> EmbeddingModel | None:
     """The model an entry holds, or None when it is absent or fails a check."""
     try:
         with open(entry, "rb") as fh:
-            header = json.loads(fh.readline())
-            dim, count, size = header["dimension"], header["rows"], header["tokens"]
-            numbers = (dim, count, size)
-            if not all(type(v) is int for v in numbers) or dim < 1 or min(numbers) < 0:
-                return None
-            length = count * dim * _ENTRY_DTYPE.itemsize
-            if os.fstat(fh.fileno()).st_size - fh.tell() != length + size:
-                return None
-            payload = bytearray(length + size)
-            if fh.readinto(payload) != len(payload):
-                return None
-        if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+        start = mapped.find(b"\n") + 1
+        header = json.loads(mapped[:start])
+        dim, count, size = header["dimension"], header["rows"], header["tokens"]
+        numbers = (dim, count, size)
+        if not all(type(v) is int for v in numbers) or dim < 1 or min(numbers) < 0:
             return None
-        text = payload[length:].decode("utf-8")
+        length = count * dim * _ENTRY_DTYPE.itemsize
+        if start % _ENTRY_DTYPE.itemsize or len(mapped) - start != length + size:
+            return None
+        if zlib.crc32(memoryview(mapped)[start:]) != header["crc32"]:
+            return None
+        text = mapped[start + length:].decode("utf-8")
     except (OSError, ValueError, LookupError, TypeError, RecursionError):
         return None
     tokens = text.split("\n") if text else []
     rows = dict(zip(tokens, range(count)))
     if len(tokens) != count or len(rows) != count:
         return None
-    matrix = np.frombuffer(payload, dtype=_ENTRY_DTYPE, count=count * dim).reshape(count, dim)
-    return EmbeddingModel._of_matrix(matrix, rows)
+    matrix = np.frombuffer(mapped, dtype=_ENTRY_DTYPE, count=count * dim, offset=start)
+    return EmbeddingModel._of_matrix(matrix.reshape(count, dim), rows)
 
 
 def _write_entry(entry: Path, model: EmbeddingModel) -> None:
@@ -245,13 +314,13 @@ def _write_entry(entry: Path, model: EmbeddingModel) -> None:
     """
     values = np.ascontiguousarray(model._matrix, dtype=_ENTRY_DTYPE).reshape(-1).view(np.uint8)
     tokens = "\n".join(model._rows).encode("utf-8")
-    digest = hashlib.sha256(values)
-    digest.update(tokens)
-    header = {"dimension": model.dimension, "rows": len(model), "tokens": len(tokens),
-              "sha256": digest.hexdigest()}
+    header = {"crc32": zlib.crc32(tokens, zlib.crc32(values)), "dimension": model.dimension,
+              "rows": len(model), "tokens": len(tokens)}
+    line = json.dumps(header, sort_keys=True).encode()
+    line += b" " * (-(len(line) + 1) % _ENTRY_DTYPE.itemsize) + b"\n"
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        write_bytes(entry, (json.dumps(header, sort_keys=True).encode() + b"\n", values, tokens))
+        write_bytes(entry, (line, values, tokens))
         for stale in entry.parent.parent.iterdir():
             if stale.is_dir() and stale != entry.parent:
                 shutil.rmtree(stale, ignore_errors=True)  # refuses a symlink
@@ -285,8 +354,12 @@ def cosine(a: Sequence[float], b: Sequence[float]) -> float:
     y = np.asarray(b, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
+    return cosine_with_norms(x, float(np.linalg.norm(x)), y, float(np.linalg.norm(y)))
+
+
+def cosine_with_norms(x: np.ndarray, nx: float, y: np.ndarray, ny: float) -> float:
+    """cosine(x, y) of two float arrays of one shape whose norms are *nx* and *ny*,
+    bit for bit: a caller that scores one vector against many takes each norm once."""
     if nx < _SMALL_NORM or ny < _SMALL_NORM:
         # squares this small underflow; cosine ignores scale, so rescale first
         mx = float(np.abs(x).max(initial=0.0))

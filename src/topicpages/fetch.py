@@ -4,8 +4,12 @@ Fetching is the only stage that touches the network.  Results land in a
 snapshot directory (content-addressed files plus an index), and every other
 stage reads snapshots, which keeps whole-pipeline runs reproducible.  Each
 body and the index are written whole or not at all.  The store also holds
-the embeddings parse cache under embeddings/ (see load_embeddings_file);
-its entries are safe to delete.  The HTTP client, the thread pool and the
+the embeddings parse cache under embeddings/ (see load_embeddings_file):
+entries checked by length and CRC-32 and mapped, not copied, by a hit, and
+an identity index whose row, recorded at least 2 s after the vectors file
+last changed, names a file's entry without reading the file.  A mapped entry
+is only ever replaced by rename, never truncated in place; any entry, and
+the index, is safe to delete.  The HTTP client, the thread pool and the
 robots.txt parser are imported only when a URL is fetched, so a run that
 reuses every snapshot never loads them.
 """

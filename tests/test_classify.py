@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from topicpages import (
     DEFAULT_THRESHOLDS,
@@ -17,7 +18,8 @@ from topicpages.classify import (
     read_assignments,
     read_best_subpages,
 )
-from topicpages.embeddings import EmbeddingModel
+from topicpages.dictionary import Topic, TopicalDictionary
+from topicpages.embeddings import EmbeddingModel, combined_embedding, cosine
 from topicpages.errors import MalformedUrl, PipelineError
 from topicpages.lines import write_jsonl
 from topicpages.stopwords import DEFAULT_STOPWORDS
@@ -167,6 +169,55 @@ class TestSelectionWeight:
         clf = TopicClassifier(selection_dictionary, selection_model)
         topic = selection_dictionary.topic_named("sports")
         assert clf.selection_weight(u("/the/"), topic) == 0.0
+
+
+# coordinates whose vectors reach zero and subnormal norms, where cosine rescales
+COORDINATES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-160, -2.5e-155, 2.2e-308]),
+)
+
+
+@st.composite
+def topics_and_words(draw):
+    """(dimension, one keyword vector per topic, the vectors of a URL's words)."""
+    dim = draw(st.integers(1, 4))
+    vector = st.one_of(
+        st.lists(COORDINATES, min_size=dim, max_size=dim),
+        st.just([0.0] * dim),
+        st.lists(st.sampled_from([0.0, 5e-324, -1e-170]), min_size=dim, max_size=dim),
+    )
+    return dim, draw(st.lists(vector, min_size=1, max_size=4)), draw(
+        st.lists(vector, min_size=1, max_size=3))
+
+
+class TestScoresAreCosine:
+    """The classifier takes each norm once, and its scores keep cosine's bits."""
+
+    @settings(deadline=None)
+    @given(topics_and_words())
+    @example((2, [[0.0, 0.0], [1e-160, 3.0], [1.0, 2.0]], [[5e-324, -0.0], [0.0, 0.0]]))
+    @example((1, [[2.0], [0.0]], [[1e-300]]))
+    def test_best_topic_and_selection_weight_equal_cosine(self, drawn):
+        dim, topic_vectors, word_vectors = drawn
+        keywords = {f"k{i}": v for i, v in enumerate(topic_vectors)}
+        words = {f"w{i}": v for i, v in enumerate(word_vectors)}
+        model = EmbeddingModel(dim, {**keywords, **words})
+        topics = [Topic(f"t{i}") for i in range(len(topic_vectors))]
+        dictionary = TopicalDictionary({t: [k] for t, k in zip(topics, keywords)})
+        clf = TopicClassifier(dictionary, model)
+        subpath = "-".join(words)
+        emb = combined_embedding(list(words), model)
+        scores = [cosine(emb, model.vector(k)) for k in keywords]
+        best = None
+        for topic, score in zip(topics, scores):
+            if best is None or score > best[1]:
+                best = (topic, score)
+        got = clf._best_topic(subpath)
+        assert (got[0], repr(got[1])) == (best[0], repr(best[1]))
+        url = u(f"/{subpath}/")
+        for topic, score in zip(topics, scores):
+            assert repr(clf.selection_weight(url, topic)) == repr(score / len(words))
 
 
 class TestSelectBestSubpage:

@@ -1,7 +1,11 @@
+import json
 import math
+import mmap
+import os
 import re
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +440,185 @@ class TestParseCache:
             monkeypatch.setattr(lines_mod, "open", open_on_a_full_disk, raising=False)
         assert same_model(load_embeddings_file(path, cache=store), plain)
         assert [p for p in store.rglob("*") if p.is_file()] == []
+
+
+def trust_records(monkeypatch):
+    """Make each identity the cache records look recorded well after the file's last
+    change, so that the next load trusts it."""
+    monkeypatch.setattr(embeddings_mod, "time_ns", lambda: time.time_ns() + 10**10)
+
+
+def hashed(monkeypatch):
+    """The list of the vectors files that the cache hashes from now on."""
+    calls = []
+
+    def file_sha256(path):
+        calls.append(path)
+        return lines_mod.file_sha256(path)
+
+    monkeypatch.setattr(embeddings_mod, "file_sha256", file_sha256)
+    return calls
+
+
+def identity_rows(store):
+    return store / "embeddings" / embeddings_mod._code_folder() / "identity.json"
+
+
+class TestIdentityIndex:
+    """The vectors file's sha256 comes from the index, unread, only while the file
+    is the one recorded and the record was made well after its last change."""
+
+    def test_trusted_identity_reads_no_byte_of_the_file(self, vectors, store, monkeypatch):
+        path = vectors(CACHED)
+        plain = load_embeddings_file(path)
+        trust_records(monkeypatch)
+        load_embeddings_file(path, cache=store)
+
+        def unread(path):
+            raise AssertionError(f"{path} was hashed")
+
+        monkeypatch.setattr(embeddings_mod, "file_sha256", unread)
+        monkeypatch.setattr(lines_mod, "file_sha256", unread)
+        monkeypatch.setattr(embeddings_mod, "_parse_file", never_parse)
+        assert same_model(load_embeddings_file(path, cache=store), plain)
+
+    def test_file_rewritten_in_place_with_its_mtime_put_back(self, vectors, store, monkeypatch):
+        path = vectors(W2V)
+        trust_records(monkeypatch)
+        load_embeddings_file(path, cache=store)
+        before = os.stat(path)
+        time.sleep(0.05)  # past a tick of the file system's clock
+        with open(path, "r+b") as fh:
+            fh.write(W2V.replace("0.8", "0.7").encode())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+            before.st_ino, before.st_size, before.st_mtime_ns)
+        calls = hashed(monkeypatch)
+        assert load_embeddings_file(path, cache=store).vector("cricket").tolist() == [0.7, 0.6]
+        assert calls == [path]
+
+    def test_file_replaced_by_rename(self, vectors, store, tmp_path, monkeypatch):
+        path = vectors(W2V)
+        trust_records(monkeypatch)
+        load_embeddings_file(path, cache=store)
+        before = os.stat(path)
+        replacement = text_file(tmp_path, W2V.replace("0.8", "0.7"), "new.txt")
+        os.utime(replacement, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(replacement, path)
+        assert load_embeddings_file(path, cache=store).vector("cricket").tolist() == [0.7, 0.6]
+
+    @pytest.mark.parametrize("fault", ["entry-deleted", "digest-of-no-entry"])
+    def test_row_that_points_at_a_missing_entry(self, vectors, store, monkeypatch, fault):
+        path = vectors(CACHED)
+        plain = load_embeddings_file(path)
+        trust_records(monkeypatch)
+        load_embeddings_file(path, cache=store)
+        [name] = entries(store)
+        if fault == "entry-deleted":
+            (store / "embeddings" / name).unlink()
+        else:
+            index = identity_rows(store)
+            rows = json.loads(index.read_text())
+            rows[os.path.abspath(path)]["sha256"] = "0" * 64
+            index.write_text(json.dumps(rows))
+        assert same_model(load_embeddings_file(path, cache=store), plain)
+        assert entries(store) == [name]
+
+    def test_change_inside_the_racy_window_is_not_trusted(self, vectors, store, tmp_path,
+                                                           monkeypatch):
+        path = vectors(W2V)
+        other = text_file(tmp_path, CACHED, "other.txt")
+        load_embeddings_file(other, cache=store)
+        st = os.stat(path)
+        changed = max(st.st_mtime_ns, st.st_ctime_ns)
+        # recorded just inside the window after the file's last change
+        monkeypatch.setattr(embeddings_mod, "time_ns", lambda: changed + 1_999_999_999)
+        load_embeddings_file(path, cache=store)
+        # the file changed within that window, and its identity did not show it:
+        # the row holds the digest of what the file held before
+        index = identity_rows(store)
+        rows = json.loads(index.read_text())
+        rows[os.path.abspath(path)]["sha256"] = lines_mod.file_sha256(other)
+        index.write_text(json.dumps(rows))
+        calls = hashed(monkeypatch)
+        assert same_model(load_embeddings_file(path, cache=store), load_embeddings_file(path))
+        assert calls == [path]
+        # the same row, recorded at the window's end, would be served unread
+        rows[os.path.abspath(path)]["recorded_ns"] = changed + 2_000_000_000
+        index.write_text(json.dumps(rows))
+        assert same_model(load_embeddings_file(path, cache=store), load_embeddings_file(other))
+        assert calls == [path]
+
+    @pytest.mark.parametrize("index", [
+        b"", b"not json", b"[]", b'{"a": 1}', b"[" * 100000, "row-not-a-mapping",
+        "identity-not-a-list", "digest-not-hex", "directory",
+    ], ids=["empty", "not-json", "list", "other-path", "deep", "row-not-a-mapping",
+            "identity-not-a-list", "digest-not-hex", "directory"])
+    def test_unreadable_index_costs_only_the_hash(self, vectors, store, monkeypatch, index):
+        path = vectors(CACHED)
+        plain = load_embeddings_file(path)
+        trust_records(monkeypatch)
+        load_embeddings_file(path, cache=store)
+        target = identity_rows(store)
+        rows = json.loads(target.read_text())
+        row = rows[os.path.abspath(path)]
+        if index == "directory":
+            target.unlink()
+            target.mkdir()
+        else:
+            if index == "row-not-a-mapping":
+                rows[os.path.abspath(path)] = [row]
+            elif index == "identity-not-a-list":
+                row["identity"] = "x"
+            elif index == "digest-not-hex":
+                row["sha256"] = "../" + row["sha256"][3:]
+            target.write_bytes(json.dumps(rows).encode() if type(index) is str else index)
+        monkeypatch.setattr(embeddings_mod, "_parse_file", never_parse)
+        calls = hashed(monkeypatch)
+        assert same_model(load_embeddings_file(path, cache=store), plain)
+        assert calls == [path]
+        if index != "directory":  # the index is recorded anew, and trusted next
+            assert same_model(load_embeddings_file(path, cache=store), plain)
+            assert calls == [path]
+
+    def test_file_changed_while_it_was_hashed_is_not_recorded(self, vectors, store,
+                                                              monkeypatch):
+        path = vectors(W2V)
+        trust_records(monkeypatch)
+
+        def hash_then_touch(path):
+            digest = lines_mod.file_sha256(path)
+            st = os.stat(path)
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+            return digest
+
+        monkeypatch.setattr(embeddings_mod, "file_sha256", hash_then_touch)
+        load_embeddings_file(path, cache=store)
+        assert not identity_rows(store).exists()
+
+
+class TestMappedEntry:
+    def test_hit_is_an_aligned_writable_map_whose_writes_stay_private(self, vectors, store,
+                                                                      monkeypatch):
+        path = vectors(CACHED)
+        plain = load_embeddings_file(path)
+        load_embeddings_file(path, cache=store)
+        [name] = entries(store)
+        entry = store / "embeddings" / name
+        whole = entry.read_bytes()
+        assert (whole.index(b"\n") + 1) % 8 == 0
+        monkeypatch.setattr(embeddings_mod, "_parse_file", never_parse)
+        hit = load_embeddings_file(path, cache=store)
+        base = hit._matrix
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert isinstance(base.obj, mmap.mmap)
+        assert hit._matrix.flags.aligned and hit._matrix.ctypes.data % 8 == 0
+        assert hit._matrix.flags.writeable
+        hit._matrix[:] = 7.0
+        assert entry.read_bytes() == whole
+        assert same_model(load_embeddings_file(path, cache=store), plain)
 
 
 class TestEmbeddingModel:

@@ -22,7 +22,7 @@ from .cluster import (
     silhouette,
 )
 from .config import PipelineConfig, load_config
-from .content import ContentMatrix, extract_text, read_page, weigh_pages
+from .content import DEFAULT_STOPWORDS, ContentMatrix, extract_text, read_page, weigh_pages
 from .dictionary import Topic, TopicalDictionary, bundled_dictionary, load_dictionary_file
 from .embeddings import (
     EmbeddingModel,
@@ -33,10 +33,10 @@ from .embeddings import (
 )
 from .errors import PipelineError
 from .fetch import FetchResult, fetch_all, fetch_missing, fetch_one, save_snapshots
+from .lines import read_words
 from .pipeline import Runner, run_pipeline
 from .stats import cohens_kappa, ks_two_sample, summary
 from .stemmer import stem
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
     DEFAULT_THRESHOLDS,
@@ -109,7 +109,6 @@ __all__ = [
     "load_dictionary_file",
     "load_disconnect_file",
     "load_embeddings_file",
-    "load_stopwords",
     "model_select",
     "normalize",
     "partition_links",
@@ -118,6 +117,7 @@ __all__ = [
     "preferential_attachment",
     "read_crawl_log",
     "read_page",
+    "read_words",
     "registrable_domain",
     "run_pipeline",
     "save_snapshots",

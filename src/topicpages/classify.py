@@ -25,11 +25,11 @@ from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .content import DEFAULT_STOPWORDS
 from .dictionary import Topic, TopicalDictionary
 from .embeddings import EmbeddingModel, combined_embedding, cosine_with_norms, tokenize_subpath
 from .errors import PipelineError
 from .lines import checked, read_jsonl
-from .stopwords import DEFAULT_STOPWORDS
 from .urls import PageUrl, normalize
 
 METHOD_EXACT = "exact"

@@ -39,14 +39,17 @@ from dataclasses import dataclass
 from html import unescape
 from html.entities import html5
 from html.parser import HTMLParser
+from importlib import resources
 from typing import AbstractSet, Iterable
 
 import numpy as np
 
 from .errors import PipelineError
-from .lines import checked
+from .lines import checked, read_words
 from .stemmer import stem
-from .stopwords import DEFAULT_STOPWORDS
+
+# a fixed English list, also URL tokenization's, so results do not drift with external resources
+DEFAULT_STOPWORDS = read_words(resources.files("topicpages") / "data/stopwords_english.txt")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 # every ASCII character but a letter or digit, the ones _TOKEN_RE matches, to a space

@@ -67,6 +67,11 @@ def read_lines(
         yield value
 
 
+def read_words(path: str | Path) -> frozenset[str]:
+    """The lowercased words of a word list (stopwords, public suffixes), one per line."""
+    return frozenset(read_lines(path, str.lower))
+
+
 def read_jsonl(path: str | Path, parse: Callable[[object], T]) -> Iterator[T]:
     """parse(value) for the JSON value on each line of a file that is not skipped."""
     return read_lines(path, lambda line: parse(json.loads(line)))

@@ -57,9 +57,8 @@ from .errors import MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
     _located, checked, encoded, file_sha256, json_text, jsonl_text, parsed, read_json,
-    read_lines, read_text, write_text,
+    read_lines, read_text, read_words, write_text,
 )
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .thresholds import (
     DEFAULT_BUCKET_SIZES,
     URL_SERIES,
@@ -70,7 +69,7 @@ from .thresholds import (
     histograms_of,
 )
 from .urls import (
-    PageUrl, UrlRows, load_suffixes, normalize, partition_links, read_url_file, url_lines,
+    PageUrl, UrlRows, normalize, partition_links, read_url_file, url_lines,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -126,11 +125,12 @@ class Runner:
 
     @cached_property
     def stopwords(self) -> frozenset[str]:
-        return load_stopwords(self.config.stopwords) if self.config.stopwords else DEFAULT_STOPWORDS
+        cfg = self.config
+        return read_words(cfg.stopwords) if cfg.stopwords else content_mod.DEFAULT_STOPWORDS
 
     @cached_property
     def suffixes(self) -> frozenset[str] | None:
-        return load_suffixes(self.config.suffixes) if self.config.suffixes else None
+        return read_words(self.config.suffixes) if self.config.suffixes else None
 
     @cached_property
     def homepages(self) -> list[PageUrl]:
@@ -309,14 +309,14 @@ class Runner:
         best_rows = self.load(best, classify_mod.read_best_subpages)
         topic_names = {t.name for t in self.dictionary.topics()}
         topic_names.update(row["topic"] for row in best_rows)
-        records = tracking_mod.read_crawl_log(cfg.crawl_logs, topics=topic_names)
+        records = tracking_mod.read_crawl_log(cfg.crawl_logs, topic_names, self.suffixes)
         dl = tracking_mod.load_disconnect_file(cfg.disconnect)
 
         matrix_topics = {row["topic"] for row in best_rows}
         matrix_topics.add(tracking_mod.HOMEPAGE_TOPIC)
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
 
-        breakdown = tracking_mod.category_breakdown(records, dl)
+        breakdown = tracking_mod.category_breakdown(records, dl, suffixes=self.suffixes)
         top_sites = cfg.top_sites_set()
         report = {
             "cookie_stats": {
@@ -325,7 +325,7 @@ class Runner:
             "category_breakdown": {
                 "all": breakdown,
                 "top_sites": (
-                    tracking_mod.category_breakdown(records, dl, sites=top_sites)
+                    tracking_mod.category_breakdown(records, dl, top_sites, self.suffixes)
                     if top_sites
                     else None
                 ),

@@ -109,18 +109,13 @@ def build_histogram(values: Sequence[float], bucket_size: float) -> Histogram:
     return Histogram(bucket_size=float(bucket_size), counts=counts)
 
 
-def measure(urls: Iterable[PageUrl]) -> list[UrlMetrics]:
-    """The url_metrics of each URL, in order."""
-    return list(map(url_metrics, urls))
-
-
 def url_histograms(urls: Sequence[PageUrl], buckets: Sequence[float]) -> dict[str, Histogram]:
     """The histogram of each URL-shape series of a training set, keyed by series name."""
-    return histograms_of(measure(urls), buckets)
+    return histograms_of(list(map(url_metrics, urls)), buckets)
 
 
 def histograms_of(metrics: Sequence[UrlMetrics], buckets: Sequence[float]) -> dict[str, Histogram]:
-    """url_histograms of the training URLs whose measure() is *metrics*."""
+    """url_histograms of the training URLs whose url_metrics are *metrics*."""
     if len(metrics) == 0:
         raise PipelineError("no training URLs")
     if len(buckets) != 3:
@@ -272,8 +267,7 @@ def fit_url_histograms(
 
 def filter_subpages(urls: Iterable[PageUrl], t: Thresholds) -> list[PageUrl]:
     """Keep URLs whose metrics sit at or below every threshold."""
-    urls = list(urls)
-    return [u for u, m in zip(urls, measure(urls)) if t.admits(m)]
+    return [u for u in urls if t.admits(url_metrics(u))]
 
 
 def histogram_rows(h: Histogram) -> list[str]:

@@ -1,24 +1,25 @@
 """Crawl-log ingestion and third-party tracking analytics.
 
 Crawl logs are JSON Lines, one page visit per line, carrying the cookies
-observed and the third-party request domains.  Each visit's third parties
-are resolved once at ingest from registrable domains rather than trusted
-from the logger, so one identity rule governs the whole analysis.
+observed and the third-party request domains.  Each visit's site and third
+parties are resolved once at ingest, rather than trusted from the logger, by
+urls.registrable_domain under the run's suffix set: the sites and third parties
+here are the sites extract splits a homepage's links by.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import PipelineError
-from .lines import checked, read_lines
+from .lines import checked, read_jsonl, read_lines
 from .stats import Summary, summary
 from .urls import PageUrl, normalize, registrable_domain
 
@@ -47,20 +48,9 @@ def _clean_domain(domain: str) -> str:
     return domain.strip().lower().lstrip(".")
 
 
-@lru_cache(maxsize=4096)
-def _registrable(domain: str) -> str:
-    """registrable_domain of a domain as a crawl log spells it; a log names few domains
-    many times, in few spellings, so each spelling is cleaned once and each cleaned
-    domain resolved once."""
-    cleaned = _clean_domain(domain)
-    return registrable_domain(domain) if cleaned == domain else _registrable(cleaned)
-
-
-def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("record must be an object")
-    site = _registrable(checked(obj["site"], str, "site"))
+def _parse_record(obj, topics: Collection[str] | None, suffixes: frozenset[str] | None) -> CrawlRecord:
+    checked(obj, dict, "record")
+    site = registrable_domain(_clean_domain(checked(obj["site"], str, "site")), suffixes)
     if not site:
         raise ValueError("empty site")
     cookies = [c["cookie_domain"] for c in obj.get("cookies", [])]
@@ -69,11 +59,12 @@ def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
         site,
         checked(cookies, str, "cookie domains", each=True),
         checked(requests, str, "request domains", each=True),
+        suffixes,
     )
     redirects = checked(obj.get("redirects", 0), int, "redirects")
     if redirects < 0:
         raise ValueError("redirects must be non-negative")
-    page_url = normalize(checked(obj["page_url"], str, "page_url"))
+    page_url = normalize(checked(obj["page_url"], str, "page_url"), suffixes=suffixes)
     topic = checked(obj["topic"], str, "topic")
     if topics is not None and topic != HOMEPAGE_TOPIC and topic not in topics:
         raise PipelineError(f"topic {topic!r} is not configured")
@@ -88,27 +79,32 @@ def _parse_record(line: str, topics: Collection[str] | None) -> CrawlRecord:
     )
 
 
-def read_crawl_log(path: str | Path, topics: Collection[str] | None = None) -> list[CrawlRecord]:
-    """Read a crawl log into records.
+def read_crawl_log(
+    path: str | Path, topics: Collection[str] | None = None, suffixes: frozenset[str] | None = None
+) -> list[CrawlRecord]:
+    """Read a crawl log into records, each site and third party the registrable
+    domain under *suffixes*.
 
     When *topics* is given, any record whose topic is neither in the set
     nor "homepage" is an error.  is_third_party flags in the input
     are ignored: third parties are resolved against the record's site.
     """
-    return list(read_lines(path, partial(_parse_record, topics=topics)))
+    return list(read_jsonl(path, partial(_parse_record, topics=topics, suffixes=suffixes)))
 
 
 def record_third_parties(
-    site: str, cookie_domains: Iterable[str], request_domains: Iterable[str]
+    site: str, cookie_domains: Iterable[str], request_domains: Iterable[str],
+    suffixes: frozenset[str] | None = None,
 ) -> tuple[tuple[str, ...], frozenset[str]]:
-    """Resolve one visit's domains against its registrable *site*.
+    """Resolve one visit's domains against its registrable *site* under *suffixes*.
 
     Returns the registrable domain of each third-party cookie, one entry per
     cookie, and the set of every third-party registrable domain on the visit.
     """
 
     def third(domains: Iterable[str]) -> list[str]:
-        return [reg for reg in map(_registrable, domains) if reg != site]
+        regs = map(registrable_domain, map(_clean_domain, domains), repeat(suffixes))
+        return [reg for reg in regs if reg != site]
 
     tp_cookies = tuple(third(cookie_domains))
     return tp_cookies, frozenset(tp_cookies).union(third(request_domains))
@@ -143,10 +139,10 @@ def load_disconnect_file(path: str | Path) -> dict[str, str]:
     return out
 
 
-def categorize(tp_domain: str, dl: Mapping[str, str]) -> str:
+def categorize(tp_domain: str, dl: Mapping[str, str], suffixes: frozenset[str] | None = None) -> str:
     """Category of a third-party domain; subdomains inherit parent entries."""
     host = _clean_domain(tp_domain)
-    reg = _registrable(host)
+    reg = registrable_domain(host, suffixes)
     probe = host
     while True:
         category = dl.get(probe)
@@ -161,8 +157,9 @@ def category_breakdown(
     records: Sequence[CrawlRecord],
     dl: Mapping[str, str],
     sites: Collection[str] | None = None,
+    suffixes: frozenset[str] | None = None,
 ) -> dict[str, dict[str, int]]:
-    """Distinct third parties per category for each topic.
+    """Distinct third parties per category for each topic, categorized under *suffixes*.
 
     Pass *sites* to restrict the statistic to a subset of sites (e.g. the
     most trafficked ones).  All five category keys are always present.
@@ -176,7 +173,7 @@ def category_breakdown(
     for topic, tps in sorted(tps_by_topic.items()):
         counts = dict.fromkeys(CATEGORIES + (UNKNOWN,), 0)
         for tp in tps:
-            counts[categorize(tp, dl)] += 1
+            counts[categorize(tp, dl, suffixes)] += 1
         out[topic] = counts
     return out
 

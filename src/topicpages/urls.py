@@ -2,6 +2,8 @@
 
 Identity of a site is its registrable domain (eTLD+1), resolved against a
 bundled public-suffix snapshot that callers can override with their own file.
+registrable_domain is the one rule, and its one cache, for every stage: extract,
+the homepage list and tracking all pass it the run's suffix set.
 Normalized URLs are lowercase-host, query- and fragment-free, and always end
 with a trailing slash, so string equality is URL equality downstream.
 
@@ -11,16 +13,15 @@ or a lowercase http:// or https:// URL whose host is ASCII labels joined by
 dots, with no port, userinfo or trailing dot.  The path holds only letters,
 digits and "._~-/", and a ?query or #fragment may follow it.  normalize
 resolves such an href to its scheme, lowercased host and non-empty path
-segments, which the shortcut builds directly, looking each host's registrable
-domain up once per page.  An href with a "." or ".." segment, and every other
-href, goes through normalize.
+segments, which the shortcut builds directly.  An href with a "." or ".."
+segment, and every other href, goes through normalize.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from importlib import resources
 from itertools import islice, repeat
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple
 from urllib.parse import urljoin, urlparse
 
 from .errors import MalformedUrl
-from .lines import _STRING, checked, read_jsonl, read_lines
+from .lines import _STRING, checked, read_jsonl, read_words
 
 # hrefs with these prefixes are navigation chrome, not pages
 _DISCARD_PREFIXES = ("javascript:", "mailto:", "#")
@@ -47,20 +48,16 @@ _PLAIN_HREF = re.compile(
 @cache
 def public_suffixes() -> frozenset[str]:
     """The bundled public-suffix snapshot, loaded once per process."""
-    return load_suffixes(resources.files("topicpages") / "data/public_suffixes.txt")
+    return read_words(resources.files("topicpages") / "data/public_suffixes.txt")
 
 
-def load_suffixes(path: str | Path) -> frozenset[str]:
-    """Read a suffix file: one suffix per line, # comments, lowercased."""
-    return frozenset(read_lines(path, str.lower))
-
-
+@lru_cache(maxsize=4096)
 def registrable_domain(host: str, suffixes: frozenset[str] | None = None) -> str:
-    """Return the eTLD+1 of *host*.
+    """Return the eTLD+1 of *host* under *suffixes* (default: the bundled snapshot).
 
     IP literals and single-label hosts (e.g. "localhost") are returned
     unchanged.  Unknown TLDs fall back to the default rule: the last label
-    is the suffix.
+    is the suffix.  Results are cached: a run names few hosts, many times.
     """
     host = host.strip().lower().rstrip(".")
     if not host:
@@ -179,14 +176,11 @@ class LinkPartition:
     skipped: int = 0
 
 
-def _resolve_plain(
-    href: str, origin: PageUrl, domains: dict[str, str], suffixes: frozenset[str] | None
-) -> PageUrl | None:
+def _resolve_plain(href: str, origin: PageUrl, suffixes: frozenset[str] | None) -> PageUrl | None:
     """normalize(href, base, suffixes) for a plain href, else None.
 
     *origin* is normalize("/", base, suffixes), which gives the scheme, host and
     port of every root-relative href on the page and their registrable domain.
-    *domains* maps each absolute host seen on the page to its registrable domain.
     """
     match = _PLAIN_HREF.fullmatch(href)
     if match is None:
@@ -199,10 +193,7 @@ def _resolve_plain(
     if scheme is None:
         return PageUrl(href, origin.normalized + tail, origin.domain, subpaths)
     host = host.lower()
-    domain = domains.get(host)
-    if domain is None:
-        domain = domains[host] = registrable_domain(host, suffixes)
-    return PageUrl(href, f"{scheme}://{host}/{tail}", domain, subpaths)
+    return PageUrl(href, f"{scheme}://{host}/{tail}", registrable_domain(host, suffixes), subpaths)
 
 
 def partition_links(
@@ -218,7 +209,6 @@ def partition_links(
         probe = normalize("/", base=base, suffixes=suffixes)
     except MalformedUrl:
         probe = None
-    domains: dict[str, str] = {}
     seen: set[str] = set()
     internal: list[PageUrl] = []
     external: list[PageUrl] = []
@@ -227,7 +217,7 @@ def partition_links(
         href = href.strip()
         if not href or href.lower().startswith(_DISCARD_PREFIXES):
             continue
-        url = _resolve_plain(href, probe, domains, suffixes) if probe is not None else None
+        url = _resolve_plain(href, probe, suffixes) if probe is not None else None
         if url is None:
             try:
                 url = normalize(href, base=base, suffixes=suffixes)

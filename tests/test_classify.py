@@ -22,7 +22,7 @@ from topicpages.dictionary import Topic, TopicalDictionary
 from topicpages.embeddings import EmbeddingModel, combined_embedding, cosine
 from topicpages.errors import MalformedUrl, PipelineError
 from topicpages.lines import write_jsonl
-from topicpages.stopwords import DEFAULT_STOPWORDS
+from topicpages.content import DEFAULT_STOPWORDS
 
 from conftest import text_file
 

@@ -11,10 +11,9 @@ from hypothesis import event, example, given, settings, strategies as st
 import topicpages.content as content_mod
 import topicpages.embeddings as embeddings_mod
 from topicpages import ContentMatrix, extract_text, read_page, weigh_pages
-from topicpages.content import EnglishVerdict
+from topicpages.content import DEFAULT_STOPWORDS, EnglishVerdict
 from topicpages.errors import PipelineError
 from topicpages.stemmer import stem
-from topicpages.stopwords import DEFAULT_STOPWORDS
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 

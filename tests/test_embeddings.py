@@ -22,7 +22,7 @@ from topicpages import (
 from topicpages import embeddings as embeddings_mod
 from topicpages import lines as lines_mod
 from topicpages.errors import PipelineError
-from topicpages.stopwords import load_stopwords
+from topicpages.lines import read_words
 
 from conftest import never_parse, text_file
 
@@ -38,7 +38,7 @@ class TestTokenizeSubpath:
         assert tokenize_subpath("The-Movie-Review", {"the"}) == ["movie", "review"]
 
     def test_stopword_file_lowercased_like_the_tokens(self, tmp_path):
-        stopwords = load_stopwords(text_file(tmp_path, "The\nOf\n"))
+        stopwords = read_words(text_file(tmp_path, "The\nOf\n"))
         assert tokenize_subpath("The-State-of-Play", stopwords) == ["state", "play"]
 
     def test_empty_and_punctuation_only(self):

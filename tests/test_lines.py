@@ -17,12 +17,11 @@ from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
 import topicpages.lines as lines_mod
-from topicpages.lines import _DOCUMENT, json_text, read_json, write_jsonl, write_text
+from topicpages.lines import _DOCUMENT, json_text, read_json, read_words, write_jsonl, write_text
 from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
-from topicpages.stopwords import load_stopwords
 from topicpages.thresholds import Thresholds
 from topicpages.tracking import load_disconnect_file, read_crawl_log
-from topicpages.urls import load_suffixes, read_url_file, url_to_record
+from topicpages.urls import read_url_file, url_to_record
 
 from conftest import DATA
 
@@ -90,8 +89,8 @@ READERS = {
         ["a.example\tAdvertising", "b.example\tAnalytics", "c.example\tAnalytics"],
         "text", load_disconnect_file,
     ),
-    "stopwords": ("stop.txt", ["the", "and", "of"], "text", load_stopwords),
-    "suffixes": ("suffixes.txt", ["# suffixes", "co.uk", "com.au"], "text", load_suffixes),
+    "stopwords": ("stop.txt", ["the", "and", "of"], "text", read_words),
+    "suffixes": ("suffixes.txt", ["# suffixes", "co.uk", "com.au"], "text", read_words),
     "config": (
         "run.toml", ["seed = 1", "k = 2", "restarts = 3"], "text",
         lambda p: load_config(p, env={}),

@@ -194,9 +194,10 @@ class TestStageIsolation:
         Runner(cfg).run_stage(STAGE_NAMED["best-subpages"])
         assert best.read_bytes() == written
 
-    def test_homepage_site_follows_the_suffix_file(self, e2e_config):
-        # with news.example a public suffix, city.news.example is a site of its own,
-        # so its root-relative /sport/ is internal and metro.news.example external
+    @staticmethod
+    def run_with_news_suffix(e2e_config, extra_config=""):
+        """Run the e2e workspace with city.news.example added and news.example a public
+        suffix, so city.news.example and metro.news.example are two sites."""
         ws = e2e_config.parent
         home = "http://city.news.example/"
         body = ('<html><body><a href="/sport/">Sport</a>'
@@ -208,10 +209,16 @@ class TestStageIsolation:
             fh.write(home + "\n")
         (ws / "suffixes.txt").write_text("news.example\n", "utf-8")
         with open(e2e_config, "a", encoding="utf-8") as fh:
-            fh.write(f'suffixes = "{ws / "suffixes.txt"}"\n')
+            fh.write(f'suffixes = "{ws / "suffixes.txt"}"\n{extra_config}')
         cfg = load_config(e2e_config, env={})
         code, summary = run_pipeline(cfg)
         assert code == 0, summary["errors"]
+        return cfg
+
+    def test_homepage_site_follows_the_suffix_file(self, e2e_config):
+        # with news.example a public suffix, city.news.example is a site of its own,
+        # so its root-relative /sport/ is internal and metro.news.example external
+        cfg = self.run_with_news_suffix(e2e_config)
         out = Path(cfg.out_dir)
 
         def city_rows(name):
@@ -222,6 +229,27 @@ class TestStageIsolation:
                                                  "city.news.example")]
         assert city_rows("external.jsonl") == [("http://metro.news.example/politics/",
                                                  "city.news.example")]
+
+    def test_tracking_sites_follow_the_suffix_file(self, e2e_config):
+        # the sites extract splits links by are the sites tracking counts third parties
+        # against: metro.news.example is a third party on city.news.example
+        visit = {"page_url": "http://city.news.example/sport/", "site": "city.news.example",
+                 "topic": "sports", "cookies": [{"cookie_domain": ".metro.news.example"}],
+                 "requests": [{"request_domain": "metro.news.example"}]}
+        with open(e2e_config.parent / "crawl_log.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(visit) + "\n")
+        cfg = self.run_with_news_suffix(e2e_config, 'top_sites = "city.news.example"\n')
+        out = Path(cfg.out_dir)
+        report = json.loads((out / "tracking-report.json").read_text("utf-8"))
+        assert report["category_breakdown"]["top_sites"] == {
+            "sports": {**dict.fromkeys(tracking_mod.CATEGORIES, 0), tracking_mod.UNKNOWN: 1}}
+        assert "metro.news.example" in json.loads(
+            (out / "tracking-matrix.json").read_text("utf-8"))["third_parties"]
+        records = tracking_mod.read_crawl_log(cfg.crawl_logs, None, Runner(cfg).suffixes)
+        [record] = [r for r in records if r.page_url.normalized == visit["page_url"]]
+        assert record.site == "city.news.example"
+        assert record.tp_cookies == ("metro.news.example",)
+        assert record.third_parties == {"metro.news.example"}
 
     def test_stage_sequence_matches_full_run(self, e2e_config, capsys, tmp_path):
         # the same artifacts and summaries built one subcommand at a time

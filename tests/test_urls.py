@@ -240,7 +240,7 @@ def served_by_shortcut(hrefs, base, suffixes):
         origin = normalize("/", base=base, suffixes=suffixes)
     except MalformedUrl:
         return [False] * len(hrefs)
-    return [urls_mod._resolve_plain(h.strip(), origin, {}, suffixes) is not None for h in hrefs]
+    return [urls_mod._resolve_plain(h.strip(), origin, suffixes) is not None for h in hrefs]
 
 
 class TestExtractLinksMatchesNormalize:

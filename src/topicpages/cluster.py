@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import KTooLarge, SingleCluster
+from .errors import KTooLarge, PipelineError
 
 _GAP_STREAM = 9001  # keeps reference-set draws off the k-means seed streams
 _SIGN_TOL = 1e-12
@@ -305,7 +305,7 @@ def silhouette(X: Sequence[Sequence[float]], assignments: Sequence[int]) -> floa
     labels = np.asarray(assignments)
     uniq = sorted(set(labels.tolist()))
     if len(uniq) < 2:
-        raise SingleCluster("silhouette needs at least two clusters")
+        raise PipelineError("silhouette needs at least two clusters")
     diffs = X[:, None, :] - X[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
     every = np.arange(len(X))
@@ -484,14 +484,11 @@ def model_select(
             seeds = _kmeans_pp_init(np.repeat(data, restarts, axis=0), max(fitted), seed, restarts)
         for k, refused in cells:
             if refused is None:
-                try:
-                    fits = _lloyd(data, k, seed, restarts, max_iter, seeds[:, :k].copy())
-                    result, sil, gap = _score(reduced, k, fits)
-                    rows.append(SweepRow(n, k, result.sse, sil, gap))
-                    continue
-                except SingleCluster as exc:
-                    refused = exc
-            rows.append(SweepRow(n, k, None, None, None, str(refused)))
+                fits = _lloyd(data, k, seed, restarts, max_iter, seeds[:, :k].copy())
+                result, sil, gap = _score(reduced, k, fits)
+                rows.append(SweepRow(n, k, result.sse, sil, gap))
+            else:
+                rows.append(SweepRow(n, k, None, None, None, str(refused)))
         if refusal is not None:
             raise refusal
     scored = [r for r in rows if r.error is None and r.silhouette is not None]

@@ -29,6 +29,3 @@ class NotBimodal(PipelineError):
 class KTooLarge(PipelineError):
     """More clusters than rows to cluster: model_select records the cell as failed."""
 
-
-class SingleCluster(PipelineError):
-    """Silhouette needs two distinct clusters: model_select records the cell as failed."""

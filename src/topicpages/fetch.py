@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from urllib.parse import quote, urlsplit, urlunsplit
 
 from .errors import PipelineError
-from .lines import checked, read_jsonl, read_text, write_jsonl, write_text
+from .lines import checked, jsonl_text, read_jsonl, read_text, write_text
 from .urls import PageUrl
 
 if TYPE_CHECKING:
@@ -224,7 +224,7 @@ def save_snapshots(results: Iterable[FetchResult], directory: str | Path) -> Pat
             "error": result.error,
         }
     index_path = directory / INDEX_NAME
-    write_jsonl(index_path, (rows[url] for url in sorted(rows)))
+    write_text(index_path, jsonl_text(rows[url] for url in sorted(rows)))
     return index_path
 
 

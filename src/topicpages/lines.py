@@ -219,7 +219,3 @@ def jsonl_text(rows: Iterable) -> Iterator[str]:
     """Each row as one line of JSON, made as it is taken."""
     for row in rows:
         yield _ROW.encode(row) + "\n"
-
-
-def write_jsonl(path: str | Path, rows: Iterable) -> None:
-    write_text(path, jsonl_text(rows))

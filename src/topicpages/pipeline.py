@@ -1,9 +1,12 @@
 """File-artifact stages and end-to-end orchestration.
 
 Each stage reads upstream artifacts from a run directory and writes its own,
-so any stage can be re-run in isolation.  A full run finishes by writing
-manifest.json, the content-hash inventory of every artifact it produced;
-two runs over the same inputs and seed produce byte-identical bundles.
+so any stage can be re-run in isolation.  A full run records each stage it runs
+in one ledger, as the stage's summary or the PipelineError that failed it.  A read
+is present when its writer's record is a summary, and the run's summary, errors
+and manifest.json, the content-hash inventory of every file its succeeded stages
+wrote, are read from the ledger.  Two runs over the same inputs and seed produce
+byte-identical bundles.
 
 A stage method writes nothing.  It returns its summary and, for each of its
 write paths, the file's text and, when a later STAGES entry reads the file, the
@@ -30,12 +33,11 @@ best-subpages has run, a full run forks one worker, which runs the tracking half
 on its copy of the Runner while the run goes on with the content half.  The
 worker writes no file: its Runner.save encodes each text and holds the bytes.
 Before the report, the run joins the worker.  It reads from a pipe one pickle of
-the worker's stage outcomes, the stages that succeeded, and each held file with
-the value still kept of it; it saves those files and registers the stages that
-succeeded as an in-order run would, so from the join on its files, summary,
-errors, manifest and kept values are those of a run in STAGES order.  Where a
-fork would not pay (a crawl log and tracker list under BRANCH_MIN_BYTES) or is
-not safe, the tracking half runs in order at the same point.
+the worker's stages' records and each held file with the value still kept of it;
+it adds the records to its ledger and saves those files as an in-order run would,
+so from the join on its files, ledger and kept values are those of a run in
+STAGES order.  Where a fork would not pay (a crawl log and tracker list under
+BRANCH_MIN_BYTES) or is not safe, the tracking half runs in order at the same point.
 """
 
 from __future__ import annotations
@@ -80,6 +82,8 @@ T = TypeVar("T")
 # stage method returns its summary and these
 Outputs = dict[Path, tuple]
 StageResult = tuple[dict, Outputs]
+# each stage a full run ran -> its summary, or the PipelineError that failed it
+Ledger = dict[str, dict | PipelineError]
 
 
 def read_homepage_list(path: str | Path, suffixes: frozenset[str] | None = None) -> list[PageUrl]:
@@ -97,7 +101,6 @@ class Runner:
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
         self.out_dir = Path(config.out_dir)
-        self.artifacts: dict[str, Path] = {}
         # each written file a later stage reads -> what it parses to, until its last reader
         self._kept: dict[Path, object] = {}
         self._homepage_texts: dict[str, str] = {}  # normalized URL -> text, from extract
@@ -171,19 +174,19 @@ class Runner:
     # --- stages -------------------------------------------------------------
 
     def inputs(self, stage: Stage, given: Sequence = (), strict: bool = False,
-               ran: set[str] | None = None) -> list[Path | None]:
+               ran: Ledger | None = None) -> list[Path | None]:
         """A table entry's read paths, *given* ones first in place of its leading reads,
         or MissingStage saying why it cannot run: a required key unset or a read absent.
-        A read is present if its writer is in *ran*, the stages that succeeded in this
-        run, or without *ran* if the file exists; an optional stage gets an absent read
-        as None unless *strict*."""
+        A read is present if its writer's record in *ran*, the run's ledger, is a
+        summary, or without *ran* if the file exists; an optional stage gets an absent
+        read as None unless *strict*."""
         unset = self.config.unset(stage.requires)
         if unset:
             raise MissingStage(f"no {unset[0]} configured")
         paths: list[Path | None] = list(given)
         for name in stage.reads[len(given):]:
             path = self.out_dir / name
-            if (WRITER[name] in ran) if ran is not None else path.exists():
+            if isinstance(ran.get(WRITER[name]), dict) if ran is not None else path.exists():
                 paths.append(path)
             elif stage.optional and not strict:
                 paths.append(None)
@@ -192,11 +195,11 @@ class Runner:
         return paths
 
     def run_stage(self, stage: Stage, *given, strict: bool = False,
-                  ran: set[str] | None = None) -> dict:
+                  ran: Ledger | None = None) -> dict:
         """Call a table entry's method (looked up at call time) on its inputs(), then on
-        its write paths, whose directories it creates, save what it returns and register
-        the writes.  An optional stage, which writes what its reads allow, first loses its
-        old writes."""
+        its write paths, whose directories it creates, save what it returns and return
+        its summary.  An optional stage, which writes what its reads allow, first loses
+        its old writes."""
         reads = self.inputs(stage, given, strict, ran)
         writes = [self.out_dir / name for name in stage.writes]
         for path in writes:
@@ -205,12 +208,7 @@ class Runner:
                 path.unlink(missing_ok=True)
         summary, outputs = getattr(self, stage.method)(*reads, *writes)
         self.save(outputs)
-        self.register(stage)
         return summary
-
-    def register(self, stage: Stage) -> None:
-        """List each file a table entry writes among the artifacts the manifest covers."""
-        self.artifacts.update((artifact_name(name), self.out_dir / name) for name in stage.writes)
 
     def stage_fetch(self, urls: Sequence[PageUrl] | None = None) -> StageResult:
         """Make the snapshot store cover the homepage list (or given URLs)."""
@@ -229,7 +227,6 @@ class Runner:
             **({"user_agent": cfg.user_agent} if cfg.user_agent else {}),
             respect_robots=cfg.respect_robots,
         )
-        self.artifacts["snapshot-index"] = self.snapshot_dir / INDEX_NAME
         return {"fetched": fetched, "reused": reused}, {}
 
     def stage_fetch_sections(self, best: Path) -> StageResult:
@@ -479,10 +476,11 @@ class Runner:
             checked(report, dict, "the report")
             stats = []
             for topic, s in _items(report["cookie_stats"], "cookie_stats"):
-                s = checked(s, dict, f"cookie_stats.{topic}")
-                numbers = ",".join(_number(s[key], f"cookie_stats.{topic}.{key}")
+                what = f"cookie_stats.{topic}"
+                s = checked(s, dict, what)
+                numbers = ",".join(_number(s[key], f"{what}.{key}")
                                    for key in ("min", "q1", "median", "mean", "q3", "max"))
-                stats.append(f"{topic},{numbers},{s['count']}")
+                stats.append(f"{topic},{numbers},{checked(s['count'], int, f'{what}.count')}")
             rows = []
             breakdowns = checked(report["category_breakdown"], dict, "category_breakdown")
             for scope in ("all", "top_sites"):
@@ -490,20 +488,24 @@ class Runner:
                 if breakdown is None:
                     continue
                 for topic, counts in _items(breakdown, f"category_breakdown.{scope}"):
-                    for category, count in _items(counts, f"category_breakdown.{scope}.{topic}"):
-                        rows.append(f"{scope},{topic},{category},{count}")
+                    what = f"category_breakdown.{scope}.{topic}"
+                    for category, count in _items(counts, what):
+                        rows.append(f"{scope},{topic},{category},"
+                                    f"{checked(count, int, f'{what}.{category}')}")
             plots = {cookies_csv: _csv("topic,min,q1,median,mean,q3,max,count", stats),
                      breakdown_csv: _csv("scope,topic,category,distinct_third_parties", rows)}
             diff = report.get("percent_diff_vs_homepage")
             if diff:
                 plots[percent_diff_csv] = _csv("topic,category,percent_or_new", [
                     f"{topic},{category},"
-                    + (value if isinstance(value, str) else _number(value, f"{what}.{category}"))
+                    + (value if value == tracking_mod.NEW_MARKER
+                       else _number(value, f"{what}.{category}"))
                     for topic, row in _items(diff, "percent_diff_vs_homepage")
                     for what in [f"percent_diff_vs_homepage.{topic}"]
                     for category, value in _items(row, what)])
             plots[heatmap_csv] = _csv("third_party,topic,percent_of_pages", [
-                f"{entry['third_party']},{topic},{_number(pct, f'coverage.{topic}')}"
+                f"{checked(entry['third_party'], str, 'third_party')},{topic},"
+                f"{_number(pct, f'coverage.{topic}')}"
                 for entry in checked(report["top_tp_coverage"], dict, "top_tp_coverage", each=True)
                 for topic, pct in _items(entry["coverage"], "coverage")])
             return plots
@@ -518,7 +520,7 @@ class Runner:
             assignments = checked(payload["assignments"], dict, "assignments")
             columns = ",".join(f"x{i}" for i in range(checked(payload["n"], int, "n")))
             return _csv("label,cluster," + columns, [
-                f"{label},{assignments[label]},"
+                f"{label},{checked(assignments[label], int, f'assignments.{label}')},"
                 + ",".join(_number(v, f"points.{label}")
                            for v in checked(coords, list, f"points.{label}"))
                 for label, coords in _items(payload["points"], "points")])
@@ -538,16 +540,20 @@ class Runner:
 
     # --- manifest ---------------------------------------------------------------
 
-    def write_manifest(self) -> Path:
+    def write_manifest(self, ledger: Ledger) -> Path:
+        """Write manifest.json: the path and sha256 of each existing file that a stage
+        whose record in *ledger* is a summary writes, by artifact name, and of the
+        snapshot index once fetch or fetch-sections has succeeded."""
+        done = [name for name, record in ledger.items() if isinstance(record, dict)]
+        paths = {artifact_name(file): self.out_dir / file
+                 for name in done for file in STAGE_NAMED[name].writes}
+        if {"fetch", "fetch-sections"}.intersection(done):
+            paths["snapshot-index"] = self.snapshot_dir / INDEX_NAME
         listing = {}
-        for name, path in sorted(self.artifacts.items()):
-            if not path.exists():
-                continue
-            try:
-                rel = str(path.relative_to(self.out_dir))
-            except ValueError:
-                rel = str(path)
-            listing[name] = {"path": rel, "sha256": file_sha256(path)}
+        for name, path in sorted(paths.items()):
+            if path.exists():  # the snapshot index may lie outside out_dir
+                rel = path.relative_to(self.out_dir) if path.is_relative_to(self.out_dir) else path
+                listing[name] = {"path": str(rel), "sha256": file_sha256(path)}
         self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = self.out_dir / MANIFEST_NAME
         self.save({manifest_path: (json_text({"artifacts": listing}), None)})
@@ -695,30 +701,27 @@ def _input_bytes(config: PipelineConfig, stages: Iterable[Stage]) -> int:
     return total
 
 
-def _run_stages(runner: Runner, stages: Iterable[Stage], succeeded: set[str]) -> dict[str, dict]:
-    """Run *stages* in order on *runner*, adding each that succeeds to *succeeded*;
-    returns each run stage's summary, a failed one's being {"error": its message}.
-    A stage that Runner.inputs refuses is skipped."""
-    outcomes: dict[str, dict] = {}
+def _run_stages(runner: Runner, stages: Iterable[Stage], ledger: Ledger) -> None:
+    """Run *stages* in order on *runner*, recording in *ledger* each one's summary, or
+    the PipelineError that failed it.  A stage that Runner.inputs refuses is skipped
+    and not recorded."""
     for stage in stages:
         try:
-            outcomes[stage.name] = runner.run_stage(stage, ran=succeeded)
-            succeeded.add(stage.name)
+            ledger[stage.name] = runner.run_stage(stage, ran=ledger)
         except MissingStage:
             pass
         except PipelineError as exc:
-            outcomes[stage.name] = {"error": str(exc)}
+            ledger[stage.name] = exc
         runner.release(stage)
-    return outcomes
 
 
-def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: int,
+def _worker(runner: Runner, stages: Sequence[Stage], ledger: Ledger, fd: int,
             run: int) -> None:
     """The forked worker of the run whose pid is *run*, which on Linux it dies with: run
-    *stages* on this copy of the Runner, which holds the files they save rather than
-    write them, send down the pipe *fd* one pickle of what the parent needs to go on as
-    if it had run them, those files included, and exit without returning.  An
-    unexpected exception is sent instead, and the exit is 1."""
+    *stages* on this copy of the Runner and of its *ledger*, the Runner holding the
+    files they save rather than writing them, send down the pipe *fd* one pickle of
+    the stages' records and those files, and exit without returning.  An unexpected
+    exception is sent instead, and the exit is 1."""
     import os
     import pickle
     import sys
@@ -734,10 +737,10 @@ def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: in
             if os.getppid() != run:  # the run died before the call
                 os._exit(1)
         runner._held = {}
-        ran = set(succeeded)
-        outcomes = _run_stages(runner, stages, ran)
+        _run_stages(runner, stages, ledger)
+        records = {stage.name: ledger[stage.name] for stage in stages if stage.name in ledger}
         saved = {path: (held, runner._kept.get(path)) for path, held in runner._held.items()}
-        data = pickle.dumps(("done", outcomes, ran - succeeded, saved))
+        data = pickle.dumps(("done", records, saved))
     except BaseException as exc:  # a bug: the parent raises it after the join
         code = 1
         tb = traceback.format_exc()
@@ -753,15 +756,14 @@ def _worker(runner: Runner, stages: Sequence[Stage], succeeded: set[str], fd: in
             os._exit(code)
 
 
-def _aside(runner: Runner, stages: Sequence[Stage],
-           succeeded: set[str]) -> Callable[..., dict[str, dict]]:
+def _aside(runner: Runner, stages: Sequence[Stage], ledger: Ledger) -> Callable[..., None]:
     """Start *stages* in one forked worker, which runs them on its copy of *runner*,
-    and return the join: join() waits for the worker and returns the stages'
-    outcomes, having added to *runner* and *succeeded* what running them here would
-    have added; join(kill=True) kills and reaps the worker unless it was joined.  Where
-    a fork does not pay (input files under BRANCH_MIN_BYTES), is not safe (no os.fork,
-    macOS, or another Python thread running) or fails (no pipe or process to be had),
-    the stages run here and now, and the join only returns their outcomes.
+    and return the join: join() waits for the worker, adds the stages' records to
+    *ledger* and saves their files in *runner*, as running them here would have;
+    join(kill=True) kills and reaps the worker unless it was joined.  Where a fork
+    does not pay (input files under BRANCH_MIN_BYTES), is not safe (no os.fork, macOS,
+    or another Python thread running) or fails (no pipe or process to be had), the
+    stages run here and now, and the join does nothing.
 
     The thread check sees Python threads only.  The worker runs LAPACK (pca_fit's
     eigh), so it assumes that the BLAS numpy links is safe to use after a fork; that
@@ -785,42 +787,40 @@ def _aside(runner: Runner, stages: Sequence[Stage],
             for end in ends:
                 os.close(end)
     if pid is None:
-        outcomes = _run_stages(runner, stages, succeeded)
-        return lambda kill=False: outcomes
+        _run_stages(runner, stages, ledger)
+        return lambda kill=False: None
     read_end, write_end = ends
     if pid == 0:
         os.close(read_end)
-        _worker(runner, stages, succeeded, write_end, run)
+        _worker(runner, stages, ledger, write_end, run)
     os.close(write_end)
     pipe = os.fdopen(read_end, "rb")
 
-    def join(kill: bool = False) -> dict[str, dict]:
+    def join(kill: bool = False) -> None:
         if pipe.closed:  # joined or killed before
-            return {}
+            return
         if kill:
             os.kill(pid, signal.SIGKILL)
         data = b"" if kill else pipe.read()  # all of it first: it may outgrow the pipe's buffer
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         pipe.close()  # only once reaped, so that join(kill=True) reaps a worker still unreaped
         if kill:
-            return {}
+            return
         names = ", ".join(stage.name for stage in stages)
         if not data or status not in (0, 1):  # died before, or while, sending its result
             ended = f"was killed by signal {-status}" if status < 0 else f"exited {status}"
-            return {stages[0].name: {"error": f"the worker running {names} {ended} "
-                                              "without a result"}}
+            ledger[stages[0].name] = PipelineError(
+                f"the worker running {names} {ended} without a result")
+            return
         kind, *result = pickle.loads(data)
         if kind == "raised":
             exc, tb = result
             raise exc from RuntimeError(f"in the worker running {names}:\n{tb}")
-        outcomes, ran, saved = result
-        succeeded.update(ran)
+        records, saved = result
+        ledger.update(records)
         runner.save(saved)
         for stage in stages:
-            if stage.name in ran:
-                runner.register(stage)
             runner.release(stage)
-        return outcomes
 
     return join
 
@@ -828,12 +828,13 @@ def _aside(runner: Runner, stages: Sequence[Stage],
 def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
     """Run every stage the configuration enables; returns (exit code, summary).
 
-    The config is validated first, with the first stage's keys required.
-    Stage failures are collected rather than raised; a stage that Runner.inputs
-    refuses is skipped, so one that reads a failed stage's file is, and the
-    report reads only this run's files.  The BRANCH stages run beside the rest
-    (see _aside); the summary and errors list the stages in STAGES order.  The exit
-    code is 0 only when nothing failed.
+    The config is validated first, with the first stage's keys required.  Stage
+    failures are recorded in the ledger rather than raised; a stage that
+    Runner.inputs refuses is skipped, so one that reads a failed stage's file is,
+    and the report reads only this run's files.  The BRANCH stages run beside the
+    rest (see _aside).  The summary, {"error": message} for a failed stage, and the
+    errors list the ledger in STAGES order.  The exit code is 0 only when nothing
+    failed.
     """
     config.validate(STAGES[0].requires)
     runner = Runner(config)
@@ -841,23 +842,23 @@ def run_pipeline(config: PipelineConfig) -> tuple[int, dict]:
         (runner.out_dir / f"{name}.tmp").unlink(missing_ok=True)
     # a manifest left by an earlier run must not vouch for a run that stops part way
     (runner.out_dir / MANIFEST_NAME).unlink(missing_ok=True)
-    succeeded: set[str] = set()
+    ledger: Ledger = {}
     rest = [stage for stage in STAGES if stage.name not in BRANCH]
     fork, join_at = _branch_points()
-    outcomes = _run_stages(runner, rest[:fork], succeeded)
-    join = _aside(runner, [STAGE_NAMED[name] for name in BRANCH], succeeded)
+    _run_stages(runner, rest[:fork], ledger)
+    join = _aside(runner, [STAGE_NAMED[name] for name in BRANCH], ledger)
     try:
-        outcomes.update(_run_stages(runner, rest[fork:join_at], succeeded))
-        outcomes.update(join())
+        _run_stages(runner, rest[fork:join_at], ledger)
+        join()
     finally:  # a worker outlives no run, whatever raised, KeyboardInterrupt included
         join(kill=True)
-    outcomes.update(_run_stages(runner, rest[join_at:], succeeded))
-    runner.write_manifest()
+    _run_stages(runner, rest[join_at:], ledger)
+    runner.write_manifest(ledger)
+    records = [(stage.name, ledger[stage.name]) for stage in STAGES if stage.name in ledger]
+    errors = [f"{name}: {record}" for name, record in records if isinstance(record, PipelineError)]
     summary: dict[str, object] = {
-        stage.name: outcomes[stage.name] for stage in STAGES if stage.name in outcomes
+        name: {"error": str(record)} if isinstance(record, PipelineError) else record
+        for name, record in records
     }
-    errors = [f"{name}: {outcome['error']}"
-              for name, outcome in summary.items() if name not in succeeded]
-    summary["manifest"] = str(runner.out_dir / MANIFEST_NAME)
-    summary["errors"] = errors
+    summary.update(manifest=str(runner.out_dir / MANIFEST_NAME), errors=errors)
     return (0 if not errors else 1), summary

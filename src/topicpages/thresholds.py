@@ -155,9 +155,8 @@ def _persistent_peaks(dense: list[int]) -> list[tuple[int, int, int]]:
         birth[i] = (dense[i], i)
         for nb in (i - 1, i + 1):
             if 0 <= nb < n and root[nb] != -1:
+                # components are runs of adjacent buckets, and i was outside nb's
                 a, b = find(i), find(nb)
-                if a == b:
-                    continue
                 (ha, pa), (hb, pb) = birth[a], birth[b]
                 # the shorter-born component dies here; ties die rightward
                 dead, alive = (a, b) if (ha, -pa) < (hb, -pb) else (b, a)

@@ -48,11 +48,18 @@ def _clean_domain(domain: str) -> str:
     return domain.strip().lower().lstrip(".")
 
 
+def _logged_domain(domain: str, suffixes: frozenset[str] | None, what: str) -> str:
+    """The registrable domain of a *domain* from a crawl log; a ValueError naming
+    *what* when, once cleaned, it is empty or holds whitespace."""
+    cleaned = _clean_domain(domain)
+    if cleaned.split() != [cleaned]:
+        raise ValueError(f"{what} {domain!r} is not a hostname")
+    return registrable_domain(cleaned, suffixes)
+
+
 def _parse_record(obj, topics: Collection[str] | None, suffixes: frozenset[str] | None) -> CrawlRecord:
     checked(obj, dict, "record")
-    site = registrable_domain(_clean_domain(checked(obj["site"], str, "site")), suffixes)
-    if not site:
-        raise ValueError("empty site")
+    site = _logged_domain(checked(obj["site"], str, "site"), suffixes, "site")
     cookies = [c["cookie_domain"] for c in obj.get("cookies", [])]
     requests = [r["request_domain"] for r in obj.get("requests", [])]
     tp_cookies, third_parties = record_third_parties(
@@ -99,15 +106,16 @@ def record_third_parties(
     """Resolve one visit's domains against its registrable *site* under *suffixes*.
 
     Returns the registrable domain of each third-party cookie, one entry per
-    cookie, and the set of every third-party registrable domain on the visit.
+    cookie, and the set of every third-party registrable domain on the visit.  A
+    domain that is empty or holds whitespace once cleaned is a ValueError.
     """
 
-    def third(domains: Iterable[str]) -> list[str]:
-        regs = map(registrable_domain, map(_clean_domain, domains), repeat(suffixes))
+    def third(domains: Iterable[str], what: str) -> list[str]:
+        regs = map(_logged_domain, domains, repeat(suffixes), repeat(what))
         return [reg for reg in regs if reg != site]
 
-    tp_cookies = tuple(third(cookie_domains))
-    return tp_cookies, frozenset(tp_cookies).union(third(request_domains))
+    tp_cookies = tuple(third(cookie_domains, "cookie domain"))
+    return tp_cookies, frozenset(tp_cookies).union(third(request_domains, "request domain"))
 
 
 def cookie_stats_by_topic(records: Sequence[CrawlRecord]) -> dict[str, Summary]:

@@ -21,7 +21,7 @@ from topicpages.classify import (
 from topicpages.dictionary import Topic, TopicalDictionary
 from topicpages.embeddings import EmbeddingModel, combined_embedding, cosine
 from topicpages.errors import MalformedUrl, PipelineError
-from topicpages.lines import write_jsonl
+from topicpages.lines import jsonl_text, write_text
 from topicpages.content import DEFAULT_STOPWORDS
 
 from conftest import text_file
@@ -347,7 +347,7 @@ class TestAssignmentFiles:
         clf = TopicClassifier(toy_dictionary, toy_model)
         original = [clf.classify(u(p)) for p in ["/sports/", "/football/", "/quiz/"]]
         path = tmp_path / "assignments.jsonl"
-        write_jsonl(path, map(assignment_to_record, original))
+        write_text(path, jsonl_text(map(assignment_to_record, original)))
         loaded = read_assignments(path, toy_dictionary)
         assert loaded == original
 
@@ -362,7 +362,7 @@ class TestAssignmentFiles:
         clf = TopicClassifier(toy_dictionary, toy_model)
         results = classify_and_select(clf, [u("/sports/"), u("/politics/")])
         path = tmp_path / "best.jsonl"
-        write_jsonl(path, best_subpage_records(results))
+        write_text(path, jsonl_text(best_subpage_records(results)))
         rows = read_best_subpages(path)
         assert rows == [
             {
@@ -380,9 +380,9 @@ class TestAssignmentFiles:
     def test_best_subpages_url_normalized_or_refused_at_its_line(self, tmp_path):
         row = {"site": "news-site.example", "topic": "sports", "url": "HTTPS://News-Site.example/sports"}
         path = tmp_path / "best.jsonl"
-        write_jsonl(path, [row])
+        write_text(path, jsonl_text([row]))
         assert read_best_subpages(path) == [{**row, "url": u("/sports/").normalized}]
-        write_jsonl(path, [row, {**row, "url": "x"}])
+        write_text(path, jsonl_text([row, {**row, "url": "x"}]))
         with pytest.raises(MalformedUrl) as err:
             read_best_subpages(path)
         assert str(err.value).startswith(f"{path}:2: ")

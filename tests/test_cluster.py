@@ -14,7 +14,7 @@ from topicpages import (
     pca_fit,
     silhouette,
 )
-from topicpages.errors import KTooLarge, SingleCluster
+from topicpages.errors import KTooLarge, PipelineError
 
 
 def three_blobs(points_per_blob=8, noise=0.5, seed=7):
@@ -332,6 +332,24 @@ class TestBatchedRestarts:
             fields(reference_kmeans(X, k, seed, restarts, max_iter)) for X in data
         ]
 
+    @settings(max_examples=40, deadline=None)
+    @example(  # duplicate and near-subnormal rows, whose distances round to 0
+        case=(np.array([[[0.0], [5e-324], [1e-310], [5e-324], [0.0]]]), 3),
+        seed=0, restarts=2, max_iter=300,
+    )
+    @given(
+        case=kmeans_stacks(),
+        seed=st.integers(0, 2**16),
+        restarts=st.integers(1, 4),
+        max_iter=st.sampled_from([1, 2, 300]),
+    )
+    def test_every_fit_has_k_labels(self, case, seed, restarts, max_iter):
+        # k up to the rows, duplicates included: no cluster is left empty, so a fit
+        # with k >= 2 never gives silhouette a single cluster
+        data, k = case
+        for fit in cluster_mod._lloyd(data, k, seed, restarts, max_iter):
+            assert len(set(fit.assignments.tolist())) == k
+
     def test_distance_steps_across_datasets_change_nothing(self, monkeypatch):
         # steps of two runs, with three restarts per dataset, cut across
         # every dataset boundary
@@ -461,7 +479,7 @@ class TestSilhouette:
         assert s == pytest.approx((0.9 + 8 / 9) / 3, abs=1e-12)
 
     def test_single_cluster_rejected(self):
-        with pytest.raises(SingleCluster):
+        with pytest.raises(PipelineError, match="^silhouette needs at least two clusters$"):
             silhouette([[0.0], [1.0]], [0, 0])
 
     def test_argmax_at_true_k(self):
@@ -598,7 +616,7 @@ def reference_sweep(X, ns, ks, seed, restarts, b_refs, max_iter):
                 try:
                     rep = cluster_report(reduced, labels, k, seed, restarts, max_iter, b_refs)
                     rows.append(cluster_mod.SweepRow(n, k, rep.sse, rep.silhouette, rep.gap))
-                except (KTooLarge, SingleCluster) as exc:
+                except KTooLarge as exc:
                     rows.append(cluster_mod.SweepRow(n, k, None, None, None, str(exc)))
     except Exception as exc:
         return type(exc), str(exc)

@@ -9,6 +9,7 @@ import pytest
 from topicpages import fetch_all, fetch_missing, fetch_one, normalize, save_snapshots
 from topicpages import lines as lines_mod
 from topicpages.cli import main
+from topicpages.config import PipelineConfig
 from topicpages.errors import PipelineError
 from topicpages.fetch import (
     FetchResult,
@@ -16,6 +17,7 @@ from topicpages.fetch import (
     load_snapshot_index,
     read_snapshot,
 )
+from topicpages.pipeline import STAGE_NAMED, Runner
 
 BODY_OK = "<html><body>hello world</body></html>"
 BODY_OTHER = "<html><body>something else entirely</body></html>"
@@ -365,6 +367,25 @@ class TestFetchMissing:
         urls = [u(base, "/ok/")]
         fetch_missing(urls, tmp_path, timeout=5.0)
         assert fetch_missing(urls, tmp_path, live=True, timeout=5.0) == (1, 0)
+
+    def test_content_takes_a_homepage_refetched_after_extract(self, base, tmp_path):
+        # extract keeps each homepage's text for content; a live fetch between them
+        # that brings a changed page leaves content the new text, not the kept one
+        url = u(base, "/ok/")
+        store = tmp_path / "snapshots"
+        save_snapshots([ok_result(url, BODY_OTHER)], store)
+        (tmp_path / "urls.txt").write_text(url.normalized + "\n", "utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "best.jsonl").write_text("", "utf-8")
+        runner = Runner(PipelineConfig(out_dir=str(out), urls=str(tmp_path / "urls.txt"),
+                                       snapshots=str(store), live=True, timeout=5.0))
+        runner.run_stage(STAGE_NAMED["extract"])
+        assert runner._homepage_texts == {url.normalized: "something else entirely"}
+        assert runner.run_stage(STAGE_NAMED["fetch"]) == {"fetched": 1, "reused": 0}
+        runner.run_stage(STAGE_NAMED["content"])
+        matrix = json.loads((out / "content-matrix.json").read_text("utf-8"))
+        assert matrix["terms"] == ["hello", "world"]
 
     def test_failed_live_refetch_keeps_the_good_snapshot(self, base, tmp_path):
         url = u(base, "/missing/")

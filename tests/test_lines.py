@@ -17,7 +17,9 @@ from topicpages.embeddings import load_embeddings_file
 from topicpages.errors import PipelineError
 from topicpages.fetch import load_snapshot_index, read_snapshot
 import topicpages.lines as lines_mod
-from topicpages.lines import _DOCUMENT, json_text, read_json, read_words, write_jsonl, write_text
+from topicpages.lines import (
+    _DOCUMENT, json_text, jsonl_text, read_json, read_words, write_text,
+)
 from topicpages.pipeline import STAGE_NAMED, Runner, load_matrix_file, read_homepage_list
 from topicpages.thresholds import Thresholds
 from topicpages.tracking import load_disconnect_file, read_crawl_log
@@ -189,7 +191,7 @@ def test_crlf_line_ends_read_like_lf(tmp_path, name):
 @pytest.mark.parametrize(
     "write,bad",
     [
-        (write_jsonl, [{"a": 1}, {"a": math.nan}]),
+        (lambda path, rows: write_text(path, jsonl_text(rows)), [{"a": 1}, {"a": math.nan}]),
         (lambda path, obj: write_text(path, json_text(obj)), {"a": [1.0, math.inf]}),
     ],
     ids=["jsonl", "json"],
@@ -205,7 +207,7 @@ def test_refused_value_keeps_the_previous_file(tmp_path, write, bad):
 
 def test_jsonl_bytes(tmp_path):
     path = tmp_path / "rows.jsonl"
-    write_jsonl(path, iter([{"b": "é", "a": 1.5}, {}]))
+    write_text(path, jsonl_text(iter([{"b": "é", "a": 1.5}, {}])))
     assert path.read_bytes() == '{"a": 1.5, "b": "é"}\n{}\n'.encode("utf-8")
 
 
@@ -305,6 +307,20 @@ REPORT_SHAPES = {
         _report(cookie_stats={"sports": {k: v for k, v in REPORT["cookie_stats"]["sports"].items()
                                          if k != "count"}}),
         "missing key 'count'"),
+    # a value the report writes into a CSV cell as it is
+    "cookie-count-string": (
+        _report(cookie_stats={"sports": {**REPORT["cookie_stats"]["sports"],
+                                         "count": "7,evil\nrow"}}),
+        "cookie_stats.sports.count must be an integer, got '7,evil\\nrow'"),
+    "breakdown-count-list": (
+        _report(category_breakdown={"all": {"sports": {"Advertising": [1, 2]}}}),
+        "category_breakdown.all.sports.Advertising must be an integer, got [1, 2]"),
+    "diff-percent-string": (_report(percent_diff_vs_homepage={"sports": {"Advertising": "old"}}),
+                            "percent_diff_vs_homepage.sports.Advertising must be a number, "
+                            "got 'old'"),
+    "coverage-party-dict": (
+        _report(top_tp_coverage=[{"third_party": {"a": 1}, "coverage": {"sports": 50.0}}]),
+        "third_party must be a string, got {'a': 1}"),
 }
 # the same for a clusters file, whose scatter plot the report writes
 CLUSTERS_SHAPES = {
@@ -318,6 +334,8 @@ CLUSTERS_SHAPES = {
     "clusters-coordinate-string": ({**CLUSTERS, "points": {"a": ["0.5"], "b": [-0.5]}},
                                    "points.a must be a number, got '0.5'"),
     "clusters-label-missing": ({**CLUSTERS, "assignments": {"a": 0}}, "missing key 'b'"),
+    "clusters-cluster-string": ({**CLUSTERS, "assignments": {"a": "9,evil", "b": 1}},
+                                "assignments.a must be an integer, got '9,evil'"),
 }
 
 

@@ -24,8 +24,8 @@ import topicpages.urls as urls_mod
 from topicpages.cli import main
 from topicpages.config import TYPES, PipelineConfig, load_config
 from topicpages.errors import ConfigError, KTooLarge, MissingStage, PipelineError
-from topicpages.fetch import load_snapshot_index, save_snapshots
-from topicpages.lines import json_text, write_text
+from topicpages.fetch import INDEX_NAME, load_snapshot_index, save_snapshots
+from topicpages.lines import json_text, jsonl_text, write_text
 from topicpages.classify import assignment_to_record, read_assignments, read_best_subpages
 from topicpages.urls import UrlRows, read_url_file, url_lines
 from topicpages.pipeline import (
@@ -193,6 +193,40 @@ class TestStageIsolation:
         written = best.read_bytes()
         Runner(cfg).run_stage(STAGE_NAMED["best-subpages"])
         assert best.read_bytes() == written
+
+    @staticmethod
+    def without_body(store, url):
+        """Give *url*'s row in the snapshot store *store* no body, as a failed fetch does."""
+        index = load_snapshot_index(store)
+        index[url] = {**index[url], "path": None, "status": 404, "error": "HTTP 404"}
+        write_text(store / INDEX_NAME, jsonl_text(index[key] for key in sorted(index)))
+
+    def test_extract_lists_a_homepage_the_store_has_no_body_for(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        missing = "https://beta-daily.example/"
+        self.without_body(runner.snapshot_dir, missing)
+        summary = runner.run_stage(STAGE_NAMED["extract"])
+        assert summary["missing_snapshots"] == [missing]
+        assert sorted(runner._homepage_texts) == [
+            "https://alpha-news.example/", "https://gamma-post.example/"]
+        rows = read_url_file(runner.out_dir / "internal.jsonl")
+        assert rows.sites == {"alpha-news.example", "gamma-post.example"}
+
+    def test_content_lists_a_page_the_store_has_no_body_for(self, e2e_config):
+        runner = Runner(load_config(e2e_config, env={}))
+        missing = "https://alpha-news.example/politics/"
+        self.without_body(runner.snapshot_dir, missing)
+        best = [{"site": "alpha-news.example", "topic": topic,
+                 "url": f"https://alpha-news.example/{topic}/"} for topic in ("politics", "sports")]
+        runner.out_dir.mkdir(parents=True)
+        write_text(runner.out_dir / "best.jsonl", jsonl_text(best))
+        summary = runner.run_stage(STAGE_NAMED["content"])
+        assert summary["missing_snapshots"] == [missing]
+        assert summary["documents"] == 2  # sports and the homepages
+        languages = (runner.out_dir / "languages.jsonl").read_text("utf-8")
+        assert [json.loads(line)["url"] for line in languages.splitlines()] == [
+            "https://alpha-news.example/sports/", "https://alpha-news.example/",
+            "https://beta-daily.example/", "https://gamma-post.example/"]
 
     @staticmethod
     def run_with_news_suffix(e2e_config, extra_config=""):
@@ -510,7 +544,8 @@ class TestRunnerDirect:
             runner.run_stage(STAGE_NAMED["cluster-tracking"])
         assert str(raised.value) == f"{out / 'tracking-matrix.json'}: k=3 exceeds 2 distinct rows"
         assert not (out / "clusters-tracking.json").exists()
-        assert runner.artifacts == {}
+        ledger = {"cluster-tracking": raised.value}
+        assert json.loads(runner.write_manifest(ledger).read_text("utf-8"))["artifacts"] == {}
 
     @pytest.mark.parametrize("name", ["cluster-content", "sweep-content"])
     def test_cluster_stage_names_a_matrix_it_cannot_cluster(self, e2e_config, name):
@@ -533,10 +568,11 @@ class TestRunnerDirect:
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", "utf-8")
         runner = Runner(PipelineConfig(out_dir=str(out)))
-        with pytest.raises(PipelineError, match="^no training URLs$"):
+        with pytest.raises(PipelineError, match="^no training URLs$") as raised:
             runner.run_stage(STAGE_NAMED["fit-thresholds"], empty)
         assert (out / "histograms").is_dir()  # made when the stage started
-        assert runner.artifacts == {}
+        ledger = {"fit-thresholds": raised.value}
+        assert json.loads(runner.write_manifest(ledger).read_text("utf-8"))["artifacts"] == {}
         histograms = [
             f"histograms/{name}.csv" for name in ("url_length", "subpath_length", "hyphens")
         ]
@@ -553,7 +589,7 @@ class TestRunnerDirect:
         (out / "tracking-report.json").unlink()
         runner = Runner(cfg)
         assert runner.run_stage(STAGE_NAMED["report"])["missing"] == ["tracking-report.json"]
-        listing = json.loads(runner.write_manifest().read_text("utf-8"))["artifacts"]
+        listing = json.loads(runner.write_manifest({"report": {}}).read_text("utf-8"))["artifacts"]
         assert not stale.exists()
         assert "plots/cookies-per-topic.csv" not in listing
         assert "plots/topic-coverage.csv" in listing
@@ -760,9 +796,9 @@ class TestEachFileParsedOnce:
                 self.record(stage.name)
                 return super().run_stage(stage, **kwargs)
 
-            def write_manifest(self):
+            def write_manifest(self, ledger):
                 self.record("manifest")
-                return super().write_manifest()
+                return super().write_manifest(ledger)
 
         monkeypatch.setattr(pipeline_mod, "Runner", Recording)
         # the e2e fixture's crawl log is too small to fork for; then the branch is made to fork
@@ -884,9 +920,9 @@ class TestEachFileParsedOnce:
 
         write_manifest = Runner.write_manifest
 
-        def hashed(self):
+        def hashed(self, ledger):
             hashing.append(True)
-            return write_manifest(self)
+            return write_manifest(self, ledger)
 
         # every reader of the line and JSON files opens them through lines.open
         monkeypatch.setattr(lines_mod, "open", recording_open, raising=False)

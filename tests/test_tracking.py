@@ -71,6 +71,15 @@ MALFORMED = [
      "missing key 'cookie_domain'"),
     (json.dumps({**_VISIT, "requests": [{"is_third_party": True}]}),
      "missing key 'request_domain'"),
+    # a logged domain that, once cleaned, is empty or holds whitespace names no host
+    (json.dumps({**_VISIT, "cookies": [{"cookie_domain": ". .com"}]}),
+     "cookie domain '. .com' is not a hostname"),
+    (json.dumps({**_VISIT, "requests": [{"request_domain": ""}]}),
+     "request domain '' is not a hostname"),
+    (json.dumps({**_VISIT, "cookies": [{"cookie_domain": "  "}]}),
+     "cookie domain '  ' is not a hostname"),
+    (json.dumps({**_VISIT, "site": ""}), "site '' is not a hostname"),
+    (json.dumps({**_VISIT, "site": "a b.example"}), "site 'a b.example' is not a hostname"),
 ]
 
 

@@ -11,10 +11,8 @@ from .classify import (
     dictionary_assist,
 )
 from .cluster import (
-    ClusterReport,
     KmeansResult,
     PcaModel,
-    cluster_report,
     gap_statistic,
     kmeans,
     model_select,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BestSubpages",
-    "ClusterReport",
     "ContentMatrix",
     "DEFAULT_BUCKET_SIZES",
     "DEFAULT_STOPWORDS",
@@ -89,7 +86,6 @@ __all__ = [
     "bundled_dictionary",
     "categorize",
     "category_breakdown",
-    "cluster_report",
     "cohens_kappa",
     "combined_embedding",
     "cookie_stats_by_topic",

@@ -10,12 +10,13 @@ same order for any k, so the first k centers of a larger seeding are the k
 seeding, and a sweep seeds each PCA dimension once, at its largest fitted k.
 The silhouette takes its mean distances cluster by cluster, as row means of
 C-contiguous gathers, which sum in the order a point-by-point loop does.
+model_select fits and scores every clustering: a cluster stage is its one cell.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,7 +60,7 @@ def pca_fit(X: Sequence[Sequence[float]], n: int) -> tuple[PcaModel, np.ndarray]
     a 16 x 25000 term matrix costs a 16 x 16 eigendecomposition.  When the
     data's rank is below *n* only the nonzero-variance axes are returned
     and the model is flagged rank-deficient; the returned ratios then sum
-    to 1 with fewer components.
+    to 1 with fewer components.  Data with no variance on any axis is refused.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -95,14 +96,13 @@ def pca_fit(X: Sequence[Sequence[float]], n: int) -> tuple[PcaModel, np.ndarray]
                 axes[i] = S.T @ u[:, i] / math.sqrt(lam * (rows - 1))
 
     eigval = np.clip(eigval, 0.0, None)
-    total = float(eigval.sum())
-    tol = float(eigval.max()) * 1e-12 if eigval.size else 0.0
-    effective = int(min(n, int((eigval > tol).sum())))
+    effective = int(min(n, int((eigval > float(eigval.max()) * 1e-12).sum())))
+    if effective == 0:
+        raise ValueError("no axis has variance")
     components = _fix_signs(axes[:effective])
-    ratios = eigval[:effective] / total if total > 0 else np.zeros(effective)
     model = PcaModel(
         components=components,
-        explained_variance_ratio=ratios,
+        explained_variance_ratio=eigval[:effective] / float(eigval.sum()),
         mean=mean,
         n_requested=n,
     )
@@ -259,10 +259,11 @@ def _references(X: np.ndarray, seed: int, b_refs: int) -> list[np.ndarray]:
 def _check(X: np.ndarray, k: int, restarts: int, max_iter: int, distinct: int | None = None) -> None:
     """Refuse a fit of k clusters to X, in this order: k above *distinct* rows (a scored
     fit gives that count: k-means would split duplicate rows into zero-SSE clusters),
-    X not a non-empty 2-D matrix, k, restarts or max_iter below 1, k above the rows."""
+    X not a 2-D matrix with rows and columns, k, restarts or max_iter below 1, k above
+    the rows."""
     if distinct is not None and k > distinct:
         raise KTooLarge(f"k={k} exceeds {distinct} distinct rows")
-    if X.ndim != 2 or len(X) == 0:
+    if X.ndim != 2 or 0 in X.shape:
         raise ValueError("X must be a non-empty 2-D matrix")
     for name, value in (("k", k), ("restarts", restarts), ("max_iter", max_iter)):
         if value < 1:
@@ -272,13 +273,12 @@ def _check(X: np.ndarray, k: int, restarts: int, max_iter: int, distinct: int | 
 
 
 def _fits(
-    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int,
-    b_refs: int = 0, distinct: int | None = None,
+    X: Sequence[Sequence[float]], k: int, seed: int, restarts: int, max_iter: int, b_refs: int = 0
 ) -> list[KmeansResult]:
     """The fits of X and of its *b_refs* reference draws, as one batch of the Lloyd loop,
-    once _check(X, k, restarts, max_iter, distinct) has passed."""
+    once _check(X, k, restarts, max_iter) has passed."""
     X = np.asarray(X, dtype=float)
-    _check(X, k, restarts, max_iter, distinct)
+    _check(X, k, restarts, max_iter)
     return _lloyd(np.stack([X, *_references(X, seed, b_refs)]), k, seed, restarts, max_iter)
 
 
@@ -368,65 +368,29 @@ def _distinct_rows(X: np.ndarray) -> int:
     return len(set(map(tuple, X.reshape(len(X), -1).tolist())))
 
 
-def _score(X: np.ndarray, k: int, fits: list[KmeansResult]) -> tuple[KmeansResult, float | None, float]:
-    """A scored cell: the fit of X among *fits* (X's, then its references'), its
-    silhouette (k >= 2) and its gap."""
-    result, *references = fits
-    sil = silhouette(X, result.assignments) if k >= 2 else None
-    return result, sil, _gap(result, references)
-
-
-# --- reports and sweeps ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClusterReport:
-    k: int
-    assignments: dict
-    sse: float
-    silhouette: float | None
-    gap: float
-    seed: int
-
-
-def cluster_report(
-    X: Sequence[Sequence[float]],
-    row_labels: Sequence[str],
-    k: int,
-    seed: int = 42,
-    restarts: int = 10,
-    max_iter: int = 300,
-    b_refs: int = 10,
-) -> ClusterReport:
-    """Cluster labeled rows and attach quality metrics."""
-    X = np.asarray(X, dtype=float)
-    if len(row_labels) != len(X):
-        raise ValueError("one label per row required")
-    fits = _fits(X, k, seed, restarts, max_iter, b_refs, _distinct_rows(X))
-    result, sil, gap = _score(X, k, fits)
-    return ClusterReport(
-        k=k,
-        assignments={label: int(c) for label, c in zip(row_labels, result.assignments)},
-        sse=result.sse,
-        silhouette=sil,
-        gap=gap,
-        seed=seed,
-    )
-
+# --- sweeps -------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One (n, k) cell: its scores and the fit they score, or the error that refused it."""
+
     n: int
     k: int
     sse: float | None
     silhouette: float | None
     gap: float | None
     error: str | None = None
+    fit: KmeansResult | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A sweep's cells in order, its best cell, and each dimension PCA could reduce
+    to, mapped to its (model, reduced rows); a dimension PCA refused has no entry."""
+
     rows: tuple[SweepRow, ...]
     best: tuple[int, int] | None  # (n, k) with the highest silhouette
+    reductions: dict[int, tuple[PcaModel, np.ndarray]] = field(default_factory=dict, compare=False)
 
     def to_csv(self) -> str:
         def fmt(x):
@@ -447,25 +411,30 @@ def model_select(
     b_refs: int = 10,
     max_iter: int = 300,
 ) -> SweepResult:
-    """Sweep (PCA dimension, cluster count) and score every combination.
+    """Sweep (PCA dimension, cluster count), fit every cell and score its fit.
 
-    Infeasible cells (k above the number of distinct rows, n above the rank
-    limit) are recorded with their error and the sweep continues; the best
-    cell is the highest silhouette, ties to the smaller (n, k).
+    Infeasible cells (k above the number of distinct rows, which k-means would
+    split into zero-SSE clusters; n above the rank limit; data with no variance)
+    are recorded with their error and the sweep continues; the best cell is the
+    highest silhouette, ties to the smaller (n, k).  A scored cell keeps its fit,
+    and the result keeps each reduction, so one cell is a whole clustering.
 
     Each dimension draws its gap references and seeds k-means++ once, so every
-    cell equals what cluster_report gives its reduced data; a cell's ValueError
-    is raised once the cells before it are scored, as cell-by-cell fits would.
+    cell equals the cell-by-cell fit of its reduced data: kmeans, its silhouette
+    (k >= 2) and gap_statistic.  A cell's ValueError is raised once the cells
+    before it are scored, as cell-by-cell fits would.
     """
     X = np.asarray(X, dtype=float)
     rows: list[SweepRow] = []
+    reductions: dict[int, tuple[PcaModel, np.ndarray]] = {}
     ks = list(k_range)
     for n in n_range:
         try:
-            _, reduced = pca_fit(X, n)
+            reductions[n] = pca_fit(X, n)
         except ValueError as exc:
             rows.extend(SweepRow(n, k, None, None, None, str(exc)) for k in ks)
             continue
+        _, reduced = reductions[n]
         distinct = _distinct_rows(reduced)
         cells: list[tuple[int, Exception | None]] = []  # each k before a raising one, its refusal
         refusal: ValueError | None = None
@@ -483,14 +452,14 @@ def model_select(
         if fitted:
             seeds = _kmeans_pp_init(np.repeat(data, restarts, axis=0), max(fitted), seed, restarts)
         for k, refused in cells:
-            if refused is None:
-                fits = _lloyd(data, k, seed, restarts, max_iter, seeds[:, :k].copy())
-                result, sil, gap = _score(reduced, k, fits)
-                rows.append(SweepRow(n, k, result.sse, sil, gap))
-            else:
+            if refused is not None:
                 rows.append(SweepRow(n, k, None, None, None, str(refused)))
+                continue
+            fit, *references = _lloyd(data, k, seed, restarts, max_iter, seeds[:, :k].copy())
+            sil = silhouette(reduced, fit.assignments) if k >= 2 else None
+            rows.append(SweepRow(n, k, fit.sse, sil, _gap(fit, references), fit=fit))
         if refusal is not None:
             raise refusal
     scored = [r for r in rows if r.error is None and r.silhouette is not None]
     top = max(scored, key=lambda r: (r.silhouette, -r.n, -r.k), default=None)
-    return SweepResult(tuple(rows), (top.n, top.k) if top else None)
+    return SweepResult(tuple(rows), (top.n, top.k) if top else None, reductions)

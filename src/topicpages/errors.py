@@ -27,5 +27,6 @@ class NotBimodal(PipelineError):
 
 
 class KTooLarge(PipelineError):
-    """More clusters than rows to cluster: model_select records the cell as failed."""
+    """More clusters than distinct rows to cluster: model_select records the cell as
+    failed, and the cluster stage raises it for its one cell."""
 

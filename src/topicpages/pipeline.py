@@ -42,7 +42,7 @@ BRANCH_MIN_BYTES) or is not safe, the tracking half runs in order at the same po
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
@@ -55,7 +55,7 @@ from . import tracking as tracking_mod
 from .config import PipelineConfig, parse_range
 from .dictionary import TopicalDictionary, bundled_dictionary, load_dictionary_file
 from .embeddings import EmbeddingModel, load_embeddings_file
-from .errors import MissingStage, PipelineError
+from .errors import KTooLarge, MissingStage, PipelineError
 from .fetch import INDEX_NAME, fetch_missing, stored_bodies
 from .lines import (
     _located, checked, encoded, file_sha256, json_text, jsonl_text, parsed, read_json,
@@ -71,10 +71,12 @@ from .thresholds import (
     histograms_of,
 )
 from .urls import (
-    PageUrl, UrlRows, normalize, partition_links, read_url_file, url_lines,
+    PageUrl, UrlRows, normalize, partition_links, read_url_file, registrable_domain, url_lines,
 )
 
 MANIFEST_NAME = "manifest.json"
+# a comma, a quote and each line break str.splitlines knows: what splits a CSV row
+_CSV_SPLITS = frozenset(',"\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029')
 
 T = TypeVar("T")
 # for each write path of a stage, the file's text (a str, bytes or an iterable of
@@ -314,7 +316,7 @@ class Runner:
         matrix = tracking_mod.build_tracking_matrix(records, topics=matrix_topics)
 
         breakdown = tracking_mod.category_breakdown(records, dl, suffixes=self.suffixes)
-        top_sites = cfg.top_sites_set()
+        top_sites = {registrable_domain(entry, self.suffixes) for entry in cfg.top_sites_set()}
         report = {
             "cookie_stats": {
                 t: s.to_dict() for t, s in tracking_mod.cookie_stats_by_topic(records).items()
@@ -389,19 +391,31 @@ class Runner:
 
     # --- clustering over either matrix file -----------------------------------
 
-    def stage_cluster(self, matrix: str | Path, out: str | Path) -> StageResult:
-        """Reduce a matrix file, cluster it, and write the labeled result."""
+    def _model_select(self, matrix: str | Path, X, n_range, k_range) -> cluster_mod.SweepResult:
+        """The run's model_select of a matrix file's X, its faults located at the file."""
         cfg = self.config
-        labels, X = self.load(matrix, load_matrix_file)
         try:
-            model, reduced = cluster_mod.pca_fit(X, cfg.pca_n)
-            report = cluster_mod.cluster_report(
-                reduced, labels, cfg.k, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
+            return cluster_mod.model_select(
+                X, n_range, k_range, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
             )
         except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
             raise _located(exc, str(matrix), PipelineError) from exc
+
+    def stage_cluster(self, matrix: str | Path, out: str | Path) -> StageResult:
+        """Reduce a matrix file, cluster it, and write the labeled result: the
+        sweep's one cell at (pca_n, k)."""
+        cfg = self.config
+        labels, X = self.load(matrix, load_matrix_file)
+        sweep = self._model_select(matrix, X, [cfg.pca_n], [cfg.k])
+        (cell,) = sweep.rows
+        if cell.error is not None:
+            refused = KTooLarge if sweep.reductions else PipelineError  # PCA refused: no reduction
+            raise refused(f"{matrix}: {cell.error}")
+        model, reduced = sweep.reductions[cfg.pca_n]
         payload = {
-            **asdict(report),
+            "k": cfg.k,
+            "assignments": {label: int(c) for label, c in zip(labels, cell.fit.assignments)},
+            "sse": cell.sse, "silhouette": cell.silhouette, "gap": cell.gap, "seed": cfg.seed,
             "matrix": Path(matrix).name,
             "n": cfg.pca_n,
             "rank_deficient": model.rank_deficient,
@@ -416,13 +430,7 @@ class Runner:
         """Score every (dimension, cluster count) cell of a matrix file as CSV."""
         cfg = self.config
         _, X = self.load(matrix, load_matrix_file)
-        n_range, k_range = parse_range(cfg.n_range), parse_range(cfg.k_range)
-        try:
-            sweep = cluster_mod.model_select(
-                X, n_range, k_range, seed=cfg.seed, restarts=cfg.restarts, b_refs=cfg.b_refs
-            )
-        except (ValueError, PipelineError) as exc:  # a data condition of the file, not a crash
-            raise _located(exc, str(matrix), PipelineError) from exc
+        sweep = self._model_select(matrix, X, parse_range(cfg.n_range), parse_range(cfg.k_range))
         if all(row.error for row in sweep.rows):
             first = sweep.rows[0]
             raise PipelineError(f"{matrix}: no cell of the sweep could be scored; "
@@ -504,7 +512,7 @@ class Runner:
                     for what in [f"percent_diff_vs_homepage.{topic}"]
                     for category, value in _items(row, what)])
             plots[heatmap_csv] = _csv("third_party,topic,percent_of_pages", [
-                f"{checked(entry['third_party'], str, 'third_party')},{topic},"
+                f"{_field(entry['third_party'], 'third_party')},{topic},"
                 f"{_number(pct, f'coverage.{topic}')}"
                 for entry in checked(report["top_tp_coverage"], dict, "top_tp_coverage", each=True)
                 for topic, pct in _items(entry["coverage"], "coverage")])
@@ -578,9 +586,19 @@ def _number(value, what: str) -> str:
     return f"{checked(value, float, what):.12g}"
 
 
+def _field(value, what: str) -> str:
+    """*value*, a JSON string a plot writes as one CSV field; else a ValueError naming *what*."""
+    if not _CSV_SPLITS.isdisjoint(checked(value, str, what)):
+        raise ValueError(f"{what} {value!r} holds a comma, a quote or a line break")
+    return value
+
+
 def _items(value, what: str) -> list[tuple]:
-    """The sorted items of the JSON object *value*; else a ValueError naming *what*."""
-    return sorted(checked(value, dict, what).items())
+    """The sorted items of the JSON object *value*, each key a _field; else a ValueError."""
+    items = sorted(checked(value, dict, what).items())
+    for key, _ in items:
+        _field(key, f"{what} key")
+    return items
 
 
 def load_matrix_file(path: str | Path) -> tuple[tuple[str, ...], "np.ndarray"]:

@@ -50,9 +50,9 @@ def _clean_domain(domain: str) -> str:
 
 def _logged_domain(domain: str, suffixes: frozenset[str] | None, what: str) -> str:
     """The registrable domain of a *domain* from a crawl log; a ValueError naming
-    *what* when, once cleaned, it is empty or holds whitespace."""
+    *what* when, once cleaned, it is empty or holds whitespace, a comma or a quote."""
     cleaned = _clean_domain(domain)
-    if cleaned.split() != [cleaned]:
+    if cleaned.split() != [cleaned] or "," in cleaned or '"' in cleaned:
         raise ValueError(f"{what} {domain!r} is not a hostname")
     return registrable_domain(cleaned, suffixes)
 
@@ -107,7 +107,8 @@ def record_third_parties(
 
     Returns the registrable domain of each third-party cookie, one entry per
     cookie, and the set of every third-party registrable domain on the visit.  A
-    domain that is empty or holds whitespace once cleaned is a ValueError.
+    domain that is empty or holds whitespace, a comma or a quote once cleaned is a
+    ValueError.
     """
 
     def third(domains: Iterable[str], what: str) -> list[str]:

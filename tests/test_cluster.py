@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import topicpages.cluster as cluster_mod
 from topicpages import (
-    cluster_report,
+    PipelineConfig,
     gap_statistic,
     kmeans,
     model_select,
@@ -15,6 +16,8 @@ from topicpages import (
     silhouette,
 )
 from topicpages.errors import KTooLarge, PipelineError
+from topicpages.lines import json_text, write_text
+from topicpages.pipeline import STAGE_NAMED, Runner
 
 
 def three_blobs(points_per_blob=8, noise=0.5, seed=7):
@@ -115,6 +118,12 @@ class TestPca:
         with pytest.raises(ValueError):
             pca_fit(X, n)
 
+    @pytest.mark.parametrize("X", [np.ones((5, 2)), np.ones((3, 4)), np.zeros((2, 1))])
+    def test_no_variance_refused(self, X):
+        # through the covariance and the Gram: no axis to keep, so no zero-column reduction
+        with pytest.raises(ValueError, match=r"^no axis has variance$"):
+            pca_fit(X, 1)
+
 
 class TestKmeans:
     def test_recovers_three_blobs(self):
@@ -154,6 +163,11 @@ class TestKmeans:
     def test_invalid_parameters(self, k, restarts):
         with pytest.raises(ValueError):
             kmeans([[1.0], [2.0]], k, restarts=restarts)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2)])
+    def test_empty_matrix_refused(self, shape):
+        with pytest.raises(ValueError, match=r"^X must be a non-empty 2-D matrix$"):
+            kmeans(np.ones(shape), 1)
 
     @settings(deadline=None)
     @example(case=(np.ones((9, 2)).tolist(), 4))
@@ -509,31 +523,60 @@ class TestGapStatistic:
             gap_statistic([[0.0], [1.0]], 2, b_refs=0)
 
 
-class TestClusterReport:
-    def test_labels_attached(self):
+def one_cell(X, k, **kwargs):
+    """model_select's one cell at (1, k), as the cluster stage takes it."""
+    (cell,) = model_select(X, [1], [k], **kwargs).rows
+    return cell
+
+
+def cluster_stage(tmp_path, weights, **settings):
+    """clusters-content.json of the cluster-content stage on a content matrix of
+    *weights*, one row per topic named t0, t1, ..."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    matrix = {"topics": [f"t{i}" for i in range(len(weights))],
+              "terms": [f"w{j}" for j in range(len(weights[0]))], "weights": weights}
+    write_text(out / "content-matrix.json", json_text(matrix))
+    Runner(PipelineConfig(out_dir=str(out), **settings)).run_stage(STAGE_NAMED["cluster-content"])
+    return json.loads((out / "clusters-content.json").read_text("utf-8"))
+
+
+class TestOneCell:
+    """The cluster stage's clustering: model_select's one cell at (pca_n, k)."""
+
+    def test_labels_attached(self, tmp_path):
+        weights = [[0.0], [0.2], [9.0], [9.5]]
+        payload = cluster_stage(tmp_path, weights, pca_n=1, k=2, seed=1, b_refs=3, restarts=3)
+        groups = payload["assignments"]
+        assert groups["t0"] == groups["t1"] != groups["t2"] == groups["t3"]
+        assert list(payload["points"]) == ["t0", "t1", "t2", "t3"]
+        assert payload["silhouette"] is not None and payload["gap"] is not None
+
+    def test_scores_are_its_fit(self):
         X = [[0.0], [0.2], [9.0], [9.5]]
-        rep = cluster_report(X, ["a", "b", "c", "d"], 2, seed=1, b_refs=3, restarts=3)
-        assert rep.assignments["a"] == rep.assignments["b"]
-        assert rep.assignments["c"] == rep.assignments["d"]
-        assert rep.assignments["a"] != rep.assignments["c"]
-        assert rep.silhouette is not None and rep.gap is not None
+        cell = one_cell(X, 2, seed=1, b_refs=3, restarts=3)
+        assert cell.fit.assignments.tolist() in ([0, 0, 1, 1], [1, 1, 0, 0])
+        assert cell.sse == cell.fit.sse
+        assert cell.silhouette == silhouette(pca_fit(X, 1)[1], cell.fit.assignments)
 
-    def test_k1_has_no_silhouette(self):
-        rep = cluster_report([[0.0], [1.0]], ["a", "b"], 1)
-        assert rep.silhouette is None
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError):
-            cluster_report([[0.0], [1.0]], ["a"], 1)
+    def test_k1_has_no_silhouette(self, tmp_path):
+        assert one_cell([[0.0], [1.0]], 1).silhouette is None
+        assert cluster_stage(tmp_path, [[0.0], [1.0]], pca_n=1, k=1)["silhouette"] is None
 
     def test_k_above_distinct_rows_refused(self):
         # k-means would report SSE 0 for duplicate rows split into clusters
         X = [[0.0, 0.0]] * 8 + [[10.0, 10.0]] * 8
-        labels = [str(i) for i in range(len(X))]
-        with pytest.raises(KTooLarge, match=r"^k=4 exceeds 2 distinct rows$"):
-            cluster_report(X, labels, 4, seed=1, restarts=2, b_refs=2)
-        rep = cluster_report(X, labels, 2, seed=1, restarts=2, b_refs=2)
-        assert rep.sse == 0.0
+        refused = one_cell(X, 4, seed=1, restarts=2, b_refs=2)
+        assert refused.error == "k=4 exceeds 2 distinct rows"
+        assert refused.fit is None and refused.sse is None
+        assert one_cell(X, 2, seed=1, restarts=2, b_refs=2).sse == 0.0
+
+    def test_a_pca_refusal_is_a_plain_stage_error(self, tmp_path):
+        with pytest.raises(PipelineError) as raised:
+            cluster_stage(tmp_path, [[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], pca_n=3, k=1)
+        assert type(raised.value) is PipelineError
+        path = tmp_path / "out" / "content-matrix.json"
+        assert str(raised.value) == f"{path}: n must lie in [1, 2], got 3"
 
 
 class TestSharedScorer:
@@ -579,17 +622,17 @@ class TestSharedScorer:
         assert [row.error is not None for row in result.rows] == [True, True]
         assert seedings == []
 
-    def test_one_batch_per_report_holding_its_references(self, batches):
-        X = three_blobs(points_per_blob=4)
-        cluster_report(X, [str(i) for i in range(len(X))], 3, seed=1, restarts=2, b_refs=3)
+    def test_one_batch_per_cluster_stage_holding_its_references(self, batches, tmp_path):
+        weights = three_blobs(points_per_blob=4).tolist()
+        cluster_stage(tmp_path, weights, pca_n=2, k=3, seed=1, restarts=2, b_refs=3)
         assert batches == [(3, 4)]
 
-    def test_report_gap_equals_gap_statistic(self):
+    def test_one_cell_gap_equals_gap_statistic(self):
         X = three_blobs(points_per_blob=4)
-        labels = [str(i) for i in range(len(X))]
+        _, reduced = pca_fit(X, 1)
         for k in (1, 3):
-            rep = cluster_report(X, labels, k, seed=5, restarts=3, b_refs=4)
-            assert rep.gap == gap_statistic(X, k, seed=5, b_refs=4, restarts=3)
+            cell = one_cell(X, k, seed=5, restarts=3, b_refs=4)
+            assert cell.gap == gap_statistic(reduced, k, seed=5, b_refs=4, restarts=3)
 
     def test_sweep_gaps_equal_gap_statistic(self):
         X = three_blobs(points_per_blob=4)
@@ -601,8 +644,9 @@ class TestSharedScorer:
 
 
 def reference_sweep(X, ns, ks, seed, restarts, b_refs, max_iter):
-    """model_select's rows cell by cell, each cell cluster_report's fit of its reduced
-    rows, or the type and message of the first error it raises."""
+    """model_select's rows cell by cell from the public primitives: kmeans, silhouette
+    and gap_statistic of each cell's reduced rows, k above their np.unique count
+    refused; or the type and message of the first error raised."""
     rows = []
     try:
         for n in ns:
@@ -611,13 +655,16 @@ def reference_sweep(X, ns, ks, seed, restarts, b_refs, max_iter):
             except ValueError as exc:
                 rows.extend(cluster_mod.SweepRow(n, k, None, None, None, str(exc)) for k in ks)
                 continue
-            labels = [str(i) for i in range(len(reduced))]
+            distinct = len(np.unique(reduced, axis=0))
             for k in ks:
-                try:
-                    rep = cluster_report(reduced, labels, k, seed, restarts, max_iter, b_refs)
-                    rows.append(cluster_mod.SweepRow(n, k, rep.sse, rep.silhouette, rep.gap))
-                except KTooLarge as exc:
-                    rows.append(cluster_mod.SweepRow(n, k, None, None, None, str(exc)))
+                if k > distinct:
+                    refusal = f"k={k} exceeds {distinct} distinct rows"
+                    rows.append(cluster_mod.SweepRow(n, k, None, None, None, refusal))
+                    continue
+                fit = kmeans(reduced, k, seed, restarts, max_iter)
+                sil = silhouette(reduced, fit.assignments) if k >= 2 else None
+                gap = gap_statistic(reduced, k, seed, b_refs, restarts, max_iter)
+                rows.append(cluster_mod.SweepRow(n, k, fit.sse, sil, gap))
     except Exception as exc:
         return type(exc), str(exc)
     return tuple(rows)

@@ -321,6 +321,23 @@ REPORT_SHAPES = {
     "coverage-party-dict": (
         _report(top_tp_coverage=[{"third_party": {"a": 1}, "coverage": {"sports": 50.0}}]),
         "third_party must be a string, got {'a': 1}"),
+    # a string the report writes as one CSV field, holding what would split its row
+    "coverage-party-comma": (
+        _report(top_tp_coverage=[{"third_party": "x,evil.example", "coverage": {"sports": 50.0}}]),
+        "third_party 'x,evil.example' holds a comma, a quote or a line break"),
+    "coverage-topic-quote": (
+        _report(top_tp_coverage=[{"third_party": "a.example", "coverage": {'sp"orts': 50.0}}]),
+        "coverage key 'sp\"orts' holds a comma, a quote or a line break"),
+    "cookie-topic-newline": (
+        _report(cookie_stats={"sports\nevil": REPORT["cookie_stats"]["sports"]}),
+        "cookie_stats key 'sports\\nevil' holds a comma, a quote or a line break"),
+    "breakdown-category-separator": (
+        _report(category_breakdown={"all": {"sports": {"Advertising\u2028x": 1}}}),
+        "category_breakdown.all.sports key 'Advertising\\u2028x' holds a comma, a quote or a "
+        "line break"),
+    "diff-topic-comma": (
+        _report(percent_diff_vs_homepage={"a,b": {"Advertising": 1.5}}),
+        "percent_diff_vs_homepage key 'a,b' holds a comma, a quote or a line break"),
 }
 # the same for a clusters file, whose scatter plot the report writes
 CLUSTERS_SHAPES = {
@@ -336,6 +353,9 @@ CLUSTERS_SHAPES = {
     "clusters-label-missing": ({**CLUSTERS, "assignments": {"a": 0}}, "missing key 'b'"),
     "clusters-cluster-string": ({**CLUSTERS, "assignments": {"a": "9,evil", "b": 1}},
                                 "assignments.a must be an integer, got '9,evil'"),
+    "clusters-label-comma": ({**CLUSTERS, "assignments": {"a,b": 0, "b": 1},
+                              "points": {"a,b": [0.5], "b": [-0.5]}},
+                             "points key 'a,b' holds a comma, a quote or a line break"),
 }
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import topicpages.cli as cli_mod
 import topicpages.cluster as cluster_mod
@@ -532,6 +533,20 @@ class TestRunnerDirect:
         with pytest.raises(MissingStage, match="best.jsonl"):
             Runner(cfg).run_stage(STAGE_NAMED["track"])
 
+    def test_top_sites_follow_the_site_rule(self, e2e_config):
+        cfg = load_config(e2e_config, env={})
+        assert run_pipeline(cfg)[0] == 0
+        report = Path(cfg.out_dir) / "tracking-report.json"
+
+        def top_sites(entries):
+            Runner(dataclasses.replace(cfg, top_sites=entries)).run_stage(STAGE_NAMED["track"])
+            return json.loads(report.read_text("utf-8"))["category_breakdown"]["top_sites"]
+
+        canonical = top_sites("alpha-news.example")
+        assert sorted(canonical) == ["homepage", "politics", "sports"]
+        for spelling in ("Alpha-News.example", "www.alpha-news.example", "WWW.Alpha-News.example."):
+            assert top_sites(spelling) == canonical, spelling
+
     def test_cluster_stage_refuses_k_above_distinct_rows(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -709,6 +724,86 @@ SKIPPED_WHEN_FAILED = {
     "sweep-content": (),
     "report": (),
 }
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """(tag, document) of a tracking or content matrix of 2 to 5 rows whose rows are all
+    equal, all equal but one, all zero, one column wide, or hold one huge entry."""
+    tag = draw(st.sampled_from(["tracking", "content"]))
+    rows, cols = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["equal", "one-distinct", "zeros", "one-column", "huge"]))
+    cols = 1 if shape == "one-column" else cols
+    value = st.integers(0, 2) if tag == "tracking" else st.floats(-2, 2, width=32)
+    row = st.lists(value, min_size=cols, max_size=cols)
+    if shape in ("equal", "one-distinct"):
+        cells = [draw(row)] * rows
+        if shape == "one-distinct":
+            cells = cells[1:] + [draw(row)]
+    elif shape == "zeros":
+        cells = [[0] * cols] * rows
+    else:
+        cells = draw(st.lists(row, min_size=rows, max_size=rows))
+    if shape == "huge":
+        huge = [2**62, 2**63 - 1] if tag == "tracking" else [1e154, 1e300, 1.7976931348623157e308]
+        cells = [list(r) for r in cells]
+        cells[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(
+            st.sampled_from(huge))
+    if tag == "tracking":
+        labels = {"third_parties": [f"x{j}.example" for j in range(cols)], "cells": cells}
+    else:
+        labels = {"terms": [f"w{j}" for j in range(cols)], "weights": cells}
+    return tag, {"topics": [f"t{i}" for i in range(rows)], **labels}
+
+
+@pytest.fixture(scope="module")
+def degenerate_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("degenerate")
+
+
+class TestDegenerateMatrices:
+    """A matrix k-means cannot cluster ends in a stage error naming the file, never a crash."""
+
+    @settings(max_examples=30, deadline=None)
+    @example(case=("tracking", {"topics": ["a", "b", "c"], "third_parties": ["x"],
+                                "cells": [[1], [1], [1]]}), pca_n=1)
+    @example(case=("content", {"topics": ["a", "b"], "terms": ["w", "v"],
+                               "weights": [[0.0, 0.0], [0.0, 0.0]]}), pca_n=1)
+    @given(case=degenerate_matrices(), pca_n=st.integers(1, 2))
+    def test_cluster_stages_fail_at_the_matrix_or_succeed(self, degenerate_out, case, pca_n):
+        tag, document = case
+        path = degenerate_out / f"{tag}-matrix.json"
+        write_text(path, json_text(document))
+        cfg = PipelineConfig(out_dir=str(degenerate_out), pca_n=pca_n, k=1, n_range="1..2",
+                             k_range="1..3", restarts=2, b_refs=2)
+        for name in (f"cluster-{tag}", f"sweep-{tag}"):
+            try:
+                Runner(cfg).run_stage(STAGE_NAMED[name])
+            except PipelineError as exc:
+                assert str(exc).startswith(f"{path}: "), name
+
+    @pytest.mark.parametrize("fork", [False, pytest.param(True, marks=needs_fork)],
+                             ids=["in-order", "forked"])
+    def test_a_run_whose_topics_share_every_tracker(self, e2e_config, monkeypatch, fork):
+        if fork:
+            monkeypatch.setattr(pipeline_mod, "BRANCH_MIN_BYTES", 0)
+        cfg = dataclasses.replace(load_config(e2e_config, env={}), k=1, k_range="1..3")
+        log = Path(cfg.crawl_logs)
+        visits = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+        every = sorted({c["cookie_domain"] for visit in visits for c in visit["cookies"]}
+                       | {r["request_domain"] for visit in visits for r in visit["requests"]})
+        log.write_text("".join(json.dumps({**visit, "requests": [], "cookies": [
+            {"cookie_domain": domain} for domain in every]}) + "\n" for visit in visits), "utf-8")
+        code, summary = run_pipeline(cfg)
+        matrix = Path(cfg.out_dir) / "tracking-matrix.json"
+        assert code == 1
+        assert summary["errors"] == [
+            f"cluster-tracking: {matrix}: no axis has variance",
+            f"sweep-tracking: {matrix}: no cell of the sweep could be scored; "
+            "n=1, k=1: no axis has variance",
+        ]
+        for name in ("track", "cluster-content", "sweep-content", "report"):
+            assert "error" not in summary[name], name
 
 
 class TestEachFileParsedOnce:

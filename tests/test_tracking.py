@@ -80,6 +80,12 @@ MALFORMED = [
      "cookie domain '  ' is not a hostname"),
     (json.dumps({**_VISIT, "site": ""}), "site '' is not a hostname"),
     (json.dumps({**_VISIT, "site": "a b.example"}), "site 'a b.example' is not a hostname"),
+    # nor one with a comma or a quote, which would split a plot's CSV row
+    (json.dumps({**_VISIT, "cookies": [{"cookie_domain": "x,evil.example"}]}),
+     "cookie domain 'x,evil.example' is not a hostname"),
+    (json.dumps({**_VISIT, "requests": [{"request_domain": 'a"b.example'}]}),
+     "request domain 'a\"b.example' is not a hostname"),
+    (json.dumps({**_VISIT, "site": "a,b.example"}), "site 'a,b.example' is not a hostname"),
 ]
 
 
